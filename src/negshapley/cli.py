@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .core import Database, load_database, parse_fact, parse_signed_fact
 from .errors import CapExceededError, InputParseError, SemanticError
@@ -27,8 +28,10 @@ from .shapley import (
     DEFAULT_PERMUTATION_CAP,
     DEFAULT_SUBSET_CAP,
     WEIGHT_FUNCTIONS,
+    MsShapleyResult,
     WealthKind,
     make_game,
+    ms_scores,
     ms_shapley,
     shapley_permutation,
     shapley_subset,
@@ -51,6 +54,17 @@ class _Parser(argparse.ArgumentParser):
         raise InputParseError(message)
 
 
+def _count(text: str) -> int:
+    """argparse type of the caps and ``--parallel``: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="negshapley",
@@ -65,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "table"), default="table")
         p.add_argument(
             "--cap-signed",
-            type=int,
+            type=_count,
             default=None,
             metavar="N",
             help="max size of the signed completion",
@@ -91,9 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--fact", help='score only this fact, e.g. "I(mm,fish)" or "-E(c,a)"')
     p.add_argument("--all", action="store_true", help="score every player (the default)")
-    p.add_argument("--parallel", type=int, default=None, metavar="N")
-    p.add_argument("--cap-subset", type=int, default=DEFAULT_SUBSET_CAP, metavar="N")
-    p.add_argument("--cap-perm", type=int, default=DEFAULT_PERMUTATION_CAP, metavar="N")
+    p.add_argument("--parallel", type=_count, default=None, metavar="N")
+    p.add_argument("--cap-subset", type=_count, default=DEFAULT_SUBSET_CAP, metavar="N")
+    p.add_argument("--cap-perm", type=_count, default=DEFAULT_PERMUTATION_CAP, metavar="N")
 
     p = sub.add_parser("relevance", help="relevance report for every fact")
     common(p)
@@ -103,8 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="relevance and scores side by side")
     common(p)
-    p.add_argument("--cap-subset", type=int, default=DEFAULT_SUBSET_CAP, metavar="N")
-    p.add_argument("--cap-perm", type=int, default=DEFAULT_PERMUTATION_CAP, metavar="N")
+    p.add_argument("--cap-subset", type=_count, default=DEFAULT_SUBSET_CAP, metavar="N")
+    p.add_argument("--cap-perm", type=_count, default=DEFAULT_PERMUTATION_CAP, metavar="N")
 
     return parser
 
@@ -208,6 +222,7 @@ def _score_one(
             f"--method closed-form applies only to "
             f"{WealthKind.MS_SIGNED.value} and {WealthKind.MPS_POSITIVE.value}"
         )
+    game = None
     if method == "auto":
         if closed_available:
             method = "closed-form"
@@ -219,16 +234,10 @@ def _score_one(
         result = ms_shapley(
             q, db, target, weight=weight, mode=kind.support_mode, signed_cap=cap_signed
         )
-        return {
-            "fact": str(target),
-            "values": {kind.value: _rational(result.score)},
-            "method": "closed-form",
-            "supportsBySize": {
-                str(size): count for size, count in result.supports_by_size.items()
-            },
-        }
+        return _closed_form_record(kind, target, result)
 
-    game = make_game(q, db, kind, signed_cap=cap_signed)
+    if game is None:
+        game = make_game(q, db, kind, signed_cap=cap_signed)
     if method == "subset":
         value = shapley_subset(game, target, cap=cap_subset)
     else:
@@ -237,6 +246,19 @@ def _score_one(
         "fact": str(target),
         "values": {kind.value: _rational(value)},
         "method": method,
+    }
+
+
+def _closed_form_record(
+    kind: WealthKind, target, result: MsShapleyResult
+) -> dict[str, Any]:
+    return {
+        "fact": str(target),
+        "values": {kind.value: _rational(result.score)},
+        "method": "closed-form",
+        "supportsBySize": {
+            str(size): count for size, count in result.supports_by_size.items()
+        },
     }
 
 
@@ -251,39 +273,33 @@ def _cmd_score(args: argparse.Namespace) -> None:
     q = _load_query(args.query)
     db = _load_db(args.db)
     kind = WealthKind(args.measure)
+    caps = (args.cap_signed, args.cap_subset, args.cap_perm)
 
     if args.fact is not None:
         target = (
             parse_signed_fact(args.fact) if kind.signed_players else parse_fact(args.fact)
         )
-        targets = [target]
-        single = True
-    else:
-        game = make_game(q, db, kind, signed_cap=args.cap_signed)
-        targets = list(game.players)
-        single = False
-
-    jobs = [
-        (
+        records = [_score_one(q, db, kind, args.weight, args.method, target, *caps)]
+    elif kind.support_mode is not None and args.method in ("auto", "closed-form"):
+        scores = ms_scores(
             q,
             db,
-            kind,
-            args.weight,
-            args.method,
-            t,
-            args.cap_signed,
-            args.cap_subset,
-            args.cap_perm,
+            weight=WEIGHT_FUNCTIONS[args.weight],
+            mode=kind.support_mode,
+            signed_cap=args.cap_signed,
         )
-        for t in targets
-    ]
-    if single:
-        records = [_score_one(*jobs[0])]
-    elif args.parallel and args.parallel > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            records = list(pool.map(_score_worker, jobs))
+        records = [_closed_form_record(kind, p, r) for p, r in scores.items()]
     else:
-        records = [_score_worker(job) for job in jobs]
+        game = make_game(q, db, kind, signed_cap=args.cap_signed)
+        jobs = [
+            (q, db, kind, args.weight, args.method, t, *caps) for t in game.players
+        ]
+        workers = min(args.parallel or 1, os.cpu_count() or 1, len(jobs))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                records = list(pool.map(_score_worker, jobs))
+        else:
+            records = [_score_worker(job) for job in jobs]
 
     payload = {
         "command": "score",
@@ -399,27 +415,34 @@ def _cmd_compare(args: argparse.Namespace) -> None:
     db = _load_db(args.db)
     verdicts = relevance_report(q, db, signed_cap=args.cap_signed)
 
-    def score(kind: WealthKind, target) -> dict[str, Any]:
+    def closed_form(kind: WealthKind) -> Callable[[Any], dict[str, str]]:
+        """Cell values of a counting measure, from one pass over its supports."""
+        try:
+            results = ms_scores(q, db, mode=kind.support_mode, signed_cap=args.cap_signed)
+        except CapExceededError as exc:
+            error = {"error": str(exc)}
+            return lambda player: error
+        return lambda player: _rational(results[player].score)
+
+    def drastic(target) -> dict[str, str]:
         try:
             record = _score_one(
-                q, db, kind, "reciprocal", "auto", target,
+                q, db, WealthKind.DRASTIC_DIRECT, "reciprocal", "auto", target,
                 args.cap_signed, args.cap_subset, args.cap_perm,
             )
-            return record["values"][kind.value]
+            return record["values"][WealthKind.DRASTIC_DIRECT.value]
         except CapExceededError as exc:
             return {"error": str(exc)}
 
+    ms_signed = closed_form(WealthKind.MS_SIGNED)
+    mps = closed_form(WealthKind.MPS_POSITIVE)
     records = []
     for v in verdicts:
         entry = _verdict_record(v)
-        entry["values"] = {WealthKind.MS_SIGNED.value: score(WealthKind.MS_SIGNED, v.subject)}
+        entry["values"] = {WealthKind.MS_SIGNED.value: ms_signed(v.subject)}
         if v.positive_relevant is not None:  # a database fact
-            entry["values"][WealthKind.MPS_POSITIVE.value] = score(
-                WealthKind.MPS_POSITIVE, v.subject.fact
-            )
-            entry["values"][WealthKind.DRASTIC_DIRECT.value] = score(
-                WealthKind.DRASTIC_DIRECT, v.subject.fact
-            )
+            entry["values"][WealthKind.MPS_POSITIVE.value] = mps(v.subject.fact)
+            entry["values"][WealthKind.DRASTIC_DIRECT.value] = drastic(v.subject.fact)
         records.append(entry)
 
     payload = {"command": "compare", "query": str(q), "records": records}

@@ -19,6 +19,8 @@ For the two counting games the Shapley value has a closed form: the sum of
 ``w(|S|)`` over the minimal supports S containing the target, where the
 reciprocal weight ``w(k) = 1/k`` recovers the Shapley value exactly and
 other weights give the general weighted-sum-of-minimal-supports scores.
+`ms_scores` evaluates it for every player from one enumeration of the
+minimal supports.
 
 All arithmetic is over `fractions.Fraction`; nothing here rounds.
 """
@@ -153,14 +155,7 @@ def make_game(
             Fraction(1) if is_positive_support(S, q, db) else Fraction(0)
         )
     else:
-        supports = tuple(
-            s.elements
-            for s in (
-                minimal_signed_supports(q, db, cap=signed_cap)
-                if kind is WealthKind.MS_SIGNED
-                else minimal_positive_supports(q, db)
-            )
-        )
+        supports = tuple(_mode_supports(q, db, kind.support_mode, signed_cap))
         evaluate = lambda S: Fraction(sum(1 for m in supports if m <= S))
 
     return Game(kind=kind, q=q, db=db, players=players, _evaluate=evaluate)
@@ -257,7 +252,7 @@ def shapley_subset(
 
 
 # ---------------------------------------------------------------------------
-# Closed form and the bounded enumeration scorer
+# Closed form: one pass over the minimal supports scores every player
 # ---------------------------------------------------------------------------
 
 
@@ -288,37 +283,46 @@ def _check_target(
             raise PlayerSetError(f"{target} is not in the database")
 
 
-def wsms_closed_form(
-    q: Query,
-    db: Database,
-    target: Player,
-    *,
-    weight: WeightFunction = reciprocal_weight,
-    mode: SupportMode = "signed",
-    signed_cap: int | None = None,
-) -> Fraction:
-    """Σ of ``weight(|S|)`` over the minimal supports S containing the target.
-
-    With the reciprocal weight this equals the Shapley value of the
-    corresponding counting game.
-    """
-    _check_target(q, db, target, mode, signed_cap)
-    return sum(
-        (
-            weight(len(s))
-            for s in _mode_supports(q, db, mode, signed_cap)
-            if target in s
-        ),
-        Fraction(0),
-    )
-
-
 @dataclass(frozen=True)
 class MsShapleyResult:
     """Score plus the sizes of the minimal supports that produced it."""
 
     score: Fraction
     supports_by_size: Mapping[int, int]
+
+
+def ms_scores(
+    q: Query,
+    db: Database,
+    *,
+    weight: WeightFunction = reciprocal_weight,
+    mode: SupportMode = "signed",
+    signed_cap: int | None = None,
+) -> dict[Player, MsShapleyResult]:
+    """Every player's Σ of ``weight(|S|)`` over the minimal supports S
+    containing it, from one enumeration of the minimal supports.
+
+    The players are the restricted signed completion (signed mode) or the
+    database facts (positive mode), in sorted order; players in no minimal
+    support score 0 with an empty size histogram.  With the reciprocal
+    weight each score is the Shapley value of the counting game.
+    """
+    if mode == "signed":
+        players = signed_database_restricted(db, q, cap=signed_cap).sorted_facts
+    else:
+        players = db.sorted_facts
+    by_size: dict[Player, Counter] = {}
+    for support in _mode_supports(q, db, mode, signed_cap):
+        for p in support:
+            by_size.setdefault(p, Counter())[len(support)] += 1
+    scores = {}
+    for p in players:
+        sizes = by_size.get(p, {})
+        scores[p] = MsShapleyResult(
+            score=sum((weight(k) * n for k, n in sizes.items()), Fraction(0)),
+            supports_by_size=dict(sorted(sizes.items())),
+        )
+    return scores
 
 
 def ms_shapley(
@@ -330,41 +334,23 @@ def ms_shapley(
     mode: SupportMode = "signed",
     signed_cap: int | None = None,
 ) -> MsShapleyResult:
-    """Score a fact by direct bounded enumeration of minimal supports.
-
-    Candidate sets containing the target are drawn from the player universe
-    up to the maximum possible support size (the query's per-disjunct atom
-    count), then filtered to minimal supports: supports none of whose
-    single-element removals remain supports, which characterizes minimality
-    because both support families are monotone.  Agrees with
-    `wsms_closed_form` and additionally reports how many containing supports
-    of each size were found.
-    """
+    """One player's entry of `ms_scores`, after checking it is a player."""
     _check_target(q, db, target, mode, signed_cap)
-    if mode == "signed":
-        transformed = sign_transform(q)
-        universe: list = sorted(
-            signed_database_restricted(db, q, cap=signed_cap).signed_facts
-        )
-        is_support = lambda S: signed_satisfies(transformed, S)
-        max_size = max(
-            len(cq.positive_atoms) + len(cq.negated_atoms) for cq in q.disjuncts
-        )
-    else:
-        universe = sorted(db.facts)
-        is_support = lambda S: is_positive_support(S, q, db)
-        max_size = max(len(cq.positive_atoms) for cq in q.disjuncts)
+    return ms_scores(q, db, weight=weight, mode=mode, signed_cap=signed_cap)[target]
 
-    others = [p for p in universe if p != target]
-    score = Fraction(0)
-    by_size: Counter = Counter()
-    for extra in range(min(max_size, len(others) + 1)):
-        for combo in itertools.combinations(others, extra):
-            candidate = frozenset(combo) | {target}
-            if not is_support(candidate):
-                continue
-            if any(is_support(candidate - {p}) for p in candidate):
-                continue
-            score += weight(len(candidate))
-            by_size[len(candidate)] += 1
-    return MsShapleyResult(score=score, supports_by_size=dict(sorted(by_size.items())))
+
+def wsms_closed_form(
+    q: Query,
+    db: Database,
+    target: Player,
+    *,
+    weight: WeightFunction = reciprocal_weight,
+    mode: SupportMode = "signed",
+    signed_cap: int | None = None,
+) -> Fraction:
+    """Σ of ``weight(|S|)`` over the minimal supports S containing the
+    target: the score of `ms_shapley`.  With the reciprocal weight this is
+    the Shapley value of the corresponding counting game."""
+    return ms_shapley(
+        q, db, target, weight=weight, mode=mode, signed_cap=signed_cap
+    ).score

@@ -260,6 +260,46 @@ def oracle_shapley(players: Sequence, wealth: Callable, target) -> Fraction:
     return total / math.factorial(len(players))
 
 
+def reference_ms_shapley(
+    q: Query,
+    db: Database,
+    target,
+    *,
+    weight: Callable[[int], Fraction],
+    mode: str,
+) -> tuple[Fraction, dict[int, int]]:
+    """A WSMS score by bounded candidate enumeration around one target.
+
+    Candidate sets containing the target are drawn from the players (the
+    restricted signed completion, or the database facts) up to the largest
+    disjunct's atom count, the most a minimal support can hold.  A candidate
+    counts when it satisfies and none of its single-member removals does,
+    which is minimality because both support families are monotone.
+    Returns the score and how many such supports of each size were found.
+    """
+    if mode == "signed":
+        universe = sorted(oracle_signed_completion(db, q))
+        holds = lambda s: oracle_signed_satisfies(q, s)
+        max_size = max(
+            len(cq.positive_atoms) + len(cq.negated_atoms) for cq in q.disjuncts
+        )
+    else:
+        universe = sorted(db.facts)
+        holds = lambda s: oracle_satisfies(q, s, context=db.facts)
+        max_size = max(len(cq.positive_atoms) for cq in q.disjuncts)
+    others = [p for p in universe if p != target]
+    score = Fraction(0)
+    by_size: dict[int, int] = {}
+    for extra in range(min(max_size, len(others) + 1)):
+        for combo in itertools.combinations(others, extra):
+            candidate = frozenset(combo) | {target}
+            if not holds(candidate) or any(holds(candidate - {p}) for p in candidate):
+                continue
+            score += weight(len(candidate))
+            by_size[len(candidate)] = by_size.get(len(candidate), 0) + 1
+    return score, dict(sorted(by_size.items()))
+
+
 def wealth_table(players: Sequence, wealth: Callable[[frozenset], Fraction]) -> list[Fraction]:
     """Wealth of every coalition, indexed by player bitmask."""
     players = list(players)

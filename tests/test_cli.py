@@ -188,14 +188,90 @@ def test_closed_form_refused_for_drastic(capsys, paths):
     assert code == 1 and "closed-form" in err
 
 
+def test_score_all_records_equal_single_fact_records(capsys, paths):
+    """One pass over the supports scores every player exactly as scoring
+    each fact on its own does."""
+    for query in (paths["q"], paths["q2"]):
+        for measure in ("ms-signed", "mps"):
+            for weight in ("reciprocal", "constant"):
+                args = (
+                    "score", "--db", paths["db"], "--query", query,
+                    "--measure", measure, "--weight", weight, "--format", "json",
+                )
+                code, out, _ = run(capsys, *args, "--all")
+                assert code == 0
+                records = json.loads(out)["records"]
+                assert len(records) == (25 if measure == "ms-signed" else 5)
+                for record in records:
+                    code, out, _ = run(capsys, *args, f"--fact={record['fact']}")
+                    assert code == 0
+                    assert json.loads(out)["records"] == [record], (measure, weight)
+
+
 def test_parallel_output_is_byte_identical(capsys, paths):
     args = (
         "score", "--db", paths["db"], "--query", paths["q"],
-        "--measure", "ms-signed", "--all", "--format", "json",
+        "--measure", "drastic", "--all", "--format", "json",
     )
     _, serial, _ = run(capsys, *args)
     _, fanned, _ = run(capsys, *args, "--parallel", "2")
     assert serial == fanned
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize(
+    "parallel, cpus, workers",
+    [("64", 3, [3]), ("64", 16, [5]), ("2", 16, [2]), ("64", 1, []), ("1", 16, [])],
+)
+def test_parallel_is_clamped_to_cpus_and_jobs(
+    capsys, paths, monkeypatch, parallel, cpus, workers
+):
+    import negshapley.cli as cli
+
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    args = (
+        "score", "--db", paths["db"], "--query", paths["q"],
+        "--measure", "drastic", "--all", "--format", "json",
+    )
+    _, serial, _ = run(capsys, *args)
+    code, fanned, _ = run(capsys, *args, "--parallel", parallel)  # 5 jobs
+    assert code == 0 and fanned == serial
+    assert _RecordingPool.sizes == workers
+
+
+def test_auto_builds_one_game_per_target(capsys, paths, monkeypatch):
+    import negshapley.cli as cli
+
+    built = []
+    real = cli.make_game
+    monkeypatch.setattr(cli, "make_game", lambda *a, **k: built.append(a) or real(*a, **k))
+    code, out, _ = run(
+        capsys, "score", "--db", paths["db"], "--query", paths["q2"],
+        "--measure", "drastic", "--fact", "I(mm,wine)", "--format", "json",
+    )
+    assert code == 0 and len(built) == 1
+    (rec,) = json.loads(out)["records"]
+    assert rec["values"]["drastic"] == {"num": "-1", "den": "6"}
+    assert rec["method"] == "subset"
 
 
 def test_runs_are_deterministic(capsys, paths):
@@ -332,6 +408,35 @@ def test_exit_2_on_unsafe_query(capsys, paths, tmp_path):
     unsafe.write_text("exists x, y, z. I(x,y), !R(y,z)\n")
     code, _, err = run(capsys, "supports", "--db", paths["db"], "--query", str(unsafe))
     assert code == 2 and "unsafe" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("supports", "--cap-signed"),
+        ("relevance", "--cap-signed"),
+        ("score", "--cap-signed"),
+        ("score", "--cap-subset"),
+        ("score", "--cap-perm"),
+        ("score", "--parallel"),
+        ("compare", "--cap-subset"),
+        ("compare", "--cap-perm"),
+    ],
+)
+def test_exit_1_on_negative_integer_flag(capsys, paths, command, flag):
+    code, out, err = run(
+        capsys, command, "--db", paths["db"], "--query", paths["q"], flag, "-1"
+    )
+    assert code == 1 and out == ""
+    assert flag in err and "non-negative" in err
+
+
+def test_exit_1_on_non_integer_flag(capsys, paths):
+    code, _, err = run(
+        capsys, "score", "--db", paths["db"], "--query", paths["q"],
+        "--cap-subset", "many",
+    )
+    assert code == 1 and "--cap-subset" in err and "invalid int value" in err
 
 
 def test_exit_3_on_signed_cap(capsys, paths):

@@ -1,5 +1,5 @@
-"""Exact Shapley scoring: permutation and subset routes, the closed form,
-the bounded-enumeration scorer, and the game axioms."""
+"""Exact Shapley scoring: permutation and subset routes, the one-pass closed
+form against the bounded-enumeration reference scorer, and the game axioms."""
 
 from fractions import Fraction
 
@@ -16,6 +16,7 @@ from negshapley.shapley import (
     WealthKind,
     constant_weight,
     make_game,
+    ms_scores,
     ms_shapley,
     permutation_marginal_counts,
     reciprocal_weight,
@@ -24,6 +25,7 @@ from negshapley.shapley import (
     shapley_subset,
     wsms_closed_form,
 )
+from negshapley.supports import minimal_positive_supports, minimal_signed_supports
 
 import oracles
 from corpus import corpus, make_instance
@@ -241,16 +243,45 @@ def test_closed_form_equals_subset_shapley_across_corpus():
 
 
 def test_ms_shapley_agrees_with_closed_form_and_oracle():
+    """The one-pass scores (which `ms_shapley` looks up) against the bounded
+    candidate enumeration kept in `oracles`, score and size histogram, for
+    both modes and both weights; reciprocal scores also against the
+    permutation definition on small games."""
     for inst in corpus(500)[:40]:
         for mode in ("signed", "positive"):
             kind = WealthKind.MS_SIGNED if mode == "signed" else WealthKind.MPS_POSITIVE
+            for weight in (reciprocal_weight, constant_weight):
+                results = ms_scores(inst.q, inst.db, weight=weight, mode=mode)
+                for p, r in results.items():
+                    want = oracles.reference_ms_shapley(
+                        inst.q, inst.db, p, weight=weight, mode=mode
+                    )
+                    got = (r.score, dict(r.supports_by_size))
+                    assert got == want, (str(inst), mode, str(p))
             g = make_game(inst.q, inst.db, kind)
-            wealth = oracles.oracle_wealth(kind.value, inst.q, inst.db)
-            for p in g.players:
-                r = ms_shapley(inst.q, inst.db, p, mode=mode)
-                assert r.score == wsms_closed_form(inst.q, inst.db, p, mode=mode)
-                if len(g.players) <= 5:
-                    assert r.score == oracles.oracle_shapley(g.players, wealth, p)
+            if len(g.players) <= 5:
+                wealth = oracles.oracle_wealth(kind.value, inst.q, inst.db)
+                results = ms_scores(inst.q, inst.db, mode=mode)
+                for p in g.players:
+                    assert results[p].score == oracles.oracle_shapley(g.players, wealth, p)
+
+
+def test_ms_scores_sum_to_support_count_and_total_size():
+    """Every player is scored, in player order; reciprocal scores sum to the
+    number of minimal supports and constant-weight scores to their total
+    size."""
+    for inst in corpus(500):
+        for kind, mode, enumerate_supports in (
+            (WealthKind.MS_SIGNED, "signed", minimal_signed_supports),
+            (WealthKind.MPS_POSITIVE, "positive", minimal_positive_supports),
+        ):
+            sizes = [len(s.elements) for s in enumerate_supports(inst.q, inst.db)]
+            by_count = ms_scores(inst.q, inst.db, weight=reciprocal_weight, mode=mode)
+            by_size = ms_scores(inst.q, inst.db, weight=constant_weight, mode=mode)
+            players = list(make_game(inst.q, inst.db, kind).players)
+            assert list(by_count) == list(by_size) == players, str(inst)
+            assert sum(r.score for r in by_count.values()) == len(sizes), str(inst)
+            assert sum(r.score for r in by_size.values()) == sum(sizes), str(inst)
 
 
 def test_monotone_kinds_are_non_negative_and_drastic_is_not():
