@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
@@ -29,12 +27,14 @@ from .shapley import (
     DEFAULT_SUBSET_CAP,
     WEIGHT_FUNCTIONS,
     MsShapleyResult,
+    Game,
     WealthKind,
     make_game,
     ms_scores,
     ms_shapley,
     shapley_permutation,
     shapley_subset,
+    shapley_values,
 )
 from .supports import (
     all_supports,
@@ -55,7 +55,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text: str) -> int:
-    """argparse type of the caps and ``--parallel``: a non-negative integer."""
+    """argparse type of the caps: a non-negative integer."""
     try:
         value = int(text)
     except ValueError:
@@ -105,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--fact", help='score only this fact, e.g. "I(mm,fish)" or "-E(c,a)"')
     p.add_argument("--all", action="store_true", help="score every player (the default)")
-    p.add_argument("--parallel", type=_count, default=None, metavar="N")
     p.add_argument("--cap-subset", type=_count, default=DEFAULT_SUBSET_CAP, metavar="N")
     p.add_argument("--cap-perm", type=_count, default=DEFAULT_PERMUTATION_CAP, metavar="N")
 
@@ -204,44 +203,35 @@ def _canonical_kind(kind: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _score_one(
-    q: Query,
-    db: Database,
-    kind: WealthKind,
-    weight_name: str,
-    method: str,
-    target,
-    cap_signed: int | None,
-    cap_subset: int,
-    cap_perm: int,
-) -> dict[str, Any]:
-    weight = WEIGHT_FUNCTIONS[weight_name]
-    closed_available = kind.support_mode is not None
-    if method == "closed-form" and not closed_available:
+def _game_method(game: Game, method: str, cap_subset: int) -> str:
+    """The route of a game measure; ``auto`` takes subset while the cap allows."""
+    if method == "closed-form":
         raise InputParseError(
             f"--method closed-form applies only to "
             f"{WealthKind.MS_SIGNED.value} and {WealthKind.MPS_POSITIVE.value}"
         )
-    game = None
     if method == "auto":
-        if closed_available:
-            method = "closed-form"
+        return "subset" if len(game.players) <= cap_subset else "permutation"
+    return method
+
+
+def _game_records(
+    game: Game, method: str, cap_subset: int, cap_perm: int
+) -> list[dict[str, Any]]:
+    """Records for every player of a game, from the game's one table; a cap
+    that refuses the game gives every player the same ``error`` record."""
+    method = _game_method(game, method, cap_subset)
+    try:
+        if method == "subset":
+            values = shapley_values(game, cap=cap_subset)
         else:
-            game = make_game(q, db, kind, signed_cap=cap_signed)
-            method = "subset" if len(game.players) <= cap_subset else "permutation"
+            values = {p: shapley_permutation(game, p, cap=cap_perm) for p in game.players}
+    except CapExceededError as exc:
+        return [{"fact": str(p), "error": str(exc)} for p in game.players]
+    return [_record(game.kind, p, v, method) for p, v in values.items()]
 
-    if method == "closed-form":
-        result = ms_shapley(
-            q, db, target, weight=weight, mode=kind.support_mode, signed_cap=cap_signed
-        )
-        return _closed_form_record(kind, target, result)
 
-    if game is None:
-        game = make_game(q, db, kind, signed_cap=cap_signed)
-    if method == "subset":
-        value = shapley_subset(game, target, cap=cap_subset)
-    else:
-        value = shapley_permutation(game, target, cap=cap_perm)
+def _record(kind: WealthKind, target, value: Fraction, method: str) -> dict[str, Any]:
     return {
         "fact": str(target),
         "values": {kind.value: _rational(value)},
@@ -252,54 +242,43 @@ def _score_one(
 def _closed_form_record(
     kind: WealthKind, target, result: MsShapleyResult
 ) -> dict[str, Any]:
-    return {
-        "fact": str(target),
-        "values": {kind.value: _rational(result.score)},
-        "method": "closed-form",
-        "supportsBySize": {
-            str(size): count for size, count in result.supports_by_size.items()
-        },
-    }
-
-
-def _score_worker(packed) -> dict[str, Any]:
-    try:
-        return _score_one(*packed)
-    except CapExceededError as exc:
-        return {"fact": str(packed[5]), "error": str(exc)}
+    record = _record(kind, target, result.score, "closed-form")
+    sizes = result.supports_by_size.items()
+    record["supportsBySize"] = {str(size): count for size, count in sizes}
+    return record
 
 
 def _cmd_score(args: argparse.Namespace) -> None:
     q = _load_query(args.query)
     db = _load_db(args.db)
     kind = WealthKind(args.measure)
-    caps = (args.cap_signed, args.cap_subset, args.cap_perm)
+    closed_form = kind.support_mode is not None and args.method in ("auto", "closed-form")
+    weight = WEIGHT_FUNCTIONS[args.weight]
+    mode, cap_signed = kind.support_mode, args.cap_signed
 
     if args.fact is not None:
         target = (
             parse_signed_fact(args.fact) if kind.signed_players else parse_fact(args.fact)
         )
-        records = [_score_one(q, db, kind, args.weight, args.method, target, *caps)]
-    elif kind.support_mode is not None and args.method in ("auto", "closed-form"):
-        scores = ms_scores(
-            q,
-            db,
-            weight=WEIGHT_FUNCTIONS[args.weight],
-            mode=kind.support_mode,
-            signed_cap=args.cap_signed,
-        )
+        if closed_form:
+            result = ms_shapley(
+                q, db, target, weight=weight, mode=mode, signed_cap=cap_signed
+            )
+            records = [_closed_form_record(kind, target, result)]
+        else:
+            game = make_game(q, db, kind, signed_cap=cap_signed)
+            method = _game_method(game, args.method, args.cap_subset)
+            if method == "subset":
+                value = shapley_subset(game, target, cap=args.cap_subset)
+            else:
+                value = shapley_permutation(game, target, cap=args.cap_perm)
+            records = [_record(kind, target, value, method)]
+    elif closed_form:
+        scores = ms_scores(q, db, weight=weight, mode=mode, signed_cap=cap_signed)
         records = [_closed_form_record(kind, p, r) for p, r in scores.items()]
     else:
-        game = make_game(q, db, kind, signed_cap=args.cap_signed)
-        jobs = [
-            (q, db, kind, args.weight, args.method, t, *caps) for t in game.players
-        ]
-        workers = min(args.parallel or 1, os.cpu_count() or 1, len(jobs))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(_score_worker, jobs))
-        else:
-            records = [_score_worker(job) for job in jobs]
+        game = make_game(q, db, kind, signed_cap=cap_signed)
+        records = _game_records(game, args.method, args.cap_subset, args.cap_perm)
 
     payload = {
         "command": "score",
@@ -424,25 +403,20 @@ def _cmd_compare(args: argparse.Namespace) -> None:
             return lambda player: error
         return lambda player: _rational(results[player].score)
 
-    def drastic(target) -> dict[str, str]:
-        try:
-            record = _score_one(
-                q, db, WealthKind.DRASTIC_DIRECT, "reciprocal", "auto", target,
-                args.cap_signed, args.cap_subset, args.cap_perm,
-            )
-            return record["values"][WealthKind.DRASTIC_DIRECT.value]
-        except CapExceededError as exc:
-            return {"error": str(exc)}
-
     ms_signed = closed_form(WealthKind.MS_SIGNED)
     mps = closed_form(WealthKind.MPS_POSITIVE)
+    game = make_game(q, db, WealthKind.DRASTIC_DIRECT)
+    drastic = {
+        r["fact"]: r["values"][game.kind.value] if "values" in r else {"error": r["error"]}
+        for r in _game_records(game, "auto", args.cap_subset, args.cap_perm)
+    }
     records = []
     for v in verdicts:
         entry = _verdict_record(v)
         entry["values"] = {WealthKind.MS_SIGNED.value: ms_signed(v.subject)}
         if v.positive_relevant is not None:  # a database fact
             entry["values"][WealthKind.MPS_POSITIVE.value] = mps(v.subject.fact)
-            entry["values"][WealthKind.DRASTIC_DIRECT.value] = drastic(v.subject.fact)
+            entry["values"][WealthKind.DRASTIC_DIRECT.value] = drastic[str(v.subject.fact)]
         records.append(entry)
 
     payload = {"command": "compare", "query": str(q), "records": records}
@@ -483,10 +457,24 @@ _DISPATCH = {
 }
 
 
+def _attach_fact_values(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--fact -R(a,b)`` as ``--fact=-R(a,b)``: on its own, argparse
+    reads a negative signed fact as an option and finds ``--fact`` empty."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] == "--fact" and arg.startswith("-") and "(" in arg:
+            joined[-1] = f"--fact={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_fact_values(sys.argv[1:] if argv is None else argv)
+        )
         _DISPATCH[args.command](args)
         return 0
     except InputParseError as exc:

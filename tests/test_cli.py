@@ -208,54 +208,54 @@ def test_score_all_records_equal_single_fact_records(capsys, paths):
                     assert json.loads(out)["records"] == [record], (measure, weight)
 
 
-def test_parallel_output_is_byte_identical(capsys, paths):
-    args = (
-        "score", "--db", paths["db"], "--query", paths["q"],
-        "--measure", "drastic", "--all", "--format", "json",
-    )
-    _, serial, _ = run(capsys, *args)
-    _, fanned, _ = run(capsys, *args, "--parallel", "2")
-    assert serial == fanned
+def test_negative_fact_value_needs_no_equals_sign(capsys, paths):
+    """``--fact -I(mm,meat)`` reads the signed fact, exactly as
+    ``--fact=-I(mm,meat)`` does, in both output formats."""
+    base = ("score", "--db", paths["db"], "--query", paths["q"], "--measure", "ms-signed")
+    for fmt in ("table", "json"):
+        code, apart, err = run(capsys, *base, "--fact", "-I(mm,meat)", "--format", fmt)
+        assert code == 0 and err == ""
+        code, joined, _ = run(capsys, *base, "--fact=-I(mm,meat)", "--format", fmt)
+        assert code == 0 and apart == joined
+    (rec,) = json.loads(apart)["records"]
+    assert rec["fact"] == "-I(mm,meat)" and rec["method"] == "closed-form"
+    assert rec["values"]["ms-signed"] == {"num": "1", "den": "2"}
+
+    code, out, err = run(capsys, *base, "--fact")
+    assert code == 1 and out == "" and "--fact" in err
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+def _count_compilations(monkeypatch) -> list:
+    """Count calls of the witness compiler, wherever a module holds it."""
+    import negshapley.relevance as relevance
+    import negshapley.shapley as shapley
+    import negshapley.supports as supports
 
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return map(fn, jobs)
+    calls = []
+    real = supports.compile_witnesses
+    counted = lambda *a, **k: calls.append(a) or real(*a, **k)
+    for module in (shapley, relevance, supports):
+        monkeypatch.setattr(module, "compile_witnesses", counted)
+    return calls
 
 
-@pytest.mark.parametrize(
-    "parallel, cpus, workers",
-    [("64", 3, [3]), ("64", 16, [5]), ("2", 16, [2]), ("64", 1, []), ("1", 16, [])],
-)
-def test_parallel_is_clamped_to_cpus_and_jobs(
-    capsys, paths, monkeypatch, parallel, cpus, workers
-):
+def test_score_all_compiles_one_game(capsys, paths, monkeypatch):
     import negshapley.cli as cli
 
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    args = (
-        "score", "--db", paths["db"], "--query", paths["q"],
+    calls = _count_compilations(monkeypatch)
+    built = []
+    real = cli.make_game
+    monkeypatch.setattr(cli, "make_game", lambda *a, **k: built.append(a) or real(*a, **k))
+    code, out, _ = run(
+        capsys, "score", "--db", paths["db"], "--query", paths["q2"],
         "--measure", "drastic", "--all", "--format", "json",
     )
-    _, serial, _ = run(capsys, *args)
-    code, fanned, _ = run(capsys, *args, "--parallel", parallel)  # 5 jobs
-    assert code == 0 and fanned == serial
-    assert _RecordingPool.sizes == workers
+    assert code == 0 and len(built) == len(calls) == 1
+    records = json.loads(out)["records"]
+    assert len(records) == 5 and all(r["method"] == "subset" for r in records)
+    by_fact = {r["fact"]: r["values"]["drastic"] for r in records}
+    assert by_fact["I(mp,wine)"] == {"num": "0", "den": "1"}
+    assert by_fact["I(mm,wine)"] == {"num": "-1", "den": "6"}
 
 
 def test_auto_builds_one_game_per_target(capsys, paths, monkeypatch):
@@ -305,6 +305,32 @@ def test_cap_error_is_embedded_per_fact_in_bulk_mode(capsys, big_paths):
     recs = json.loads(out)["records"]
     assert len(recs) == 9
     assert all("cap 8" in r["error"] for r in recs)
+
+
+def test_caps_refuse_before_compiling(capsys, big_paths, monkeypatch):
+    """A game or impact table that a cap refuses is never compiled, and the
+    per-fact error records stay as they were."""
+    from negshapley.core import load_database
+    from negshapley.query import parse_query
+    from negshapley.relevance import relevance_report
+
+    calls = _count_compilations(monkeypatch)
+    code, out, _ = run(
+        capsys, "score", "--db", big_paths["db"], "--query", big_paths["q"],
+        "--measure", "drastic", "--all", "--cap-subset", "5", "--format", "json",
+    )
+    assert code == 0 and calls == []
+    assert json.loads(out)["records"] == [
+        {"fact": f"R(v{i},v{i + 1})", "error": "9 players means 9! orderings (cap 8)"}
+        for i in range(9)
+    ]
+
+    q = parse_query("exists x, y. R(x,y)")
+    db = load_database(big_paths["db"])
+    rows = relevance_report(q, db, impact_cap=8)
+    assert calls == [] and all(r.impact_skipped for r in rows)
+    rows = relevance_report(q, db, impact_cap=9)
+    assert len(calls) == 1 and {r.impact.value for r in rows} == {"positiveOnly"}
 
 
 def test_cap_error_is_fatal_in_single_fact_mode(capsys, big_paths):
@@ -418,7 +444,6 @@ def test_exit_2_on_unsafe_query(capsys, paths, tmp_path):
         ("score", "--cap-signed"),
         ("score", "--cap-subset"),
         ("score", "--cap-perm"),
-        ("score", "--parallel"),
         ("compare", "--cap-subset"),
         ("compare", "--cap-perm"),
     ],
@@ -445,6 +470,46 @@ def test_exit_3_on_signed_cap(capsys, paths):
         "--kind", "signed", "--cap-signed", "3",
     )
     assert code == 3 and "cap" in err
+
+
+def _chain_query(atoms: int) -> str:
+    names = ", ".join(f"x{i}" for i in range(atoms + 1))
+    body = ", ".join(f"E(x{i},x{i + 1})" for i in range(atoms))
+    return f"exists {names}. {body}\n"
+
+
+def test_deep_query_fails_cleanly(tmp_path):
+    """A disjunct deeper than the assignment search allows is refused with
+    exit 3 before the search starts, not with a traceback."""
+    from negshapley.supports import MAX_POSITIVE_ATOMS
+
+    db = tmp_path / "loop.facts"
+    db.write_text("E(a,a)\n")
+    deep = tmp_path / "deep.query"
+    deep.write_text(_chain_query(1200))
+    proc = subprocess.run(
+        [sys.executable, "-m", "negshapley.cli", "supports", "--db", str(db),
+         "--query", str(deep), "--kind", "positive"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert f"limit {MAX_POSITIVE_ATOMS}" in proc.stderr
+
+
+def test_query_at_the_depth_limit_runs(capsys, tmp_path):
+    from negshapley.supports import MAX_POSITIVE_ATOMS
+
+    db = tmp_path / "loop.facts"
+    db.write_text("E(a,a)\n")
+    q = tmp_path / "limit.query"
+    q.write_text(_chain_query(MAX_POSITIVE_ATOMS))
+    code, out, err = run(
+        capsys, "supports", "--db", str(db), "--query", str(q), "--kind", "positive",
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines()[1].split() == ["{E(a,a)}", "1", "true"]
 
 
 def test_console_script_entry_point(paths):

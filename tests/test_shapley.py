@@ -21,8 +21,8 @@ from negshapley.shapley import (
     permutation_marginal_counts,
     reciprocal_weight,
     shapley_permutation,
-    shapley_permutation_all,
     shapley_subset,
+    shapley_values,
     wsms_closed_form,
 )
 from negshapley.supports import minimal_positive_supports, minimal_signed_supports
@@ -177,7 +177,7 @@ def test_permutation_cap():
         shapley_permutation(g, positive(fact("E", "b", "c")))
     # raising the cap explicitly is allowed, if slow; 9 is still refused at 8
     with pytest.raises(CapExceededError):
-        shapley_permutation_all(g, cap=8)
+        shapley_permutation(g, positive(fact("E", "b", "c")), cap=8)
 
 
 def test_subset_cap():
@@ -213,8 +213,8 @@ def test_routes_agree_and_efficiency_holds(seed):
         grand = g.wealth(frozenset(g.players)) - g.wealth(frozenset())
         assert sum(values, Fraction(0)) == grand, (str(inst), kind)
         if len(g.players) <= 6:
-            by_perm = shapley_permutation_all(g)
-            assert [by_perm[p] for p in g.players] == values, (str(inst), kind)
+            by_perm = [shapley_permutation(g, p) for p in g.players]
+            assert by_perm == values, (str(inst), kind)
 
 
 @given(st.integers(0, 10**6))
@@ -223,9 +223,26 @@ def test_permutation_all_matches_single_target(seed):
     inst = make_instance(seed)
     g = make_game(inst.q, inst.db, WealthKind.DRASTIC_DIRECT)
     if len(g.players) <= 5:
-        whole = shapley_permutation_all(g)
+        whole = shapley_values(g)
         for p in g.players:
             assert whole[p] == shapley_permutation(g, p)
+
+
+def test_compiled_wealth_matches_oracle_on_corpus():
+    """Every coalition's wealth in every compiled game equals the oracle's,
+    and the one-pass values equal the oracle's subset formula over the
+    oracle's own table."""
+    for inst in corpus(500):
+        for kind in WealthKind:
+            g = make_game(inst.q, inst.db, kind)
+            oracle = oracles.oracle_wealth(kind.value, inst.q, inst.db)
+            table = oracles.wealth_table(g.players, oracle)
+            assert oracles.wealth_table(g.players, g.wealth) == table, (str(inst), kind)
+            values = shapley_values(g)
+            assert list(values) == list(g.players)
+            assert list(values.values()) == oracles.shapley_from_table(
+                table, len(g.players)
+            ), (str(inst), kind)
 
 
 def test_closed_form_equals_subset_shapley_across_corpus():
