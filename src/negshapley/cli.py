@@ -16,12 +16,12 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .core import Database, load_database, parse_fact, parse_signed_fact
 from .errors import CapExceededError, InputParseError, SemanticError
-from .query import Query, analyze_query, parse_query
-from .relevance import RelevanceVerdict, relevance_report
+from .query import Query, analyze_query, parse_query, signed_database_restricted
+from .relevance import RelevanceVerdict, _verdicts, relevance_report
 from .shapley import (
     DEFAULT_PERMUTATION_CAP,
     DEFAULT_SUBSET_CAP,
@@ -29,14 +29,17 @@ from .shapley import (
     MsShapleyResult,
     Game,
     WealthKind,
+    _ms_results,
     make_game,
     ms_scores,
     ms_shapley,
+    reciprocal_weight,
     shapley_permutation,
     shapley_subset,
     shapley_values,
 )
 from .supports import (
+    _signed_supports,
     all_supports,
     minimal_d_monotone_supports,
     minimal_positive_supports,
@@ -392,19 +395,14 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
 def _cmd_compare(args: argparse.Namespace) -> None:
     q = _load_query(args.query)
     db = _load_db(args.db)
-    verdicts = relevance_report(q, db, signed_cap=args.cap_signed)
-
-    def closed_form(kind: WealthKind) -> Callable[[Any], dict[str, str]]:
-        """Cell values of a counting measure, from one pass over its supports."""
-        try:
-            results = ms_scores(q, db, mode=kind.support_mode, signed_cap=args.cap_signed)
-        except CapExceededError as exc:
-            error = {"error": str(exc)}
-            return lambda player: error
-        return lambda player: _rational(results[player].score)
-
-    ms_signed = closed_form(WealthKind.MS_SIGNED)
-    mps = closed_form(WealthKind.MPS_POSITIVE)
+    # One enumeration of each support family serves the verdict columns
+    # and the closed-form columns alike.
+    restricted = signed_database_restricted(db, q, cap=args.cap_signed)
+    signed = _signed_supports(q, restricted)
+    positive = minimal_positive_supports(q, db)
+    verdicts = _verdicts(q, db, restricted, signed, positive)
+    ms_signed = _ms_results(restricted.sorted_facts, signed, reciprocal_weight)
+    mps = _ms_results(db.sorted_facts, positive, reciprocal_weight)
     game = make_game(q, db, WealthKind.DRASTIC_DIRECT)
     drastic = {
         r["fact"]: r["values"][game.kind.value] if "values" in r else {"error": r["error"]}
@@ -413,9 +411,11 @@ def _cmd_compare(args: argparse.Namespace) -> None:
     records = []
     for v in verdicts:
         entry = _verdict_record(v)
-        entry["values"] = {WealthKind.MS_SIGNED.value: ms_signed(v.subject)}
+        entry["values"] = {WealthKind.MS_SIGNED.value: _rational(ms_signed[v.subject].score)}
         if v.positive_relevant is not None:  # a database fact
-            entry["values"][WealthKind.MPS_POSITIVE.value] = mps(v.subject.fact)
+            entry["values"][WealthKind.MPS_POSITIVE.value] = _rational(
+                mps[v.subject.fact].score
+            )
             entry["values"][WealthKind.DRASTIC_DIRECT.value] = drastic[str(v.subject.fact)]
         records.append(entry)
 

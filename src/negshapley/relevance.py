@@ -11,11 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from operator import gt, lt
+from typing import Iterable
 
-from .core import Database, Fact, SignedFact, positive
+from .core import Database, Fact, SignedDatabase, SignedFact, positive
 from .errors import CapExceededError, SemanticError
 from .query import Query, signed_database_restricted
 from .supports import (
+    SupportSet,
+    _signed_supports,
     coalition_rotations,
     coalition_table,
     compile_witnesses,
@@ -116,14 +119,28 @@ def relevance_report(
     impact column is skipped rather than failing the whole report.
     """
     restricted = signed_database_restricted(db, q, cap=signed_cap)
-    in_signed = {
-        sf
-        for support in minimal_signed_supports(q, db, cap=signed_cap)
-        for sf in support.elements
-    }
-    in_positive = {
-        f for support in minimal_positive_supports(q, db) for f in support.elements
-    }
+    return _verdicts(
+        q,
+        db,
+        restricted,
+        _signed_supports(q, restricted),
+        minimal_positive_supports(q, db),
+        impact_cap,
+    )
+
+
+def _verdicts(
+    q: Query,
+    db: Database,
+    restricted: SignedDatabase,
+    signed_supports: Iterable[SupportSet],
+    positive_supports: Iterable[SupportSet],
+    impact_cap: int = DEFAULT_IMPACT_CAP,
+) -> list[RelevanceVerdict]:
+    """`relevance_report` over a completion and minimal supports the caller
+    has built."""
+    in_signed = {sf for support in signed_supports for sf in support.elements}
+    in_positive = {f for support in positive_supports for f in support.elements}
     skip_impact = len(db.facts) > impact_cap
     impacts = {} if skip_impact else _impacts(q, db)
 

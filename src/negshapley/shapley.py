@@ -40,11 +40,12 @@ from .core import Database, Fact, SignedFact, signed_database
 from .errors import CapExceededError, PlayerSetError
 from .query import Query, signed_database_restricted
 from .supports import (
+    SupportSet,
+    _signed_supports,
     coalition_rotations,
     coalition_table,
     compile_witnesses,
     minimal_positive_supports,
-    minimal_signed_supports,
     satisfies,  # noqa: F401 - perfbench's tracer finds query evaluation by this name
 )
 
@@ -259,11 +260,17 @@ def ms_scores(
     weight each score is the Shapley value of the counting game.
     """
     if mode == "signed":
-        players = signed_database_restricted(db, q, cap=signed_cap).sorted_facts
-        supports = minimal_signed_supports(q, db, cap=signed_cap)
+        restricted = signed_database_restricted(db, q, cap=signed_cap)
+        players, supports = restricted.sorted_facts, _signed_supports(q, restricted)
     else:
-        players = db.sorted_facts
-        supports = minimal_positive_supports(q, db)
+        players, supports = db.sorted_facts, minimal_positive_supports(q, db)
+    return _ms_results(players, supports, weight)
+
+
+def _ms_results(
+    players: Iterable[Player], supports: Iterable[SupportSet], weight: WeightFunction
+) -> dict[Player, MsShapleyResult]:
+    """`ms_scores` over minimal supports the caller has enumerated."""
     by_size: dict[Player, Counter] = {}
     for support in supports:
         for p in support.elements:

@@ -16,6 +16,14 @@ context:
   finite domain that includes the positive part of a signed set and avoids
   its negative part satisfies the query.
 
+The search matches a disjunct's positive atoms in order, depth first.  Which
+positions of an atom are already fixed when it is reached (constants, and
+variables bound by earlier atoms) follows from the plan alone, so before the
+search starts each atom's facts are bucketed by their values there: a match
+is one dictionary lookup, not a scan of the relation, and an atom fixed at
+every position is one membership test in the fact set.  Buckets keep fact
+order, so assignments come out in the order a scan would give.
+
 Minimal signed and positive supports are computed as the minimal elements of
 the set of assignment images, which coincide with the subset-minimal
 supports: every support contains the image of one of its own satisfying
@@ -23,10 +31,11 @@ assignments, and every image is itself a support.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from operator import add, and_
-from typing import Iterable, Iterator, Literal, Mapping, Sequence, Union
+from operator import add, and_, attrgetter
+from typing import Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence, Union
 
 from .core import (
     Database,
@@ -50,6 +59,8 @@ DEFAULT_ENTAILMENT_CAP = 24
 #: The assignment search recurses once per positive atom of a disjunct;
 #: deeper disjuncts are refused before it starts.
 MAX_POSITIVE_ATOMS = 256
+
+_args = attrgetter("args")
 
 SupportKind = Literal["signed", "positive", "dMonotone"]
 
@@ -87,9 +98,17 @@ def _support_order(s: SupportSet) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _mangle(sf: SignedFact) -> Fact:
-    rel = sf.fact.relation
-    return Fact(Relation(sf.sign.symbol + rel.name, rel.arity), sf.fact.args)
+def _mangle(signed: Iterable[SignedFact]) -> frozenset[Fact]:
+    """The signed facts as plain facts over the renamed relations."""
+    return frozenset(
+        Fact(_renamed(sf.sign, sf.fact.relation), sf.fact.args) for sf in signed
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _renamed(sign: Sign, rel: Relation) -> Relation:
+    # Shared by every fact of one sign and relation.
+    return Relation(sign.symbol + rel.name, rel.arity)
 
 
 def _unmangle(f: Fact) -> SignedFact:
@@ -102,7 +121,7 @@ def _as_plain_facts(facts: Iterable[FactLike]) -> tuple[frozenset[Fact], bool]:
     if isinstance(facts, Database):
         return facts.facts, False
     if isinstance(facts, SignedDatabase):
-        return frozenset(_mangle(sf) for sf in facts.signed_facts), True
+        return _mangle(facts.signed_facts), True
     collected = list(facts)
     if not collected:
         return frozenset(), False
@@ -110,7 +129,7 @@ def _as_plain_facts(facts: Iterable[FactLike]) -> tuple[frozenset[Fact], bool]:
     if any(isinstance(f, SignedFact) != signed for f in collected):
         raise SemanticError("cannot mix plain and signed facts in one set")
     if signed:
-        return frozenset(_mangle(sf) for sf in collected), True
+        return _mangle(collected), True
     return frozenset(collected), False
 
 
@@ -167,40 +186,104 @@ def _check(lit, binding: dict[str, str], context: frozenset[Fact]) -> bool:
     return _ground(lit, binding) not in context
 
 
+class _Step(NamedTuple):
+    """One positive atom of a match plan with the lookup that serves it.
+
+    ``key`` lists the atom's fixed positions (constants, and variables bound
+    by earlier atoms) as ``(is_variable, name or value)``.  ``binds`` names
+    the variables the atom binds, at their first position, and ``repeats``
+    pairs every later position of such a variable with that first one.
+    With nothing to bind, ``facts`` is the whole fact set and a match is one
+    membership test; with some positions fixed, it maps their values to the
+    matching facts; with none, it is the relation's facts.
+    """
+
+    relation: Relation
+    key: tuple[tuple[bool, str], ...]
+    facts: Union[frozenset[Fact], dict[tuple[str, ...], list[Fact]], list[Fact]]
+    binds: tuple[tuple[int, str], ...]
+    repeats: tuple[tuple[int, int], ...]
+    checks: tuple[Union[Atom, Inequality], ...]
+
+
+def _search_steps(
+    cq: Conjunct, fact_index: dict[Relation, list[Fact]], facts: frozenset[Fact]
+) -> list[_Step]:
+    """The disjunct's match plan with each atom's facts bucketed by the
+    values at its fixed positions, keeping their order inside a bucket."""
+    steps = []
+    bound: set[str] = set()
+    for atom, checks in _match_plan(cq):
+        key, fixed, binds, repeats, first = [], [], [], [], {}
+        for i, term in enumerate(atom.terms):
+            if isinstance(term, Const) or term.name in bound:
+                fixed.append(i)
+                key.append(
+                    (False, term.value) if isinstance(term, Const) else (True, term.name)
+                )
+            elif term.name in first:
+                repeats.append((i, first[term.name]))
+            else:
+                first[term.name] = i
+                binds.append((i, term.name))
+        relation_facts = fact_index.get(atom.relation, [])
+        if not binds:
+            lookup: Union[frozenset, dict, list] = facts
+        elif key:
+            lookup = {}
+            for f in relation_facts:
+                lookup.setdefault(tuple([f.args[i] for i in fixed]), []).append(f)
+        else:
+            lookup = relation_facts
+        steps.append(_Step(atom.relation, tuple(key), lookup,
+                           tuple(binds), tuple(repeats), tuple(checks)))
+        bound |= atom.variables
+    return steps
+
+
+def _extend(
+    steps: list[_Step],
+    depth: int,
+    binding: dict[str, str],
+    image: tuple[Fact, ...],
+    context: frozenset[Fact],
+) -> Iterator[tuple[dict[str, str], frozenset[Fact]]]:
+    # A module-level function rather than a closure over the steps: a
+    # closure that calls itself is a reference cycle, which would keep the
+    # steps' buckets alive until the next cyclic collection.
+    if depth == len(steps):
+        yield dict(binding), frozenset(image)
+        return
+    step = steps[depth]
+    key = tuple([binding[v] if is_var else v for is_var, v in step.key])
+    if not step.binds:
+        f = Fact(step.relation, key)
+        candidates = (f,) if f in step.facts else ()
+    elif key:
+        candidates = step.facts.get(key, ())
+    else:
+        candidates = step.facts
+    for f in candidates:
+        args = f.args
+        if any(args[i] != args[j] for i, j in step.repeats):
+            continue
+        for i, name in step.binds:
+            binding[name] = args[i]
+        if all(_check(lit, binding, context) for lit in step.checks):
+            yield from _extend(steps, depth + 1, binding, image + (f,), context)
+        for _, name in step.binds:
+            del binding[name]
+
+
 def _disjunct_assignments(
     cq: Conjunct,
     fact_index: dict[Relation, list[Fact]],
+    facts: frozenset[Fact],
     context: frozenset[Fact],
 ) -> Iterator[tuple[dict[str, str], frozenset[Fact]]]:
-    """Yield (binding, image-of-positive-atoms) pairs, in deterministic order."""
-    plan = _match_plan(cq)
-
-    def extend(step: int, binding: dict[str, str], image: tuple[Fact, ...]):
-        if step == len(plan):
-            yield dict(binding), frozenset(image)
-            return
-        atom, checks = plan[step]
-        for f in fact_index.get(atom.relation, ()):
-            trail: list[str] = []
-            ok = True
-            for term, value in zip(atom.terms, f.args):
-                if isinstance(term, Const):
-                    if term.value != value:
-                        ok = False
-                        break
-                elif term.name in binding:
-                    if binding[term.name] != value:
-                        ok = False
-                        break
-                else:
-                    binding[term.name] = value
-                    trail.append(term.name)
-            if ok and all(_check(lit, binding, context) for lit in checks):
-                yield from extend(step + 1, binding, image + (f,))
-            for name in trail:
-                del binding[name]
-
-    return extend(0, {}, ())
+    """Yield (binding, image-of-positive-atoms) pairs, in deterministic order:
+    each atom's matches in fact order, depth first."""
+    return _extend(_search_steps(cq, fact_index, facts), 0, {}, (), context)
 
 
 def _iter_assignments(
@@ -234,11 +317,13 @@ def _iter_assignments(
         )
 
     fact_index: dict[Relation, list[Fact]] = {}
-    for f in sorted(plain):
+    for f in plain:
         fact_index.setdefault(f.relation, []).append(f)
+    for relation_facts in fact_index.values():
+        relation_facts.sort(key=_args)  # fact order, within one relation
 
     for idx, cq in enumerate(q.disjuncts):
-        for binding, image in _disjunct_assignments(cq, fact_index, context_facts):
+        for binding, image in _disjunct_assignments(cq, fact_index, plain, context_facts):
             yield idx, binding, image
 
 
@@ -324,8 +409,12 @@ def minimal_signed_supports(
     completion restricted to negated relations (minimal supports never reach
     outside it) and keeps the minimal images.
     """
-    restricted = signed_database_restricted(db, q, cap=cap)
-    images = _images(sign_transform(q), restricted, None)
+    return _signed_supports(q, signed_database_restricted(db, q, cap=cap))
+
+
+def _signed_supports(q: Query, completion: Iterable[SignedFact]) -> list[SupportSet]:
+    """The minimal signed supports within a completion the caller holds."""
+    images = _images(sign_transform(q), completion, None)
     return [
         SupportSet("signed", frozenset(_unmangle(f) for f in image), True)
         for image in _minimal_sets(images)
@@ -337,12 +426,18 @@ def _images(q, facts, context) -> set[frozenset[Fact]]:
 
 
 def _minimal_sets(family: set[frozenset]) -> list[frozenset]:
+    """The minimal members, ordered by size and then by sorted elements.
+
+    Two distinct sets of one size never contain each other, so each set is
+    tested only against the kept sets that are strictly smaller.
+    """
     by_size = sorted(family, key=lambda s: (len(s), tuple(sorted(s))))
     kept: list[frozenset] = []
-    for candidate in by_size:
-        if not any(k <= candidate for k in kept):
-            kept.append(candidate)
-    return sorted(kept, key=lambda s: (len(s), tuple(sorted(s))))
+    for _, same_size in itertools.groupby(by_size, key=len):
+        # The list is complete before it joins `kept`, which so far holds
+        # only smaller sets.
+        kept += [s for s in same_size if not any(k <= s for k in kept)]
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +488,7 @@ def compile_witnesses(
     index = {p: i for i, p in enumerate(players)}
     mask = lambda facts: sum(1 << index[f] for f in set(facts) if f in index)
     if semantics == "signed":
-        images = _images(sign_transform(q), players, None)
-        return tuple(
-            (mask(_unmangle(f) for f in image), 0) for image in _minimal_sets(images)
-        )
+        return tuple((mask(s.elements), 0) for s in _signed_supports(q, players))
     if semantics == "positive":
         return tuple((mask(s.elements), 0) for s in minimal_positive_supports(q, db))
     witnesses = {

@@ -4,7 +4,8 @@ Everything here is recomputed from first principles with the dumbest
 algorithm that could possibly be right: satisfaction by trying every
 variable binding over the active domain, supports by enumerating subsets
 in size order, Shapley values by averaging marginal contributions over
-every permutation.  Only data types are imported from the package --
+every permutation, and the order of the engine's assignments by scanning
+whole relations.  Only data types are imported from the package --
 none of its evaluation code.  Keep it that way.
 """
 
@@ -15,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from negshapley.core import Database, Fact, Sign, SignedFact, negative, positive
+from negshapley.core import Database, Fact, Relation, Sign, SignedFact, negative, positive
 from negshapley.query import Atom, Conjunct, Const, Inequality, Query, Term
 
 
@@ -118,6 +119,63 @@ def oracle_signed_completion(db: Database, q: Query) -> frozenset[SignedFact]:
             if f not in db.facts:
                 out.add(negative(f))
     return frozenset(out)
+
+
+def signed_as_plain(signed: Iterable[SignedFact]) -> frozenset[Fact]:
+    """Signed facts as plain facts over the sign-transformed schema: +R(a)
+    and -R(a) become facts of relations literally named "+R" and "-R", the
+    names `sign_transform` gives the query's atoms."""
+    return frozenset(
+        Fact(Relation(sf.sign.symbol + sf.fact.relation.name, sf.fact.relation.arity),
+             sf.fact.args)
+        for sf in signed
+    )
+
+
+def reference_assignments(
+    q: Query, facts: Iterable[Fact], context: Iterable[Fact] = ()
+) -> list[tuple[int, dict[str, str], frozenset[Fact]]]:
+    """Every (disjunct index, binding, image of the positive atoms) by the
+    full-relation scan, in the order the engine's search must reproduce.
+
+    Disjunct by disjunct, each positive atom in turn is tried against every
+    fact in sorted order, depth first.  Negated atoms (absent from
+    ``context``) and inequalities are checked once every atom has matched.
+    """
+    ordered = sorted(set(facts))
+    absent_from = frozenset(context)
+    out: list[tuple[int, dict[str, str], frozenset[Fact]]] = []
+    for idx, cq in enumerate(q.disjuncts):
+        atoms = [lit for lit in cq.literals if isinstance(lit, Atom) and not lit.negated]
+
+        def holds(binding: dict[str, str]) -> bool:
+            for lit in cq.literals:
+                if isinstance(lit, Inequality):
+                    if _term_value(lit.left, binding) == _term_value(lit.right, binding):
+                        return False
+                elif lit.negated and _ground(lit, binding) in absent_from:
+                    return False
+            return True
+
+        def extend(step: int, binding: dict[str, str], image: tuple[Fact, ...]) -> None:
+            if step == len(atoms):
+                if holds(binding):
+                    out.append((idx, binding, frozenset(image)))
+                return
+            atom = atoms[step]
+            for f in ordered:
+                if f.relation != atom.relation:
+                    continue
+                trial = dict(binding)
+                if all(
+                    (term.value if isinstance(term, Const) else trial.setdefault(term.name, value))
+                    == value
+                    for term, value in zip(atom.terms, f.args)
+                ):
+                    extend(step + 1, trial, image + (f,))
+
+        extend(0, {}, ())
+    return out
 
 
 def subsets(universe: Iterable) -> Iterator[frozenset]:

@@ -5,14 +5,17 @@ The pinned cases come first; the tail cross-checks the engine against the
 brute-force oracles on the random corpus.
 """
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negshapley.core import database, fact, negative, positive
 from negshapley.errors import ArityError, CapExceededError, SemanticError
-from negshapley.query import parse_query, sign_transform
+from negshapley.query import parse_query, sign_transform, signed_database_restricted
 from negshapley.supports import (
+    _iter_assignments,
     all_supports,
     entailment_supports_bounded,
     guarded_reduction,
@@ -97,6 +100,70 @@ def test_satisfies_matches_oracle_across_corpus():
         assert satisfies(inst.q, inst.db) == oracles.oracle_satisfies(
             inst.q, inst.db.facts
         ), str(inst)
+
+
+@pytest.mark.parametrize("setting", ["context", "drastic", "signed"])
+def test_assignment_search_matches_the_reference_scan(setting):
+    """The indexed search yields exactly the full-relation scan's sequence:
+    plain facts checked against the database, plain facts with an empty
+    context (the drastic compile), and the restricted signed completion
+    under the sign-transformed query."""
+    for inst in corpus(500):
+        q, db = inst.q, inst.db
+        if setting == "signed":
+            completion = signed_database_restricted(db, q)
+            q = sign_transform(q)
+            got = _iter_assignments(q, completion, None)
+            want = oracles.reference_assignments(
+                q, oracles.signed_as_plain(completion.signed_facts)
+            )
+        else:
+            context = db.facts if setting == "context" else frozenset()
+            got = _iter_assignments(q, db.facts, context)
+            want = oracles.reference_assignments(q, db.facts, context)
+        assert list(got) == want, str(inst)
+
+
+def test_assignment_search_on_constants_repeats_and_self_joins():
+    """A constants-only atom, a repeated variable, relations absent from the
+    data (V positively, W negated) and a self-join across two disjuncts."""
+    q = parse_query(
+        'exists x, y. R("a","b"), R(y,y), S(x), !T(x)'
+        " | exists x, y, z. R(x,y), R(y,z), !W(z), x != z"
+        " | exists x. V(x), S(x)"
+    )
+    db = database(
+        [fact("R", "a", "b"), fact("R", "b", "b"), fact("R", "b", "c"),
+         fact("R", "c", "c"), fact("S", "a"), fact("S", "c"), fact("T", "c")]
+    )
+    got = list(_iter_assignments(q, db.facts, db.facts))
+    assert got == oracles.reference_assignments(q, db.facts, db.facts)
+    assert [(idx, binding) for idx, binding, _ in got] == [
+        (0, {"y": "b", "x": "a"}),
+        (0, {"y": "c", "x": "a"}),
+        (1, {"x": "a", "y": "b", "z": "b"}),
+        (1, {"x": "a", "y": "b", "z": "c"}),
+        (1, {"x": "b", "y": "b", "z": "c"}),
+        (1, {"x": "b", "y": "c", "z": "c"}),
+    ]
+    assert got[0][2] == {fact("R", "a", "b"), fact("R", "b", "b"), fact("S", "a")}
+
+
+def test_assignment_search_leaves_no_cyclic_garbage():
+    """A finished search and one stopped at its first assignment free
+    everything by reference counting, index included."""
+    q = parse_query("exists x, y. R(x,y), R(y,x)")
+    db = database([fact("R", a, b) for a in "abc" for b in "abc"])
+    gc.collect()
+    gc.disable()
+    try:
+        supports = minimal_signed_supports(Q_TRIANGLE, TRIANGLE_DB)
+        holds = satisfies(q, db)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert len(supports) == 2 and holds
+    assert unreachable == 0
 
 
 # ---------------------------------------------------------------------------
