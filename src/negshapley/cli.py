@@ -16,7 +16,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .core import Database, load_database, parse_fact, parse_signed_fact
 from .errors import CapExceededError, InputParseError, SemanticError
@@ -39,11 +39,11 @@ from .shapley import (
     shapley_values,
 )
 from .supports import (
-    _signed_supports,
     all_supports,
     minimal_d_monotone_supports,
     minimal_positive_supports,
     minimal_signed_supports,
+    support_families,
 )
 
 _MEASURES = tuple(kind.value for kind in WealthKind)
@@ -145,11 +145,13 @@ def _rational(value: Fraction) -> dict[str, str]:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
-def _emit(args: argparse.Namespace, payload: dict[str, Any], table: list[str]) -> None:
+def _emit(args: argparse.Namespace, payload: Callable[[], dict], table: Callable) -> None:
+    """Write the JSON payload or the table lines, building only the one
+    that ``--format`` selects."""
     if args.format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json.dumps(payload(), indent=2) + "\n")
     else:
-        sys.stdout.write("\n".join(table) + ("\n" if table else ""))
+        sys.stdout.write("".join(line + "\n" for line in table()))
 
 
 def _columns(rows: list[Sequence[str]]) -> list[str]:
@@ -171,14 +173,14 @@ def _cmd_supports(args: argparse.Namespace) -> None:
     q = _load_query(args.query)
     db = _load_db(args.db)
     if args.all:
-        sets = all_supports(q, db, _canonical_kind(args.kind))
+        sets = all_supports(q, db, "dMonotone" if args.kind == "dmonotone" else args.kind)
     elif args.kind == "signed":
         sets = minimal_signed_supports(q, db, cap=args.cap_signed)
     elif args.kind == "positive":
         sets = minimal_positive_supports(q, db)
     else:
         sets = minimal_d_monotone_supports(q, db)
-    payload = {
+    payload = lambda: {
         "command": "supports",
         "query": str(q),
         "kind": args.kind,
@@ -191,14 +193,10 @@ def _cmd_supports(args: argparse.Namespace) -> None:
             for s in sets
         ],
     }
-    rows = [["support", "size", "minimal"]] + [
+    rows = lambda: [["support", "size", "minimal"]] + [
         [str(s), str(len(s.elements)), _bool(s.minimal)] for s in sets
     ]
-    _emit(args, payload, _columns(rows if len(rows) > 1 else []))
-
-
-def _canonical_kind(kind: str) -> str:
-    return {"signed": "signed", "positive": "positive", "dmonotone": "dMonotone"}[kind]
+    _emit(args, payload, lambda: _columns(rows() if sets else []))
 
 
 # ---------------------------------------------------------------------------
@@ -283,21 +281,21 @@ def _cmd_score(args: argparse.Namespace) -> None:
         game = make_game(q, db, kind, signed_cap=cap_signed)
         records = _game_records(game, args.method, args.cap_subset, args.cap_perm)
 
-    payload = {
+    payload = lambda: {
         "command": "score",
         "query": str(q),
         "measure": kind.value,
         "weight": args.weight,
         "records": records,
     }
-    rows = [["fact", kind.value, "method"]]
-    for record in records:
-        if "error" in record:
-            rows.append([record["fact"], "error: " + record["error"], "-"])
-        else:
-            value = record["values"][kind.value]
-            rows.append([record["fact"], _render_rational(value), record["method"]])
-    _emit(args, payload, _columns(rows))
+    rows = lambda: [["fact", kind.value, "method"]] + [
+        [record["fact"], "error: " + record["error"], "-"]
+        if "error" in record
+        else [record["fact"], _render_rational(record["values"][kind.value]),
+              record["method"]]
+        for record in records
+    ]
+    _emit(args, payload, lambda: _columns(rows()))
 
 
 def _render_rational(encoded: dict[str, str]) -> str:
@@ -309,30 +307,29 @@ def _render_rational(encoded: dict[str, str]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _verdict_record(v: RelevanceVerdict) -> dict[str, Any]:
-    return {
-        "fact": str(v.subject),
-        "signedRelevant": v.signed_relevant,
-        "positiveRelevant": v.positive_relevant,
-        "impact": "skipped"
-        if v.impact_skipped
-        else (v.impact.value if v.impact is not None else None),
-    }
+_VERDICT_COLUMNS = ("fact", "signedRelevant", "positiveRelevant", "impact")
 
 
-def _verdict_row(v: RelevanceVerdict) -> list[str]:
+def _verdict_values(v: RelevanceVerdict, subject: str) -> tuple:
+    """A verdict's values under `_VERDICT_COLUMNS`, as JSON shows them."""
     if v.impact_skipped:
         impact = "skipped"
-    elif v.impact is None:
-        impact = "-"
     else:
-        impact = v.impact.value
-    return [
-        str(v.subject),
-        _bool(v.signed_relevant),
-        "-" if v.positive_relevant is None else _bool(v.positive_relevant),
-        impact,
-    ]
+        impact = None if v.impact is None else v.impact.value
+    return subject, v.signed_relevant, v.positive_relevant, impact
+
+
+def _verdict_cells(values: tuple) -> list[str]:
+    """A verdict's values as the table shows them."""
+    subject, signed, positive, impact = values
+    return [subject, _bool(signed), "-" if positive is None else _bool(positive),
+            "-" if impact is None else impact]
+
+
+def _value_cell(value: dict[str, str] | None) -> str:
+    if value is None:
+        return "-"
+    return "error" if "error" in value else _render_rational(value)
 
 
 def _bool(value: bool) -> str:
@@ -343,20 +340,24 @@ def _cmd_relevance(args: argparse.Namespace) -> None:
     q = _load_query(args.query)
     db = _load_db(args.db)
     verdicts = relevance_report(q, db, signed_cap=args.cap_signed)
-    payload = {
+    payload = lambda: {
         "command": "relevance",
         "query": str(q),
-        "records": [_verdict_record(v) for v in verdicts],
+        "records": [
+            dict(zip(_VERDICT_COLUMNS, _verdict_values(v, str(v.subject))))
+            for v in verdicts
+        ],
     }
-    rows = [["fact", "signedRelevant", "positiveRelevant", "impact"]]
-    rows += [_verdict_row(v) for v in verdicts]
-    _emit(args, payload, _columns(rows))
+    rows = lambda: [list(_VERDICT_COLUMNS)] + [
+        _verdict_cells(_verdict_values(v, str(v.subject))) for v in verdicts
+    ]
+    _emit(args, payload, lambda: _columns(rows()))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
     q = _load_query(args.query)
     analysis = analyze_query(q)
-    payload = {
+    payload = lambda: {
         "command": "analyze",
         "query": str(q),
         "negativeArity": analysis.negative_arity,
@@ -389,60 +390,50 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
             f"mergeablePairs = [{pairs}], guarded = {_bool(d.guarded)}, "
             f"negPath = {_bool(d.has_non_hierarchical_neg_path)}"
         )
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: lines)
 
 
 def _cmd_compare(args: argparse.Namespace) -> None:
     q = _load_query(args.query)
     db = _load_db(args.db)
-    # One enumeration of each support family serves the verdict columns
-    # and the closed-form columns alike.
+    # One search gives both support families for the verdict columns and the
+    # closed-form columns alike, and one compiled drastic game serves the
+    # impact column and the drastic column.
     restricted = signed_database_restricted(db, q, cap=args.cap_signed)
-    signed = _signed_supports(q, restricted)
-    positive = minimal_positive_supports(q, db)
-    verdicts = _verdicts(q, db, restricted, signed, positive)
+    signed, positive = support_families(q, db)
+    game = make_game(q, db, WealthKind.DRASTIC_DIRECT)
+    verdicts = _verdicts(db, restricted.sorted_facts, signed, positive, game)
     ms_signed = _ms_results(restricted.sorted_facts, signed, reciprocal_weight)
     mps = _ms_results(db.sorted_facts, positive, reciprocal_weight)
-    game = make_game(q, db, WealthKind.DRASTIC_DIRECT)
+    records = _game_records(game, "auto", args.cap_subset, args.cap_perm)
     drastic = {
-        r["fact"]: r["values"][game.kind.value] if "values" in r else {"error": r["error"]}
-        for r in _game_records(game, "auto", args.cap_subset, args.cap_perm)
+        p: r["values"][game.kind.value] if "values" in r else {"error": r["error"]}
+        for p, r in zip(game.players, records)
     }
-    records = []
+    measures = (WealthKind.MS_SIGNED.value, WealthKind.MPS_POSITIVE.value,
+                WealthKind.DRASTIC_DIRECT.value)
+    rows = []
     for v in verdicts:
-        entry = _verdict_record(v)
-        entry["values"] = {WealthKind.MS_SIGNED.value: _rational(ms_signed[v.subject].score)}
+        values = {measures[0]: _rational(ms_signed[v.subject].score)}
         if v.positive_relevant is not None:  # a database fact
-            entry["values"][WealthKind.MPS_POSITIVE.value] = _rational(
-                mps[v.subject.fact].score
-            )
-            entry["values"][WealthKind.DRASTIC_DIRECT.value] = drastic[str(v.subject.fact)]
-        records.append(entry)
+            values[measures[1]] = _rational(mps[v.subject.fact].score)
+            values[measures[2]] = drastic[v.subject.fact]
+        rows.append((_verdict_values(v, str(v.subject)), values))
 
-    payload = {"command": "compare", "query": str(q), "records": records}
-    rows = [
-        ["fact", "signedRelevant", "positiveRelevant", "impact",
-         WealthKind.MS_SIGNED.value, WealthKind.MPS_POSITIVE.value,
-         WealthKind.DRASTIC_DIRECT.value]
-    ]
-    for record in records:
-        cells = [
-            record["fact"],
-            _bool(record["signedRelevant"]),
-            "-" if record["positiveRelevant"] is None else _bool(record["positiveRelevant"]),
-            "-" if record["impact"] is None else record["impact"],
-        ]
-        for name in (WealthKind.MS_SIGNED.value, WealthKind.MPS_POSITIVE.value,
-                     WealthKind.DRASTIC_DIRECT.value):
-            value = record["values"].get(name)
-            if value is None:
-                cells.append("-")
-            elif "error" in value:
-                cells.append("error")
-            else:
-                cells.append(_render_rational(value))
-        rows.append(cells)
-    _emit(args, payload, _columns(rows))
+    payload = lambda: {
+        "command": "compare",
+        "query": str(q),
+        "records": [
+            {**dict(zip(_VERDICT_COLUMNS, verdict)), "values": values}
+            for verdict, values in rows
+        ],
+    }
+    table = lambda: _columns(
+        [[*_VERDICT_COLUMNS, *measures]]
+        + [_verdict_cells(verdict) + [_value_cell(values.get(m)) for m in measures]
+           for verdict, values in rows]
+    )
+    _emit(args, payload, table)
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,18 @@
 A database is a finite set of ground facts over a finite schema.  Its signed
 completion marks every present fact with ``+`` and every absent fact over the
 active domain with ``-``.  Completions blow up as ``|adom|^arity``, so the
-constructor takes a hard cap and most callers restrict the negative side to
-the relations a query actually negates.
+constructor takes a hard cap (which `completion_size` checks by counting) and
+most callers restrict the negative side to the relations a query negates.
 """
 from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -80,6 +82,12 @@ class SignedFact:
         return f"{self.sign.symbol}{self.fact}"
 
 
+#: Sort keys giving the canonical order of facts and of signed facts as plain
+#: tuples, which compare much faster than the dataclass ordering does.
+fact_key = attrgetter("relation", "args")
+signed_fact_key = attrgetter("sign", "fact.relation", "fact.args")
+
+
 def positive(f: Fact) -> SignedFact:
     return SignedFact(Sign.POSITIVE, f)
 
@@ -117,7 +125,7 @@ class Database:
 
     @cached_property
     def sorted_facts(self) -> tuple[Fact, ...]:
-        return tuple(sorted(self.facts))
+        return tuple(sorted(self.facts, key=fact_key))
 
     @cached_property
     def active_domain(self) -> frozenset[str]:
@@ -142,30 +150,23 @@ def database(facts: Iterable[Fact] = (), schema: Iterable[Relation] = ()) -> Dat
 
 @dataclass(frozen=True)
 class SignedDatabase:
-    """A completion: the base facts marked ``+`` plus absent facts marked ``-``.
-
-    ``restricted_to`` records, when the negative side was limited to a set of
-    relations, which relations those were; ``None`` means the full completion.
-    """
+    """A completion: the base facts marked ``+`` plus absent facts marked
+    ``-``, held in canonical order."""
 
     base: Database
-    signed_facts: frozenset[SignedFact]
-    restricted_to: frozenset[Relation] | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "signed_facts", frozenset(self.signed_facts))
+    sorted_facts: tuple[SignedFact, ...]
 
     @cached_property
-    def sorted_facts(self) -> tuple[SignedFact, ...]:
-        return tuple(sorted(self.signed_facts))
+    def signed_facts(self) -> frozenset[SignedFact]:
+        return frozenset(self.sorted_facts)
 
     @cached_property
     def positive_part(self) -> frozenset[SignedFact]:
-        return frozenset(sf for sf in self.signed_facts if sf.sign is Sign.POSITIVE)
+        return frozenset(sf for sf in self.sorted_facts if sf.sign is Sign.POSITIVE)
 
     @cached_property
     def negative_part(self) -> frozenset[SignedFact]:
-        return frozenset(sf for sf in self.signed_facts if sf.sign is Sign.NEGATIVE)
+        return frozenset(sf for sf in self.sorted_facts if sf.sign is Sign.NEGATIVE)
 
     def __contains__(self, sf: SignedFact) -> bool:
         return sf in self.signed_facts
@@ -174,7 +175,53 @@ class SignedDatabase:
         return iter(self.sorted_facts)
 
     def __len__(self) -> int:
-        return len(self.signed_facts)
+        return len(self.sorted_facts)
+
+
+def _completion_shape(
+    db: Database,
+    restrict_to: Iterable[Relation] | None,
+    extra_relations: Iterable[Relation],
+    cap: int | None,
+) -> tuple[Database, list[Relation], int]:
+    """The completion's base database, its negated relations in sorted
+    order and its size, after the checks that `signed_database` makes."""
+    schema = _unique_schema(itertools.chain(db.schema, extra_relations))
+    base = db if schema == db.schema else Database(schema, db.facts)
+    negated = schema
+    if restrict_to is not None:
+        by_name = {rel.name: rel for rel in schema}
+        negated = set()
+        for rel in restrict_to:
+            known = by_name.get(rel.name)
+            if known is None:
+                raise ArityError(f"cannot restrict to unknown relation {rel.name}")
+            if known.arity != rel.arity:
+                raise ArityError(
+                    f"relation {rel.name} has arity {known.arity}, not {rel.arity}"
+                )
+            negated.add(known)
+    stored = Counter(f.relation for f in base.facts)
+    domain = len(base.active_domain)
+    total = len(base.facts) + sum(domain**rel.arity - stored[rel] for rel in negated)
+    cap = DEFAULT_SIGNED_CAP if cap is None else cap
+    if total > cap:
+        raise CapExceededError(
+            f"signed completion would hold {total} facts, above the cap of {cap}"
+        )
+    return base, sorted(negated), total
+
+
+def completion_size(
+    db: Database,
+    *,
+    restrict_to: Iterable[Relation] | None = None,
+    extra_relations: Iterable[Relation] = (),
+    cap: int | None = DEFAULT_SIGNED_CAP,
+) -> int:
+    """How many facts `signed_database` would hold for the same arguments,
+    counted without building them; raises the same errors."""
+    return _completion_shape(db, restrict_to, extra_relations, cap)[2]
 
 
 def signed_database(
@@ -192,49 +239,20 @@ def signed_database(
     query but have no facts (their whole tuple space is then negative).
     Raises :class:`CapExceededError` if the completion would hold more than
     ``cap`` signed facts (``None`` means the default cap, not "unlimited").
+    The facts come out in canonical order with no sort: the positive ones,
+    then each negated relation's tuples over the sorted active domain.
     """
-    if cap is None:
-        cap = DEFAULT_SIGNED_CAP
-    schema = _unique_schema(itertools.chain(db.schema, extra_relations))
-    base = db if schema == db.schema else Database(schema, db.facts)
+    base, negated, _ = _completion_shape(db, restrict_to, extra_relations, cap)
     adom = sorted(base.active_domain)
-
-    if restrict_to is None:
-        negated_relations = schema
-    else:
-        by_name = {rel.name: rel for rel in schema}
-        resolved = set()
-        for rel in restrict_to:
-            known = by_name.get(rel.name)
-            if known is None:
-                raise ArityError(f"cannot restrict to unknown relation {rel.name}")
-            if known.arity != rel.arity:
-                raise ArityError(
-                    f"relation {rel.name} has arity {known.arity}, not {rel.arity}"
-                )
-            resolved.add(known)
-        negated_relations = frozenset(resolved)
-
-    present: dict[Relation, set[tuple[str, ...]]] = {rel: set() for rel in schema}
-    for f in base.facts:
-        present[f.relation].add(f.args)
-
-    total = len(base.facts)
-    for rel in negated_relations:
-        total += len(adom) ** rel.arity - len(present[rel])
-    if total > cap:
-        raise CapExceededError(
-            f"signed completion would hold {total} facts, above the cap of {cap}"
-        )
-
-    signed: set[SignedFact] = {positive(f) for f in base.facts}
-    for rel in sorted(negated_relations):
-        for combo in itertools.product(adom, repeat=rel.arity):
-            if combo not in present[rel]:
-                signed.add(negative(Fact(rel, combo)))
-
-    restricted = None if restrict_to is None else frozenset(negated_relations)
-    return SignedDatabase(base=base, signed_facts=frozenset(signed), restricted_to=restricted)
+    stored = set(map(fact_key, base.facts))
+    ordered = [positive(f) for f in base.sorted_facts]
+    ordered += [
+        negative(Fact(rel, combo))
+        for rel in negated
+        for combo in itertools.product(adom, repeat=rel.arity)
+        if (rel, combo) not in stored
+    ]
+    return SignedDatabase(base, tuple(ordered))
 
 
 # ---------------------------------------------------------------------------

@@ -13,19 +13,22 @@ from enum import Enum
 from operator import gt, lt
 from typing import Iterable
 
-from .core import Database, Fact, SignedDatabase, SignedFact, positive
+from .core import Database, Fact, Sign, SignedFact, positive
 from .errors import CapExceededError, SemanticError
 from .query import Query, signed_database_restricted
 from .supports import (
     SupportSet,
-    _signed_supports,
     coalition_rotations,
-    coalition_table,
-    compile_witnesses,
     minimal_positive_supports,
     minimal_signed_supports,
     satisfies,  # noqa: F401 - perfbench's tracer finds query evaluation by this name
+    support_families,
 )
+
+# Imported after `.supports`, which `.shapley` imports too: where no bytecode
+# cache is written, the larger `supports` then compiles while `shapley` is not
+# yet resident, which keeps peak memory at start-up down.
+from .shapley import Game, WealthKind, make_game
 
 #: Impact classification enumerates ``2^(|db|-1)`` subsets per fact.
 DEFAULT_IMPACT_CAP = 20
@@ -71,21 +74,18 @@ def impact_relevant(
             f"impact over {len(db.facts)} facts enumerates "
             f"2^{len(db.facts) - 1} subsets (cap {cap})"
         )
-    return _impacts(q, db)[f]
+    return _impacts(make_game(q, db, WealthKind.DRASTIC_DIRECT))[f]
 
 
-def _impacts(q: Query, db: Database) -> dict[Fact, ImpactKind]:
-    """Every database fact's impact, from one table of the query's truth
-    on every subset of the database."""
-    facts = db.sorted_facts
-    table = coalition_table(
-        len(facts), compile_witnesses(q, db, "drastic", facts), count=False
-    )
-    half = len(table) >> 1
+def _impacts(drastic: Game) -> dict[Fact, ImpactKind]:
+    """Every database fact's impact, from the drastic game's table of the
+    query's truth on every subset of the database."""
+    n = len(drastic.players)
+    half = (1 << n) >> 1
     kinds = list(ImpactKind)  # none, positiveOnly, negativeOnly, both
     return {
         f: kinds[any(map(gt, t[half:], t[:half])) + 2 * any(map(lt, t[half:], t[:half]))]
-        for f, t in zip(facts, coalition_rotations(table, len(facts)))
+        for f, t in zip(drastic.players, coalition_rotations(drastic._table, n))
     }
 
 
@@ -119,38 +119,31 @@ def relevance_report(
     impact column is skipped rather than failing the whole report.
     """
     restricted = signed_database_restricted(db, q, cap=signed_cap)
-    return _verdicts(
-        q,
-        db,
-        restricted,
-        _signed_supports(q, restricted),
-        minimal_positive_supports(q, db),
-        impact_cap,
-    )
+    signed, plain = support_families(q, db)
+    drastic = make_game(q, db, WealthKind.DRASTIC_DIRECT)
+    return _verdicts(db, restricted.sorted_facts, signed, plain, drastic, impact_cap)
 
 
 def _verdicts(
-    q: Query,
     db: Database,
-    restricted: SignedDatabase,
+    subjects: Iterable[SignedFact],
     signed_supports: Iterable[SupportSet],
     positive_supports: Iterable[SupportSet],
+    drastic: Game,
     impact_cap: int = DEFAULT_IMPACT_CAP,
 ) -> list[RelevanceVerdict]:
-    """`relevance_report` over a completion and minimal supports the caller
-    has built."""
+    """`relevance_report` over the completion's facts, the minimal supports
+    and the drastic game the caller holds; the game is compiled only when
+    the impact column is not skipped."""
     in_signed = {sf for support in signed_supports for sf in support.elements}
     in_positive = {f for support in positive_supports for f in support.elements}
     skip_impact = len(db.facts) > impact_cap
-    impacts = {} if skip_impact else _impacts(q, db)
-
+    impacts = {} if skip_impact else _impacts(drastic)
     return [
         RelevanceVerdict(
-            subject=sf,
-            signed_relevant=sf in in_signed,
-            positive_relevant=sf.fact in in_positive if sf.fact in db.facts else None,
-            impact=impacts.get(sf.fact),
-            impact_skipped=skip_impact and sf.fact in db.facts,
+            sf, sf in in_signed, sf.fact in in_positive, impacts.get(sf.fact), skip_impact
         )
-        for sf in restricted.sorted_facts
+        if sf.sign is Sign.POSITIVE  # the completion's + facts are the database's
+        else RelevanceVerdict(sf, sf in in_signed, None, None)
+        for sf in subjects
     ]

@@ -261,7 +261,7 @@ def ms_scores(
     """
     if mode == "signed":
         restricted = signed_database_restricted(db, q, cap=signed_cap)
-        players, supports = restricted.sorted_facts, _signed_supports(q, restricted)
+        players, supports = restricted.sorted_facts, _signed_supports(q, db)
     else:
         players, supports = db.sorted_facts, minimal_positive_supports(q, db)
     return _ms_results(players, supports, weight)

@@ -7,7 +7,8 @@ four support notions differ only in what plays the role of fact set and
 context:
 
 * a *signed support* is a set of signed facts satisfying the sign-transformed
-  query (no context; the transformed query has no negated atoms);
+  query; the minimal ones are read off the query's assignments over the
+  database itself (see `_support_images`), never off the completion;
 * a *positive support* is a set of plain facts whose positive atoms embed
   into it while negation is checked against the full database;
 * a *D-monotone support* is a set all of whose supersets within the database
@@ -31,7 +32,6 @@ assignments, and every image is itself a support.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from operator import add, and_, attrgetter
@@ -42,14 +42,16 @@ from .core import (
     Fact,
     Relation,
     Sign,
-    SignedDatabase,
     SignedFact,
+    completion_size,
     database,
+    fact_key,
     negative,
     positive,
+    signed_fact_key,
 )
 from .errors import ArityError, CapExceededError, SemanticError
-from .query import Atom, Conjunct, Const, Inequality, Query, Var, neg_rels
+from .query import Atom, Conjunct, Const, Inequality, Query, neg_rels
 from .query import sign_transform, signed_database_restricted
 
 #: Exhaustively checking D-monotonicity enumerates ``2^|db \ S|`` supersets.
@@ -91,37 +93,26 @@ def _support_order(s: SupportSet) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Signed facts reuse the plain-fact machinery by folding the sign into the
-# relation name: +R(a,b) evaluates as a fact over a relation literally named
-# "+R".  Query relation names cannot start with '+' or '-', so no collision
-# is possible.
+# An explicit set of signed facts (`signed_satisfies`) is searched with the
+# plain-fact machinery by folding the sign into the relation name: +R(a,b) is
+# a fact of a relation named "+R", as `sign_transform` names the atoms.  Query
+# relation names cannot start with '+' or '-', so no collision is possible.
 # ---------------------------------------------------------------------------
 
 
 def _mangle(signed: Iterable[SignedFact]) -> frozenset[Fact]:
     """The signed facts as plain facts over the renamed relations."""
     return frozenset(
-        Fact(_renamed(sf.sign, sf.fact.relation), sf.fact.args) for sf in signed
+        Fact(Relation(sf.sign.symbol + sf.fact.relation.name, sf.fact.relation.arity),
+             sf.fact.args)
+        for sf in signed
     )
-
-
-@functools.lru_cache(maxsize=256)
-def _renamed(sign: Sign, rel: Relation) -> Relation:
-    # Shared by every fact of one sign and relation.
-    return Relation(sign.symbol + rel.name, rel.arity)
-
-
-def _unmangle(f: Fact) -> SignedFact:
-    sign = Sign.POSITIVE if f.relation.name[0] == "+" else Sign.NEGATIVE
-    return SignedFact(sign, Fact(Relation(f.relation.name[1:], f.relation.arity), f.args))
 
 
 def _as_plain_facts(facts: Iterable[FactLike]) -> tuple[frozenset[Fact], bool]:
     """Normalize to plain facts; report whether the input was signed."""
     if isinstance(facts, Database):
         return facts.facts, False
-    if isinstance(facts, SignedDatabase):
-        return _mangle(facts.signed_facts), True
     collected = list(facts)
     if not collected:
         return frozenset(), False
@@ -290,23 +281,16 @@ def _iter_assignments(
     q: Query, facts: Iterable[FactLike], context: Iterable[Fact] | Database | None
 ) -> Iterator[tuple[int, dict[str, str], frozenset[Fact]]]:
     plain, signed = _as_plain_facts(facts)
-    if signed:
-        if any(cq.negated_atoms for cq in q.disjuncts):
-            raise SemanticError(
-                "signed fact sets must be evaluated against a sign-transformed query"
-            )
+    if (signed or context is None) and any(cq.negated_atoms for cq in q.disjuncts):
+        raise SemanticError(
+            "signed fact sets must be evaluated against a sign-transformed query"
+            if signed
+            else "a context database is required to check negated atoms against plain facts"
+        )
+    if signed or context is None:
         context_facts: frozenset[Fact] = frozenset()
     else:
-        needs_context = any(cq.negated_atoms for cq in q.disjuncts)
-        if context is None:
-            if needs_context:
-                raise SemanticError(
-                    "a context database is required to check negated atoms "
-                    "against plain facts"
-                )
-            context_facts = frozenset()
-        else:
-            context_facts = context.facts if isinstance(context, Database) else frozenset(context)
+        context_facts = context.facts if isinstance(context, Database) else frozenset(context)
     _check_arity_compatible(q, plain)
     _check_arity_compatible(q, context_facts)
     deepest = max(len(cq.positive_atoms) for cq in q.disjuncts)
@@ -370,26 +354,19 @@ def signed_satisfies(q_signed: Query, signed_facts: Iterable[SignedFact]) -> boo
 
 
 def _validate_signed_subset(S: Iterable[SignedFact], q: Query, db: Database) -> None:
-    adom = db.active_domain
-    arities = {rel.name: rel.arity for rel in db.schema}
-    arities.update(
-        (rel.name, rel.arity) for rel in q.relations if rel.name not in arities
-    )
+    arities = {rel.name: rel.arity for rel in (*q.relations, *db.schema)}  # data wins
     for sf in S:
-        rel = sf.fact.relation
-        known = arities.get(rel.name)
-        if known is None or known != rel.arity:
+        rel, stored = sf.fact.relation, sf.fact in db.facts
+        if arities.get(rel.name) != rel.arity:
             raise SemanticError(f"{sf} is not over the database/query schema")
-        if sf.sign is Sign.POSITIVE and sf.fact not in db.facts:
+        if sf.sign is Sign.POSITIVE and not stored:
             raise SemanticError(f"{sf} is not in the signed completion: fact absent")
-        if sf.sign is Sign.NEGATIVE:
-            if sf.fact in db.facts:
-                raise SemanticError(f"{sf} is not in the signed completion: fact present")
-            if not set(sf.fact.args) <= adom:
-                raise SemanticError(
-                    f"{sf} is not in the signed completion: constants outside "
-                    f"the active domain"
-                )
+        if sf.sign is Sign.NEGATIVE and stored:
+            raise SemanticError(f"{sf} is not in the signed completion: fact present")
+        if sf.sign is Sign.NEGATIVE and not db.active_domain.issuperset(sf.fact.args):
+            raise SemanticError(
+                f"{sf} is not in the signed completion: constants outside the active domain"
+            )
 
 
 def is_signed_support(S: Iterable[SignedFact], q: Query, db: Database) -> bool:
@@ -405,39 +382,58 @@ def minimal_signed_supports(
 ) -> list[SupportSet]:
     """All subset-minimal signed supports, in canonical order.
 
-    Enumerates the assignment images of the sign-transformed query over the
-    completion restricted to negated relations (minimal supports never reach
-    outside it) and keeps the minimal images.
+    ``cap`` bounds the completion restricted to the negated relations, the
+    players of these supports, although they are found without building it.
     """
-    return _signed_supports(q, signed_database_restricted(db, q, cap=cap))
+    completion_size(db, restrict_to=neg_rels(q), extra_relations=q.relations, cap=cap)
+    return _signed_supports(q, db)
 
 
-def _signed_supports(q: Query, completion: Iterable[SignedFact]) -> list[SupportSet]:
-    """The minimal signed supports within a completion the caller holds."""
-    images = _images(sign_transform(q), completion, None)
-    return [
-        SupportSet("signed", frozenset(_unmangle(f) for f in image), True)
-        for image in _minimal_sets(images)
-    ]
+def _signed_supports(q: Query, db: Database) -> list[SupportSet]:
+    return _minimal_sets("signed", _support_images(q, db)[0])
 
 
-def _images(q, facts, context) -> set[frozenset[Fact]]:
-    return {image for _, _, image in _iter_assignments(q, facts, context)}
+def support_families(q: Query, db: Database) -> tuple[list[SupportSet], list[SupportSet]]:
+    """The minimal signed and positive supports, from one search."""
+    signed, plain = _support_images(q, db)
+    return _minimal_sets("signed", signed), _minimal_sets("positive", plain)
 
 
-def _minimal_sets(family: set[frozenset]) -> list[frozenset]:
-    """The minimal members, ordered by size and then by sorted elements.
+def _support_images(q: Query, db: Database) -> tuple[set[frozenset], set[frozenset]]:
+    """The signed and positive images of the assignments over the database,
+    negation checked against it.
+
+    Safety binds every variable through a positive atom, so these are the
+    assignments of the sign-transformed query over the completion.  The
+    signed image adds the grounded negated atoms as ``-`` facts, and is
+    dropped when one of them leaves the active domain, and so the completion.
+    """
+    adom = db.active_domain
+    signed: set[frozenset] = set()
+    plain: set[frozenset] = set()
+    for idx, binding, image in _iter_assignments(q, db.facts, db.facts):
+        plain.add(image)
+        absent = [_ground(a, binding) for a in q.disjuncts[idx].negated_atoms]
+        if all(adom.issuperset(f.args) for f in absent):
+            signed.add(frozenset([*map(positive, image), *map(negative, absent)]))
+    return signed, plain
+
+
+def _minimal_sets(kind: SupportKind, family: set[frozenset]) -> list[SupportSet]:
+    """The minimal members as supports, ordered by size and then by their
+    sorted elements.
 
     Two distinct sets of one size never contain each other, so each set is
     tested only against the kept sets that are strictly smaller.
     """
-    by_size = sorted(family, key=lambda s: (len(s), tuple(sorted(s))))
+    key = signed_fact_key if kind == "signed" else fact_key
+    by_size = sorted(family, key=lambda s: (len(s), sorted(map(key, s))))
     kept: list[frozenset] = []
     for _, same_size in itertools.groupby(by_size, key=len):
         # The list is complete before it joins `kept`, which so far holds
         # only smaller sets.
         kept += [s for s in same_size if not any(k <= s for k in kept)]
-    return kept
+    return [SupportSet(kind, s, True) for s in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +452,8 @@ def is_positive_support(S: Iterable[Fact], q: Query, db: Database) -> bool:
 
 def minimal_positive_supports(q: Query, db: Database) -> list[SupportSet]:
     """All subset-minimal positive supports, in canonical order."""
-    images = _images(q, db.facts, db.facts)
-    return [
-        SupportSet("positive", image, True) for image in _minimal_sets(images)
-    ]
+    images = {image for _, _, image in _iter_assignments(q, db.facts, db.facts)}
+    return _minimal_sets("positive", images)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +482,7 @@ def compile_witnesses(
     index = {p: i for i, p in enumerate(players)}
     mask = lambda facts: sum(1 << index[f] for f in set(facts) if f in index)
     if semantics == "signed":
-        return tuple((mask(s.elements), 0) for s in _signed_supports(q, players))
+        return tuple((mask(s.elements), 0) for s in _signed_supports(q, db))
     if semantics == "positive":
         return tuple((mask(s.elements), 0) for s in minimal_positive_supports(q, db))
     witnesses = {
@@ -540,20 +534,27 @@ def coalition_rotations(table: list, n: int) -> Iterator[list]:
 def is_d_monotone_support(
     S: Iterable[Fact], q: Query, db: Database, *, cap: int = DEFAULT_DMONOTONE_CAP
 ) -> bool:
-    """Whether every superset of ``S`` within the database satisfies the query."""
+    """Whether every superset of ``S`` within the database satisfies the query.
+
+    A drastic witness that forbids a member of ``S`` fits no superset; the
+    others, less ``S``, must cover every subset of the rest of the database.
+    """
     S = frozenset(S)
     if not S <= db.facts:
         raise SemanticError("a D-monotone support must be a subset of the database")
-    rest = sorted(db.facts - S)
+    rest = sorted(db.facts - S, key=fact_key)
     if len(rest) > cap:
         raise CapExceededError(
             f"D-monotonicity would check 2^{len(rest)} supersets (cap {cap})"
         )
-    for k in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, k):
-            if not satisfies(q, S | set(extra)):
-                return False
-    return True
+    players = rest + list(S)
+    low = (1 << len(rest)) - 1
+    witnesses = [
+        (required & low, forbidden)
+        for required, forbidden in compile_witnesses(q, db, "drastic", players)
+        if not forbidden & ~low
+    ]
+    return all(coalition_table(len(rest), witnesses, count=False))
 
 
 def _d_monotone_table(q: Query, db: Database, cap: int) -> list[bool]:
@@ -670,14 +671,8 @@ def entailment_supports_bounded(
                 for ineq in cq.inequalities
             ):
                 continue
-            required_present = {
-                Fact(a.relation, tuple(_resolve(t, binding) for t in a.terms))
-                for a in cq.positive_atoms
-            }
-            required_absent = {
-                Fact(a.relation, tuple(_resolve(t, binding) for t in a.terms))
-                for a in cq.negated_atoms
-            }
+            required_present = {_ground(a, binding) for a in cq.positive_atoms}
+            required_absent = {_ground(a, binding) for a in cq.negated_atoms}
             if any(f not in index for f in required_present):
                 continue  # mentions a fact outside the domain: can never fire
             required_absent = {f for f in required_absent if f in index}
@@ -855,10 +850,10 @@ def all_supports(
         table = _d_monotone_table(q, db, cap)
         minimal = set(_minimal_masks(table, len(universe)))
     elif kind in ("signed", "positive"):
-        if kind == "signed":
-            universe = signed_database_restricted(db, q).sorted_facts
-        else:
-            universe = db.sorted_facts
+        universe = (  # the completion is built where it lists the players
+            signed_database_restricted(db, q).sorted_facts if kind == "signed"
+            else db.sorted_facts
+        )
         witnesses = compile_witnesses(q, db, kind, universe)
         if len(universe) > cap:
             raise CapExceededError(

@@ -4,8 +4,9 @@ Everything here is recomputed from first principles with the dumbest
 algorithm that could possibly be right: satisfaction by trying every
 variable binding over the active domain, supports by enumerating subsets
 in size order, Shapley values by averaging marginal contributions over
-every permutation, and the order of the engine's assignments by scanning
-whole relations.  Only data types are imported from the package --
+every permutation, the order of the engine's assignments by scanning
+whole relations, and the order of its minimal signed supports by scanning
+the signed completion.  Only data types are imported from the package --
 none of its evaluation code.  Keep it that way.
 """
 
@@ -176,6 +177,40 @@ def reference_assignments(
 
         extend(0, {}, ())
     return out
+
+
+def reference_signed_supports(q: Query, db: Database) -> list[frozenset[SignedFact]]:
+    """Minimal signed supports by searching the restricted completion.
+
+    The query is sign-transformed (``R`` to ``+R``, ``!R`` to a positive
+    ``-R``), its assignment images are found by `reference_assignments` over
+    the completion with each sign folded into the relation name, and the
+    minimal images come back as signed facts, smallest first and then in
+    sorted order.
+    """
+    transformed = Query(tuple(
+        Conjunct(cq.variables, tuple(
+            lit if isinstance(lit, Inequality) else Atom(
+                Relation(("-" if lit.negated else "+") + lit.relation.name,
+                         lit.relation.arity),
+                lit.terms,
+            )
+            for lit in cq.literals
+        ))
+        for cq in q.disjuncts
+    ))
+    completion = signed_as_plain(oracle_signed_completion(db, q))
+    images = {image for _, _, image in reference_assignments(transformed, completion)}
+    return minimal_among(
+        frozenset(
+            SignedFact(
+                Sign.POSITIVE if f.relation.name[0] == "+" else Sign.NEGATIVE,
+                Fact(Relation(f.relation.name[1:], f.relation.arity), f.args),
+            )
+            for f in image
+        )
+        for image in images
+    )
 
 
 def subsets(universe: Iterable) -> Iterator[frozenset]:

@@ -227,14 +227,13 @@ def test_negative_fact_value_needs_no_equals_sign(capsys, paths):
 
 def _count_compilations(monkeypatch) -> list:
     """Count calls of the witness compiler, wherever a module holds it."""
-    import negshapley.relevance as relevance
     import negshapley.shapley as shapley
     import negshapley.supports as supports
 
     calls = []
     real = supports.compile_witnesses
     counted = lambda *a, **k: calls.append(a) or real(*a, **k)
-    for module in (shapley, relevance, supports):
+    for module in (shapley, supports):
         monkeypatch.setattr(module, "compile_witnesses", counted)
     return calls
 
@@ -390,6 +389,20 @@ def test_compare_matrix(capsys, paths):
     ]
 
 
+def test_compare_searches_once_and_compiles_drastic_once(capsys, paths, monkeypatch):
+    """One assignment search serves both support families, and one drastic
+    compile serves the impact column and the drastic column."""
+    import negshapley.supports as supports
+
+    searches = []
+    real = supports._iter_assignments
+    monkeypatch.setattr(
+        supports, "_iter_assignments", lambda *a: searches.append(a) or real(*a)
+    )
+    code, _, _ = run(capsys, "compare", "--db", paths["db"], "--query", paths["q"])
+    assert code == 0 and len(searches) == 2
+
+
 def test_compare_empty_database(capsys, paths, tmp_path):
     empty = tmp_path / "empty.facts"
     empty.write_text("")
@@ -470,6 +483,38 @@ def test_exit_3_on_signed_cap(capsys, paths):
         "--kind", "signed", "--cap-signed", "3",
     )
     assert code == 3 and "cap" in err
+
+
+_SIGNED_COMMANDS = [
+    ("supports", "--kind", "signed"),
+    ("relevance",),
+    ("compare",),
+    ("score", "--measure", "ms-signed"),
+    ("score", "--measure", "signed-drastic"),
+]
+
+
+@pytest.mark.parametrize("command", _SIGNED_COMMANDS)
+def test_signed_cap_is_checked_by_every_command(capsys, paths, command):
+    """The recipe's restricted completion holds 25 facts; whether or not a
+    command builds it, the cap refuses it with the same message."""
+    code, out, err = run(
+        capsys, command[0], "--db", paths["db"], "--query", paths["q"],
+        *command[1:], "--cap-signed", "3",
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: signed completion would hold 25 facts, above the cap of 3\n"
+
+
+@pytest.mark.parametrize("command", _SIGNED_COMMANDS)
+def test_arity_clash_keeps_its_message(capsys, paths, command):
+    clash = paths["dir"] / "clash.query"
+    clash.write_text("exists x. I(x), !I(x)\n")
+    code, out, err = run(
+        capsys, command[0], "--db", paths["db"], "--query", str(clash), *command[1:]
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: relation I used with arities 2 and 1\n"
 
 
 def _chain_query(atoms: int) -> str:

@@ -7,6 +7,7 @@ from negshapley.core import (
     Database,
     Relation,
     Sign,
+    completion_size,
     database,
     fact,
     load_database,
@@ -17,7 +18,9 @@ from negshapley.core import (
     signed_database,
 )
 from negshapley.errors import ArityError, CapExceededError, FactSyntaxError
+from negshapley.query import neg_rels
 
+from corpus import corpus
 from instances import RECIPE_DB
 
 
@@ -79,6 +82,28 @@ def test_signed_database_cap():
         signed_database(RECIPE_DB, cap=24)
     assert len(signed_database(RECIPE_DB, cap=25)) == 25
     assert DEFAULT_SIGNED_CAP >= 25
+
+
+def test_completion_is_generated_in_sorted_order():
+    """The completion comes out in canonical order without being sorted; the
+    restricted and the full completion of every corpus instance agree with
+    a plain sort, and `completion_size` counts them without building them."""
+    for inst in corpus(500):
+        for restrict_to in (neg_rels(inst.q), None):
+            args = {"restrict_to": restrict_to, "extra_relations": inst.q.relations}
+            sd = signed_database(inst.db, **args)
+            assert sd.sorted_facts == tuple(sorted(sd.signed_facts)), str(inst)
+            assert completion_size(inst.db, **args) == len(sd), str(inst)
+
+
+def test_completion_size_raises_what_the_completion_raises():
+    for build in (signed_database, completion_size):
+        with pytest.raises(CapExceededError, match="would hold 25 facts, above the cap of 24"):
+            build(RECIPE_DB, cap=24)
+        with pytest.raises(ArityError, match="relation I used with arities 2 and 1"):
+            build(RECIPE_DB, extra_relations=[Relation("I", 1)])
+        with pytest.raises(ArityError, match="cannot restrict to unknown relation Z"):
+            build(RECIPE_DB, restrict_to=[Relation("Z", 1)])
 
 
 def test_extra_relations_get_a_fully_negative_extension():

@@ -28,6 +28,7 @@ from negshapley.supports import (
     satisfies,
     satisfying_assignments,
     signed_satisfies,
+    support_families,
 )
 
 import oracles
@@ -436,6 +437,50 @@ def test_minimal_signed_supports_match_oracle(small_corpus):
         got = sorted(s.elements for s in minimal_signed_supports(inst.q, inst.db))
         want = sorted(oracles.oracle_minimal_signed_supports(inst.q, inst.db))
         assert got == want, str(inst)
+
+
+def test_signed_supports_match_the_completion_search():
+    """Searching the database itself gives the supports that searching the
+    restricted completion with the sign-transformed query gives, in the
+    same order, and the shared search gives both families unchanged."""
+    for inst in corpus(500):
+        signed = minimal_signed_supports(inst.q, inst.db)
+        want = oracles.reference_signed_supports(inst.q, inst.db)
+        assert [s.elements for s in signed] == want, str(inst)
+        positive = minimal_positive_supports(inst.q, inst.db)
+        assert support_families(inst.q, inst.db) == (signed, positive), str(inst)
+
+
+def test_signed_image_outside_the_active_domain_is_dropped():
+    """x -> mm satisfies the query over the database, but its negated atom
+    grounds to I(mm,zz), and zz is no constant of the database: that fact
+    has no place in the completion, so there is no signed support."""
+    db = database([fact("I", "mp", "wine"), fact("I", "mm", "fish")])
+    q = parse_query('exists x. I(x,"fish"), !I(x,"zz")')
+    assert minimal_signed_supports(q, db) == []
+    assert oracles.reference_signed_supports(q, db) == []
+    (s,) = minimal_positive_supports(q, db)
+    assert s.elements == {fact("I", "mm", "fish")}
+
+
+def test_negated_relation_absent_from_the_database():
+    db = database([fact("I", "mp", "wine"), fact("I", "mm", "fish")])
+    q = parse_query("exists x, y. I(x,y), !J(y,x)")
+    got = [s.elements for s in minimal_signed_supports(q, db)]
+    assert got == oracles.reference_signed_supports(q, db) == [
+        {positive(fact("I", "mm", "fish")), negative(fact("J", "fish", "mm"))},
+        {positive(fact("I", "mp", "wine")), negative(fact("J", "wine", "mp"))},
+    ]
+
+
+def test_d_monotone_check_matches_the_superset_loop():
+    """The compiled check agrees with `oracles.oracle_is_d_monotone`, which
+    walks every superset, on every subset of every corpus database."""
+    for inst in corpus(500):
+        for S in oracles.subsets(inst.db.facts):
+            assert is_d_monotone_support(S, inst.q, inst.db) == (
+                oracles.oracle_is_d_monotone(S, inst.q, inst.db)
+            ), (str(inst), sorted(map(str, S)))
 
 
 def test_minimal_positive_supports_match_oracle(small_corpus):
