@@ -12,16 +12,19 @@ query, arity clash, bad player), 3 cap exceeded.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .core import Database, load_database, parse_fact, parse_signed_fact
+from .core import (
+    Database, Sign, load_database, parse_fact, parse_signed_fact, signed_fact_key,
+)
 from .errors import CapExceededError, InputParseError, SemanticError
-from .query import Query, analyze_query, parse_query, signed_database_restricted
-from .relevance import RelevanceVerdict, _verdicts, relevance_report
+from .query import Query, analyze_query, neg_rels, parse_query
+from .relevance import _report
 from .shapley import (
     DEFAULT_PERMUTATION_CAP,
     DEFAULT_SUBSET_CAP,
@@ -43,7 +46,6 @@ from .supports import (
     minimal_d_monotone_supports,
     minimal_positive_supports,
     minimal_signed_supports,
-    support_families,
 )
 
 _MEASURES = tuple(kind.value for kind in WealthKind)
@@ -147,21 +149,37 @@ def _rational(value: Fraction) -> dict[str, str]:
 
 def _emit(args: argparse.Namespace, payload: Callable[[], dict], table: Callable) -> None:
     """Write the JSON payload or the table lines, building only the one
-    that ``--format`` selects."""
-    if args.format == "json":
-        sys.stdout.write(json.dumps(payload(), indent=2) + "\n")
-    else:
-        sys.stdout.write("".join(line + "\n" for line in table()))
+    that ``--format`` selects, a bounded piece at a time."""
+    sys.stdout.writelines(_json(payload()) if args.format == "json" else table())
 
 
-def _columns(rows: list[Sequence[str]]) -> list[str]:
+def _json(payload: dict) -> Iterator[str]:
+    """``json.dumps(payload, indent=2)`` and a newline, in pieces: the last
+    entry, a list or an iterator of records, is dumped a chunk at a time and
+    re-indented from the top level to one level down."""
+    *head, (name, records) = payload.items()
+    yield json.dumps(dict(head), indent=2)[:-2] + f",\n  {json.dumps(name)}: ["
+    records, separator = iter(records), "\n"
+    while chunk := list(itertools.islice(records, 1024)):
+        yield separator + "  " + json.dumps(chunk, indent=2)[2:-2].replace("\n", "\n  ")
+        separator = ",\n"
+    yield "]\n}\n" if separator == "\n" else "\n  ]\n}\n"
+
+
+def _table(header: Sequence[str], widths: Sequence[int], rows: Iterable) -> Iterator[str]:
+    """The header and the rows as lines, joined 1024 at a time: every cell but
+    the last is padded to its column's width, or its header's if wider."""
+    widths = [max(len(h), w) for h, w in zip(header, widths)]
+    template = "".join(f"{{:<{w}}}  " for w in widths[:-1]) + "{}\n"
+    lines = itertools.starmap(template.format, itertools.chain([header], rows))
+    while chunk := list(itertools.islice(lines, 1024)):
+        yield "".join(chunk)
+
+
+def _columns(rows: list[Sequence[str]]) -> Iterable[str]:
     if not rows:
         return []
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    return [
-        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        for row in rows
-    ]
+    return _table(rows[0], [max(map(len, column)) for column in zip(*rows)], rows[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +191,8 @@ def _cmd_supports(args: argparse.Namespace) -> None:
     q = _load_query(args.query)
     db = _load_db(args.db)
     if args.all:
-        sets = all_supports(q, db, "dMonotone" if args.kind == "dmonotone" else args.kind)
+        kind = "dMonotone" if args.kind == "dmonotone" else args.kind
+        sets = all_supports(q, db, kind, signed_cap=args.cap_signed)
     elif args.kind == "signed":
         sets = minimal_signed_supports(q, db, cap=args.cap_signed)
     elif args.kind == "positive":
@@ -299,7 +318,9 @@ def _cmd_score(args: argparse.Namespace) -> None:
 
 
 def _render_rational(encoded: dict[str, str]) -> str:
-    return str(Fraction(int(encoded["num"]), int(encoded["den"])))
+    """A `_rational` encoding as `str` shows the `Fraction` it encodes."""
+    num, den = encoded["num"], encoded["den"]
+    return num if den == "1" else f"{num}/{den}"
 
 
 # ---------------------------------------------------------------------------
@@ -308,22 +329,8 @@ def _render_rational(encoded: dict[str, str]) -> str:
 
 
 _VERDICT_COLUMNS = ("fact", "signedRelevant", "positiveRelevant", "impact")
-
-
-def _verdict_values(v: RelevanceVerdict, subject: str) -> tuple:
-    """A verdict's values under `_VERDICT_COLUMNS`, as JSON shows them."""
-    if v.impact_skipped:
-        impact = "skipped"
-    else:
-        impact = None if v.impact is None else v.impact.value
-    return subject, v.signed_relevant, v.positive_relevant, impact
-
-
-def _verdict_cells(values: tuple) -> list[str]:
-    """A verdict's values as the table shows them."""
-    subject, signed, positive, impact = values
-    return [subject, _bool(signed), "-" if positive is None else _bool(positive),
-            "-" if impact is None else impact]
+_COMPARED = (WealthKind.MS_SIGNED.value, WealthKind.MPS_POSITIVE.value,
+             WealthKind.DRASTIC_DIRECT.value)
 
 
 def _value_cell(value: dict[str, str] | None) -> str:
@@ -334,24 +341,6 @@ def _value_cell(value: dict[str, str] | None) -> str:
 
 def _bool(value: bool) -> str:
     return "true" if value else "false"
-
-
-def _cmd_relevance(args: argparse.Namespace) -> None:
-    q = _load_query(args.query)
-    db = _load_db(args.db)
-    verdicts = relevance_report(q, db, signed_cap=args.cap_signed)
-    payload = lambda: {
-        "command": "relevance",
-        "query": str(q),
-        "records": [
-            dict(zip(_VERDICT_COLUMNS, _verdict_values(v, str(v.subject))))
-            for v in verdicts
-        ],
-    }
-    rows = lambda: [list(_VERDICT_COLUMNS)] + [
-        _verdict_cells(_verdict_values(v, str(v.subject))) for v in verdicts
-    ]
-    _emit(args, payload, lambda: _columns(rows()))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
@@ -390,50 +379,68 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
             f"mergeablePairs = [{pairs}], guarded = {_bool(d.guarded)}, "
             f"negPath = {_bool(d.has_non_hierarchical_neg_path)}"
         )
-    _emit(args, payload, lambda: lines)
+    _emit(args, payload, lambda: (line + "\n" for line in lines))
 
 
-def _cmd_compare(args: argparse.Namespace) -> None:
+def _cmd_report(args: argparse.Namespace) -> None:
+    """``relevance``, and ``compare`` with the ms-signed, mps and drastic scores
+    added: a row per fact of the restricted completion, written as it is made."""
     q = _load_query(args.query)
     db = _load_db(args.db)
     # One search gives both support families for the verdict columns and the
     # closed-form columns alike, and one compiled drastic game serves the
-    # impact column and the drastic column.
-    restricted = signed_database_restricted(db, q, cap=args.cap_signed)
-    signed, positive = support_families(q, db)
-    game = make_game(q, db, WealthKind.DRASTIC_DIRECT)
-    verdicts = _verdicts(db, restricted.sorted_facts, signed, positive, game)
-    ms_signed = _ms_results(restricted.sorted_facts, signed, reciprocal_weight)
-    mps = _ms_results(db.sorted_facts, positive, reciprocal_weight)
-    records = _game_records(game, "auto", args.cap_subset, args.cap_perm)
-    drastic = {
-        p: r["values"][game.kind.value] if "values" in r else {"error": r["error"]}
-        for p, r in zip(game.players, records)
-    }
-    measures = (WealthKind.MS_SIGNED.value, WealthKind.MPS_POSITIVE.value,
-                WealthKind.DRASTIC_DIRECT.value)
-    rows = []
-    for v in verdicts:
-        values = {measures[0]: _rational(ms_signed[v.subject].score)}
-        if v.positive_relevant is not None:  # a database fact
-            values[measures[1]] = _rational(mps[v.subject.fact].score)
-            values[measures[2]] = drastic[v.subject.fact]
-        rows.append((_verdict_values(v, str(v.subject)), values))
+    # impact column and the drastic column.  Scores are kept by completion
+    # key for the support members only; every other fact shares one zero.
+    signed, positive, game, impacts, rows = _report(q, db, args.cap_signed)
+    scores: list[dict] = []
+    if args.command == "compare":
+        plus = lambda f: (Sign.POSITIVE, f.relation, f.args)
+        scores = [
+            {key(p): _rational(r.score) for p, r in _ms_results(
+                {p for s in family for p in s.elements}, family, reciprocal_weight
+            ).items()}
+            for key, family in ((signed_fact_key, signed), (plus, positive))
+        ]
+        records = _game_records(game, "auto", args.cap_subset, args.cap_perm)
+        scores.append({
+            plus(p): r["values"][game.kind.value] if "values" in r else {"error": r["error"]}
+            for p, r in zip(game.players, records)
+        })
+    measures, zero = _COMPARED[:len(scores)], _rational(Fraction(0))
 
-    payload = lambda: {
-        "command": "compare",
-        "query": str(q),
-        "records": [
-            {**dict(zip(_VERDICT_COLUMNS, verdict)), "values": values}
-            for verdict, values in rows
-        ],
-    }
-    table = lambda: _columns(
-        [[*_VERDICT_COLUMNS, *measures]]
-        + [_verdict_cells(verdict) + [_value_cell(values.get(m)) for m in measures]
-           for verdict, values in rows]
-    )
-    _emit(args, payload, table)
+    def subject(key: tuple) -> str:
+        sign, relation, args = key
+        return f"{'+-'[sign]}{relation.name}({','.join(args)})"
+
+    def values(key: tuple, positive: bool | None) -> dict:
+        scored = scores if positive is not None else scores[:1]  # - facts: ms-signed
+        return {m: by_key.get(key, zero) for m, by_key in zip(measures, scored)}
+
+    def record(key, signed, positive, impact) -> dict:
+        shown = dict(zip(_VERDICT_COLUMNS, (subject(key), signed, positive, impact)))
+        if measures:
+            shown["values"] = values(key, positive)
+        return shown
+
+    def cells(key, signed, positive, impact) -> list[str]:
+        shown = [subject(key), _bool(signed), "-" if positive is None else _bool(positive),
+                 "-" if impact is None else impact]
+        if measures:
+            shown += map(_value_cell, map(values(key, positive).get, measures))
+        return shown
+
+    payload = lambda: {"command": args.command, "query": str(q),
+                       "records": itertools.starmap(record, rows)}
+    # The widest fact cell, with no row listed: each negated relation's tuple
+    # of the longest constant is a row, as a - fact or, if stored, a + fact.
+    longest = max(map(len, db.active_domain), default=0)
+    negated = [len(r.name) + 2 + r.arity * (longest + 1) for r in neg_rels(q)]
+    fact = max([len(str(f)) + 1 for f in db.facts] + (negated if longest else []), default=0)
+    widths = [fact, 0, 0, max(map(len, impacts.values()), default=0)]
+    widths += [max(map(len, map(_value_cell, by_key.values())), default=0)
+               for by_key in scores]
+    header = (*_VERDICT_COLUMNS, *measures)
+    _emit(args, payload, lambda: _table(header, widths, itertools.starmap(cells, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +449,9 @@ def _cmd_compare(args: argparse.Namespace) -> None:
 _DISPATCH = {
     "supports": _cmd_supports,
     "score": _cmd_score,
-    "relevance": _cmd_relevance,
+    "relevance": _cmd_report,
     "analyze": _cmd_analyze,
-    "compare": _cmd_compare,
+    "compare": _cmd_report,
 }
 
 

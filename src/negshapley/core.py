@@ -8,12 +8,12 @@ most callers restrict the negative side to the relations a query negates.
 """
 from __future__ import annotations
 
-import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+from itertools import chain, filterfalse, product, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -186,7 +186,7 @@ def _completion_shape(
 ) -> tuple[Database, list[Relation], int]:
     """The completion's base database, its negated relations in sorted
     order and its size, after the checks that `signed_database` makes."""
-    schema = _unique_schema(itertools.chain(db.schema, extra_relations))
+    schema = _unique_schema(chain(db.schema, extra_relations))
     base = db if schema == db.schema else Database(schema, db.facts)
     negated = schema
     if restrict_to is not None:
@@ -224,6 +224,25 @@ def completion_size(
     return _completion_shape(db, restrict_to, extra_relations, cap)[2]
 
 
+def completion_keys(
+    db: Database, *, restrict_to: Iterable[Relation] | None = None,
+    extra_relations: Iterable[Relation] = (), cap: int | None = DEFAULT_SIGNED_CAP,
+) -> Iterator[tuple[Sign, Relation, tuple[str, ...]]]:
+    """`signed_database`'s members as ``(sign, relation, args)`` keys, in its order,
+    made one at a time; its checks and cap apply at the call, before any is made."""
+    base, negated, _ = _completion_shape(db, restrict_to, extra_relations, cap)
+    return _keys(base, negated)
+
+
+def _keys(base: Database, negated: list[Relation]) -> Iterator[tuple]:
+    adom = sorted(base.active_domain)
+    yield from ((Sign.POSITIVE, f.relation, f.args) for f in base.sorted_facts)
+    for rel in negated:
+        stored = {f.args for f in base.facts if f.relation == rel}
+        absent = filterfalse(stored.__contains__, product(adom, repeat=rel.arity))
+        yield from zip(repeat(Sign.NEGATIVE), repeat(rel), absent)
+
+
 def signed_database(
     db: Database,
     *,
@@ -243,16 +262,9 @@ def signed_database(
     then each negated relation's tuples over the sorted active domain.
     """
     base, negated, _ = _completion_shape(db, restrict_to, extra_relations, cap)
-    adom = sorted(base.active_domain)
-    stored = set(map(fact_key, base.facts))
-    ordered = [positive(f) for f in base.sorted_facts]
-    ordered += [
-        negative(Fact(rel, combo))
-        for rel in negated
-        for combo in itertools.product(adom, repeat=rel.arity)
-        if (rel, combo) not in stored
-    ]
-    return SignedDatabase(base, tuple(ordered))
+    return SignedDatabase(base, tuple(
+        SignedFact(sign, Fact(rel, args)) for sign, rel, args in _keys(base, negated)
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from operator import gt, lt
-from typing import Iterable
 
-from .core import Database, Fact, Sign, SignedFact, positive
+from .core import (
+    Database, Fact, Sign, SignedFact, completion_keys, fact_key, positive, signed_fact_key,
+)
 from .errors import CapExceededError, SemanticError
-from .query import Query, signed_database_restricted
+from .query import Query, neg_rels
 from .supports import (
-    SupportSet,
     coalition_rotations,
     minimal_positive_supports,
     minimal_signed_supports,
@@ -118,32 +118,37 @@ def relevance_report(
     one.  When the database is too large for exhaustive impact search the
     impact column is skipped rather than failing the whole report.
     """
-    restricted = signed_database_restricted(db, q, cap=signed_cap)
-    signed, plain = support_families(q, db)
-    drastic = make_game(q, db, WealthKind.DRASTIC_DIRECT)
-    return _verdicts(db, restricted.sorted_facts, signed, plain, drastic, impact_cap)
-
-
-def _verdicts(
-    db: Database,
-    subjects: Iterable[SignedFact],
-    signed_supports: Iterable[SupportSet],
-    positive_supports: Iterable[SupportSet],
-    drastic: Game,
-    impact_cap: int = DEFAULT_IMPACT_CAP,
-) -> list[RelevanceVerdict]:
-    """`relevance_report` over the completion's facts, the minimal supports
-    and the drastic game the caller holds; the game is compiled only when
-    the impact column is not skipped."""
-    in_signed = {sf for support in signed_supports for sf in support.elements}
-    in_positive = {f for support in positive_supports for f in support.elements}
-    skip_impact = len(db.facts) > impact_cap
-    impacts = {} if skip_impact else _impacts(drastic)
+    *_, rows = _report(q, db, signed_cap, impact_cap)
     return [
         RelevanceVerdict(
-            sf, sf in in_signed, sf.fact in in_positive, impacts.get(sf.fact), skip_impact
+            SignedFact(sign, Fact(rel, args)), signed, positive,
+            None if impact in (None, "skipped") else ImpactKind(impact), impact == "skipped",
         )
-        if sf.sign is Sign.POSITIVE  # the completion's + facts are the database's
-        else RelevanceVerdict(sf, sf in in_signed, None, None)
-        for sf in subjects
+        for (sign, rel, args), signed, positive, impact in rows
     ]
+
+
+def _report(q: Query, db: Database, signed_cap: int | None, impact_cap: int = DEFAULT_IMPACT_CAP):
+    """The minimal signed and positive supports, the drastic game, every
+    database fact's impact as reports show it (by `fact_key`), and a
+    generator of the report's rows: each `completion_keys` key with whether
+    it is signed-relevant, positive-relevant and its impact, the last two
+    ``None`` for ``-`` facts.  The game is compiled only for the impacts."""
+    keys = completion_keys(
+        db, restrict_to=neg_rels(q), extra_relations=q.relations, cap=signed_cap
+    )
+    signed, plain = support_families(q, db)
+    drastic = make_game(q, db, WealthKind.DRASTIC_DIRECT)
+    if len(db.facts) > impact_cap:
+        impacts = dict.fromkeys(map(fact_key, db.facts), "skipped")
+    else:
+        impacts = {fact_key(f): kind.value for f, kind in _impacts(drastic).items()}
+    in_signed = {signed_fact_key(sf) for support in signed for sf in support.elements}
+    in_plain = {fact_key(f) for support in plain for f in support.elements}
+    rows = (
+        (key, key in in_signed, key[1:] in in_plain, impacts[key[1:]])
+        if key[0] is Sign.POSITIVE  # the completion's + facts are the database's
+        else (key, key in in_signed, None, None)
+        for key in keys
+    )
+    return signed, plain, drastic, impacts, rows

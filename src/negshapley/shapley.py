@@ -36,9 +36,9 @@ from functools import cached_property
 from operator import mul, sub
 from typing import Callable, Iterable, Literal, Mapping, Union
 
-from .core import Database, Fact, SignedFact, signed_database
+from .core import Database, Fact, Sign, SignedFact, completion_size, signed_database
 from .errors import CapExceededError, PlayerSetError
-from .query import Query, signed_database_restricted
+from .query import Query, neg_rels, signed_database_restricted
 from .supports import (
     SupportSet,
     _signed_supports,
@@ -294,10 +294,21 @@ def ms_shapley(
     mode: SupportMode = "signed",
     signed_cap: int | None = None,
 ) -> MsShapleyResult:
-    """One player's entry of `ms_scores`; a target that is no player is refused."""
-    scores = ms_scores(q, db, weight=weight, mode=mode, signed_cap=signed_cap)
-    if target in scores:
-        return scores[target]
+    """One player's entry of `ms_scores`, the completion counted, not built;
+    a target that is no player is refused."""
+    if mode == "signed":
+        negated = neg_rels(q)
+        completion_size(db, restrict_to=negated, extra_relations=q.relations, cap=signed_cap)
+        supports, f = _signed_supports(q, db), getattr(target, "fact", None)
+        is_player = isinstance(target, SignedFact) and (
+            f in db.facts if target.sign is Sign.POSITIVE else f not in db.facts
+            and f.relation in negated and db.active_domain.issuperset(f.args)
+        )
+    else:
+        supports = minimal_positive_supports(q, db)
+        is_player = target in db.facts
+    if is_player:
+        return _ms_results([target], supports, weight)[target]
     if mode == "signed":
         if not isinstance(target, SignedFact):
             raise PlayerSetError("signed mode scores signed facts; got a plain fact")

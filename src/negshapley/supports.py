@@ -842,24 +842,28 @@ def _match_single(atom: Atom, f: Fact) -> dict[str, str] | None:
 
 
 def all_supports(
-    q: Query, db: Database, kind: SupportKind, *, cap: int = DEFAULT_DMONOTONE_CAP
+    q: Query, db: Database, kind: SupportKind, *, cap: int = DEFAULT_DMONOTONE_CAP,
+    signed_cap: int | None = None,
 ) -> list[SupportSet]:
-    """Every support of the given kind, minimal or not (exponential)."""
+    """Every support of the given kind, minimal or not (exponential); the
+    players are counted against ``signed_cap``, then ``cap``, before any is built."""
     if kind == "dMonotone":
         universe: Sequence = db.sorted_facts
         table = _d_monotone_table(q, db, cap)
         minimal = set(_minimal_masks(table, len(universe)))
     elif kind in ("signed", "positive"):
+        n = len(db.facts) if kind == "positive" else completion_size(
+            db, restrict_to=neg_rels(q), extra_relations=q.relations, cap=signed_cap
+        )
+        if n > cap:
+            raise CapExceededError(
+                f"listing all supports over {n} facts needs 2^{n} checks (cap {cap})"
+            )
         universe = (  # the completion is built where it lists the players
-            signed_database_restricted(db, q).sorted_facts if kind == "signed"
-            else db.sorted_facts
+            signed_database_restricted(db, q, cap=signed_cap).sorted_facts
+            if kind == "signed" else db.sorted_facts
         )
         witnesses = compile_witnesses(q, db, kind, universe)
-        if len(universe) > cap:
-            raise CapExceededError(
-                f"listing all supports over {len(universe)} facts needs "
-                f"2^{len(universe)} checks (cap {cap})"
-            )
         table = coalition_table(len(universe), witnesses, count=False)
         minimal = {required for required, _ in witnesses}
     else:

@@ -5,14 +5,16 @@ algorithm that could possibly be right: satisfaction by trying every
 variable binding over the active domain, supports by enumerating subsets
 in size order, Shapley values by averaging marginal contributions over
 every permutation, the order of the engine's assignments by scanning
-whole relations, and the order of its minimal signed supports by scanning
-the signed completion.  Only data types are imported from the package --
+whole relations, the order of its minimal signed supports by scanning
+the signed completion, and the relevance and compare reports by rendering
+the materialized completion whole.  Only data types are imported from the package --
 none of its evaluation code.  Keep it that way.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -453,3 +455,102 @@ def null_players_from_table(values: Sequence[Fraction], n: int) -> list[bool]:
             )
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# The relevance and compare reports, materialized
+# ---------------------------------------------------------------------------
+
+VERDICT_COLUMNS = ("fact", "signedRelevant", "positiveRelevant", "impact")
+COMPARED_MEASURES = ("ms-signed", "mps", "drastic")
+
+
+def _rational(value: Fraction) -> dict[str, str]:
+    return {"num": str(value.numerator), "den": str(value.denominator)}
+
+
+def _columns(rows: list[Sequence[str]]) -> list[str]:
+    if not rows:
+        return []
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return [
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+        for row in rows
+    ]
+
+
+def _verdict_cells(values: tuple) -> list[str]:
+    subject, signed, positive_, impact = values
+    show = lambda b: "true" if b else "false"
+    return [subject, show(signed), "-" if positive_ is None else show(positive_),
+            "-" if impact is None else impact]
+
+
+def _value_cell(value: dict[str, str] | None) -> str:
+    if value is None:
+        return "-"
+    if "error" in value:
+        return "error"
+    return str(Fraction(int(value["num"]), int(value["den"])))
+
+
+def reference_reports(
+    q: Query, db: Database, *, impact_cap: int = 20, subset_cap: int = 20,
+    perm_cap: int = 8,
+) -> dict[tuple[str, str], str]:
+    """The whole output of ``negshapley relevance`` and ``compare`` in both
+    formats, keyed by (command, format), built the way the command line
+    built it before its rows were streamed: one record per fact of the
+    materialized restricted completion, in sorted order, then every table
+    line or the whole JSON document at once.
+
+    The verdicts and scores come from the references above: supports from
+    the completion scan, impact by scanning sub-databases (``skipped`` above
+    ``impact_cap`` facts), drastic values from a coalition table, or the
+    command line's per-fact permutation-cap error above ``subset_cap``
+    facts.
+    """
+    signed = reference_signed_supports(q, db)
+    plain = minimal_among(image for _, _, image in reference_assignments(q, db.facts, db.facts))
+    facts = sorted(db.facts)
+    if len(facts) > impact_cap:
+        impacts = dict.fromkeys(facts, "skipped")
+    else:
+        impacts = {f: oracle_impact(f, q, db) for f in facts}
+    if len(facts) > subset_cap:
+        error = {"error": f"{len(facts)} players means {len(facts)}! orderings (cap {perm_cap})"}
+        drastic = dict.fromkeys(facts, error)
+    else:
+        table = wealth_table(facts, oracle_wealth("drastic", q, db))
+        drastic = dict(zip(facts, map(_rational, shapley_from_table(table, len(facts)))))
+    score = lambda p, family: _rational(sum(
+        (Fraction(1, len(s)) for s in family if p in s), Fraction(0)
+    ))
+    verdicts, compared = [], []
+    for sf in sorted(oracle_signed_completion(db, q)):
+        in_db = sf.sign is Sign.POSITIVE
+        verdict = {
+            "fact": str(sf),
+            "signedRelevant": any(sf in s for s in signed),
+            "positiveRelevant": any(sf.fact in s for s in plain) if in_db else None,
+            "impact": impacts[sf.fact] if in_db else None,
+        }
+        values = {"ms-signed": score(sf, signed)}
+        if in_db:
+            values["mps"] = score(sf.fact, plain)
+            values["drastic"] = drastic[sf.fact]
+        verdicts.append(verdict)
+        compared.append({**verdict, "values": values})
+    outputs = {}
+    for command, records, measures in (
+        ("relevance", verdicts, ()), ("compare", compared, COMPARED_MEASURES)
+    ):
+        payload = {"command": command, "query": str(q), "records": records}
+        outputs[command, "json"] = json.dumps(payload, indent=2) + "\n"
+        rows = [[*VERDICT_COLUMNS, *measures]] + [
+            _verdict_cells(tuple(r[c] for c in VERDICT_COLUMNS))
+            + [_value_cell(r["values"].get(m)) for m in measures]
+            for r in records
+        ]
+        outputs[command, "table"] = "".join(line + "\n" for line in _columns(rows))
+    return outputs

@@ -3,10 +3,15 @@
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from negshapley.cli import main
+
+import oracles
+from corpus import corpus
 
 RECIPE = """\
 I(mp,wine)
@@ -92,6 +97,40 @@ def test_supports_all_includes_non_minimal(capsys, paths):
     sups = json.loads(out)["supports"]
     assert len(sups) == 16  # all supersets of {I(mm,fish)} within the 5 facts
     assert sum(1 for s in sups if s["minimal"]) == 1
+
+
+def test_supports_all_honours_the_signed_cap(capsys, tmp_path):
+    """``--all`` counts the completion against ``--cap-signed`` as the
+    minimal listing does, before building it."""
+    db, q = tmp_path / "two.facts", tmp_path / "j.query"
+    db.write_text("I(mp,wine)\nI(mm,fish)\n")
+    q.write_text("exists x, y. I(x,y), !J(x)\n")
+    io = ("supports", "--db", str(db), "--query", str(q), "--kind", "signed")
+    for extra in ((), ("--all",)):
+        code, out, err = run(capsys, *io, *extra, "--cap-signed", "3")
+        assert (code, out) == (3, "")
+        assert err == "error: signed completion would hold 6 facts, above the cap of 3\n"
+    code, out, _ = run(capsys, *io, "--all", "--cap-signed", "6", "--format", "json")
+    sups = json.loads(out)["supports"]
+    assert code == 0 and len(sups) == 2 * 2**4 - 2**2  # supersets of either minimal
+    assert sum(s["minimal"] for s in sups) == 2
+
+
+def test_supports_all_refuses_before_compiling(capsys, paths, monkeypatch):
+    """The listing cap is checked by counting, so a refused listing never
+    compiles its witnesses or builds its players."""
+    import negshapley.core as core
+
+    calls = _count_compilations(monkeypatch)
+    built = []
+    real = core.signed_database
+    monkeypatch.setattr(core, "signed_database", lambda *a, **k: built.append(a) or real(*a, **k))
+    code, out, err = run(
+        capsys, "supports", "--db", paths["db"], "--query", paths["q"],
+        "--kind", "signed", "--all",
+    )
+    assert (code, out) == (3, "") and calls == built == []
+    assert err == "error: listing all supports over 25 facts needs 2^25 checks (cap 20)\n"
 
 
 def test_supports_empty_for_unsatisfied_query(capsys, paths, tmp_path):
@@ -566,3 +605,100 @@ def test_console_script_entry_point(paths):
     # module execution mirrors the installed `negshapley` script
     assert proc.returncode == 0
     assert "guarded = true" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# streamed reports against the materialized reference
+# ---------------------------------------------------------------------------
+
+
+def _report_outputs(capsys, tmp_path, q, db, *extra):
+    """(command, format) -> (exit code, stdout, stderr) of ``relevance`` and
+    ``compare`` on the instance, written to files first.  A ground disjunct
+    has no surface syntax, so it is written with an unused variable."""
+    from negshapley.query import parse_query
+
+    text = " | ".join(str(cq) if cq.variables else f"exists x. {cq}" for cq in q.disjuncts)
+    # A new directory per call: truncating a file in place is slow on some
+    # filesystems, and this runs hundreds of times.
+    here = Path(tempfile.mkdtemp(dir=tmp_path))
+    (here / "i.facts").write_text("".join(f"{f}\n" for f in db.sorted_facts))
+    (here / "i.query").write_text(text + "\n")
+    io = ("--db", str(here / "i.facts"), "--query", str(here / "i.query"))
+    outputs = {
+        (command, fmt): run(capsys, command, *io, "--format", fmt, *extra)
+        for command in ("relevance", "compare")
+        for fmt in ("table", "json")
+    }
+    return parse_query(text), outputs
+
+
+def _assert_matches_reference(capsys, tmp_path, q, db, label=""):
+    q, outputs = _report_outputs(capsys, tmp_path, q, db)
+    for key, want in oracles.reference_reports(q, db).items():
+        assert outputs[key] == (0, want, ""), (label, key)
+
+
+def test_reports_match_the_materialized_reference_on_corpus(capsys, tmp_path):
+    for inst in corpus(500):
+        _assert_matches_reference(capsys, tmp_path, inst.q, inst.db, str(inst))
+
+
+_EDGE_DBS = {
+    "empty": "",
+    # the longest constant's tuple is stored, so it is a + row, not a - row
+    "stored-longest": "R(abc,abc)\nR(a,b)\nS(a)\n",
+    "mixed-lengths": "R(mp,wine)\nR(mm,fish)\nR(verylongmenu,x)\nS(mm)\n",
+    # 21 facts: impact is skipped and every drastic value is a cap error
+    "over-the-caps": "".join(f"R(v{i},v{i + 1})\n" for i in range(20)) + "S(v0)\n",
+    # +R(a,b) is signed-relevant without being positive-relevant
+    "witness": "R(a,b)\nR(a,c)\nB(b)\n",
+}
+_EDGE_QUERIES = [
+    "exists x, y. R(x,y), !R(y,x)",
+    # a negated relation absent from the database: all of it is negative
+    "exists x. S(x), !AbsentRelation(x)",
+    "exists x, y. R(x,y), !S(y) | exists x. S(x), x != \"a\"",
+    "exists x, y, z. R(x,y), R(x,z), !A(y), !B(z)",
+]
+
+
+@pytest.mark.parametrize("facts", sorted(_EDGE_DBS))
+@pytest.mark.parametrize("query", _EDGE_QUERIES)
+def test_reports_match_the_materialized_reference_on_edge_cases(
+    capsys, tmp_path, facts, query
+):
+    from negshapley.core import load_database
+    from negshapley.query import parse_query
+
+    (tmp_path / "edge.facts").write_text(_EDGE_DBS[facts])
+    db = load_database(tmp_path / "edge.facts")
+    _assert_matches_reference(capsys, tmp_path, parse_query(query), db)
+
+
+def test_reports_keep_the_signed_cap_refusal(capsys, tmp_path):
+    """Refused at the cap with the materialized completion's message, and
+    with nothing written to stdout."""
+    from negshapley.errors import CapExceededError
+    from negshapley.query import signed_database_restricted
+
+    for inst in corpus(500)[:50]:
+        with pytest.raises(CapExceededError) as refused:
+            signed_database_restricted(inst.db, inst.q, cap=len(inst.db.facts) - 1)
+        _, outputs = _report_outputs(
+            capsys, tmp_path, inst.q, inst.db, "--cap-signed", str(len(inst.db.facts) - 1)
+        )
+        assert set(outputs.values()) == {(3, "", f"error: {refused.value}\n")}
+
+
+def test_reports_never_build_the_completion(capsys, tmp_path, monkeypatch):
+    """The rows stream from the active domain: with every binding of
+    `signed_database` made to fail, the reports still match the reference."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the signed completion was materialized")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "negshapley" and hasattr(module, "signed_database"):
+            monkeypatch.setattr(module, "signed_database", refuse)
+    for inst in corpus(500)[::25]:
+        _assert_matches_reference(capsys, tmp_path, inst.q, inst.db, str(inst))

@@ -283,6 +283,39 @@ def test_ms_shapley_agrees_with_closed_form_and_oracle():
                     assert results[p].score == oracles.oracle_shapley(g.players, wealth, p)
 
 
+def test_ms_shapley_scores_one_target_without_the_completion(monkeypatch):
+    """Each player's entry of `ms_scores`, and the same refusals for facts
+    outside the player set, with `signed_database` made to fail."""
+    import negshapley.shapley as shapley
+
+    instances = corpus(500)[:60]
+    expected = [
+        {mode: ms_scores(inst.q, inst.db, mode=mode) for mode in ("signed", "positive")}
+        for inst in instances
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the signed completion was materialized")
+
+    monkeypatch.setattr(shapley, "signed_database_restricted", refuse)
+    monkeypatch.setattr(shapley, "signed_database", refuse)
+    for inst, by_mode in zip(instances, expected):
+        for mode, scores in by_mode.items():
+            for p, result in scores.items():
+                assert ms_shapley(inst.q, inst.db, p, mode=mode) == result
+        outside = [negative(fact("S", "zz")), negative(fact("Unknown", "a")),
+                   *map(negative, inst.db.sorted_facts)]
+        for target in outside:
+            with pytest.raises(PlayerSetError, match="not in the signed completion"):
+                ms_shapley(inst.q, inst.db, target)
+        with pytest.raises(PlayerSetError, match="signed facts; got a plain fact"):
+            ms_shapley(inst.q, inst.db, inst.db.sorted_facts[0])
+        with pytest.raises(PlayerSetError, match="plain facts; got a signed fact"):
+            ms_shapley(inst.q, inst.db, positive(inst.db.sorted_facts[0]), mode="positive")
+        with pytest.raises(PlayerSetError, match="is not in the database"):
+            ms_shapley(inst.q, inst.db, fact("S", "zz"), mode="positive")
+
+
 def test_ms_scores_sum_to_support_count_and_total_size():
     """Every player is scored, in player order; reciprocal scores sum to the
     number of minimal supports and constant-weight scores to their total
