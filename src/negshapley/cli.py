@@ -19,9 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .core import (
-    Database, Sign, load_database, parse_fact, parse_signed_fact, signed_fact_key,
-)
+from .core import Database, SignedFact, load_database, parse_fact, parse_signed_fact
 from .errors import CapExceededError, InputParseError, SemanticError
 from .query import Query, analyze_query, neg_rels, parse_query
 from .relevance import _report
@@ -131,7 +129,7 @@ def _load_query(path: str) -> Query:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputParseError(f"cannot read query file: {exc}") from exc
     return parse_query(re.sub(r"#[^\n]*", "", text))
 
@@ -139,7 +137,7 @@ def _load_query(path: str) -> Query:
 def _load_db(path: str) -> Database:
     try:
         return load_database(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputParseError(f"cannot read fact file: {exc}") from exc
 
 
@@ -389,44 +387,40 @@ def _cmd_report(args: argparse.Namespace) -> None:
     db = _load_db(args.db)
     # One search gives both support families for the verdict columns and the
     # closed-form columns alike, and one compiled drastic game serves the
-    # impact column and the drastic column.  Scores are kept by completion
-    # key for the support members only; every other fact shares one zero.
+    # impact column and the drastic column.  Scores are kept for the support
+    # members only, ms-signed by signed fact and the others by fact; every
+    # other fact shares one zero.
     signed, positive, game, impacts, rows = _report(q, db, args.cap_signed)
     scores: list[dict] = []
     if args.command == "compare":
-        plus = lambda f: (Sign.POSITIVE, f.relation, f.args)
         scores = [
-            {key(p): _rational(r.score) for p, r in _ms_results(
+            {p: _rational(r.score) for p, r in _ms_results(
                 {p for s in family for p in s.elements}, family, reciprocal_weight
             ).items()}
-            for key, family in ((signed_fact_key, signed), (plus, positive))
+            for family in (signed, positive)
         ]
         records = _game_records(game, "auto", args.cap_subset, args.cap_perm)
         scores.append({
-            plus(p): r["values"][game.kind.value] if "values" in r else {"error": r["error"]}
+            p: r["values"][game.kind.value] if "values" in r else {"error": r["error"]}
             for p, r in zip(game.players, records)
         })
     measures, zero = _COMPARED[:len(scores)], _rational(Fraction(0))
 
-    def subject(key: tuple) -> str:
-        sign, relation, args = key
-        return f"{'+-'[sign]}{relation.name}({','.join(args)})"
+    def values(sf: SignedFact, positive: bool | None) -> dict:
+        players = (sf,) if positive is None else (sf, sf.fact, sf.fact)  # - facts: ms-signed
+        return {m: by_player.get(p, zero) for m, by_player, p in zip(measures, scores, players)}
 
-    def values(key: tuple, positive: bool | None) -> dict:
-        scored = scores if positive is not None else scores[:1]  # - facts: ms-signed
-        return {m: by_key.get(key, zero) for m, by_key in zip(measures, scored)}
-
-    def record(key, signed, positive, impact) -> dict:
-        shown = dict(zip(_VERDICT_COLUMNS, (subject(key), signed, positive, impact)))
+    def record(sf, signed, positive, impact) -> dict:
+        shown = dict(zip(_VERDICT_COLUMNS, (str(sf), signed, positive, impact)))
         if measures:
-            shown["values"] = values(key, positive)
+            shown["values"] = values(sf, positive)
         return shown
 
-    def cells(key, signed, positive, impact) -> list[str]:
-        shown = [subject(key), _bool(signed), "-" if positive is None else _bool(positive),
+    def cells(sf, signed, positive, impact) -> list[str]:
+        shown = [str(sf), _bool(signed), "-" if positive is None else _bool(positive),
                  "-" if impact is None else impact]
         if measures:
-            shown += map(_value_cell, map(values(key, positive).get, measures))
+            shown += map(_value_cell, map(values(sf, positive).get, measures))
         return shown
 
     payload = lambda: {"command": args.command, "query": str(q),
@@ -437,8 +431,8 @@ def _cmd_report(args: argparse.Namespace) -> None:
     negated = [len(r.name) + 2 + r.arity * (longest + 1) for r in neg_rels(q)]
     fact = max([len(str(f)) + 1 for f in db.facts] + (negated if longest else []), default=0)
     widths = [fact, 0, 0, max(map(len, impacts.values()), default=0)]
-    widths += [max(map(len, map(_value_cell, by_key.values())), default=0)
-               for by_key in scores]
+    widths += [max(map(len, map(_value_cell, by_player.values())), default=0)
+               for by_player in scores]
     header = (*_VERDICT_COLUMNS, *measures)
     _emit(args, payload, lambda: _table(header, widths, itertools.starmap(cells, rows)))
 

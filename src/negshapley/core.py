@@ -5,6 +5,10 @@ completion marks every present fact with ``+`` and every absent fact over the
 active domain with ``-``.  Completions blow up as ``|adom|^arity``, so the
 constructor takes a hard cap (which `completion_size` checks by counting) and
 most callers restrict the negative side to the relations a query negates.
+
+Facts and signed facts are named tuples, ``(relation, args)`` and ``(sign,
+fact)``: they hash, compare and sort as those tuples do, and a completion
+streams them straight from the active domain (`iter_completion`).
 """
 from __future__ import annotations
 
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from itertools import chain, filterfalse, product, repeat
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -42,25 +45,28 @@ class Sign(IntEnum):
         return "+" if self is Sign.POSITIVE else "-"
 
 
-@dataclass(frozen=True, order=True)
-class Fact:
-    """A ground atom: a relation applied to a tuple of constants.
-
-    Constants are plain strings.  The derived ordering (relation name,
-    arity, then the constant tuple) is the canonical order used for all
-    deterministic output.
-    """
-
+class _FactFields(NamedTuple):
     relation: Relation
     args: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.args) != self.relation.arity:
+
+class Fact(_FactFields):
+    """A ground atom: a relation applied to a tuple of constants.
+
+    Constants are plain strings.  A fact is the tuple ``(relation, args)``
+    and equals it, so tuple order (relation name, arity, then the
+    constants) is the canonical order used for all deterministic output.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, relation: Relation, args: tuple[str, ...]) -> Fact:
+        if len(args) != relation.arity:
             raise ArityError(
-                f"fact {self.relation.name}({','.join(self.args)}) has "
-                f"{len(self.args)} arguments but {self.relation.name} has "
-                f"arity {self.relation.arity}"
+                f"fact {relation.name}({','.join(args)}) has {len(args)} arguments "
+                f"but {relation.name} has arity {relation.arity}"
             )
+        return tuple.__new__(cls, (relation, args))
 
     def __str__(self) -> str:
         return f"{self.relation.name}({','.join(self.args)})"
@@ -71,21 +77,16 @@ def fact(name: str, *args: str) -> Fact:
     return Fact(Relation(name, len(args)), tuple(args))
 
 
-@dataclass(frozen=True, order=True)
-class SignedFact:
-    """A fact together with a polarity, rendered as ``+R(a,b)`` / ``-R(a,b)``."""
+class SignedFact(NamedTuple):
+    """A fact together with a polarity, rendered as ``+R(a,b)`` / ``-R(a,b)``;
+    the tuple ``(sign, fact)``, so ``+`` facts sort before ``-`` facts."""
 
     sign: Sign
     fact: Fact
 
     def __str__(self) -> str:
-        return f"{self.sign.symbol}{self.fact}"
-
-
-#: Sort keys giving the canonical order of facts and of signed facts as plain
-#: tuples, which compare much faster than the dataclass ordering does.
-fact_key = attrgetter("relation", "args")
-signed_fact_key = attrgetter("sign", "fact.relation", "fact.args")
+        sign, (relation, args) = self
+        return f"{'+-'[sign]}{relation.name}({','.join(args)})"
 
 
 def positive(f: Fact) -> SignedFact:
@@ -125,7 +126,7 @@ class Database:
 
     @cached_property
     def sorted_facts(self) -> tuple[Fact, ...]:
-        return tuple(sorted(self.facts, key=fact_key))
+        return tuple(sorted(self.facts))
 
     @cached_property
     def active_domain(self) -> frozenset[str]:
@@ -224,23 +225,26 @@ def completion_size(
     return _completion_shape(db, restrict_to, extra_relations, cap)[2]
 
 
-def completion_keys(
+def iter_completion(
     db: Database, *, restrict_to: Iterable[Relation] | None = None,
     extra_relations: Iterable[Relation] = (), cap: int | None = DEFAULT_SIGNED_CAP,
-) -> Iterator[tuple[Sign, Relation, tuple[str, ...]]]:
-    """`signed_database`'s members as ``(sign, relation, args)`` keys, in its order,
-    made one at a time; its checks and cap apply at the call, before any is made."""
+) -> Iterator[SignedFact]:
+    """`signed_database`'s members in its order, made one at a time; its
+    checks and cap apply at the call, before any is made."""
     base, negated, _ = _completion_shape(db, restrict_to, extra_relations, cap)
-    return _keys(base, negated)
+    return _completion(base, negated)
 
 
-def _keys(base: Database, negated: list[Relation]) -> Iterator[tuple]:
+def _completion(base: Database, negated: list[Relation]) -> Iterator[SignedFact]:
+    # The `-` facts skip `Fact.__new__`: their arity is right by construction.
+    new = tuple.__new__
     adom = sorted(base.active_domain)
-    yield from ((Sign.POSITIVE, f.relation, f.args) for f in base.sorted_facts)
+    yield from map(SignedFact, repeat(Sign.POSITIVE), base.sorted_facts)
     for rel in negated:
         stored = {f.args for f in base.facts if f.relation == rel}
         absent = filterfalse(stored.__contains__, product(adom, repeat=rel.arity))
-        yield from zip(repeat(Sign.NEGATIVE), repeat(rel), absent)
+        facts = map(new, repeat(Fact), zip(repeat(rel), absent))
+        yield from map(new, repeat(SignedFact), zip(repeat(Sign.NEGATIVE), facts))
 
 
 def signed_database(
@@ -262,9 +266,7 @@ def signed_database(
     then each negated relation's tuples over the sorted active domain.
     """
     base, negated, _ = _completion_shape(db, restrict_to, extra_relations, cap)
-    return SignedDatabase(base, tuple(
-        SignedFact(sign, Fact(rel, args)) for sign, rel, args in _keys(base, negated)
-    ))
+    return SignedDatabase(base, tuple(_completion(base, negated)))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +324,10 @@ def load_database(path: str | Path) -> Database:
             header = _HEADER_RE.match(line)
             if header is None:
                 raise FactSyntaxError(f"malformed header {line!r}", lineno)
-            name, arity = header.group(1), int(header.group(2))
+            try:
+                name, arity = header.group(1), int(header.group(2))
+            except ValueError:  # more digits than `int` converts
+                raise FactSyntaxError(f"malformed header {line!r}", lineno) from None
             if arity < 1:
                 raise FactSyntaxError(f"relation {name} declared with arity 0", lineno)
             known = arities.setdefault(name, arity)

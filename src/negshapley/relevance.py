@@ -12,9 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import gt, lt
 
-from .core import (
-    Database, Fact, Sign, SignedFact, completion_keys, fact_key, positive, signed_fact_key,
-)
+from .core import Database, Fact, Sign, SignedFact, iter_completion, positive
 from .errors import CapExceededError, SemanticError
 from .query import Query, neg_rels
 from .supports import (
@@ -121,34 +119,35 @@ def relevance_report(
     *_, rows = _report(q, db, signed_cap, impact_cap)
     return [
         RelevanceVerdict(
-            SignedFact(sign, Fact(rel, args)), signed, positive,
+            subject, signed, positive,
             None if impact in (None, "skipped") else ImpactKind(impact), impact == "skipped",
         )
-        for (sign, rel, args), signed, positive, impact in rows
+        for subject, signed, positive, impact in rows
     ]
 
 
 def _report(q: Query, db: Database, signed_cap: int | None, impact_cap: int = DEFAULT_IMPACT_CAP):
     """The minimal signed and positive supports, the drastic game, every
-    database fact's impact as reports show it (by `fact_key`), and a
-    generator of the report's rows: each `completion_keys` key with whether
-    it is signed-relevant, positive-relevant and its impact, the last two
-    ``None`` for ``-`` facts.  The game is compiled only for the impacts."""
-    keys = completion_keys(
+    database fact's impact as reports show it, and a generator of the
+    report's rows: each signed fact of the restricted completion, in order,
+    with whether it is signed-relevant, positive-relevant and its impact, the
+    last two ``None`` for ``-`` facts.  The game is compiled only for the
+    impacts."""
+    completion = iter_completion(
         db, restrict_to=neg_rels(q), extra_relations=q.relations, cap=signed_cap
     )
     signed, plain = support_families(q, db)
     drastic = make_game(q, db, WealthKind.DRASTIC_DIRECT)
     if len(db.facts) > impact_cap:
-        impacts = dict.fromkeys(map(fact_key, db.facts), "skipped")
+        impacts = dict.fromkeys(db.facts, "skipped")
     else:
-        impacts = {fact_key(f): kind.value for f, kind in _impacts(drastic).items()}
-    in_signed = {signed_fact_key(sf) for support in signed for sf in support.elements}
-    in_plain = {fact_key(f) for support in plain for f in support.elements}
+        impacts = {f: kind.value for f, kind in _impacts(drastic).items()}
+    in_signed = {sf for support in signed for sf in support.elements}
+    in_plain = {f for support in plain for f in support.elements}
     rows = (
-        (key, key in in_signed, key[1:] in in_plain, impacts[key[1:]])
-        if key[0] is Sign.POSITIVE  # the completion's + facts are the database's
-        else (key, key in in_signed, None, None)
-        for key in keys
+        (sf, sf in in_signed, sf.fact in in_plain, impacts[sf.fact])
+        if sf.sign is Sign.POSITIVE  # the completion's + facts are the database's
+        else (sf, sf in in_signed, None, None)
+        for sf in completion
     )
     return signed, plain, drastic, impacts, rows

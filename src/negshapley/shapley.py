@@ -36,7 +36,7 @@ from functools import cached_property
 from operator import mul, sub
 from typing import Callable, Iterable, Literal, Mapping, Union
 
-from .core import Database, Fact, Sign, SignedFact, completion_size, signed_database
+from .core import Database, Fact, Sign, SignedFact, completion_size
 from .errors import CapExceededError, PlayerSetError
 from .query import Query, neg_rels, signed_database_restricted
 from .supports import (
@@ -137,27 +137,19 @@ class Game:
 
 
 def make_game(
-    q: Query,
-    db: Database,
-    kind: WealthKind,
-    *,
-    signed_cap: int | None = None,
-    full_completion: bool = False,
+    q: Query, db: Database, kind: WealthKind, *, signed_cap: int | None = None
 ) -> Game:
     """Bind a wealth kind to a concrete query and database.
 
     Signed games play over the completion restricted to the query's negated
-    relations; ``full_completion`` widens that to every relation, which
-    leaves the scores of the restricted players unchanged (the extra players
-    are null) and is exposed so that invariance can be checked.
+    relations: the completion's other players are null, so leaving them out
+    leaves every score unchanged.
     """
     kind = WealthKind(kind)
     if kind.signed_players:
-        if full_completion:
-            completion = signed_database(db, extra_relations=q.relations, cap=signed_cap)
-        else:
-            completion = signed_database_restricted(db, q, cap=signed_cap)
-        players: tuple[Player, ...] = completion.sorted_facts
+        players: tuple[Player, ...] = signed_database_restricted(
+            db, q, cap=signed_cap
+        ).sorted_facts
     else:
         players = db.sorted_facts
     return Game(kind=kind, q=q, db=db, players=players)
@@ -320,19 +312,3 @@ def ms_shapley(
         raise PlayerSetError("positive mode scores plain facts; got a signed fact")
     raise PlayerSetError(f"{target} is not in the database")
 
-
-def wsms_closed_form(
-    q: Query,
-    db: Database,
-    target: Player,
-    *,
-    weight: WeightFunction = reciprocal_weight,
-    mode: SupportMode = "signed",
-    signed_cap: int | None = None,
-) -> Fraction:
-    """Σ of ``weight(|S|)`` over the minimal supports S containing the
-    target: the score of `ms_shapley`.  With the reciprocal weight this is
-    the Shapley value of the corresponding counting game."""
-    return ms_shapley(
-        q, db, target, weight=weight, mode=mode, signed_cap=signed_cap
-    ).score

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add, and_, attrgetter
+from operator import add, and_
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence, Union
 
 from .core import (
@@ -45,10 +45,8 @@ from .core import (
     SignedFact,
     completion_size,
     database,
-    fact_key,
     negative,
     positive,
-    signed_fact_key,
 )
 from .errors import ArityError, CapExceededError, SemanticError
 from .query import Atom, Conjunct, Const, Inequality, Query, neg_rels
@@ -61,8 +59,6 @@ DEFAULT_ENTAILMENT_CAP = 24
 #: The assignment search recurses once per positive atom of a disjunct;
 #: deeper disjuncts are refused before it starts.
 MAX_POSITIVE_ATOMS = 256
-
-_args = attrgetter("args")
 
 SupportKind = Literal["signed", "positive", "dMonotone"]
 
@@ -304,7 +300,7 @@ def _iter_assignments(
     for f in plain:
         fact_index.setdefault(f.relation, []).append(f)
     for relation_facts in fact_index.values():
-        relation_facts.sort(key=_args)  # fact order, within one relation
+        relation_facts.sort()
 
     for idx, cq in enumerate(q.disjuncts):
         for binding, image in _disjunct_assignments(cq, fact_index, plain, context_facts):
@@ -426,8 +422,7 @@ def _minimal_sets(kind: SupportKind, family: set[frozenset]) -> list[SupportSet]
     Two distinct sets of one size never contain each other, so each set is
     tested only against the kept sets that are strictly smaller.
     """
-    key = signed_fact_key if kind == "signed" else fact_key
-    by_size = sorted(family, key=lambda s: (len(s), sorted(map(key, s))))
+    by_size = sorted(family, key=lambda s: (len(s), sorted(s)))
     kept: list[frozenset] = []
     for _, same_size in itertools.groupby(by_size, key=len):
         # The list is complete before it joins `kept`, which so far holds
@@ -542,7 +537,7 @@ def is_d_monotone_support(
     S = frozenset(S)
     if not S <= db.facts:
         raise SemanticError("a D-monotone support must be a subset of the database")
-    rest = sorted(db.facts - S, key=fact_key)
+    rest = sorted(db.facts - S)
     if len(rest) > cap:
         raise CapExceededError(
             f"D-monotonicity would check 2^{len(rest)} supersets (cap {cap})"

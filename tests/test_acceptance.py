@@ -37,10 +37,10 @@ from negshapley.relevance import (
 from negshapley.shapley import (
     WealthKind,
     make_game,
+    ms_shapley,
     permutation_marginal_counts,
     shapley_permutation,
     shapley_subset,
-    wsms_closed_form,
 )
 from negshapley.supports import (
     entailment_supports_bounded,
@@ -166,7 +166,7 @@ def test_criterion_2_triangle_exact_scores():
     )
     by_subset = {str(p): shapley_subset(game, p) for p in game.players}
     by_closed = {
-        str(p): wsms_closed_form(Q_TRIANGLE, TRIANGLE_DB, p) for p in game.players
+        str(p): ms_shapley(Q_TRIANGLE, TRIANGLE_DB, p).score for p in game.players
     }
     clauses.append(("subset-formula scores match exactly", by_subset == expected))
     clauses.append(("closed-form scores match exactly", by_closed == expected))
@@ -371,14 +371,14 @@ def test_criterion_5_oracle_equivalence_properties():
 
             if kind is WealthKind.MS_SIGNED:
                 for p, want in zip(players, engine_scores):
-                    got = wsms_closed_form(q, db, p, mode="signed")
+                    got = ms_shapley(q, db, p, mode="signed").score
                     assert got == want, (str(inst), str(p))
                     closed_comparisons += 1
                     if got != 0:
                         signed_members.add(p)
             elif kind is WealthKind.MPS_POSITIVE:
                 for p, want in zip(players, engine_scores):
-                    got = wsms_closed_form(q, db, p, mode="positive")
+                    got = ms_shapley(q, db, p, mode="positive").score
                     assert got == want, (str(inst), str(p))
                     closed_comparisons += 1
                     if got != 0:

@@ -471,6 +471,23 @@ def test_exit_1_on_missing_file(capsys, paths):
     assert code == 1 and "cannot read" in err
 
 
+def test_exit_1_on_fact_file_that_is_not_utf8(capsys, paths, tmp_path):
+    bad = tmp_path / "bad.facts"
+    bad.write_bytes(b"\xffI(a,b)\n")
+    code, out, err = run(capsys, "supports", "--db", str(bad), "--query", paths["q"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read fact file: 'utf-8' codec can't decode")
+
+
+def test_exit_1_on_query_file_that_is_not_utf8(capsys, paths, tmp_path):
+    bad = tmp_path / "bad.query"
+    bad.write_bytes(b"exists x. I(x,\"fish\")\xfe\n")
+    for argv in (["supports", "--db", paths["db"]], ["analyze"]):
+        code, out, err = run(capsys, *argv, "--query", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot read query file: 'utf-8' codec can't decode")
+
+
 def test_exit_1_on_unknown_flag(capsys, paths):
     code, _, err = run(
         capsys, "supports", "--db", paths["db"], "--query", paths["q"], "--bogus"

@@ -1,15 +1,20 @@
 """Facts, databases, and signed completions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negshapley.core import (
     DEFAULT_SIGNED_CAP,
     Database,
+    Fact,
     Relation,
     Sign,
+    SignedFact,
     completion_size,
     database,
     fact,
+    iter_completion,
     load_database,
     negative,
     parse_fact,
@@ -30,11 +35,46 @@ def test_fact_ordering_is_by_relation_then_args():
 
 
 def test_fact_arity_mismatch_rejected():
-    with pytest.raises(ArityError):
-        # Relation says binary, only one argument supplied.
-        from negshapley.core import Fact
+    with pytest.raises(ArityError, match=r"fact R\(a\) has 1 arguments but R has arity 2"):
+        Fact(Relation("R", 2), ("a",))  # Relation says binary, one argument supplied
 
-        Fact(Relation("R", 2), ("a",))
+
+def test_facts_are_the_tuples_of_their_fields():
+    R = Relation("R", 2)
+    f = Fact(R, ("a", "b"))
+    assert isinstance(f, tuple) and f == (R, ("a", "b"))
+    assert hash(f) == hash((R, ("a", "b")))
+    assert positive(f) == (Sign.POSITIVE, (R, ("a", "b")))
+    assert hash(negative(f)) == hash((Sign.NEGATIVE, (R, ("a", "b"))))
+    assert negative(f) != positive(f) and f not in {positive(f), negative(f)}
+
+
+def test_fact_reprs():
+    assert repr(fact("R", "a", "b")) == (
+        "Fact(relation=Relation(name='R', arity=2), args=('a', 'b'))"
+    )
+    assert repr(negative(fact("R", "a"))) == (
+        "SignedFact(sign=<Sign.NEGATIVE: 1>, "
+        "fact=Fact(relation=Relation(name='R', arity=1), args=('a',)))"
+    )
+
+
+_facts = st.builds(
+    lambda name, args: fact(name, *args),
+    st.sampled_from(["A", "B", "R", "Rb", "a"]),
+    st.lists(st.sampled_from(["a", "b", "ab", "B", "0"]), min_size=1, max_size=3),
+)
+_signed_facts = st.builds(SignedFact, st.sampled_from(Sign), _facts)
+
+
+@given(st.lists(_facts, max_size=12), st.lists(_signed_facts, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_canonical_order_is_name_arity_args(facts, signed):
+    """Facts sort by relation name, arity and constants; signed facts by
+    sign first."""
+    by_fields = lambda f: (f.relation.name, f.relation.arity, f.args)
+    assert sorted(facts) == sorted(facts, key=by_fields)
+    assert sorted(signed) == sorted(signed, key=lambda sf: (sf.sign, *by_fields(sf.fact)))
 
 
 def test_database_rejects_one_name_two_arities():
@@ -96,8 +136,21 @@ def test_completion_is_generated_in_sorted_order():
             assert completion_size(inst.db, **args) == len(sd), str(inst)
 
 
+def test_completion_members_are_signed_facts_of_facts():
+    """Every member of the built and of the streamed completion, the `-`
+    facts made without `Fact.__new__` included, has the exact types."""
+    for inst in corpus(500):
+        args = {"restrict_to": neg_rels(inst.q), "extra_relations": inst.q.relations}
+        built = signed_database(inst.db, **args).sorted_facts
+        streamed = tuple(iter_completion(inst.db, **args))
+        assert streamed == built, str(inst)
+        for sf in (*built, *streamed):
+            assert type(sf) is SignedFact and type(sf.fact) is Fact, str(inst)
+            assert type(sf.sign) is Sign and len(sf.fact.args) == sf.fact.relation.arity
+
+
 def test_completion_size_raises_what_the_completion_raises():
-    for build in (signed_database, completion_size):
+    for build in (signed_database, completion_size, iter_completion):
         with pytest.raises(CapExceededError, match="would hold 25 facts, above the cap of 24"):
             build(RECIPE_DB, cap=24)
         with pytest.raises(ArityError, match="relation I used with arities 2 and 1"):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negshapley.core import database, fact, negative, positive
+from negshapley.core import database, fact, negative, positive, signed_database
 from negshapley.errors import CapExceededError, PlayerSetError
 from negshapley.query import parse_query
 from negshapley.shapley import (
@@ -23,7 +23,6 @@ from negshapley.shapley import (
     shapley_permutation,
     shapley_subset,
     shapley_values,
-    wsms_closed_form,
 )
 from negshapley.supports import minimal_positive_supports, minimal_signed_supports
 
@@ -126,7 +125,7 @@ def test_triangle_scores_by_all_three_routes():
     for p in g.players:
         want = expected[str(p)]
         assert shapley_subset(g, p) == want, str(p)
-        assert wsms_closed_form(Q_TRIANGLE, TRIANGLE_DB, p) == want, str(p)
+        assert ms_shapley(Q_TRIANGLE, TRIANGLE_DB, p).score == want, str(p)
     # 9 players exceeds the permutation cap; use the oracle's subset formula
     # over oracle-derived wealth as the independent third route
     wealth = oracles.oracle_wealth("ms-signed", Q_TRIANGLE, TRIANGLE_DB)
@@ -136,10 +135,10 @@ def test_triangle_scores_by_all_three_routes():
 
 
 def test_recipe_positive_mode_closed_form():
-    assert wsms_closed_form(Q_FISH, RECIPE_DB, fact("I", "mm", "fish"),
-                            mode="positive") == 1
-    assert wsms_closed_form(Q_FISH, RECIPE_DB, fact("I", "mp", "fish"),
-                            mode="positive") == 0
+    assert ms_shapley(Q_FISH, RECIPE_DB, fact("I", "mm", "fish"),
+                      mode="positive").score == 1
+    assert ms_shapley(Q_FISH, RECIPE_DB, fact("I", "mp", "fish"),
+                      mode="positive").score == 0
 
 
 def test_ms_shapley_reports_the_size_histogram():
@@ -156,9 +155,6 @@ def test_constant_weight_counts_containing_supports():
         Q_TRIANGLE, TRIANGLE_DB, positive(fact("E", "b", "c")), weight=constant_weight
     )
     assert r.score == 2
-    assert wsms_closed_form(
-        Q_TRIANGLE, TRIANGLE_DB, positive(fact("E", "b", "c")), weight=constant_weight
-    ) == 2
 
 
 def test_weight_presets():
@@ -192,7 +188,7 @@ def test_target_must_be_a_player():
     with pytest.raises(PlayerSetError):
         shapley_subset(g, fact("I", "mm", "fish"))  # plain fact, signed game
     with pytest.raises(PlayerSetError):
-        wsms_closed_form(Q_FISH, RECIPE_DB, fact("I", "zz", "zz"), mode="positive")
+        ms_shapley(Q_FISH, RECIPE_DB, fact("I", "zz", "zz"), mode="positive")
     with pytest.raises(PlayerSetError):
         ms_shapley(Q_FISH, RECIPE_DB, negative(fact("I", "mm", "fish")),
                    mode="positive")
@@ -252,7 +248,7 @@ def test_closed_form_equals_subset_shapley_across_corpus():
                            (WealthKind.MPS_POSITIVE, "positive")):
             g = make_game(inst.q, inst.db, kind)
             for p in g.players:
-                assert wsms_closed_form(inst.q, inst.db, p, mode=mode) == (
+                assert ms_shapley(inst.q, inst.db, p, mode=mode).score == (
                     shapley_subset(g, p)
                 ), (str(inst), kind, str(p))
                 checked += 1
@@ -286,7 +282,7 @@ def test_ms_shapley_agrees_with_closed_form_and_oracle():
 def test_ms_shapley_scores_one_target_without_the_completion(monkeypatch):
     """Each player's entry of `ms_scores`, and the same refusals for facts
     outside the player set, with `signed_database` made to fail."""
-    import negshapley.shapley as shapley
+    import sys
 
     instances = corpus(500)[:60]
     expected = [
@@ -297,8 +293,10 @@ def test_ms_shapley_scores_one_target_without_the_completion(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the signed completion was materialized")
 
-    monkeypatch.setattr(shapley, "signed_database_restricted", refuse)
-    monkeypatch.setattr(shapley, "signed_database", refuse)
+    for name, module in list(sys.modules.items()):
+        for attr in ("signed_database", "signed_database_restricted"):
+            if name.split(".")[0] == "negshapley" and hasattr(module, attr):
+                monkeypatch.setattr(module, attr, refuse)
     for inst, by_mode in zip(instances, expected):
         for mode, scores in by_mode.items():
             for p, result in scores.items():
@@ -350,7 +348,8 @@ def test_restriction_consistency():
     """Scores over the full completion equal scores over the restricted one,
     and the extra players of the full completion are all null."""
     restricted = make_game(Q_CHAIN, ENTAIL_DB, WealthKind.MS_SIGNED)
-    full = make_game(Q_CHAIN, ENTAIL_DB, WealthKind.MS_SIGNED, full_completion=True)
+    completion = signed_database(ENTAIL_DB, extra_relations=Q_CHAIN.relations)
+    full = Game(WealthKind.MS_SIGNED, Q_CHAIN, ENTAIL_DB, completion.sorted_facts)
     assert set(restricted.players) < set(full.players)
     for p in full.players:
         score = shapley_subset(full, p)
