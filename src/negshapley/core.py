@@ -9,12 +9,13 @@ most callers restrict the negative side to the relations a query negates.
 Facts and signed facts are named tuples, ``(relation, args)`` and ``(sign,
 fact)``: they hash, compare and sort as those tuples do, and a completion
 streams them straight from the active domain (`iter_completion`).
+`Database` and `SignedDatabase` are not tuples (they iterate over their
+facts); they are equal when their class and fields are, and immutable.
 """
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
 from itertools import chain, filterfalse, product, repeat
@@ -108,21 +109,56 @@ def _unique_schema(relations: Iterable[Relation]) -> frozenset[Relation]:
     return frozenset(Relation(name, arity) for name, arity in by_name.items())
 
 
-@dataclass(frozen=True)
-class Database:
+class _Record:
+    """A value that is not a tuple: equal to, and hashing like, an instance
+    of the same class with equal ``_fields``; ``repr`` names the fields, and
+    assignment raises `AttributeError`.  ``__init__`` sets each field once
+    through ``object.__setattr__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Database(_Record):
     """An immutable set of facts whose relations all belong to the schema."""
 
+    _fields = ("schema", "facts")
     schema: frozenset[Relation]
     facts: frozenset[Fact]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "schema", _unique_schema(self.schema))
-        object.__setattr__(self, "facts", frozenset(self.facts))
-        for f in self.facts:
-            if f.relation not in self.schema:
+    def __init__(self, schema: Iterable[Relation], facts: Iterable[Fact]) -> None:
+        schema, facts = _unique_schema(schema), frozenset(facts)
+        for f in facts:
+            if f.relation not in schema:
                 raise ArityError(
                     f"fact {f} does not match the schema entry for {f.relation.name}"
                 )
+        object.__setattr__(self, "schema", schema)
+        object.__setattr__(self, "facts", facts)
 
     @cached_property
     def sorted_facts(self) -> tuple[Fact, ...]:
@@ -149,13 +185,17 @@ def database(facts: Iterable[Fact] = (), schema: Iterable[Relation] = ()) -> Dat
     return Database(frozenset(schema) | {f.relation for f in facts}, facts)
 
 
-@dataclass(frozen=True)
-class SignedDatabase:
+class SignedDatabase(_Record):
     """A completion: the base facts marked ``+`` plus absent facts marked
     ``-``, held in canonical order."""
 
+    _fields = ("base", "sorted_facts")
     base: Database
     sorted_facts: tuple[SignedFact, ...]
+
+    def __init__(self, base: Database, sorted_facts: tuple[SignedFact, ...]) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "sorted_facts", sorted_facts)
 
     @cached_property
     def signed_facts(self) -> frozenset[SignedFact]:
@@ -208,9 +248,18 @@ def _completion_shape(
     cap = DEFAULT_SIGNED_CAP if cap is None else cap
     if total > cap:
         raise CapExceededError(
-            f"signed completion would hold {total} facts, above the cap of {cap}"
+            f"signed completion would hold {_decimal(total)} facts, above the cap of {cap}"
         )
     return base, sorted(negated), total
+
+
+def _decimal(n: int) -> str:
+    """``n`` in decimal, or ``at least 2^k`` past the interpreter's limit on
+    the digits of an int-to-str conversion."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2^{n.bit_length() - 1}"
 
 
 def completion_size(

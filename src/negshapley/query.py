@@ -18,32 +18,46 @@ of a negated atom or inequality must also occur in a positive atom of the
 same disjunct (safe negation).  Queries are Boolean: there are no free
 variables, and a disjunct's ``exists`` list must cover every variable it
 uses.
+
+Atoms, inequalities, conjuncts, queries and the analysis records are named
+tuples: each equals, and hashes like, the tuple of its fields.  Terms are
+not: a `Var` equals only a `Var` of the same name and a `Const` only a
+`Const` of the same value, so ``x != "x"`` compares two different terms.
 """
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
-from .core import Database, Relation, SignedDatabase, signed_database
+from .core import Database, Relation, SignedDatabase, _Record, signed_database
 from .errors import ArityError, QuerySyntaxError, SafetyError, SemanticError
 
 _RESERVED = {"exists"}
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(_Record):
+    """A variable; never equal to a `Const`, whatever the two names."""
+
+    __slots__ = _fields = ("name",)
     name: str
+
+    def __init__(self, name: str) -> None:
+        object.__setattr__(self, "name", name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(_Record):
+    """A constant; never equal to a `Var`."""
+
+    __slots__ = _fields = ("value",)
     value: str
+
+    def __init__(self, value: str) -> None:
+        object.__setattr__(self, "value", value)
 
     def __str__(self) -> str:
         return f'"{self.value}"'
@@ -52,20 +66,27 @@ class Const:
 Term = Union[Var, Const]
 
 
-@dataclass(frozen=True)
-class Atom:
-    """A relational literal, positive or negated."""
-
+class _AtomFields(NamedTuple):
     relation: Relation
     terms: tuple[Term, ...]
     negated: bool = False
 
-    def __post_init__(self) -> None:
-        if len(self.terms) != self.relation.arity:
+
+class Atom(_AtomFields):
+    """A relational literal, positive or negated: the tuple
+    ``(relation, terms, negated)``."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, relation: Relation, terms: tuple[Term, ...], negated: bool = False
+    ) -> Atom:
+        if len(terms) != relation.arity:
             raise ArityError(
-                f"atom over {self.relation.name} has {len(self.terms)} terms "
-                f"but arity {self.relation.arity}"
+                f"atom over {relation.name} has {len(terms)} terms "
+                f"but arity {relation.arity}"
             )
+        return tuple.__new__(cls, (relation, terms, negated))
 
     @property
     def variables(self) -> frozenset[str]:
@@ -76,8 +97,7 @@ class Atom:
         return f"{'!' if self.negated else ''}{self.relation.name}({body})"
 
 
-@dataclass(frozen=True)
-class Inequality:
+class Inequality(NamedTuple):
     left: Term
     right: Term
 
@@ -92,34 +112,37 @@ class Inequality:
 Literal = Union[Atom, Inequality]
 
 
-@dataclass(frozen=True)
-class Conjunct:
-    """One disjunct: declared variables plus a conjunction of literals."""
-
+class _ConjunctFields(NamedTuple):
     variables: tuple[str, ...]
     literals: tuple[Literal, ...]
 
-    def __post_init__(self) -> None:
-        if not self.literals:
+
+class Conjunct(_ConjunctFields):
+    """One disjunct: declared variables plus a conjunction of literals, the
+    tuple ``(variables, literals)``.  No ``__slots__``: the cached
+    properties keep their values in the instance ``__dict__``."""
+
+    def __new__(cls, variables: tuple[str, ...], literals: tuple[Literal, ...]) -> Conjunct:
+        if not literals:
             raise SemanticError("a disjunct needs at least one literal")
-        declared = set(self.variables)
-        if len(declared) != len(self.variables):
+        declared = set(variables)
+        if len(declared) != len(variables):
             raise SemanticError(
-                f"duplicate variable in 'exists {', '.join(self.variables)}'"
+                f"duplicate variable in 'exists {', '.join(variables)}'"
             )
-        used = frozenset(v for lit in self.literals for v in lit.variables)
+        used = frozenset(v for lit in literals for v in lit.variables)
         undeclared = used - declared
         if undeclared:
             raise SemanticError(
                 f"variable {sorted(undeclared)[0]} is used but not declared by 'exists'"
             )
         positive_vars = frozenset(
-            v for lit in self.literals if isinstance(lit, Atom) and not lit.negated
+            v for lit in literals if isinstance(lit, Atom) and not lit.negated
             for v in lit.variables
         )
-        if not any(isinstance(lit, Atom) and not lit.negated for lit in self.literals):
+        if not any(isinstance(lit, Atom) and not lit.negated for lit in literals):
             raise SafetyError("a disjunct needs at least one positive atom")
-        for lit in self.literals:
+        for lit in literals:
             if isinstance(lit, Atom) and not lit.negated:
                 continue
             for v in sorted(lit.variables - positive_vars):
@@ -127,6 +150,7 @@ class Conjunct:
                     f"unsafe variable {v} in {lit}: it does not occur "
                     f"in any positive atom of the disjunct"
                 )
+        return tuple.__new__(cls, (variables, literals))
 
     @cached_property
     def positive_atoms(self) -> tuple[Atom, ...]:
@@ -168,15 +192,18 @@ def conjunct(literals: Iterable[Literal], variables: Iterable[str] | None = None
     return Conjunct(tuple(variables), literals)
 
 
-@dataclass(frozen=True)
-class Query:
-    """A Boolean union of conjuncts."""
-
+class _QueryFields(NamedTuple):
     disjuncts: tuple[Conjunct, ...]
 
-    def __post_init__(self) -> None:
-        if not self.disjuncts:
+
+class Query(_QueryFields):
+    """A Boolean union of conjuncts: the 1-tuple ``(disjuncts,)``, with a
+    ``__dict__`` for its cached property."""
+
+    def __new__(cls, disjuncts: tuple[Conjunct, ...]) -> Query:
+        if not disjuncts:
             raise SemanticError("a query needs at least one disjunct")
+        self = tuple.__new__(cls, (disjuncts,))
         arities: dict[str, int] = {}
         for rel in self.relations:
             known = arities.setdefault(rel.name, rel.arity)
@@ -184,6 +211,7 @@ class Query:
                 raise ArityError(
                     f"relation {rel.name} used with arities {known} and {rel.arity}"
                 )
+        return self
 
     @cached_property
     def relations(self) -> frozenset[Relation]:
@@ -503,8 +531,7 @@ def negative_arity(q: Query) -> int:
     return max((rel.arity for rel in neg_rels(q)), default=0)
 
 
-@dataclass(frozen=True)
-class DisjunctAnalysis:
+class DisjunctAnalysis(NamedTuple):
     mergeable_pairs: tuple[tuple[int, int], ...]
     self_join_width: int
     self_join_free_positive: bool
@@ -513,8 +540,7 @@ class DisjunctAnalysis:
     has_non_hierarchical_neg_path: bool
 
 
-@dataclass(frozen=True)
-class QueryAnalysis:
+class QueryAnalysis(NamedTuple):
     """Structural summary; the two self-join-freeness fields differ on whether
     negated atoms count toward relation-name repetition."""
 

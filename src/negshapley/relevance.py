@@ -5,12 +5,13 @@ support, and a database fact is *positive-relevant* when it occurs in some
 minimal positive support.  *Impact* is the counterfactual notion: a fact has
 impact when adding it to some subset of the remaining database flips the
 query's truth value, classified by the direction(s) of the flips observed.
+A `RelevanceVerdict` is a named tuple, equal to the tuple of its fields.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import gt, lt
+from typing import NamedTuple
 
 from .core import Database, Fact, Sign, SignedFact, iter_completion, positive
 from .errors import CapExceededError, SemanticError
@@ -87,8 +88,7 @@ def _impacts(drastic: Game) -> dict[Fact, ImpactKind]:
     }
 
 
-@dataclass(frozen=True)
-class RelevanceVerdict:
+class RelevanceVerdict(NamedTuple):
     """One row of a relevance report.
 
     ``positive_relevant`` and ``impact`` are ``None`` for negative facts,

@@ -22,19 +22,19 @@ other weights give the general weighted-sum-of-minimal-supports scores.
 `ms_scores` evaluates it for every player from one enumeration of the
 minimal supports.
 
-All arithmetic is over `fractions.Fraction`; nothing here rounds.
+All arithmetic is over `fractions.Fraction`; nothing here rounds.  `Game`
+and `MsShapleyResult` are named tuples, equal to the tuples of their fields.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from operator import mul, sub
-from typing import Callable, Iterable, Literal, Mapping, Union
+from typing import Callable, Iterable, Literal, Mapping, NamedTuple, Union
 
 from .core import Database, Fact, Sign, SignedFact, completion_size
 from .errors import CapExceededError, PlayerSetError
@@ -96,19 +96,22 @@ class WealthKind(str, Enum):
         return None
 
 
-@dataclass(frozen=True)
-class Game:
-    """A wealth function bound to its player set.
-
-    The game is compiled on first use into witness masks over its players
-    (see `supports.compile_witnesses`), so a game that a cap rejects never
-    enumerates assignments.
-    """
-
+class _GameFields(NamedTuple):
     kind: WealthKind
     q: Query
     db: Database
     players: tuple[Player, ...]
+
+
+class Game(_GameFields):
+    """A wealth function bound to its player set: the tuple ``(kind, q, db,
+    players)``.
+
+    The game is compiled on first use into witness masks over its players
+    (see `supports.compile_witnesses`), so a game that a cap rejects never
+    enumerates assignments.  No ``__slots__``: the compiled masks and table
+    are cached in the instance ``__dict__``.
+    """
 
     @cached_property
     def _index(self) -> dict[Player, int]:
@@ -227,8 +230,7 @@ def shapley_permutation(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MsShapleyResult:
+class MsShapleyResult(NamedTuple):
     """Score plus the sizes of the minimal supports that produced it."""
 
     score: Fraction

@@ -29,11 +29,13 @@ Minimal signed and positive supports are computed as the minimal elements of
 the set of assignment images, which coincide with the subset-minimal
 supports: every support contains the image of one of its own satisfying
 assignments, and every image is itself a support.
+
+`SupportSet` and `GuardedReduction` are named tuples, equal to the tuples
+of their fields.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import add, and_
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence, Union
 
@@ -67,8 +69,7 @@ Assignment = Mapping[str, str]
 FactLike = Union[Fact, SignedFact]
 
 
-@dataclass(frozen=True)
-class SupportSet:
+class SupportSet(NamedTuple):
     """A support together with its semantics kind and a minimality flag."""
 
     kind: SupportKind
@@ -740,8 +741,7 @@ def _satisfiable(clauses: list[frozenset[int]]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GuardedReduction:
+class GuardedReduction(NamedTuple):
     """Outcome of rewriting a guarded single-disjunct query over a database.
 
     ``q_plus`` keeps only the positive atoms.  ``d_prime`` keeps the facts

@@ -562,6 +562,23 @@ def test_signed_cap_is_checked_by_every_command(capsys, paths, command):
     assert err == "error: signed completion would hold 25 facts, above the cap of 3\n"
 
 
+@pytest.mark.parametrize("command", [("relevance",), ("supports", "--kind", "signed")])
+def test_signed_cap_names_a_size_too_long_to_print(capsys, tmp_path, command):
+    """A 15,000-ary negated relation over two constants: the completion's
+    size has more decimal digits than an int-to-str conversion allows, so
+    the message gives a power of two below it instead of a traceback."""
+    db, q = tmp_path / "s.facts", tmp_path / "wide.query"
+    db.write_text("S(a)\nS(b)\n")
+    q.write_text(f"exists x. S(x), !R({','.join(['x'] * 15000)})\n")
+    try:
+        size = str(2 + 2**15000)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        size = "at least 2^15000"
+    code, out, err = run(capsys, command[0], "--db", str(db), "--query", str(q), *command[1:])
+    assert (code, out) == (3, "")
+    assert err == f"error: signed completion would hold {size} facts, above the cap of 1000000\n"
+
+
 @pytest.mark.parametrize("command", _SIGNED_COMMANDS)
 def test_arity_clash_keeps_its_message(capsys, paths, command):
     clash = paths["dir"] / "clash.query"
