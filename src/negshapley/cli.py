@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import re
 import sys
 from fractions import Fraction
@@ -155,6 +154,8 @@ def _json(payload: dict) -> Iterator[str]:
     """``json.dumps(payload, indent=2)`` and a newline, in pieces: the last
     entry, a list or an iterator of records, is dumped a chunk at a time and
     re-indented from the top level to one level down."""
+    import json  # here: only ``--format json`` needs it
+
     *head, (name, records) = payload.items()
     yield json.dumps(dict(head), indent=2)[:-2] + f",\n  {json.dumps(name)}: ["
     records, separator = iter(records), "\n"

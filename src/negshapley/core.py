@@ -14,12 +14,12 @@ facts); they are equal when their class and fields are, and immutable.
 """
 from __future__ import annotations
 
+import os
 import re
 from collections import Counter
 from enum import IntEnum
 from functools import cached_property
 from itertools import chain, filterfalse, product, repeat
-from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ArityError, CapExceededError, FactSyntaxError
@@ -359,9 +359,10 @@ def _parse_fact_line(
     return facts
 
 
-def load_database(path: str | Path) -> Database:
+def load_database(path: str | os.PathLike) -> Database:
     """Read a facts file into a :class:`Database` (see module docstring)."""
-    text = Path(path).read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as stream:
+        text = stream.read()
     arities: dict[str, int] = {}
     facts: set[Fact] = set()
     declared_only: set[str] = set()

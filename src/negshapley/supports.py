@@ -15,7 +15,13 @@ context:
   satisfy the query outright;
 * the *bounded entailment* check asks whether every database over a given
   finite domain that includes the positive part of a signed set and avoids
-  its negative part satisfies the query.
+  its negative part satisfies the query; the search runs over the domain's
+  facts not forced absent, with the forced-present ones as context, and
+  each assignment becomes one clause.
+
+The *guarded reduction* also reads its two databases off the search: the
+images of each positive atom alone, and of the atom with its guards.  No
+other code here matches atoms to facts.
 
 The search matches a disjunct's positive atoms in order, depth first.  Which
 positions of an atom are already fixed when it is reached (constants, and
@@ -143,27 +149,6 @@ def _resolve(term, binding: dict[str, str]) -> str | None:
     return binding.get(term.name)
 
 
-def _match_plan(cq: Conjunct) -> list[tuple[Atom, list[Union[Atom, Inequality]]]]:
-    """Pair each positive atom with the checks that become ground after it.
-
-    A negated atom or inequality is scheduled at the first point where all
-    of its variables are bound; safety guarantees this point exists.
-    """
-    plan: list[tuple[Atom, list[Union[Atom, Inequality]]]] = []
-    bound: set[str] = set()
-    pending = list(cq.negated_atoms) + list(cq.inequalities)
-    ready0 = [lit for lit in pending if lit.variables <= bound]
-    pending = [lit for lit in pending if lit not in ready0]
-    for atom in cq.positive_atoms:
-        bound |= atom.variables
-        ready = [lit for lit in pending if lit.variables <= bound]
-        pending = [lit for lit in pending if not (lit.variables <= bound)]
-        plan.append((atom, ready0 + ready))
-        ready0 = []
-    assert not pending
-    return plan
-
-
 def _ground(atom: Atom, binding: dict[str, str]) -> Fact:
     return Fact(atom.relation, tuple(_resolve(t, binding) for t in atom.terms))
 
@@ -198,10 +183,15 @@ def _search_steps(
     cq: Conjunct, fact_index: dict[Relation, list[Fact]], facts: frozenset[Fact]
 ) -> list[_Step]:
     """The disjunct's match plan with each atom's facts bucketed by the
-    values at its fixed positions, keeping their order inside a bucket."""
+    values at its fixed positions, keeping their order inside a bucket.
+
+    Each negated atom and inequality is checked at the first atom that
+    grounds it; safety guarantees there is one.
+    """
     steps = []
     bound: set[str] = set()
-    for atom, checks in _match_plan(cq):
+    pending = [*cq.negated_atoms, *cq.inequalities]
+    for atom in cq.positive_atoms:
         key, fixed, binds, repeats, first = [], [], [], [], {}
         for i, term in enumerate(atom.terms):
             if isinstance(term, Const) or term.name in bound:
@@ -223,9 +213,11 @@ def _search_steps(
                 lookup.setdefault(tuple([f.args[i] for i in fixed]), []).append(f)
         else:
             lookup = relation_facts
-        steps.append(_Step(atom.relation, tuple(key), lookup,
-                           tuple(binds), tuple(repeats), tuple(checks)))
         bound |= atom.variables
+        checks = tuple(lit for lit in pending if lit.variables <= bound)
+        pending = [lit for lit in pending if not lit.variables <= bound]
+        steps.append(_Step(atom.relation, tuple(key), lookup,
+                           tuple(binds), tuple(repeats), checks))
     return steps
 
 
@@ -263,17 +255,6 @@ def _extend(
             del binding[name]
 
 
-def _disjunct_assignments(
-    cq: Conjunct,
-    fact_index: dict[Relation, list[Fact]],
-    facts: frozenset[Fact],
-    context: frozenset[Fact],
-) -> Iterator[tuple[dict[str, str], frozenset[Fact]]]:
-    """Yield (binding, image-of-positive-atoms) pairs, in deterministic order:
-    each atom's matches in fact order, depth first."""
-    return _extend(_search_steps(cq, fact_index, facts), 0, {}, (), context)
-
-
 def _iter_assignments(
     q: Query, facts: Iterable[FactLike], context: Iterable[Fact] | Database | None
 ) -> Iterator[tuple[int, dict[str, str], frozenset[Fact]]]:
@@ -297,14 +278,23 @@ def _iter_assignments(
             f"assignment search allows (limit {MAX_POSITIVE_ATOMS})"
         )
 
+    yield from _search(q.disjuncts, plain, context_facts)
+
+
+def _search(
+    disjuncts: Sequence[Conjunct], facts: frozenset[Fact], context: frozenset[Fact]
+) -> Iterator[tuple[int, dict[str, str], frozenset[Fact]]]:
+    """Yield (disjunct index, binding, image of the positive atoms), in
+    deterministic order: disjunct by disjunct, each atom's matches in fact
+    order, depth first.  Nothing is checked here: an atom over a relation
+    that ``facts`` holds with another arity matches nothing."""
     fact_index: dict[Relation, list[Fact]] = {}
-    for f in plain:
+    for f in facts:
         fact_index.setdefault(f.relation, []).append(f)
     for relation_facts in fact_index.values():
         relation_facts.sort()
-
-    for idx, cq in enumerate(q.disjuncts):
-        for binding, image in _disjunct_assignments(cq, fact_index, plain, context_facts):
+    for idx, cq in enumerate(disjuncts):
+        for binding, image in _extend(_search_steps(cq, fact_index, facts), 0, {}, (), context):
             yield idx, binding, image
 
 
@@ -617,9 +607,10 @@ def entailment_supports_bounded(
 
     Unlike true (unbounded) entailment, candidate databases draw their facts
     from the given finite domain only.  The check is complete over that
-    space: it encodes each potential satisfying assignment as a clause over
-    the undetermined facts and decides the resulting formula, rather than
-    materializing all ``2^k`` candidate databases.
+    space: it turns each assignment the search finds over the facts not
+    forced absent into a clause over the undetermined facts and decides the
+    resulting formula, rather than materializing all ``2^k`` candidate
+    databases.
     """
     S = frozenset(S)
     domain = sorted(set(domain))
@@ -655,47 +646,19 @@ def entailment_supports_bounded(
     ]
     index = {f: i for i, f in enumerate(universe)}
 
-    # One clause per potential witness: "this assignment does not fire".
-    # A literal +i means fact i is present, -(i+1)/(i+1) encoding via sign.
+    # One clause per assignment over the facts not forced absent, with
+    # negation checked against the facts forced present: "this assignment
+    # does not fire".  Literal -(i+1) says fact i is absent, i+1 present.
     clauses: list[frozenset[int]] = []
-    for cq in q.disjuncts:
-        variables = sorted(cq.used_variables)
-        for values in itertools.product(domain, repeat=len(variables)):
-            binding = dict(zip(variables, values))
-            if not all(
-                _resolve(ineq.left, binding) != _resolve(ineq.right, binding)
-                for ineq in cq.inequalities
-            ):
-                continue
-            required_present = {_ground(a, binding) for a in cq.positive_atoms}
-            required_absent = {_ground(a, binding) for a in cq.negated_atoms}
-            if any(f not in index for f in required_present):
-                continue  # mentions a fact outside the domain: can never fire
-            required_absent = {f for f in required_absent if f in index}
-            literals: set[int] = set()
-            fires_always = True
-            skip = False
-            for f in required_present:
-                if f in neg:
-                    skip = True  # a required fact is forced absent
-                    break
-                if f not in pos:
-                    literals.add(-(index[f] + 1))
-                    fires_always = False
-            if skip:
-                continue
-            for f in required_absent:
-                if f in pos:
-                    skip = True  # a forbidden fact is forced present
-                    break
-                if f not in neg:
-                    literals.add(index[f] + 1)
-                    fires_always = False
-            if skip:
-                continue
-            if fires_always:
-                return True  # witnessed by the forced facts alone
-            clauses.append(frozenset(literals))
+    for idx, binding, image in _iter_assignments(q, index.keys() - neg, pos):
+        absent = (_ground(a, binding) for a in q.disjuncts[idx].negated_atoms)
+        clause = frozenset(
+            [-index[f] - 1 for f in image - pos]
+            + [index[f] + 1 for f in absent if f in index and f not in neg]
+        )
+        if not clause:
+            return True  # witnessed by the forced facts alone
+        clauses.append(clause)
 
     return not _satisfiable(clauses)
 
@@ -774,41 +737,26 @@ def guarded_reduction(q: Query | Conjunct, db: Database) -> GuardedReduction:
     if not is_guarded(cq):
         raise SemanticError("the reduction requires guarded negated atoms")
 
-    guards: dict[int, list] = {i: [] for i in range(len(cq.positive_atoms))}
-    for lit in list(cq.negated_atoms) + list(cq.inequalities):
-        guard = next(
-            (
-                i
-                for i, atom in enumerate(cq.positive_atoms)
-                if lit.variables <= atom.variables
-            ),
-            None,
-        )
-        if guard is None:
+    atoms = cq.positive_atoms
+    guards: list[list] = [[] for _ in atoms]
+    for lit in (*cq.negated_atoms, *cq.inequalities):
+        guarding = [g for g, atom in zip(guards, atoms) if lit.variables <= atom.variables]
+        if not guarding:
             raise SemanticError(
                 f"the reduction requires {lit} to be guarded by one positive atom"
             )
-        guards[guard].append(lit)
+        guarding[0].append(lit)
 
-    matched: set[Fact] = set()
-    kept: set[Fact] = set()
-    for f in db.facts:
-        for i, atom in enumerate(cq.positive_atoms):
-            binding = _match_single(atom, f)
-            if binding is None:
-                continue
-            matched.add(f)
-            if all(_check(lit, binding, db.facts) for lit in guards[i]):
-                kept.add(f)
-            break  # no mergeable atoms: at most one atom matches
+    def images(literals: Iterable[tuple]) -> set[Fact]:
+        disjuncts = [Conjunct(cq.variables, lits) for lits in literals]
+        return {f for _, _, image in _search(disjuncts, db.facts, db.facts) for f in image}
 
-    q_plus = Query(
-        (Conjunct(cq.variables, tuple(cq.positive_atoms)),)
-    )
     return GuardedReduction(
-        q_plus=q_plus,
-        d_prime=database(matched, db.schema),
-        d_double_prime=database(kept, db.schema),
+        q_plus=Query((Conjunct(cq.variables, atoms),)),
+        d_prime=database(images((atom,) for atom in atoms), db.schema),
+        d_double_prime=database(
+            images((atom, *guard) for atom, guard in zip(atoms, guards)), db.schema
+        ),
     )
 
 
@@ -816,19 +764,6 @@ def _single_disjunct(q: Query) -> Conjunct:
     if len(q.disjuncts) != 1:
         raise SemanticError("the reduction applies to single-disjunct queries")
     return q.disjuncts[0]
-
-
-def _match_single(atom: Atom, f: Fact) -> dict[str, str] | None:
-    if atom.relation != f.relation:
-        return None
-    binding: dict[str, str] = {}
-    for term, value in zip(atom.terms, f.args):
-        if isinstance(term, Const):
-            if term.value != value:
-                return None
-        elif binding.setdefault(term.name, value) != value:
-            return None
-    return binding
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ variable binding over the active domain, supports by enumerating subsets
 in size order, Shapley values by averaging marginal contributions over
 every permutation, the order of the engine's assignments by scanning
 whole relations, the order of its minimal signed supports by scanning
-the signed completion, and the relevance and compare reports by rendering
-the materialized completion whole.  Only data types are imported from the package --
+the signed completion, the guarded reduction by matching fact by fact, and
+the relevance and compare reports by rendering the materialized completion
+whole.  Only data types are imported from the package --
 none of its evaluation code.  Keep it that way.
 """
 
@@ -320,6 +321,54 @@ def oracle_bounded_entailment(
     return all(
         oracle_satisfies(q, required | set(extra)) for extra in subsets(free)
     )
+
+
+def _match_fact(atom: Atom, f: Fact) -> dict[str, str] | None:
+    """The binding that maps ``atom`` onto ``f``, if there is one."""
+    if atom.relation != f.relation:
+        return None
+    binding: dict[str, str] = {}
+    for term, value in zip(atom.terms, f.args):
+        if isinstance(term, Const):
+            if term.value != value:
+                return None
+        elif binding.setdefault(term.name, value) != value:
+            return None
+    return binding
+
+
+def reference_guarded_reduction(
+    cq: Conjunct, db: Database
+) -> tuple[frozenset[Fact], frozenset[Fact]]:
+    """``d'`` and ``d''`` of the guarded reduction, fact by fact.
+
+    Each negated atom and inequality guards with the first positive atom
+    that holds its variables.  A fact joins ``d'`` when it matches a
+    positive atom (at most one does: the disjunct has no mergeable atoms),
+    and ``d''`` when that atom's guards also hold under the match, negated
+    atoms checked against the database.
+    """
+    atoms = [lit for lit in cq.literals if isinstance(lit, Atom) and not lit.negated]
+    guards: list[list] = [[] for _ in atoms]
+    for lit in cq.literals:
+        if isinstance(lit, Inequality) or lit.negated:
+            next(g for g, a in zip(guards, atoms) if lit.variables <= a.variables).append(lit)
+
+    def holds(lit, binding: dict[str, str]) -> bool:
+        if isinstance(lit, Inequality):
+            return _term_value(lit.left, binding) != _term_value(lit.right, binding)
+        return _ground(lit, binding) not in db.facts
+
+    matched, kept = set(), set()
+    for f in db.facts:
+        for atom, atom_guards in zip(atoms, guards):
+            binding = _match_fact(atom, f)
+            if binding is not None:
+                matched.add(f)
+                if all(holds(lit, binding) for lit in atom_guards):
+                    kept.add(f)
+                break
+    return frozenset(matched), frozenset(kept)
 
 
 # ---------------------------------------------------------------------------

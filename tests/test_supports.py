@@ -6,15 +6,18 @@ brute-force oracles on the random corpus.
 """
 
 import gc
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negshapley.core import database, fact, negative, positive
+from negshapley.core import Fact, database, fact, negative, positive
 from negshapley.errors import ArityError, CapExceededError, SemanticError
 from negshapley.query import parse_query, sign_transform, signed_database_restricted
 from negshapley.supports import (
+    MAX_POSITIVE_ATOMS,
     _iter_assignments,
     all_supports,
     entailment_supports_bounded,
@@ -341,19 +344,49 @@ def test_entailment_cap():
         entailment_supports_bounded(support, Q_CHAIN, domain, cap=24)
 
 
+def test_entailment_shares_the_search_depth_limit():
+    """Entailment runs the assignment search, so a disjunct deeper than it
+    allows is refused before any clause is built; one at the limit is not."""
+    chain = lambda n: parse_query("exists x. " + "S(x), " * n + "!T(x)")
+    assert not entailment_supports_bounded(set(), chain(MAX_POSITIVE_ATOMS), {"a"})
+    with pytest.raises(CapExceededError, match=f"limit {MAX_POSITIVE_ATOMS}"):
+        entailment_supports_bounded(set(), chain(MAX_POSITIVE_ATOMS + 1), {"a"})
+
+
 def test_entailment_matches_oracle_on_small_sets():
     """Clause encoding vs. literal enumeration of candidate databases."""
     domain = ["b", "c", "d"]
     universe = sorted(oracles.oracle_signed_completion(ENTAIL_DB, Q_CHAIN))
     # all 1- and 2-element signed subsets, plus the pinned 3/4-element sets
-    import itertools
-
     picks = [frozenset(c) for r in (1, 2) for c in itertools.combinations(universe, r)]
     picks += [ENTAIL_MINIMAL, ENTAIL_EXTRA]
     for S in picks:
         assert entailment_supports_bounded(S, Q_CHAIN, domain) == (
             oracles.oracle_bounded_entailment(S, Q_CHAIN, domain)
         ), sorted(map(str, S))
+
+
+def test_entailment_matches_oracle_across_corpus():
+    """Inequalities, constants, unions and ground atoms: random signed sets
+    over the query's relations on domains of at most 3 constants, with at
+    most 10 facts left undetermined (the oracle enumerates 2^free databases)."""
+    rng = random.Random(20261018)
+    outcomes = []
+    for inst in corpus():
+        domain = rng.sample(["a", "b", "c"], rng.randint(1, 3))
+        universe = [
+            Fact(rel, args)
+            for rel in sorted(inst.q.relations)
+            for args in itertools.product(domain, repeat=rel.arity)
+        ]
+        fixed = rng.sample(universe, max(0, len(universe) - rng.randint(0, 10)))
+        S = {rng.choice((positive, negative))(f) for f in fixed}
+        got = entailment_supports_bounded(S, inst.q, domain)
+        assert got == oracles.oracle_bounded_entailment(S, inst.q, domain), (
+            str(inst), sorted(map(str, S)), domain
+        )
+        outcomes.append(got)
+    assert outcomes.count(True) >= 100 and outcomes.count(False) >= 100
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +415,33 @@ def test_guarded_reduction_without_negation_keeps_d_prime():
 def test_guarded_reduction_empty_database():
     red = guarded_reduction(Q_FISH, database())
     assert not red.d_prime.facts and not red.d_double_prime.facts
+
+
+def test_guarded_reduction_matches_the_per_fact_reference():
+    """On every corpus disjunct the reduction accepts, ``d'`` and ``d''``
+    equal the fact-by-fact matcher's, over the database's schema."""
+    checked = 0
+    for inst in corpus(500):
+        for cq in inst.q.disjuncts:
+            try:
+                red = guarded_reduction(cq, inst.db)
+            except SemanticError:
+                continue
+            d_prime, d_double_prime = oracles.reference_guarded_reduction(cq, inst.db)
+            assert red.d_prime == database(d_prime, inst.db.schema), str(inst)
+            assert red.d_double_prime == database(d_double_prime, inst.db.schema), str(inst)
+            checked += 1
+    assert checked >= 400
+
+
+def test_guarded_reduction_matches_nothing_of_another_arity():
+    """An atom over R/2, ground or not, matches no fact of R/1 and raises
+    no arity error."""
+    db = database([fact("R", "a"), fact("S", "a")])
+    red = guarded_reduction(parse_query("exists x, y. R(x,y)"), db)
+    assert not red.d_prime.facts and not red.d_double_prime.facts
+    red = guarded_reduction(parse_query('exists x. R("a","b"), S(x), !T(x)'), db)
+    assert red.d_prime.facts == red.d_double_prime.facts == {fact("S", "a")}
 
 
 def test_guarded_reduction_rejects_mergeable_atoms():

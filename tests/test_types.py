@@ -177,10 +177,12 @@ def test_cached_properties_compute_once(monkeypatch):
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
-    """``-S`` keeps the host's site packages and ``.pth`` hooks out of the check."""
+    """Nor ``pathlib`` or ``json``, which only reading a file and
+    ``--format json`` use.  ``-S`` keeps the host's site packages and
+    ``.pth`` hooks out of the check."""
     code = (
         "import sys, negshapley.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'json', 'pathlib'} & set(sys.modules)))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     result = subprocess.run(
