@@ -7,26 +7,27 @@ comments, optional ``@relation R/2`` headers); queries are expression files
 ``--format json``; identical inputs always produce byte-identical output.
 
 Exit codes: 0 success, 1 usage or parse error, 2 semantic error (unsafe
-query, arity clash, bad player), 3 cap exceeded.
+query, arity clash, bad player), 3 cap exceeded, 4 standard output closed
+or its reader gone (nothing more is written).
 """
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import re
 import sys
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .core import Database, SignedFact, load_database, parse_fact, parse_signed_fact
+from .core import Database, Fact, load_database, negative, parse_fact, parse_signed_fact, positive
 from .errors import CapExceededError, InputParseError, SemanticError
-from .query import Query, analyze_query, neg_rels, parse_query
+from .query import Query, analyze_query, parse_query
 from .relevance import _report
 from .shapley import (
     DEFAULT_PERMUTATION_CAP,
     DEFAULT_SUBSET_CAP,
     WEIGHT_FUNCTIONS,
-    MsShapleyResult,
     Game,
     WealthKind,
     _ms_results,
@@ -140,45 +141,68 @@ def _load_db(path: str) -> Database:
         raise InputParseError(f"cannot read fact file: {exc}") from exc
 
 
-def _rational(value: Fraction) -> dict[str, str]:
-    return {"num": str(value.numerator), "den": str(value.denominator)}
+def _emit(args: argparse.Namespace, document: Callable, table: Callable) -> None:
+    """Write the JSON document or the table, building only the one that
+    ``--format`` selects, a bounded piece at a time."""
+    if sys.stdout is None:  # started with standard output closed
+        raise BrokenPipeError("standard output is closed")
+    sys.stdout.writelines(document() if args.format == "json" else table())
+    sys.stdout.flush()
 
 
-def _emit(args: argparse.Namespace, payload: Callable[[], dict], table: Callable) -> None:
-    """Write the JSON payload or the table lines, building only the one
-    that ``--format`` selects, a bounded piece at a time."""
-    sys.stdout.writelines(_json(payload()) if args.format == "json" else table())
+def _chunks(pieces: Iterable[str], separator: str = "") -> Iterator[str]:
+    """The pieces joined by ``separator``, 1024 to a chunk."""
+    pieces = iter(pieces)
+    while chunk := list(itertools.islice(pieces, 1024)):
+        yield separator.join(chunk)
+
+
+def _block(brackets: str, items: Iterable[str], depth: int) -> str:
+    """A JSON array or object (``brackets`` is ``"[]"`` or ``"{}"``) as
+    ``json.dumps(..., indent=2)`` writes it ``depth`` levels down, from its
+    items already written (``"key": value`` in an object)."""
+    body = ",".join(f"\n{'  ' * (depth + 1)}{item}" for item in items)
+    return f"{brackets[0]}{body}\n{'  ' * depth}{brackets[1]}" if body else brackets
+
+
+def _dumps(value: Any, **options: Any) -> str:
+    import json  # here: only ``--format json`` needs it
+
+    return json.dumps(value, **options)
 
 
 def _json(payload: dict) -> Iterator[str]:
-    """``json.dumps(payload, indent=2)`` and a newline, in pieces: the last
-    entry, a list or an iterator of records, is dumped a chunk at a time and
-    re-indented from the top level to one level down."""
-    import json  # here: only ``--format json`` needs it
-
-    *head, (name, records) = payload.items()
-    yield json.dumps(dict(head), indent=2)[:-2] + f",\n  {json.dumps(name)}: ["
-    records, separator = iter(records), "\n"
-    while chunk := list(itertools.islice(records, 1024)):
-        yield separator + "  " + json.dumps(chunk, indent=2)[2:-2].replace("\n", "\n  ")
-        separator = ",\n"
-    yield "]\n}\n" if separator == "\n" else "\n  ]\n}\n"
+    """``json.dumps(payload, indent=2)`` and a newline, in pieces of 1024
+    items: the last entry of ``payload`` holds its items already written at
+    depth 2 (see `_block`), the others plain values."""
+    *head, (name, items) = payload.items()
+    yield "{\n" + "".join(f'  "{k}": {_dumps(v)},\n' for k, v in head) + f'  "{name}": ['
+    separator = "\n    "
+    for chunk in _chunks(items, ",\n    "):
+        yield separator + chunk
+        separator = ",\n    "
+    yield "]\n}\n" if separator == "\n    " else "\n  ]\n}\n"
 
 
-def _table(header: Sequence[str], widths: Sequence[int], rows: Iterable) -> Iterator[str]:
-    """The header and the rows as lines, joined 1024 at a time: every cell but
-    the last is padded to its column's width, or its header's if wider."""
-    widths = [max(len(h), w) for h, w in zip(header, widths)]
-    template = "".join(f"{{:<{w}}}  " for w in widths[:-1]) + "{}\n"
-    lines = itertools.starmap(template.format, itertools.chain([header], rows))
-    while chunk := list(itertools.islice(lines, 1024)):
-        yield "".join(chunk)
+def _value_json(value: Fraction | str) -> str:
+    """A score, or the message of the cap that refused it, at depth 4."""
+    if isinstance(value, str):
+        return _block("{}", [f'"error": {_dumps(value)}'], 4)
+    return _block("{}", [f'"num": "{value.numerator}"', f'"den": "{value.denominator}"'], 4)
+
+
+def _value_cell(value: Fraction | str | None) -> str:
+    return "-" if value is None else "error" if isinstance(value, str) else str(value)
+
+
+def _bool(value: bool) -> str:
+    return "true" if value else "false"
 
 
 def _columns(rows: list[Sequence[str]]) -> Iterable[str]:
-    if not rows:
-        return []
-    return _table(rows[0], [max(map(len, column)) for column in zip(*rows)], rows[1:])
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    template = "".join(f"{{:<{w}}}  " for w in widths[:-1]) + "{}\n"
+    return _chunks(itertools.starmap(template.format, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -198,23 +222,16 @@ def _cmd_supports(args: argparse.Namespace) -> None:
         sets = minimal_positive_supports(q, db)
     else:
         sets = minimal_d_monotone_supports(q, db)
-    payload = lambda: {
-        "command": "supports",
-        "query": str(q),
-        "kind": args.kind,
-        "supports": [
-            {
-                "elements": [str(e) for e in s.sorted_elements],
-                "size": len(s.elements),
-                "minimal": s.minimal,
-            }
-            for s in sets
-        ],
-    }
+    document = lambda: _json({"command": "supports", "query": str(q), "kind": args.kind,
+                              "supports": (_block("{}", (
+        '"elements": ' + _block("[]", (_dumps(str(e)) for e in s.sorted_elements), 3),
+        f'"size": {len(s.elements)}',
+        f'"minimal": {_bool(s.minimal)}',
+    ), 2) for s in sets)})
     rows = lambda: [["support", "size", "minimal"]] + [
         [str(s), str(len(s.elements)), _bool(s.minimal)] for s in sets
     ]
-    _emit(args, payload, lambda: _columns(rows() if sets else []))
+    _emit(args, document, lambda: _columns(rows() if sets else []))
 
 
 # ---------------------------------------------------------------------------
@@ -222,49 +239,27 @@ def _cmd_supports(args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _game_method(game: Game, method: str, cap_subset: int) -> str:
-    """The route of a game measure; ``auto`` takes subset while the cap allows."""
+def _game_method(method: str) -> str:
+    """The route of a game measure: ``auto`` is subset, never permutation."""
     if method == "closed-form":
         raise InputParseError(
             f"--method closed-form applies only to "
             f"{WealthKind.MS_SIGNED.value} and {WealthKind.MPS_POSITIVE.value}"
         )
-    if method == "auto":
-        return "subset" if len(game.players) <= cap_subset else "permutation"
-    return method
+    return "subset" if method == "auto" else method
 
 
-def _game_records(
-    game: Game, method: str, cap_subset: int, cap_perm: int
-) -> list[dict[str, Any]]:
-    """Records for every player of a game, from the game's one table; a cap
-    that refuses the game gives every player the same ``error`` record."""
-    method = _game_method(game, method, cap_subset)
+def _game_values(game: Game, method: str, cap_subset: int, cap_perm: int) -> tuple[str, dict]:
+    """The route, and every player's value, or the message of a cap that refuses the game."""
+    method = _game_method(method)
     try:
         if method == "subset":
             values = shapley_values(game, cap=cap_subset)
         else:
             values = {p: shapley_permutation(game, p, cap=cap_perm) for p in game.players}
     except CapExceededError as exc:
-        return [{"fact": str(p), "error": str(exc)} for p in game.players]
-    return [_record(game.kind, p, v, method) for p, v in values.items()]
-
-
-def _record(kind: WealthKind, target, value: Fraction, method: str) -> dict[str, Any]:
-    return {
-        "fact": str(target),
-        "values": {kind.value: _rational(value)},
-        "method": method,
-    }
-
-
-def _closed_form_record(
-    kind: WealthKind, target, result: MsShapleyResult
-) -> dict[str, Any]:
-    record = _record(kind, target, result.score, "closed-form")
-    sizes = result.supports_by_size.items()
-    record["supportsBySize"] = {str(size): count for size, count in sizes}
-    return record
+        values = dict.fromkeys(game.players, str(exc))
+    return method, values
 
 
 def _cmd_score(args: argparse.Namespace) -> None:
@@ -275,6 +270,7 @@ def _cmd_score(args: argparse.Namespace) -> None:
     weight = WEIGHT_FUNCTIONS[args.weight]
     mode, cap_signed = kind.support_mode, args.cap_signed
 
+    # A record is (fact, value or cap message, method, supports by size).
     if args.fact is not None:
         target = (
             parse_signed_fact(args.fact) if kind.signed_players else parse_fact(args.fact)
@@ -283,43 +279,42 @@ def _cmd_score(args: argparse.Namespace) -> None:
             result = ms_shapley(
                 q, db, target, weight=weight, mode=mode, signed_cap=cap_signed
             )
-            records = [_closed_form_record(kind, target, result)]
+            records = [(str(target), result.score, "closed-form", result.supports_by_size)]
         else:
             game = make_game(q, db, kind, signed_cap=cap_signed)
-            method = _game_method(game, args.method, args.cap_subset)
+            method = _game_method(args.method)
             if method == "subset":
                 value = shapley_subset(game, target, cap=args.cap_subset)
             else:
                 value = shapley_permutation(game, target, cap=args.cap_perm)
-            records = [_record(kind, target, value, method)]
+            records = [(str(target), value, method, None)]
     elif closed_form:
         scores = ms_scores(q, db, weight=weight, mode=mode, signed_cap=cap_signed)
-        records = [_closed_form_record(kind, p, r) for p, r in scores.items()]
+        records = [(str(p), r.score, "closed-form", r.supports_by_size)
+                   for p, r in scores.items()]
     else:
         game = make_game(q, db, kind, signed_cap=cap_signed)
-        records = _game_records(game, args.method, args.cap_subset, args.cap_perm)
+        method, values = _game_values(game, args.method, args.cap_subset, args.cap_perm)
+        records = [(str(p), v, method, None) for p, v in values.items()]
 
-    payload = lambda: {
-        "command": "score",
-        "query": str(q),
-        "measure": kind.value,
-        "weight": args.weight,
-        "records": records,
-    }
+    def record(fact: str, value: Fraction | str, method: str, sizes) -> str:
+        if isinstance(value, str):
+            return _block("{}", [f'"fact": {_dumps(fact)}', f'"error": {_dumps(value)}'], 2)
+        score = _block("{}", [f'"{kind.value}": {_value_json(value)}'], 3)
+        fields = [f'"fact": {_dumps(fact)}', f'"values": {score}', f'"method": "{method}"']
+        if sizes is not None:
+            counts = (f'"{size}": {count}' for size, count in sizes.items())
+            fields.append(f'"supportsBySize": {_block("{}", counts, 3)}')
+        return _block("{}", fields, 2)
+
+    document = lambda: _json({"command": "score", "query": str(q), "measure": kind.value,
+                              "weight": args.weight, "records": itertools.starmap(record, records)})
+
     rows = lambda: [["fact", kind.value, "method"]] + [
-        [record["fact"], "error: " + record["error"], "-"]
-        if "error" in record
-        else [record["fact"], _render_rational(record["values"][kind.value]),
-              record["method"]]
-        for record in records
+        [fact, "error: " + value, "-"] if isinstance(value, str) else [fact, str(value), method]
+        for fact, value, method, _ in records
     ]
-    _emit(args, payload, lambda: _columns(rows()))
-
-
-def _render_rational(encoded: dict[str, str]) -> str:
-    """A `_rational` encoding as `str` shows the `Fraction` it encodes."""
-    num, den = encoded["num"], encoded["den"]
-    return num if den == "1" else f"{num}/{den}"
+    _emit(args, document, lambda: _columns(rows()))
 
 
 # ---------------------------------------------------------------------------
@@ -332,20 +327,10 @@ _COMPARED = (WealthKind.MS_SIGNED.value, WealthKind.MPS_POSITIVE.value,
              WealthKind.DRASTIC_DIRECT.value)
 
 
-def _value_cell(value: dict[str, str] | None) -> str:
-    if value is None:
-        return "-"
-    return "error" if "error" in value else _render_rational(value)
-
-
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
 def _cmd_analyze(args: argparse.Namespace) -> None:
     q = _load_query(args.query)
     analysis = analyze_query(q)
-    payload = lambda: {
+    payload = {
         "command": "analyze",
         "query": str(q),
         "negativeArity": analysis.negative_arity,
@@ -378,7 +363,7 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
             f"mergeablePairs = [{pairs}], guarded = {_bool(d.guarded)}, "
             f"negPath = {_bool(d.has_non_hierarchical_neg_path)}"
         )
-    _emit(args, payload, lambda: (line + "\n" for line in lines))
+    _emit(args, lambda: [_dumps(payload, indent=2) + "\n"], lambda: (line + "\n" for line in lines))
 
 
 def _cmd_report(args: argparse.Namespace) -> None:
@@ -386,56 +371,77 @@ def _cmd_report(args: argparse.Namespace) -> None:
     added: a row per fact of the restricted completion, written as it is made."""
     q = _load_query(args.query)
     db = _load_db(args.db)
-    # One search gives both support families for the verdict columns and the
-    # closed-form columns alike, and one compiled drastic game serves the
-    # impact column and the drastic column.  Scores are kept for the support
-    # members only, ms-signed by signed fact and the others by fact; every
-    # other fact shares one zero.
-    signed, positive, game, impacts, rows = _report(q, db, args.cap_signed)
+    # One search gives both support families for the verdict and closed-form
+    # columns, and one drastic game serves the impact and drastic columns.
+    # Scores are kept for support members only (ms-signed by signed fact, the
+    # others by fact); every other fact shares one zero.
+    signed, plain, game, impacts, positives, negatives = _report(q, db, args.cap_signed)
     scores: list[dict] = []
     if args.command == "compare":
-        scores = [
-            {p: _rational(r.score) for p, r in _ms_results(
-                {p for s in family for p in s.elements}, family, reciprocal_weight
-            ).items()}
-            for family in (signed, positive)
-        ]
-        records = _game_records(game, "auto", args.cap_subset, args.cap_perm)
-        scores.append({
-            p: r["values"][game.kind.value] if "values" in r else {"error": r["error"]}
-            for p, r in zip(game.players, records)
-        })
-    measures, zero = _COMPARED[:len(scores)], _rational(Fraction(0))
+        members = lambda family: {p for s in family for p in s.elements}
+        scores = [{p: r.score for p, r in _ms_results(members(f), f, reciprocal_weight).items()}
+                  for f in (signed, plain)]
+        scores.append(_game_values(game, "auto", args.cap_subset, args.cap_perm)[1])
+    measures, zero = _COMPARED[:len(scores)], Fraction(0)
 
-    def values(sf: SignedFact, positive: bool | None) -> dict:
-        players = (sf,) if positive is None else (sf, sf.fact, sf.fact)  # - facts: ms-signed
+    def values(*players) -> dict:  # a - row has one player: ms-signed only
         return {m: by_player.get(p, zero) for m, by_player, p in zip(measures, scores, players)}
 
-    def record(sf, signed, positive, impact) -> dict:
-        shown = dict(zip(_VERDICT_COLUMNS, (str(sf), signed, positive, impact)))
-        if measures:
-            shown["values"] = values(sf, positive)
-        return shown
+    if args.format == "json":
+        from json.encoder import encode_basestring_ascii as quote  # json.dumps of a str
 
-    def cells(sf, signed, positive, impact) -> list[str]:
-        shown = [str(sf), _bool(signed), "-" if positive is None else _bool(positive),
-                 "-" if impact is None else impact]
-        if measures:
-            shown += map(_value_cell, map(values(sf, positive).get, measures))
-        return shown
+        opening = '{\n      "fact": '
+        fact = lambda cell: opening + quote(cell)
 
-    payload = lambda: {"command": args.command, "query": str(q),
-                       "records": itertools.starmap(record, rows)}
-    # The widest fact cell, with no row listed: each negated relation's tuple
-    # of the longest constant is a row, as a - fact or, if stored, a + fact.
-    longest = max(map(len, db.active_domain), default=0)
-    negated = [len(r.name) + 2 + r.arity * (longest + 1) for r in neg_rels(q)]
-    fact = max([len(str(f)) + 1 for f in db.facts] + (negated if longest else []), default=0)
-    widths = [fact, 0, 0, max(map(len, impacts.values()), default=0)]
-    widths += [max(map(len, map(_value_cell, by_player.values())), default=0)
-               for by_player in scores]
-    header = (*_VERDICT_COLUMNS, *measures)
-    _emit(args, payload, lambda: _table(header, widths, itertools.starmap(cells, rows)))
+        def tail(in_signed: bool, in_plain: bool | None, impact: str | None, values: dict) -> str:
+            text = (f',\n      "signedRelevant": {_bool(in_signed)},\n      "positiveRelevant": '
+                    f'{"null" if in_plain is None else _bool(in_plain)},\n      "impact": '
+                    f'{"null" if impact is None else quote(impact)}')
+            if measures:
+                shown = (f'"{m}": {_value_json(v)}' for m, v in values.items())
+                text += f',\n      "values": {_block("{}", shown, 3)}'
+            return text + "\n    }"
+    else:
+        # The widest fact cell, with no row listed: each negated relation's
+        # tuple of the longest constant is a row, as a - fact or, if stored,
+        # a + fact.
+        longest = max(map(len, db.active_domain), default=0)
+        negated = [len(r.name) + 2 + r.arity * (longest + 1) for r, _, _ in negatives]
+        widths = [
+            max([len(str(f)) + 1 for f in db.facts] + (negated if longest else []), default=0),
+            0, 0, max(map(len, impacts.values()), default=0),
+            *(max(map(len, map(_value_cell, by_player.values())), default=0)
+              for by_player in scores),
+        ]
+        header = (*_VERDICT_COLUMNS, *measures)
+        widths = [max(len(h), w) for h, w in zip(header, widths)]
+        template = "".join(f"  {{:<{w}}}" for w in widths[1:-1]) + "  {}\n"
+        width = widths[0]
+        fact = lambda cell: cell.ljust(width)
+
+        def tail(in_signed: bool, in_plain: bool | None, impact: str | None, values: dict) -> str:
+            cells = (_bool(in_signed), "-" if in_plain is None else _bool(in_plain), impact or "-")
+            return template.format(*cells, *(_value_cell(values.get(m)) for m in measures))
+
+    # A row is its fact's cell and a tail of the other cells.  A - row's tail
+    # depends only on its ms-signed score (0 outside the signed supports), so a
+    # relation's tails are few: one shared, and one interned per support member.
+    def minus_rows(rel, absent: Iterator[tuple[str, ...]], relevant: set) -> Iterator[str]:
+        tails = {a: sys.intern(tail(True, None, None, values(negative(Fact(rel, a)))))
+                 for a in relevant}
+        other, head = tail(False, None, None, values(None)), f"-{rel.name}("
+        if args.format == "json":  # `fact` written out: this runs once per row
+            return (opening + quote(head + ",".join(a) + ")") + tails.get(a, other)
+                    for a in absent)
+        return ((head + ",".join(a) + ")").ljust(width) + tails.get(a, other) for a in absent)
+
+    rows = itertools.chain(
+        (fact(f"+{f}") + tail(in_signed, in_plain, impact, values(positive(f), f, f))
+         for f, in_signed, in_plain, impact in positives),
+        *itertools.starmap(minus_rows, negatives),
+    )
+    _emit(args, lambda: _json({"command": args.command, "query": str(q), "records": rows}),
+          lambda: _chunks(itertools.chain([fact(header[0]) + template.format(*header[1:])], rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +485,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SemanticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Standard output is closed or its reader has gone; what it still
+        # buffers goes to /dev/null, so that the flush at exit passes.
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 4
 
 
 if __name__ == "__main__":

@@ -290,10 +290,15 @@ def _completion(base: Database, negated: list[Relation]) -> Iterator[SignedFact]
     adom = sorted(base.active_domain)
     yield from map(SignedFact, repeat(Sign.POSITIVE), base.sorted_facts)
     for rel in negated:
-        stored = {f.args for f in base.facts if f.relation == rel}
-        absent = filterfalse(stored.__contains__, product(adom, repeat=rel.arity))
-        facts = map(new, repeat(Fact), zip(repeat(rel), absent))
+        facts = map(new, repeat(Fact), zip(repeat(rel), _absent(base, rel, adom)))
         yield from map(new, repeat(SignedFact), zip(repeat(Sign.NEGATIVE), facts))
+
+
+def _absent(base: Database, rel: Relation, adom: list[str]) -> Iterator[tuple[str, ...]]:
+    """The argument tuples over the sorted ``adom`` that ``rel`` lacks in
+    ``base``, in order: the args of the completion's ``-`` facts of ``rel``."""
+    stored = {f.args for f in base.facts if f.relation == rel}
+    return filterfalse(stored.__contains__, product(adom, repeat=rel.arity))
 
 
 def signed_database(
@@ -364,9 +369,19 @@ def load_database(path: str | os.PathLike) -> Database:
     with open(path, encoding="utf-8") as stream:
         text = stream.read()
     arities: dict[str, int] = {}
+    relations: dict[str, Relation] = {}
     facts: set[Fact] = set()
-    declared_only: set[str] = set()
+    plain, new = _FACT_RE.fullmatch, tuple.__new__
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        # A line of one fact and nothing else skips `Fact.__new__` once its
+        # arity checks; any other line, and every error, takes `_parse_fact_line`.
+        if match := plain(raw):
+            name, args = match[1], tuple(map(str.strip, match[2].split(",")))
+            if name not in relations:
+                relations[name] = Relation(name, arities.setdefault(name, len(args)))
+            if relations[name].arity == len(args):
+                facts.add(new(Fact, (relations[name], args)))
+                continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -386,7 +401,6 @@ def load_database(path: str | os.PathLike) -> Database:
                     f"line {lineno}: relation {name} declared with arity {arity} "
                     f"but previously used with arity {known}"
                 )
-            declared_only.add(name)
             continue
         facts.update(_parse_fact_line(line, lineno, arities))
     schema = {Relation(name, arity) for name, arity in arities.items()}

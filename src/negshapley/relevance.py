@@ -13,7 +13,7 @@ from enum import Enum
 from operator import gt, lt
 from typing import NamedTuple
 
-from .core import Database, Fact, Sign, SignedFact, iter_completion, positive
+from .core import Database, Fact, Sign, SignedFact, _absent, _completion_shape, negative, positive
 from .errors import CapExceededError, SemanticError
 from .query import Query, neg_rels
 from .supports import (
@@ -116,26 +116,22 @@ def relevance_report(
     one.  When the database is too large for exhaustive impact search the
     impact column is skipped rather than failing the whole report.
     """
-    *_, rows = _report(q, db, signed_cap, impact_cap)
-    return [
-        RelevanceVerdict(
-            subject, signed, positive,
-            None if impact in (None, "skipped") else ImpactKind(impact), impact == "skipped",
-        )
-        for subject, signed, positive, impact in rows
-    ]
+    *_, positives, negatives = _report(q, db, signed_cap, impact_cap)
+    skipped = lambda impact: (None, True) if impact == "skipped" else (ImpactKind(impact), False)
+    verdicts = [RelevanceVerdict(positive(f), signed, plain, *skipped(impact))
+                for f, signed, plain, impact in positives]
+    return verdicts + [RelevanceVerdict(negative(Fact(rel, args)), args in relevant, None, None)
+                       for rel, absent, relevant in negatives for args in absent]
 
 
 def _report(q: Query, db: Database, signed_cap: int | None, impact_cap: int = DEFAULT_IMPACT_CAP):
     """The minimal signed and positive supports, the drastic game, every
-    database fact's impact as reports show it, and a generator of the
-    report's rows: each signed fact of the restricted completion, in order,
-    with whether it is signed-relevant, positive-relevant and its impact, the
-    last two ``None`` for ``-`` facts.  The game is compiled only for the
-    impacts."""
-    completion = iter_completion(
-        db, restrict_to=neg_rels(q), extra_relations=q.relations, cap=signed_cap
-    )
+    database fact's impact as reports show it, and the report's rows in the
+    completion's order, built as no signed fact: a stream of each database
+    fact with whether it is signed-relevant, positive-relevant and its impact;
+    then each negated relation with a stream of its ``-`` facts' argument
+    tuples and the set of the signed-relevant ones.  Checks and cap at the call."""
+    base, negated, _ = _completion_shape(db, neg_rels(q), q.relations, signed_cap)
     signed, plain = support_families(q, db)
     drastic = make_game(q, db, WealthKind.DRASTIC_DIRECT)
     if len(db.facts) > impact_cap:
@@ -144,10 +140,11 @@ def _report(q: Query, db: Database, signed_cap: int | None, impact_cap: int = DE
         impacts = {f: kind.value for f, kind in _impacts(drastic).items()}
     in_signed = {sf for support in signed for sf in support.elements}
     in_plain = {f for support in plain for f in support.elements}
-    rows = (
-        (sf, sf in in_signed, sf.fact in in_plain, impacts[sf.fact])
-        if sf.sign is Sign.POSITIVE  # the completion's + facts are the database's
-        else (sf, sf in in_signed, None, None)
-        for sf in completion
-    )
-    return signed, plain, drastic, impacts, rows
+    positives = ((f, positive(f) in in_signed, f in in_plain, impacts[f]) for f in db.sorted_facts)
+    adom = sorted(base.active_domain)
+    negatives = [
+        (rel, _absent(base, rel, adom),
+         {args for sign, (r, args) in in_signed if sign is Sign.NEGATIVE and r == rel})
+        for rel in negated
+    ]
+    return signed, plain, drastic, impacts, positives, negatives

@@ -545,7 +545,6 @@ def _value_cell(value: dict[str, str] | None) -> str:
 
 def reference_reports(
     q: Query, db: Database, *, impact_cap: int = 20, subset_cap: int = 20,
-    perm_cap: int = 8,
 ) -> dict[tuple[str, str], str]:
     """The whole output of ``negshapley relevance`` and ``compare`` in both
     formats, keyed by (command, format), built the way the command line
@@ -556,8 +555,7 @@ def reference_reports(
     The verdicts and scores come from the references above: supports from
     the completion scan, impact by scanning sub-databases (``skipped`` above
     ``impact_cap`` facts), drastic values from a coalition table, or the
-    command line's per-fact permutation-cap error above ``subset_cap``
-    facts.
+    command line's per-fact subset-cap error above ``subset_cap`` facts.
     """
     signed = reference_signed_supports(q, db)
     plain = minimal_among(image for _, _, image in reference_assignments(q, db.facts, db.facts))
@@ -567,7 +565,8 @@ def reference_reports(
     else:
         impacts = {f: oracle_impact(f, q, db) for f in facts}
     if len(facts) > subset_cap:
-        error = {"error": f"{len(facts)} players means {len(facts)}! orderings (cap {perm_cap})"}
+        n = len(facts)
+        error = {"error": f"{n} players means 2^{n - 1} coalitions (cap {subset_cap})"}
         drastic = dict.fromkeys(facts, error)
     else:
         table = wealth_table(facts, oracle_wealth("drastic", q, db))
@@ -603,3 +602,45 @@ def reference_reports(
         ]
         outputs[command, "table"] = "".join(line + "\n" for line in _columns(rows))
     return outputs
+
+
+# ---------------------------------------------------------------------------
+# Fact files, read one line at a time
+# ---------------------------------------------------------------------------
+
+
+def reference_load_database(path) -> Database:
+    """`core.load_database` as it read every line before plain lines took a
+    fast path: comments stripped, headers checked, and each line's facts
+    parsed by `core._parse_fact_line`, which gives every error message."""
+    from negshapley.core import _HEADER_RE, _parse_fact_line
+    from negshapley.errors import ArityError, FactSyntaxError
+
+    with open(path, encoding="utf-8") as stream:
+        text = stream.read()
+    arities: dict[str, int] = {}
+    facts: set[Fact] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("@"):
+            header = _HEADER_RE.match(line)
+            if header is None:
+                raise FactSyntaxError(f"malformed header {line!r}", lineno)
+            try:
+                name, arity = header.group(1), int(header.group(2))
+            except ValueError:
+                raise FactSyntaxError(f"malformed header {line!r}", lineno) from None
+            if arity < 1:
+                raise FactSyntaxError(f"relation {name} declared with arity 0", lineno)
+            known = arities.setdefault(name, arity)
+            if known != arity:
+                raise ArityError(
+                    f"line {lineno}: relation {name} declared with arity {arity} "
+                    f"but previously used with arity {known}"
+                )
+            continue
+        facts.update(_parse_fact_line(line, lineno, arities))
+    schema = {Relation(name, arity) for name, arity in arities.items()}
+    return Database(frozenset(schema), frozenset(facts))

@@ -1,6 +1,7 @@
 """Command-line front end: golden outputs, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -346,8 +347,9 @@ def test_cap_error_is_embedded_per_fact_in_bulk_mode(capsys, big_paths):
 
 
 def test_caps_refuse_before_compiling(capsys, big_paths, monkeypatch):
-    """A game or impact table that a cap refuses is never compiled, and the
-    per-fact error records stay as they were."""
+    """A game or impact table that a cap refuses is never compiled, and every
+    fact's error record names the subset cap: ``auto`` never falls back to
+    the permutation route, whose cap is lower still."""
     from negshapley.core import load_database
     from negshapley.query import parse_query
     from negshapley.relevance import relevance_report
@@ -359,9 +361,15 @@ def test_caps_refuse_before_compiling(capsys, big_paths, monkeypatch):
     )
     assert code == 0 and calls == []
     assert json.loads(out)["records"] == [
-        {"fact": f"R(v{i},v{i + 1})", "error": "9 players means 9! orderings (cap 8)"}
+        {"fact": f"R(v{i},v{i + 1})", "error": "9 players means 2^8 coalitions (cap 5)"}
         for i in range(9)
     ]
+    code, out, err = run(
+        capsys, "score", "--db", big_paths["db"], "--query", big_paths["q"],
+        "--measure", "drastic", "--fact", "R(v0,v1)", "--cap-subset", "5",
+    )
+    assert (code, out, err) == (3, "", "error: 9 players means 2^8 coalitions (cap 5)\n")
+    assert calls == []
 
     q = parse_query("exists x, y. R(x,y)")
     db = load_database(big_paths["db"])
@@ -639,6 +647,93 @@ def test_console_script_entry_point(paths):
     # module execution mirrors the installed `negshapley` script
     assert proc.returncode == 0
     assert "guarded = true" in proc.stdout
+
+
+def _cli(*argv: str) -> list[str]:
+    return [sys.executable, "-m", "negshapley.cli", *argv]
+
+
+def test_reader_gone_exits_4_without_a_traceback(paths):
+    """As under ``| head -n 1``, deterministically: the pipe's read end is
+    closed before the command writes anything."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            _cli("relevance", "--db", paths["db"], "--query", paths["q"]),
+            stdout=write, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (4, "")
+
+
+def test_closed_stdout_exits_4_without_a_traceback(paths):
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh",
+         *_cli("compare", "--db", paths["db"], "--query", paths["q"], "--format", "json")],
+        stderr=subprocess.PIPE, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (4, "")
+
+
+def test_json_output_is_what_json_dumps_writes(capsys, tmp_path):
+    """Records are written from templates; every document must still be
+    ``json.dumps(..., indent=2)`` of itself, over the corpus.  ``relevance``
+    and ``compare`` are held to a reference written by ``json.dumps`` in
+    `test_reports_match_the_materialized_reference_on_corpus`.  The drastic
+    cap gives error records on the larger instances and scores on the rest."""
+    commands = [
+        ("supports", "--kind", "signed"), ("score", "--measure", "ms-signed"),
+        ("score", "--measure", "drastic", "--cap-subset", "3"), ("analyze",),
+    ]
+    for inst in corpus(500):
+        here = Path(tempfile.mkdtemp(dir=tmp_path))
+        (here / "i.facts").write_text("".join(f"{f}\n" for f in inst.db.sorted_facts))
+        (here / "i.query").write_text(f"{inst.q}\n")
+        io = ("--db", str(here / "i.facts"), "--query", str(here / "i.query"))
+        for command in commands:
+            code, out, _ = run(capsys, *command, *io, "--format", "json")
+            if code == 0:
+                assert out == json.dumps(json.loads(out), indent=2) + "\n", (str(inst), command)
+
+
+_HASH_SEED_SCRIPT = """
+import json, sys
+from negshapley.cli import main
+for argv in json.loads(sys.argv[1]):
+    for fmt in ("table", "json"):
+        if main([*argv, "--format", fmt]):
+            sys.exit(f"exit code not 0: {argv} {fmt}")
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    """Sets and dicts keyed by strings iterate in an order that moves with
+    ``PYTHONHASHSEED``; no output may follow it."""
+    import random
+
+    rng = random.Random(7)
+    names = [f"c{i}" for i in range(12)]
+    facts = {f"R({rng.choice(names)},{rng.choice(names)})" for _ in range(30)}
+    facts |= {f"S({name})" for name in rng.sample(names, 5)}
+    (tmp_path / "g.facts").write_text("".join(f"{f}\n" for f in sorted(facts)))
+    (tmp_path / "g.query").write_text(
+        "exists x, y. R(x,y), !S(y), !R(y,x) | exists x. S(x), !T(x,x)\n"
+    )
+    io = ["--db", str(tmp_path / "g.facts"), "--query", str(tmp_path / "g.query")]
+    argv = [["relevance", *io], ["compare", *io], ["supports", *io, "--kind", "signed"],
+            ["score", *io, "--all"], ["score", *io, "--all", "--measure", "mps"]]
+    outputs = {
+        seed: subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT, json.dumps(argv)], capture_output=True,
+            text=True, env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        for seed in ("1", "2")
+    }
+    assert (outputs["1"].returncode, outputs["1"].stderr) == (0, "")
+    assert outputs["1"].stdout.count("\n") > 500
+    assert outputs["1"].stdout == outputs["2"].stdout
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from negshapley.core import (
 from negshapley.errors import ArityError, CapExceededError, FactSyntaxError
 from negshapley.query import neg_rels
 
+import oracles
 from corpus import corpus
 from instances import RECIPE_DB
 
@@ -206,6 +207,52 @@ def test_load_database_reports_line_number(tmp_path):
     path.write_text("A(c)\nB(\n")
     with pytest.raises(FactSyntaxError, match="line 2"):
         load_database(path)
+
+
+def _load_outcome(load, path):
+    """A loader's database, or the type and message of the error it raised."""
+    try:
+        return load(path)
+    except (ArityError, FactSyntaxError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_loads_as_the_line_parser(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    got = _load_outcome(load_database, path)
+    assert got == _load_outcome(oracles.reference_load_database, path), text
+    if isinstance(got, Database):
+        assert all(type(f) is Fact and len(f.args) == f.relation.arity for f in got.facts)
+
+
+def test_load_database_matches_the_line_parser_on_corpus(tmp_path):
+    """Plain lines take the fast path; the same files with headers, spaces
+    and comments take the line parser."""
+    for inst in corpus(500):
+        lines = [str(f) for f in inst.db.sorted_facts]
+        _assert_loads_as_the_line_parser(tmp_path / "plain.facts", "\n".join(lines))
+        decorated = [f"@relation {r.name}/{r.arity}" for r in sorted(inst.db.schema)]
+        decorated += [f" {line} # comment" if i % 2 else line for i, line in enumerate(lines)]
+        _assert_loads_as_the_line_parser(tmp_path / "decorated.facts", "\n".join(decorated))
+
+
+# Lines the fast path takes, and lines it must leave to the line parser:
+# comments, blank lines, spaces, headers, several facts, arity clashes and
+# syntax errors.
+_LOAD_LINES = [
+    "R(a,b)", "R(b,a)", "S(a)", "S(b0_c)", "R(a)", "S(a,b)", "T(a,b,c)", "T(a,b)",
+    "# comment", "", "   ", "R(a,b) # comment", " R(a,b)", "R( a , b )", "R(a,b)\t",
+    "R(a,b) S(c)", "R(a,b)S(c)", "@relation R/2", "@relation S/2", "@relation U/1",
+    "@relation T/0", "@relation", "R(a,b", "R()", "R(a,,b)", "(a)", "1R(a)", "R(a-b)",
+    "R(é)", "S(a)#", "#S(a)", "R(a,b)\r", "\x0cS(a)",
+]
+
+
+@given(st.lists(st.sampled_from(_LOAD_LINES), max_size=12), st.sampled_from(["\n", "\r\n"]))
+@settings(max_examples=300, deadline=None)
+def test_load_database_matches_the_line_parser(tmp_path_factory, lines, newline):
+    path = tmp_path_factory.mktemp("load") / "fuzz.facts"
+    _assert_loads_as_the_line_parser(path, newline.join(lines))
 
 
 def test_database_is_hashable_value_type():
