@@ -25,7 +25,6 @@ from .errors import CapExceededError, InputParseError, SemanticError
 from .query import Query, analyze_query, parse_query
 from .relevance import _report
 from .shapley import (
-    DEFAULT_PERMUTATION_CAP,
     DEFAULT_SUBSET_CAP,
     WEIGHT_FUNCTIONS,
     Game,
@@ -35,7 +34,6 @@ from .shapley import (
     ms_scores,
     ms_shapley,
     reciprocal_weight,
-    shapley_permutation,
     shapley_subset,
     shapley_values,
 )
@@ -103,13 +101,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", choices=sorted(WEIGHT_FUNCTIONS), default="reciprocal")
     p.add_argument(
         "--method",
-        choices=("auto", "closed-form", "subset", "permutation"),
+        choices=("auto", "closed-form", "subset"),
         default="auto",
     )
     p.add_argument("--fact", help='score only this fact, e.g. "I(mm,fish)" or "-E(c,a)"')
     p.add_argument("--all", action="store_true", help="score every player (the default)")
     p.add_argument("--cap-subset", type=_count, default=DEFAULT_SUBSET_CAP, metavar="N")
-    p.add_argument("--cap-perm", type=_count, default=DEFAULT_PERMUTATION_CAP, metavar="N")
 
     p = sub.add_parser("relevance", help="relevance report for every fact")
     common(p)
@@ -120,7 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="relevance and scores side by side")
     common(p)
     p.add_argument("--cap-subset", type=_count, default=DEFAULT_SUBSET_CAP, metavar="N")
-    p.add_argument("--cap-perm", type=_count, default=DEFAULT_PERMUTATION_CAP, metavar="N")
 
     return parser
 
@@ -239,27 +235,21 @@ def _cmd_supports(args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _game_method(method: str) -> str:
-    """The route of a game measure: ``auto`` is subset, never permutation."""
+def _check_game_method(method: str) -> None:
+    """A game measure is scored by the subset route, which ``auto`` names."""
     if method == "closed-form":
         raise InputParseError(
             f"--method closed-form applies only to "
             f"{WealthKind.MS_SIGNED.value} and {WealthKind.MPS_POSITIVE.value}"
         )
-    return "subset" if method == "auto" else method
 
 
-def _game_values(game: Game, method: str, cap_subset: int, cap_perm: int) -> tuple[str, dict]:
-    """The route, and every player's value, or the message of a cap that refuses the game."""
-    method = _game_method(method)
+def _game_values(game: Game, cap_subset: int) -> dict:
+    """Every player's value, or the message of the cap that refuses the game."""
     try:
-        if method == "subset":
-            values = shapley_values(game, cap=cap_subset)
-        else:
-            values = {p: shapley_permutation(game, p, cap=cap_perm) for p in game.players}
+        return shapley_values(game, cap=cap_subset)
     except CapExceededError as exc:
-        values = dict.fromkeys(game.players, str(exc))
-    return method, values
+        return dict.fromkeys(game.players, str(exc))
 
 
 def _cmd_score(args: argparse.Namespace) -> None:
@@ -282,20 +272,18 @@ def _cmd_score(args: argparse.Namespace) -> None:
             records = [(str(target), result.score, "closed-form", result.supports_by_size)]
         else:
             game = make_game(q, db, kind, signed_cap=cap_signed)
-            method = _game_method(args.method)
-            if method == "subset":
-                value = shapley_subset(game, target, cap=args.cap_subset)
-            else:
-                value = shapley_permutation(game, target, cap=args.cap_perm)
-            records = [(str(target), value, method, None)]
+            _check_game_method(args.method)
+            value = shapley_subset(game, target, cap=args.cap_subset)
+            records = [(str(target), value, "subset", None)]
     elif closed_form:
         scores = ms_scores(q, db, weight=weight, mode=mode, signed_cap=cap_signed)
         records = [(str(p), r.score, "closed-form", r.supports_by_size)
                    for p, r in scores.items()]
     else:
         game = make_game(q, db, kind, signed_cap=cap_signed)
-        method, values = _game_values(game, args.method, args.cap_subset, args.cap_perm)
-        records = [(str(p), v, method, None) for p, v in values.items()]
+        _check_game_method(args.method)
+        records = [(str(p), v, "subset", None)
+                   for p, v in _game_values(game, args.cap_subset).items()]
 
     def record(fact: str, value: Fraction | str, method: str, sizes) -> str:
         if isinstance(value, str):
@@ -381,7 +369,7 @@ def _cmd_report(args: argparse.Namespace) -> None:
         members = lambda family: {p for s in family for p in s.elements}
         scores = [{p: r.score for p, r in _ms_results(members(f), f, reciprocal_weight).items()}
                   for f in (signed, plain)]
-        scores.append(_game_values(game, "auto", args.cap_subset, args.cap_perm)[1])
+        scores.append(_game_values(game, args.cap_subset))
     measures, zero = _COMPARED[:len(scores)], Fraction(0)
 
     def values(*players) -> dict:  # a - row has one player: ms-signed only

@@ -151,7 +151,7 @@ class Database(_Record):
     facts: frozenset[Fact]
 
     def __init__(self, schema: Iterable[Relation], facts: Iterable[Fact]) -> None:
-        schema, facts = _unique_schema(schema), frozenset(facts)
+        schema, facts = _unique_schema(sorted(schema)), frozenset(facts)
         for f in facts:
             if f.relation not in schema:
                 raise ArityError(
@@ -227,7 +227,7 @@ def _completion_shape(
 ) -> tuple[Database, list[Relation], int]:
     """The completion's base database, its negated relations in sorted
     order and its size, after the checks that `signed_database` makes."""
-    schema = _unique_schema(chain(db.schema, extra_relations))
+    schema = _unique_schema(chain(db.schema, sorted(extra_relations)))
     base = db if schema == db.schema else Database(schema, db.facts)
     negated = schema
     if restrict_to is not None:

@@ -205,7 +205,8 @@ class Query(_QueryFields):
             raise SemanticError("a query needs at least one disjunct")
         self = tuple.__new__(cls, (disjuncts,))
         arities: dict[str, int] = {}
-        for rel in self.relations:
+        for rel in (lit.relation for cq in disjuncts for lit in cq.literals
+                    if isinstance(lit, Atom)):  # in query order
             known = arities.setdefault(rel.name, rel.arity)
             if known != rel.arity:
                 raise ArityError(

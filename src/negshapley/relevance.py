@@ -10,14 +10,13 @@ A `RelevanceVerdict` is a named tuple, equal to the tuple of its fields.
 from __future__ import annotations
 
 from enum import Enum
-from operator import gt, lt
 from typing import NamedTuple
 
 from .core import Database, Fact, Sign, SignedFact, _absent, _completion_shape, negative, positive
 from .errors import CapExceededError, SemanticError
 from .query import Query, neg_rels
 from .supports import (
-    coalition_rotations,
+    coalition_halves,
     minimal_positive_supports,
     minimal_signed_supports,
     satisfies,  # noqa: F401 - perfbench's tracer finds query evaluation by this name
@@ -78,13 +77,14 @@ def impact_relevant(
 
 def _impacts(drastic: Game) -> dict[Fact, ImpactKind]:
     """Every database fact's impact, from the drastic game's table of the
-    query's truth on every subset of the database."""
-    n = len(drastic.players)
-    half = (1 << n) >> 1
+    query's truth on every subset of the database: the fact flips it up on
+    a subset that wins with it and not without it, and down the other way."""
     kinds = list(ImpactKind)  # none, positiveOnly, negativeOnly, both
     return {
-        f: kinds[any(map(gt, t[half:], t[:half])) + 2 * any(map(lt, t[half:], t[:half]))]
-        for f, t in zip(drastic.players, coalition_rotations(drastic._table, n))
+        f: kinds[bool(win_with & ~win_without) + 2 * bool(win_without & ~win_with)]
+        for f, (win_with, win_without) in zip(
+            drastic.players, coalition_halves(drastic._table, len(drastic.players))
+        )
     }
 
 

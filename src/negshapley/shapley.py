@@ -33,7 +33,6 @@ from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from operator import mul, sub
 from typing import Callable, Iterable, Literal, Mapping, NamedTuple, Union
 
 from .core import Database, Fact, Sign, SignedFact, completion_size
@@ -41,8 +40,10 @@ from .errors import CapExceededError, PlayerSetError
 from .query import Query, neg_rels, signed_database_restricted
 from .supports import (
     SupportSet,
+    _members,
     _signed_supports,
-    coalition_rotations,
+    coalition_halves,
+    coalition_sizes,
     coalition_table,
     compile_witnesses,
     minimal_positive_supports,
@@ -125,18 +126,20 @@ class Game(_GameFields):
         return compile_witnesses(self.q, self.db, semantics, self.players)
 
     @cached_property
-    def _table(self) -> list[int]:
-        """Wealth of every coalition, indexed by player bit mask."""
-        counting = self.kind.support_mode is not None
-        return coalition_table(len(self.players), self._witnesses, count=counting)
+    def _table(self) -> int:
+        """The winning coalitions of a Boolean game (`supports.coalition_table`)."""
+        return coalition_table(len(self.players), self._witnesses)
+
+    def _worth(self, mask: int) -> int:
+        """The wealth of the coalition with this bit mask, from the witnesses."""
+        fits = sum(mask & r == r and not mask & f for r, f in self._witnesses)
+        return fits if self.kind.support_mode is not None else min(fits, 1)
 
     def wealth(self, coalition: Iterable[Player]) -> Fraction:
         coalition = frozenset(coalition)
         if any(p not in self._index for p in coalition):
             raise PlayerSetError("coalition contains non-players")
-        mask = sum(1 << self._index[p] for p in coalition)
-        fits = sum(mask & r == r and not mask & f for r, f in self._witnesses)
-        return Fraction(fits if self.kind.support_mode is not None else min(fits, 1))
+        return Fraction(self._worth(sum(1 << self._index[p] for p in coalition)))
 
 
 def make_game(
@@ -167,27 +170,30 @@ def _require_player(game: Game, target: Player) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The two generic routes, both reading the game's coalition table
+# The subset route, and the permutation definition as a reference
 # ---------------------------------------------------------------------------
 
 
 def shapley_values(game: Game, *, cap: int = DEFAULT_SUBSET_CAP) -> dict[Player, Fraction]:
     """Every player's Shapley value by the subset formula: Σ over the
     coalitions S of the other players of |S|!(n-1-|S|)!/n! times the
-    player's marginal contribution to S.
-
-    One pass over the coalition table; the sums are integer numerators over
-    n!, with one `Fraction` per player.
-    """
+    player's marginal contribution to S, counted per size of S in the
+    coalition table, in integer numerators over n!.  A counting game is a
+    sum of unanimity games, one per minimal support S, and each gives its
+    members 1/|S|: the closed form."""
     n = len(game.players)
     if n > cap:
         raise CapExceededError(f"{n} players means 2^{n - 1} coalitions (cap {cap})")
-    coefficient = [math.factorial(k) * math.factorial(n - 1 - k) for k in range(n)]
-    weights = [coefficient[k] for k in map(int.bit_count, range((1 << n) >> 1))]
-    half, n_fact = len(weights), math.factorial(n)
+    if game.kind.support_mode is not None:
+        mode, players = game.kind.support_mode, game.players
+        supports = [SupportSet(mode, _members(players, r), True) for r, _ in game._witnesses]
+        return {p: r.score for p, r in _ms_results(players, supports, reciprocal_weight).items()}
+    coefficients = [math.factorial(k) * math.factorial(n - 1 - k) for k in range(n)]
+    sizes, n_fact = coalition_sizes(n), math.factorial(n)
     return {
-        p: Fraction(sum(map(mul, weights, map(sub, t[half:], t[:half]))), n_fact)
-        for p, t in zip(game.players, coalition_rotations(game._table, n))
+        p: Fraction(sum(c * ((win_with & size).bit_count() - (win_without & size).bit_count())
+                        for c, size in zip(coefficients, sizes)), n_fact)
+        for p, (win_with, win_without) in zip(game.players, coalition_halves(game._table, n))
     }
 
 
@@ -208,11 +214,11 @@ def permutation_marginal_counts(
     n = len(game.players)
     if n > cap:
         raise CapExceededError(f"{n} players means {n}! orderings (cap {cap})")
-    table, bit = game._table, 1 << game._index[target]
-    counts: Counter = Counter()
+    worth = [game._worth(mask) for mask in range(1 << n)]
+    bit, counts = 1 << game._index[target], Counter()
     for ordering in itertools.permutations([1 << i for i in range(n)]):
         prefix = sum(itertools.takewhile(bit.__ne__, ordering))
-        counts[table[prefix | bit] - table[prefix]] += 1
+        counts[worth[prefix | bit] - worth[prefix]] += 1
     return {Fraction(value): count for value, count in counts.items()}
 
 

@@ -42,7 +42,6 @@ of their fields.
 from __future__ import annotations
 
 import itertools
-from operator import add, and_
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence, Union
 
 from .core import (
@@ -129,11 +128,11 @@ def _as_plain_facts(facts: Iterable[FactLike]) -> tuple[frozenset[Fact], bool]:
 
 def _check_arity_compatible(q: Query, facts: Iterable[Fact]) -> None:
     arities = {rel.name: rel.arity for rel in q.relations}
-    for f in facts:
-        known = arities.get(f.relation.name)
-        if known is not None and known != f.relation.arity:
+    for rel in sorted({f.relation for f in facts}):  # the first clash by name
+        known = arities.get(rel.name)
+        if known is not None and known != rel.arity:
             raise ArityError(
-                f"relation {f.relation.name} has arity {f.relation.arity} in the "
+                f"relation {rel.name} has arity {rel.arity} in the "
                 f"data but arity {known} in the query"
             )
 
@@ -478,38 +477,49 @@ def compile_witnesses(
     return tuple(sorted(witnesses))
 
 
-def coalition_table(n: int, witnesses: Iterable[Witness], *, count: bool) -> list[int]:
-    """Wealth of every coalition of ``n`` players, indexed by bit mask: how
-    many witnesses fit it (``count``), or else whether any does.
+def player_masks(n: int) -> list[int]:
+    """Player i's mask in a coalition table (see `coalition_table`): the
+    upper 2^i bits of every block of 2^(i+1), the coalitions that hold i."""
+    masks: list[int] = []
+    for i in range(n):
+        masks = [m | m << (1 << i) for m in masks] + [(1 << (1 << i)) - 1 << (1 << i)]
+    return masks
 
-    A witness fits S when S holds its required mask R and misses its
-    forbidden mask F; by inclusion-exclusion that is the sum over U ⊆ F of
-    (-1)^|U| [R ∪ U ⊆ S].  Those terms are marked once and then summed over
-    subsets, one player at a time.
-    """
-    table = [0] * (1 << n)
+
+def coalition_sizes(n: int) -> list[int]:
+    """The k-th mask: the coalitions of k players."""
+    sizes = [1]
+    for i in range(n):
+        sizes = [low | high << (1 << i) for low, high in zip(sizes + [0], [0] + sizes)]
+    return sizes
+
+
+def coalition_table(n: int, witnesses: Iterable[Witness]) -> int:
+    """The coalitions of ``n`` players that some witness fits, as one int
+    whose bit S stands for the coalition with bit mask S: the OR over the
+    witnesses (R, F) of the AND of R's players' masks and F's complements."""
+    masks, table = player_masks(n), 0
     for required, forbidden in witnesses:
-        extra = forbidden
-        while True:
-            table[required | extra] += -1 if extra.bit_count() % 2 else 1
-            if not extra:
-                break
-            extra = (extra - 1) & forbidden
-    half = len(table) >> 1
-    for table in coalition_rotations(table, n):
-        table[half:] = map(add, table[half:], table[:half])
-    return table if count else list(map(bool, table))
+        fits = (1 << (1 << n)) - 1
+        for i, mask in enumerate(masks):
+            if required >> i & 1:
+                fits &= mask
+            if forbidden >> i & 1:
+                fits &= ~mask
+        table |= fits
+    return table
 
 
-def coalition_rotations(table: list, n: int) -> Iterator[list]:
-    """The table of ``n`` players with its index bits rotated right 1..n
-    times.  In the k-th rotation player k is the top bit: the first half
-    holds the coalitions without it (position j has ``j.bit_count()``
-    players) and the second half the same coalitions with it.  In-place
-    updates carry over; the last rotation is in the original order."""
-    for _ in range(n):
-        table = table[::2] + table[1::2]
-        yield table
+def coalition_halves(table: int, n: int) -> Iterator[tuple[int, int]]:
+    """Player by player, the coalitions of the others that win with the
+    player and those that win without it, as tables with its bit clear."""
+    for i, mask in enumerate(player_masks(n)):
+        yield (table & mask) >> (1 << i), table & ~mask
+
+
+def _indices(table: int) -> list[int]:
+    """The set bits of ``table``, lowest first."""
+    return [i for i, bit in enumerate(bin(table)[:1:-1]) if bit == "1"]
 
 
 # ---------------------------------------------------------------------------
@@ -540,36 +550,31 @@ def is_d_monotone_support(
         for required, forbidden in compile_witnesses(q, db, "drastic", players)
         if not forbidden & ~low
     ]
-    return all(coalition_table(len(rest), witnesses, count=False))
+    return coalition_table(len(rest), witnesses) == (1 << (1 << len(rest))) - 1
 
 
-def _d_monotone_table(q: Query, db: Database, cap: int) -> list[bool]:
-    """Whether every superset of each subset of the database (itself
-    included) satisfies the query, indexed by bit mask over its facts."""
+def _d_monotone_table(q: Query, db: Database, cap: int) -> int:
+    """Which subsets of the database have every superset (themselves
+    included) satisfy the query, as a coalition table over its facts."""
     facts = db.sorted_facts
     if len(facts) > cap:
         raise CapExceededError(
             f"enumerating D-monotone supports over {len(facts)} facts needs "
             f"2^{len(facts)} evaluations (cap {cap})"
         )
-    table = coalition_table(
-        len(facts), compile_witnesses(q, db, "drastic", facts), count=False
-    )
-    half = len(table) >> 1
-    for table in coalition_rotations(table, len(facts)):
-        table[:half] = map(and_, table[:half], table[half:])
+    table = coalition_table(len(facts), compile_witnesses(q, db, "drastic", facts))
+    for i, mask in enumerate(player_masks(len(facts))):
+        table &= mask | table >> (1 << i)  # S without fact i needs S with it
     return table
 
 
-def _minimal_masks(table: list, n: int) -> list[int]:
-    """The masks whose entry holds while no mask one player smaller does;
-    these are the minimal ones when the entries are closed upwards."""
-    bits = [1 << i for i in range(n)]
-    return [
-        S
-        for S in itertools.compress(range(len(table)), table)
-        if not any(S & b and table[S ^ b] for b in bits)
-    ]
+def _minimal_masks(table: int, n: int) -> list[int]:
+    """The masks whose bit is set while no mask one player smaller has its
+    bit set; these are the minimal ones when the table is closed upwards."""
+    smaller = 0
+    for i, mask in enumerate(player_masks(n)):
+        smaller |= mask & table << (1 << i)
+    return _indices(table & ~smaller)
 
 
 def _members(players: Sequence, mask: int) -> frozenset:
@@ -780,7 +785,6 @@ def all_supports(
     if kind == "dMonotone":
         universe: Sequence = db.sorted_facts
         table = _d_monotone_table(q, db, cap)
-        minimal = set(_minimal_masks(table, len(universe)))
     elif kind in ("signed", "positive"):
         n = len(db.facts) if kind == "positive" else completion_size(
             db, restrict_to=neg_rels(q), extra_relations=q.relations, cap=signed_cap
@@ -793,15 +797,11 @@ def all_supports(
             signed_database_restricted(db, q, cap=signed_cap).sorted_facts
             if kind == "signed" else db.sorted_facts
         )
-        witnesses = compile_witnesses(q, db, kind, universe)
-        table = coalition_table(len(universe), witnesses, count=False)
-        minimal = {required for required, _ in witnesses}
+        table = coalition_table(len(universe), compile_witnesses(q, db, kind, universe))
     else:
         raise SemanticError(f"unknown support kind {kind!r}")
+    minimal = set(_minimal_masks(table, len(universe)))  # every family is closed upwards
     return sorted(
-        (
-            SupportSet(kind, _members(universe, S), S in minimal)
-            for S in itertools.compress(range(len(table)), table)
-        ),
+        (SupportSet(kind, _members(universe, S), S in minimal) for S in _indices(table)),
         key=_support_order,
     )

@@ -271,6 +271,21 @@ def oracle_minimal_d_monotone_supports(q: Query, db: Database) -> list[frozenset
     return _minimal_supports(db.facts, lambda s: oracle_is_d_monotone(s, q, db))
 
 
+def oracle_all_supports(q: Query, db: Database, kind: str) -> list[tuple[frozenset, bool]]:
+    """Every support of the kind (``signed``, ``positive`` or ``dMonotone``)
+    with its minimality, by testing every subset of the players, ordered by
+    size and then by sorted elements."""
+    if kind == "signed":
+        universe, holds = oracle_signed_completion(db, q), lambda s: oracle_signed_satisfies(q, s)
+    elif kind == "positive":
+        universe, holds = db.facts, lambda s: oracle_satisfies(q, s, context=db.facts)
+    else:
+        universe, holds = db.facts, lambda s: oracle_is_d_monotone(s, q, db)
+    found = [s for s in subsets(universe) if holds(s)]
+    minimal = set(minimal_among(found))
+    return [(s, s in minimal) for s in sorted(found, key=lambda s: (len(s), sorted(s)))]
+
+
 def oracle_impact(f: Fact, q: Query, db: Database) -> str:
     """Impact classification by scanning every sub-database."""
     gains = loses = False

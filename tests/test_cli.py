@@ -197,17 +197,22 @@ def test_score_drastic_q2_zero(capsys, paths):
 
 
 def test_score_methods_agree(capsys, paths):
+    """A game measure gets one route whichever method names it, and
+    ``subset`` on a counting measure gives the closed form's numbers."""
     values = {}
-    for method in ("subset", "permutation", "auto"):
+    for measure, fact, method in [("drastic", "I(mm,wine)", m) for m in ("subset", "auto")] + [
+        ("mps", "I(mp,wine)", m) for m in ("subset", "closed-form")
+    ]:
         code, out, _ = run(
             capsys, "score", "--db", paths["db"], "--query", paths["q2"],
-            "--measure", "drastic", "--fact", "I(mm,wine)",
-            "--method", method, "--format", "json",
+            "--measure", measure, "--fact", fact, "--method", method, "--format", "json",
         )
         assert code == 0
-        values[method] = json.loads(out)["records"][0]["values"]["drastic"]
-    assert values["subset"] == values["permutation"] == values["auto"]
-    assert values["auto"] == {"num": "-1", "den": "6"}
+        (record,) = json.loads(out)["records"]
+        assert record["method"] == ("subset" if method == "auto" else method)
+        values[measure, method] = record["values"][measure]
+    assert values["drastic", "subset"] == values["drastic", "auto"] == {"num": "-1", "den": "6"}
+    assert values["mps", "subset"] == values["mps", "closed-form"] == {"num": "1", "den": "2"}
 
 
 def test_score_mps_weight_constant(capsys, paths):
@@ -337,7 +342,7 @@ def big_paths(tmp_path):
 def test_cap_error_is_embedded_per_fact_in_bulk_mode(capsys, big_paths):
     code, out, _ = run(
         capsys, "score", "--db", big_paths["db"], "--query", big_paths["q"],
-        "--measure", "drastic", "--method", "permutation", "--all",
+        "--measure", "drastic", "--method", "subset", "--cap-subset", "8", "--all",
         "--format", "json",
     )
     assert code == 0
@@ -348,8 +353,7 @@ def test_cap_error_is_embedded_per_fact_in_bulk_mode(capsys, big_paths):
 
 def test_caps_refuse_before_compiling(capsys, big_paths, monkeypatch):
     """A game or impact table that a cap refuses is never compiled, and every
-    fact's error record names the subset cap: ``auto`` never falls back to
-    the permutation route, whose cap is lower still."""
+    fact's error record names the subset cap, the one route of a game."""
     from negshapley.core import load_database
     from negshapley.query import parse_query
     from negshapley.relevance import relevance_report
@@ -382,7 +386,8 @@ def test_caps_refuse_before_compiling(capsys, big_paths, monkeypatch):
 def test_cap_error_is_fatal_in_single_fact_mode(capsys, big_paths):
     code, _, err = run(
         capsys, "score", "--db", big_paths["db"], "--query", big_paths["q"],
-        "--measure", "drastic", "--method", "permutation", "--fact", "R(v0,v1)",
+        "--measure", "drastic", "--method", "subset", "--cap-subset", "8",
+        "--fact", "R(v0,v1)",
     )
     assert code == 3 and "cap 8" in err
 
@@ -520,9 +525,7 @@ def test_exit_2_on_unsafe_query(capsys, paths, tmp_path):
         ("relevance", "--cap-signed"),
         ("score", "--cap-signed"),
         ("score", "--cap-subset"),
-        ("score", "--cap-perm"),
         ("compare", "--cap-subset"),
-        ("compare", "--cap-perm"),
     ],
 )
 def test_exit_1_on_negative_integer_flag(capsys, paths, command, flag):
@@ -531,6 +534,22 @@ def test_exit_1_on_negative_integer_flag(capsys, paths, command, flag):
     )
     assert code == 1 and out == ""
     assert flag in err and "non-negative" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("score", "--method", "permutation"),
+        ("score", "--cap-perm", "8"),
+        ("compare", "--cap-perm", "8"),
+    ],
+)
+def test_removed_permutation_flags_are_usage_errors(capsys, paths, argv):
+    """A game has one route, subset, so the permutation method and its cap
+    are gone from the command line."""
+    code, out, err = run(capsys, argv[0], "--db", paths["db"], "--query", paths["q"], *argv[1:])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and argv[1] in err
 
 
 def test_exit_1_on_non_integer_flag(capsys, paths):
@@ -734,6 +753,39 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     assert (outputs["1"].returncode, outputs["1"].stderr) == (0, "")
     assert outputs["1"].stdout.count("\n") > 500
     assert outputs["1"].stdout == outputs["2"].stdout
+
+
+_ARITY_CLASH_SCRIPT = """
+import sys
+from negshapley.cli import main
+db, q, two = sys.argv[1:]
+for argv in (["analyze", "--query", two], ["supports", "--db", db, "--query", q],
+             ["supports", "--kind", "positive", "--db", db, "--query", q],
+             ["score", "--db", db, "--query", q], ["relevance", "--db", db, "--query", q],
+             ["score", "--measure", "drastic", "--db", db, "--query", q]):
+    print(main(argv), file=sys.stderr)
+"""
+
+
+def test_arity_clash_messages_do_not_depend_on_the_hash_seed(tmp_path):
+    """A clash names the same relation and arities in the same order under
+    every ``PYTHONHASHSEED``: relations are checked in query or sorted order."""
+    (tmp_path / "d.facts").write_text("R(a)\nS(a)\n")
+    (tmp_path / "q.query").write_text("exists x, y. R(x,y), S(x,y)\n")
+    (tmp_path / "two.query").write_text("exists x. S(x) | exists x. S(x,x)\n")
+    paths = [str(tmp_path / name) for name in ("d.facts", "q.query", "two.query")]
+    errors = {
+        subprocess.run(
+            [sys.executable, "-c", _ARITY_CLASH_SCRIPT, *paths], capture_output=True,
+            text=True, env={**os.environ, "PYTHONHASHSEED": seed},
+        ).stderr
+        for seed in ("0", "1", "2", "3", "7", "9")
+    }
+    used, data = "used with arities 1 and 2\n2\n", "has arity 1 in the data but arity 2 in the query\n2\n"
+    assert errors == {"".join(
+        "error: relation " + line
+        for line in ("S " + used, "R " + used, "R " + data, "R " + used, "R " + used, "R " + data)
+    )}
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ _COMMANDS = st.sampled_from([
     ["supports"], ["supports", "--kind", "positive"], ["supports", "--kind", "dmonotone"],
     ["supports", "--kind", "positive", "--all"], ["score"], ["score", "--measure", "drastic"],
     ["score", "--measure", "mps", "--fact", "R(a,b)"], ["score", "--fact=-S(a)"],
-    ["score", "--measure", "signed-drastic", "--method", "permutation"],
+    ["score", "--measure", "signed-drastic", "--method", "subset"],
     ["relevance"], ["compare"], ["analyze"], ["relevance", "--cap-signed", "2"],
 ])
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from negshapley.core import database, fact, negative, positive, signed_database
 from negshapley.errors import CapExceededError, PlayerSetError
 from negshapley.query import parse_query
+from negshapley.relevance import _impacts
 from negshapley.shapley import (
     WEIGHT_FUNCTIONS,
     Game,
@@ -234,11 +235,37 @@ def test_compiled_wealth_matches_oracle_on_corpus():
             oracle = oracles.oracle_wealth(kind.value, inst.q, inst.db)
             table = oracles.wealth_table(g.players, oracle)
             assert oracles.wealth_table(g.players, g.wealth) == table, (str(inst), kind)
+            if kind.support_mode is None:  # a Boolean game's bit table
+                bits = [g._table >> S & 1 for S in range(1 << len(g.players))]
+                assert bits == table, (str(inst), kind)
             values = shapley_values(g)
             assert list(values) == list(g.players)
             assert list(values.values()) == oracles.shapley_from_table(
                 table, len(g.players)
             ), (str(inst), kind)
+
+
+def test_a_fourteen_player_drastic_game_matches_the_list_table():
+    """Above the corpus sizes (14 players, against at most 10) and with
+    forbidden players: the bit table, every Shapley value and every impact
+    against the list table of `Game.wealth` that the oracles read."""
+    edges = [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 4), (4, 0), (2, 0), (0, 3), (4, 4)]
+    db = database([fact("R", f"c{i}", f"c{j}") for i, j in edges]
+                  + [fact("S", f"c{i}") for i in (0, 2, 3, 4)])
+    q = parse_query("exists x, y. R(x,y), !R(y,x), !S(y) | exists x. S(x), !R(x,x)")
+    g = make_game(q, db, WealthKind.DRASTIC_DIRECT)
+    n = len(g.players)
+    assert n == 14
+    table = oracles.wealth_table(g.players, g.wealth)
+    assert [g._table >> S & 1 for S in range(1 << n)] == table
+    assert list(shapley_values(g).values()) == oracles.shapley_from_table(table, n)
+    kinds = ("none", "positiveOnly", "negativeOnly", "both")
+    want = []
+    for i in range(n):
+        flips = {table[S | 1 << i] - table[S] for S in range(1 << n) if not S >> i & 1}
+        want.append(kinds[(1 in flips) + 2 * (-1 in flips)])
+    assert [kind.value for kind in _impacts(g).values()] == want
+    assert {"positiveOnly", "negativeOnly", "both"} <= set(want)
 
 
 def test_closed_form_equals_subset_shapley_across_corpus():

@@ -477,6 +477,15 @@ def test_all_supports_positive_listing():
     }
 
 
+def test_all_supports_match_the_oracle_listing_on_corpus():
+    """Every listing, each support's minimality flag included, against the
+    oracle's test of every subset of the players, on the whole corpus."""
+    for inst in corpus(500):
+        for kind in ("signed", "positive", "dMonotone"):
+            got = [(s.elements, s.minimal) for s in all_supports(inst.q, inst.db, kind)]
+            assert got == oracles.oracle_all_supports(inst.q, inst.db, kind), (str(inst), kind)
+
+
 def test_all_supports_caps_on_large_universes():
     with pytest.raises(CapExceededError):
         all_supports(Q_FISH, RECIPE_DB, "signed")  # 25-fact completion
