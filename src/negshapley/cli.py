@@ -99,13 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--measure", choices=_MEASURES, default="ms-signed")
     p.add_argument("--weight", choices=sorted(WEIGHT_FUNCTIONS), default="reciprocal")
-    p.add_argument(
-        "--method",
-        choices=("auto", "closed-form", "subset"),
-        default="auto",
-    )
-    p.add_argument("--fact", help='score only this fact, e.g. "I(mm,fish)" or "-E(c,a)"')
-    p.add_argument("--all", action="store_true", help="score every player (the default)")
+    players = p.add_mutually_exclusive_group()
+    players.add_argument("--fact", help='score only this fact, e.g. "I(mm,fish)" or "-E(c,a)"')
+    players.add_argument("--all", action="store_true", help="score every player (the default)")
     p.add_argument("--cap-subset", type=_count, default=DEFAULT_SUBSET_CAP, metavar="N")
 
     p = sub.add_parser("relevance", help="relevance report for every fact")
@@ -235,15 +231,6 @@ def _cmd_supports(args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_game_method(method: str) -> None:
-    """A game measure is scored by the subset route, which ``auto`` names."""
-    if method == "closed-form":
-        raise InputParseError(
-            f"--method closed-form applies only to "
-            f"{WealthKind.MS_SIGNED.value} and {WealthKind.MPS_POSITIVE.value}"
-        )
-
-
 def _game_values(game: Game, cap_subset: int) -> dict:
     """Every player's value, or the message of the cap that refuses the game."""
     try:
@@ -256,36 +243,27 @@ def _cmd_score(args: argparse.Namespace) -> None:
     q = _load_query(args.query)
     db = _load_db(args.db)
     kind = WealthKind(args.measure)
-    closed_form = kind.support_mode is not None and args.method in ("auto", "closed-form")
-    weight = WEIGHT_FUNCTIONS[args.weight]
-    mode, cap_signed = kind.support_mode, args.cap_signed
+    parse = parse_signed_fact if kind.signed_players else parse_fact
+    target = None if args.fact is None else parse(args.fact)
 
-    # A record is (fact, value or cap message, method, supports by size).
-    if args.fact is not None:
-        target = (
-            parse_signed_fact(args.fact) if kind.signed_players else parse_fact(args.fact)
-        )
-        if closed_form:
-            result = ms_shapley(
-                q, db, target, weight=weight, mode=mode, signed_cap=cap_signed
-            )
-            records = [(str(target), result.score, "closed-form", result.supports_by_size)]
-        else:
-            game = make_game(q, db, kind, signed_cap=cap_signed)
-            _check_game_method(args.method)
-            value = shapley_subset(game, target, cap=args.cap_subset)
-            records = [(str(target), value, "subset", None)]
-    elif closed_form:
-        scores = ms_scores(q, db, weight=weight, mode=mode, signed_cap=cap_signed)
-        records = [(str(p), r.score, "closed-form", r.supports_by_size)
-                   for p, r in scores.items()]
+    # The measure picks the route: a counting measure is the weighted sum over
+    # its minimal supports, a Boolean game is played on its coalition table.
+    # A record is (fact, value or cap message, supports by size).
+    if kind.support_mode is not None:
+        method = "closed-form"
+        options = {"weight": WEIGHT_FUNCTIONS[args.weight], "mode": kind.support_mode,
+                   "signed_cap": args.cap_signed}
+        results = (ms_scores(q, db, **options) if target is None
+                   else {target: ms_shapley(q, db, target, **options)})
+        records = [(str(p), r.score, r.supports_by_size) for p, r in results.items()]
     else:
-        game = make_game(q, db, kind, signed_cap=cap_signed)
-        _check_game_method(args.method)
-        records = [(str(p), v, "subset", None)
-                   for p, v in _game_values(game, args.cap_subset).items()]
+        method = "subset"
+        game = make_game(q, db, kind, signed_cap=args.cap_signed)
+        values = (_game_values(game, args.cap_subset) if target is None
+                  else {target: shapley_subset(game, target, cap=args.cap_subset)})
+        records = [(str(p), v, None) for p, v in values.items()]
 
-    def record(fact: str, value: Fraction | str, method: str, sizes) -> str:
+    def record(fact: str, value: Fraction | str, sizes) -> str:
         if isinstance(value, str):
             return _block("{}", [f'"fact": {_dumps(fact)}', f'"error": {_dumps(value)}'], 2)
         score = _block("{}", [f'"{kind.value}": {_value_json(value)}'], 3)
@@ -300,7 +278,7 @@ def _cmd_score(args: argparse.Namespace) -> None:
 
     rows = lambda: [["fact", kind.value, "method"]] + [
         [fact, "error: " + value, "-"] if isinstance(value, str) else [fact, str(value), method]
-        for fact, value, method, _ in records
+        for fact, value, _ in records
     ]
     _emit(args, document, lambda: _columns(rows()))
 

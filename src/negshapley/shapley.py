@@ -180,14 +180,15 @@ def shapley_values(game: Game, *, cap: int = DEFAULT_SUBSET_CAP) -> dict[Player,
     player's marginal contribution to S, counted per size of S in the
     coalition table, in integer numerators over n!.  A counting game is a
     sum of unanimity games, one per minimal support S, and each gives its
-    members 1/|S|: the closed form."""
-    n = len(game.players)
-    if n > cap:
-        raise CapExceededError(f"{n} players means 2^{n - 1} coalitions (cap {cap})")
+    members 1/|S|: the closed form, which builds no table, so ``cap`` (on
+    the players of a table) refuses Boolean games only."""
     if game.kind.support_mode is not None:
         mode, players = game.kind.support_mode, game.players
         supports = [SupportSet(mode, _members(players, r), True) for r, _ in game._witnesses]
         return {p: r.score for p, r in _ms_results(players, supports, reciprocal_weight).items()}
+    n = len(game.players)
+    if n > cap:
+        raise CapExceededError(f"{n} players means 2^{n - 1} coalitions (cap {cap})")
     coefficients = [math.factorial(k) * math.factorial(n - 1 - k) for k in range(n)]
     sizes, n_fact = coalition_sizes(n), math.factorial(n)
     return {

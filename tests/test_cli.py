@@ -193,26 +193,24 @@ def test_score_drastic_q2_zero(capsys, paths):
     assert code == 0
     (rec,) = json.loads(out)["records"]
     assert rec["values"]["drastic"] == {"num": "0", "den": "1"}
-    assert rec["method"] == "subset"  # auto picks subset for 5 players
+    assert rec["method"] == "subset"  # a Boolean game is played on its table
 
 
 def test_score_methods_agree(capsys, paths):
-    """A game measure gets one route whichever method names it, and
-    ``subset`` on a counting measure gives the closed form's numbers."""
-    values = {}
-    for measure, fact, method in [("drastic", "I(mm,wine)", m) for m in ("subset", "auto")] + [
-        ("mps", "I(mp,wine)", m) for m in ("subset", "closed-form")
+    """The measure picks the route: a Boolean game is played on its table
+    (``subset``), a counting measure summed over its minimal supports
+    (``closed-form``)."""
+    for measure, fact, method, value in [
+        ("drastic", "I(mm,wine)", "subset", {"num": "-1", "den": "6"}),
+        ("mps", "I(mp,wine)", "closed-form", {"num": "1", "den": "2"}),
     ]:
         code, out, _ = run(
             capsys, "score", "--db", paths["db"], "--query", paths["q2"],
-            "--measure", measure, "--fact", fact, "--method", method, "--format", "json",
+            "--measure", measure, "--fact", fact, "--format", "json",
         )
         assert code == 0
         (record,) = json.loads(out)["records"]
-        assert record["method"] == ("subset" if method == "auto" else method)
-        values[measure, method] = record["values"][measure]
-    assert values["drastic", "subset"] == values["drastic", "auto"] == {"num": "-1", "den": "6"}
-    assert values["mps", "subset"] == values["mps", "closed-form"] == {"num": "1", "den": "2"}
+        assert (record["method"], record["values"][measure]) == (method, value)
 
 
 def test_score_mps_weight_constant(capsys, paths):
@@ -223,14 +221,6 @@ def test_score_mps_weight_constant(capsys, paths):
     )
     assert code == 0
     assert json.loads(out)["records"][0]["values"]["mps"] == {"num": "1", "den": "1"}
-
-
-def test_closed_form_refused_for_drastic(capsys, paths):
-    code, _, err = run(
-        capsys, "score", "--db", paths["db"], "--query", paths["q2"],
-        "--measure", "drastic", "--method", "closed-form", "--fact", "I(mp,wine)",
-    )
-    assert code == 1 and "closed-form" in err
 
 
 def test_score_all_records_equal_single_fact_records(capsys, paths):
@@ -342,7 +332,7 @@ def big_paths(tmp_path):
 def test_cap_error_is_embedded_per_fact_in_bulk_mode(capsys, big_paths):
     code, out, _ = run(
         capsys, "score", "--db", big_paths["db"], "--query", big_paths["q"],
-        "--measure", "drastic", "--method", "subset", "--cap-subset", "8", "--all",
+        "--measure", "drastic", "--cap-subset", "8", "--all",
         "--format", "json",
     )
     assert code == 0
@@ -386,10 +376,21 @@ def test_caps_refuse_before_compiling(capsys, big_paths, monkeypatch):
 def test_cap_error_is_fatal_in_single_fact_mode(capsys, big_paths):
     code, _, err = run(
         capsys, "score", "--db", big_paths["db"], "--query", big_paths["q"],
-        "--measure", "drastic", "--method", "subset", "--cap-subset", "8",
-        "--fact", "R(v0,v1)",
+        "--measure", "drastic", "--cap-subset", "8", "--fact", "R(v0,v1)",
     )
     assert code == 3 and "cap 8" in err
+
+
+def test_counting_measures_never_meet_the_table_cap(capsys, paths):
+    """A counting measure is scored by its closed form, which builds no
+    coalition table, so ``--cap-subset`` leaves its output as it is."""
+    base = ("score", "--db", paths["db"], "--query", paths["q"], "--measure", "ms-signed")
+    for players in ("--all", "--fact=-I(mm,meat)"):
+        for fmt in ("table", "json"):
+            want = run(capsys, *base, players, "--format", fmt)
+            assert want[0] == 0 and "error" not in want[1]
+            assert run(capsys, *base, players, "--format", fmt, "--cap-subset", "2") == want
+    assert len(json.loads(want[1])["records"]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +541,17 @@ def test_exit_1_on_negative_integer_flag(capsys, paths, command, flag):
     "argv",
     [
         ("score", "--method", "permutation"),
+        ("score", "--method", "subset"),
+        ("score", "--method", "closed-form"),
         ("score", "--cap-perm", "8"),
         ("compare", "--cap-perm", "8"),
+        ("score", "--fact", "I(mm,fish)", "--all"),
     ],
 )
 def test_removed_permutation_flags_are_usage_errors(capsys, paths, argv):
-    """A game has one route, subset, so the permutation method and its cap
-    are gone from the command line."""
+    """The measure picks the one route of each score, so ``--method`` and
+    the permutation cap are gone from the command line; ``--fact`` and
+    ``--all`` are alternatives."""
     code, out, err = run(capsys, argv[0], "--db", paths["db"], "--query", paths["q"], *argv[1:])
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and argv[1] in err

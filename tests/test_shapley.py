@@ -184,6 +184,16 @@ def test_subset_cap():
         shapley_subset(g, fact("R", "u0", "u0"))
 
 
+def test_counting_games_never_meet_the_table_cap():
+    """A counting game is scored by its closed form, which builds no table:
+    a cap of 2 refuses none of the recipe's 25 signed players."""
+    g = make_game(Q_FISH, RECIPE_DB, WealthKind.MS_SIGNED)
+    assert len(g.players) == 25
+    want = {p: r.score for p, r in ms_scores(Q_FISH, RECIPE_DB).items()}
+    assert shapley_values(g, cap=2) == want
+    assert shapley_subset(g, negative(fact("I", "mm", "meat")), cap=2) == Fraction(1, 2)
+
+
 def test_target_must_be_a_player():
     g = make_game(Q_FISH, RECIPE_DB, WealthKind.MS_SIGNED)
     with pytest.raises(PlayerSetError):
