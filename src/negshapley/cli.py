@@ -13,31 +13,33 @@ or its reader gone (nothing more is written).
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Sequence
 
-from .core import Database, Fact, load_database, negative, parse_fact, parse_signed_fact, positive
+from .core import (Database, Fact, Sign, _absent, _completion_shape, load_database, negative,
+                   parse_fact, parse_signed_fact, positive)
 from .errors import CapExceededError, InputParseError, SemanticError
-from .query import Query, analyze_query, parse_query
+from .output import (_block, _bool, _columns, _dumps, _emit, _fact_width, _json, _value_cell,
+                     _value_json, _write_rows)
+from .query import Query, analyze_query, neg_rels, parse_query
 from .relevance import _report
 from .shapley import (
     DEFAULT_SUBSET_CAP,
     WEIGHT_FUNCTIONS,
-    Game,
     WealthKind,
     _ms_results,
+    _table_cap,
     make_game,
-    ms_scores,
     ms_shapley,
     reciprocal_weight,
     shapley_subset,
     shapley_values,
 )
 from .supports import (
+    _signed_supports,
     all_supports,
     minimal_d_monotone_supports,
     minimal_positive_supports,
@@ -133,70 +135,6 @@ def _load_db(path: str) -> Database:
         raise InputParseError(f"cannot read fact file: {exc}") from exc
 
 
-def _emit(args: argparse.Namespace, document: Callable, table: Callable) -> None:
-    """Write the JSON document or the table, building only the one that
-    ``--format`` selects, a bounded piece at a time."""
-    if sys.stdout is None:  # started with standard output closed
-        raise BrokenPipeError("standard output is closed")
-    sys.stdout.writelines(document() if args.format == "json" else table())
-    sys.stdout.flush()
-
-
-def _chunks(pieces: Iterable[str], separator: str = "") -> Iterator[str]:
-    """The pieces joined by ``separator``, 1024 to a chunk."""
-    pieces = iter(pieces)
-    while chunk := list(itertools.islice(pieces, 1024)):
-        yield separator.join(chunk)
-
-
-def _block(brackets: str, items: Iterable[str], depth: int) -> str:
-    """A JSON array or object (``brackets`` is ``"[]"`` or ``"{}"``) as
-    ``json.dumps(..., indent=2)`` writes it ``depth`` levels down, from its
-    items already written (``"key": value`` in an object)."""
-    body = ",".join(f"\n{'  ' * (depth + 1)}{item}" for item in items)
-    return f"{brackets[0]}{body}\n{'  ' * depth}{brackets[1]}" if body else brackets
-
-
-def _dumps(value: Any, **options: Any) -> str:
-    import json  # here: only ``--format json`` needs it
-
-    return json.dumps(value, **options)
-
-
-def _json(payload: dict) -> Iterator[str]:
-    """``json.dumps(payload, indent=2)`` and a newline, in pieces of 1024
-    items: the last entry of ``payload`` holds its items already written at
-    depth 2 (see `_block`), the others plain values."""
-    *head, (name, items) = payload.items()
-    yield "{\n" + "".join(f'  "{k}": {_dumps(v)},\n' for k, v in head) + f'  "{name}": ['
-    separator = "\n    "
-    for chunk in _chunks(items, ",\n    "):
-        yield separator + chunk
-        separator = ",\n    "
-    yield "]\n}\n" if separator == "\n    " else "\n  ]\n}\n"
-
-
-def _value_json(value: Fraction | str) -> str:
-    """A score, or the message of the cap that refused it, at depth 4."""
-    if isinstance(value, str):
-        return _block("{}", [f'"error": {_dumps(value)}'], 4)
-    return _block("{}", [f'"num": "{value.numerator}"', f'"den": "{value.denominator}"'], 4)
-
-
-def _value_cell(value: Fraction | str | None) -> str:
-    return "-" if value is None else "error" if isinstance(value, str) else str(value)
-
-
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _columns(rows: list[Sequence[str]]) -> Iterable[str]:
-    widths = [max(map(len, column)) for column in zip(*rows)]
-    template = "".join(f"{{:<{w}}}  " for w in widths[:-1]) + "{}\n"
-    return _chunks(itertools.starmap(template.format, rows))
-
-
 # ---------------------------------------------------------------------------
 # supports
 # ---------------------------------------------------------------------------
@@ -231,56 +169,73 @@ def _cmd_supports(args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _game_values(game: Game, cap_subset: int) -> dict:
-    """Every player's value, or the message of the cap that refuses the game."""
-    try:
-        return shapley_values(game, cap=cap_subset)
-    except CapExceededError as exc:
-        return dict.fromkeys(game.players, str(exc))
-
-
 def _cmd_score(args: argparse.Namespace) -> None:
     q = _load_query(args.query)
     db = _load_db(args.db)
     kind = WealthKind(args.measure)
-    parse = parse_signed_fact if kind.signed_players else parse_fact
-    target = None if args.fact is None else parse(args.fact)
+    signed = kind.signed_players
+    target = None if args.fact is None else (parse_signed_fact if signed else parse_fact)(args.fact)
 
     # The measure picks the route: a counting measure is the weighted sum over
     # its minimal supports, a Boolean game is played on its coalition table.
-    # A record is (fact, value or cap message, supports by size).
-    if kind.support_mode is not None:
-        method = "closed-form"
-        options = {"weight": WEIGHT_FUNCTIONS[args.weight], "mode": kind.support_mode,
-                   "signed_cap": args.cap_signed}
-        results = (ms_scores(q, db, **options) if target is None
-                   else {target: ms_shapley(q, db, target, **options)})
-        records = [(str(p), r.score, r.supports_by_size) for p, r in results.items()]
+    # A player's data is (value or cap message, supports by size or None).
+    # Scoring every player, data is held for the support members only, or for
+    # a game's players, and the other players share ``other``: the rows come
+    # from the database facts and the - facts' argument tuples.
+    counting, weight = kind.support_mode is not None, WEIGHT_FUNCTIONS[args.weight]
+    method, other = "closed-form" if counting else "subset", (Fraction(0), {})
+    if target is not None:
+        if counting:
+            value = ms_shapley(q, db, target, weight=weight, mode=kind.support_mode,
+                               signed_cap=args.cap_signed)
+        else:
+            game = make_game(q, db, kind, signed_cap=args.cap_signed)
+            value = (shapley_subset(game, target, cap=args.cap_subset), None)
+        data = {target: value}
+        n, plus, minus, width = 1, [(str(target), value)], [], len(str(target))
     else:
-        method = "subset"
-        game = make_game(q, db, kind, signed_cap=args.cap_signed)
-        values = (_game_values(game, args.cap_subset) if target is None
-                  else {target: shapley_subset(game, target, cap=args.cap_subset)})
-        records = [(str(p), v, None) for p, v in values.items()]
+        n, minus = len(db.facts), []
+        if signed:
+            base, negated, n = _completion_shape(db, neg_rels(q), q.relations, args.cap_signed)
+            adom = sorted(base.active_domain)
+            minus = [(rel, _absent(base, rel, adom)) for rel in negated]
+        if counting:
+            supports = _signed_supports(q, db) if signed else minimal_positive_supports(q, db)
+            data = _ms_results({p for s in supports for p in s.elements}, supports, weight)
+        else:
+            try:  # the players are made within the cap only
+                _table_cap(n, args.cap_subset)
+                game = make_game(q, db, kind, signed_cap=args.cap_signed)
+                data = {p: (v, None) for p, v in shapley_values(game, cap=args.cap_subset).items()}
+            except CapExceededError as exc:
+                data, other = {}, (str(exc), None)
+        plus = (((f"+{f}", data.get(positive(f), other)) for f in db.sorted_facts) if signed
+                else ((str(f), data.get(f, other)) for f in db.sorted_facts))
+        minus = [(rel, absent, {sf.fact.args: d for sf, d in data.items()
+                                if sf.sign is Sign.NEGATIVE and sf.fact.relation == rel}, other)
+                 for rel, absent in minus]
+        width = _fact_width(db, [rel for rel, *_ in minus], signed)
 
-    def record(fact: str, value: Fraction | str, sizes) -> str:
+    def cells(data) -> tuple[str, str]:
+        value = data[0]
+        return ("error: " + value, "-") if isinstance(value, str) else (str(value), method)
+
+    def record(data) -> str:
+        value, sizes = data
         if isinstance(value, str):
-            return _block("{}", [f'"fact": {_dumps(fact)}', f'"error": {_dumps(value)}'], 2)
+            return f',\n      "error": {_dumps(value)}\n    }}'
         score = _block("{}", [f'"{kind.value}": {_value_json(value)}'], 3)
-        fields = [f'"fact": {_dumps(fact)}', f'"values": {score}', f'"method": "{method}"']
+        text = f',\n      "values": {score},\n      "method": "{method}"'
         if sizes is not None:
             counts = (f'"{size}": {count}' for size, count in sizes.items())
-            fields.append(f'"supportsBySize": {_block("{}", counts, 3)}')
-        return _block("{}", fields, 2)
+            text += f',\n      "supportsBySize": {_block("{}", counts, 3)}'
+        return text + "\n    }"
 
-    document = lambda: _json({"command": "score", "query": str(q), "measure": kind.value,
-                              "weight": args.weight, "records": itertools.starmap(record, records)})
-
-    rows = lambda: [["fact", kind.value, "method"]] + [
-        [fact, "error: " + value, "-"] if isinstance(value, str) else [fact, str(value), method]
-        for fact, value, _ in records
-    ]
-    _emit(args, document, lambda: _columns(rows()))
+    shown = [*data.values(), other] if n > len(data) else data.values()
+    _write_rows(args, {"command": "score", "query": str(q), "measure": kind.value,
+                       "weight": args.weight}, ("fact", kind.value, "method"),
+                lambda: [width, max((len(cells(d)[0]) for d in shown), default=0), 0],
+                record, cells, plus, minus)
 
 
 # ---------------------------------------------------------------------------
@@ -340,74 +295,50 @@ def _cmd_report(args: argparse.Namespace) -> None:
     # One search gives both support families for the verdict and closed-form
     # columns, and one drastic game serves the impact and drastic columns.
     # Scores are kept for support members only (ms-signed by signed fact, the
-    # others by fact); every other fact shares one zero.
+    # others by fact); every other fact shares one zero.  A row's data is
+    # (signed-relevant, positive-relevant, impact, values); a - row's depends
+    # only on its ms-signed score, 0 outside the signed supports.
     signed, plain, game, impacts, positives, negatives = _report(q, db, args.cap_signed)
     scores: list[dict] = []
     if args.command == "compare":
         members = lambda family: {p for s in family for p in s.elements}
         scores = [{p: r.score for p, r in _ms_results(members(f), f, reciprocal_weight).items()}
                   for f in (signed, plain)]
-        scores.append(_game_values(game, args.cap_subset))
+        try:
+            scores.append(shapley_values(game, cap=args.cap_subset))
+        except CapExceededError as exc:  # every player's value is the cap's message
+            scores.append(dict.fromkeys(game.players, str(exc)))
     measures, zero = _COMPARED[:len(scores)], Fraction(0)
 
     def values(*players) -> dict:  # a - row has one player: ms-signed only
         return {m: by_player.get(p, zero) for m, by_player, p in zip(measures, scores, players)}
 
-    if args.format == "json":
-        from json.encoder import encode_basestring_ascii as quote  # json.dumps of a str
+    def record(data) -> str:
+        in_signed, in_plain, impact, values = data
+        impact = "null" if impact is None else f'"{impact}"'  # a name: nothing to escape
+        text = (f',\n      "signedRelevant": {_bool(in_signed)},\n      "positiveRelevant": '
+                f'{"null" if in_plain is None else _bool(in_plain)},\n      "impact": {impact}')
+        if measures:
+            shown = (f'"{m}": {_value_json(v)}' for m, v in values.items())
+            text += f',\n      "values": {_block("{}", shown, 3)}'
+        return text + "\n    }"
 
-        opening = '{\n      "fact": '
-        fact = lambda cell: opening + quote(cell)
+    def cells(data) -> tuple[str, ...]:
+        in_signed, in_plain, impact, values = data
+        return (_bool(in_signed), "-" if in_plain is None else _bool(in_plain), impact or "-",
+                *(_value_cell(values.get(m)) for m in measures))
 
-        def tail(in_signed: bool, in_plain: bool | None, impact: str | None, values: dict) -> str:
-            text = (f',\n      "signedRelevant": {_bool(in_signed)},\n      "positiveRelevant": '
-                    f'{"null" if in_plain is None else _bool(in_plain)},\n      "impact": '
-                    f'{"null" if impact is None else quote(impact)}')
-            if measures:
-                shown = (f'"{m}": {_value_json(v)}' for m, v in values.items())
-                text += f',\n      "values": {_block("{}", shown, 3)}'
-            return text + "\n    }"
-    else:
-        # The widest fact cell, with no row listed: each negated relation's
-        # tuple of the longest constant is a row, as a - fact or, if stored,
-        # a + fact.
-        longest = max(map(len, db.active_domain), default=0)
-        negated = [len(r.name) + 2 + r.arity * (longest + 1) for r, _, _ in negatives]
-        widths = [
-            max([len(str(f)) + 1 for f in db.facts] + (negated if longest else []), default=0),
-            0, 0, max(map(len, impacts.values()), default=0),
-            *(max(map(len, map(_value_cell, by_player.values())), default=0)
-              for by_player in scores),
-        ]
-        header = (*_VERDICT_COLUMNS, *measures)
-        widths = [max(len(h), w) for h, w in zip(header, widths)]
-        template = "".join(f"  {{:<{w}}}" for w in widths[1:-1]) + "  {}\n"
-        width = widths[0]
-        fact = lambda cell: cell.ljust(width)
-
-        def tail(in_signed: bool, in_plain: bool | None, impact: str | None, values: dict) -> str:
-            cells = (_bool(in_signed), "-" if in_plain is None else _bool(in_plain), impact or "-")
-            return template.format(*cells, *(_value_cell(values.get(m)) for m in measures))
-
-    # A row is its fact's cell and a tail of the other cells.  A - row's tail
-    # depends only on its ms-signed score (0 outside the signed supports), so a
-    # relation's tails are few: one shared, and one interned per support member.
-    def minus_rows(rel, absent: Iterator[tuple[str, ...]], relevant: set) -> Iterator[str]:
-        tails = {a: sys.intern(tail(True, None, None, values(negative(Fact(rel, a)))))
-                 for a in relevant}
-        other, head = tail(False, None, None, values(None)), f"-{rel.name}("
-        if args.format == "json":  # `fact` written out: this runs once per row
-            return (opening + quote(head + ",".join(a) + ")") + tails.get(a, other)
-                    for a in absent)
-        return ((head + ",".join(a) + ")").ljust(width) + tails.get(a, other) for a in absent)
-
-    rows = itertools.chain(
-        (fact(f"+{f}") + tail(in_signed, in_plain, impact, values(positive(f), f, f))
-         for f, in_signed, in_plain, impact in positives),
-        *itertools.starmap(minus_rows, negatives),
-    )
-    _emit(args, lambda: _json({"command": args.command, "query": str(q), "records": rows}),
-          lambda: _chunks(itertools.chain([fact(header[0]) + template.format(*header[1:])], rows)))
+    widths = lambda: [
+        _fact_width(db, [r for r, _, _ in negatives], 1), 0, 0,
+        max(map(len, impacts.values()), default=0),
+        *(max(map(len, map(_value_cell, by_player.values())), default=0) for by_player in scores),
+    ]
+    plus = ((f"+{f}", (in_signed, in_plain, impact, values(positive(f), f, f)))
+            for f, in_signed, in_plain, impact in positives)
+    minus = ((rel, absent, {a: (True, None, None, values(negative(Fact(rel, a)))) for a in relevant},
+              (False, None, None, values(None))) for rel, absent, relevant in negatives)
+    _write_rows(args, {"command": args.command, "query": str(q)}, (*_VERDICT_COLUMNS, *measures),
+                widths, record, cells, plus, minus)
 
 
 # ---------------------------------------------------------------------------

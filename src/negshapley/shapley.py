@@ -187,8 +187,7 @@ def shapley_values(game: Game, *, cap: int = DEFAULT_SUBSET_CAP) -> dict[Player,
         supports = [SupportSet(mode, _members(players, r), True) for r, _ in game._witnesses]
         return {p: r.score for p, r in _ms_results(players, supports, reciprocal_weight).items()}
     n = len(game.players)
-    if n > cap:
-        raise CapExceededError(f"{n} players means 2^{n - 1} coalitions (cap {cap})")
+    _table_cap(n, cap)
     coefficients = [math.factorial(k) * math.factorial(n - 1 - k) for k in range(n)]
     sizes, n_fact = coalition_sizes(n), math.factorial(n)
     return {
@@ -196,6 +195,12 @@ def shapley_values(game: Game, *, cap: int = DEFAULT_SUBSET_CAP) -> dict[Player,
                         for c, size in zip(coefficients, sizes)), n_fact)
         for p, (win_with, win_without) in zip(game.players, coalition_halves(game._table, n))
     }
+
+
+def _table_cap(n: int, cap: int) -> None:
+    """Refuse the coalition table of ``n`` players above ``cap`` players."""
+    if n > cap:
+        raise CapExceededError(f"{n} players means 2^{n - 1} coalitions (cap {cap})")
 
 
 def shapley_subset(

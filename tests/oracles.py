@@ -7,8 +7,8 @@ in size order, Shapley values by averaging marginal contributions over
 every permutation, the order of the engine's assignments by scanning
 whole relations, the order of its minimal signed supports by scanning
 the signed completion, the guarded reduction by matching fact by fact, and
-the relevance and compare reports by rendering the materialized completion
-whole.  Only data types are imported from the package --
+the relevance, compare and score outputs by rendering the materialized
+completion whole.  Only data types are imported from the package --
 none of its evaluation code.  Keep it that way.
 """
 
@@ -522,7 +522,7 @@ def null_players_from_table(values: Sequence[Fraction], n: int) -> list[bool]:
 
 
 # ---------------------------------------------------------------------------
-# The relevance and compare reports, materialized
+# The relevance, compare and score outputs, materialized
 # ---------------------------------------------------------------------------
 
 VERDICT_COLUMNS = ("fact", "signedRelevant", "positiveRelevant", "impact")
@@ -617,6 +617,57 @@ def reference_reports(
         ]
         outputs[command, "table"] = "".join(line + "\n" for line in _columns(rows))
     return outputs
+
+
+WEIGHTS: dict[str, Callable[[int], Fraction]] = {
+    "reciprocal": lambda k: Fraction(1, k),
+    "constant": lambda k: Fraction(1),
+}
+
+
+def reference_score(
+    q: Query, db: Database, measure: str, weight: str = "reciprocal", *, subset_cap: int = 20
+) -> dict[str, str]:
+    """The whole output of ``negshapley score --measure MEASURE --weight
+    WEIGHT`` for every player, keyed by format, built the way the command
+    line built it before its records were streamed: one record per player of
+    the materialized player set (the restricted signed completion for
+    ``ms-signed`` and ``signed-drastic``, the database facts otherwise), in
+    sorted order, then every table line or the whole JSON document at once.
+
+    The counting measures take each player's score and support sizes from
+    `reference_ms_shapley`; the Boolean games take every value from a
+    coalition table (`wealth_table`, `shapley_from_table`), or the command
+    line's per-fact subset-cap error above ``subset_cap`` players, and show
+    the weight only in the header.
+    """
+    signed = measure in ("ms-signed", "signed-drastic")
+    players = sorted(oracle_signed_completion(db, q)) if signed else sorted(db.facts)
+    if measure in ("ms-signed", "mps"):
+        mode = "signed" if signed else "positive"
+        records = [
+            {"fact": str(p), "values": {measure: _rational(score)}, "method": "closed-form",
+             "supportsBySize": sizes}
+            for p in players
+            for score, sizes in [reference_ms_shapley(q, db, p, weight=WEIGHTS[weight], mode=mode)]
+        ]
+    elif len(players) > subset_cap:
+        n = len(players)
+        error = f"{n} players means 2^{n - 1} coalitions (cap {subset_cap})"
+        records = [{"fact": str(p), "error": error} for p in players]
+    else:
+        values = shapley_from_table(wealth_table(players, oracle_wealth(measure, q, db)), len(players))
+        records = [{"fact": str(p), "values": {measure: _rational(v)}, "method": "subset"}
+                   for p, v in zip(players, values)]
+    payload = {"command": "score", "query": str(q), "measure": measure, "weight": weight,
+               "records": records}
+    rows = [["fact", measure, "method"]] + [
+        [r["fact"], "error: " + r["error"], "-"] if "error" in r
+        else [r["fact"], _value_cell(r["values"][measure]), r["method"]]
+        for r in records
+    ]
+    return {"json": json.dumps(payload, indent=2) + "\n",
+            "table": "".join(line + "\n" for line in _columns(rows))}
 
 
 # ---------------------------------------------------------------------------

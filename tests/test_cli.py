@@ -798,10 +798,10 @@ def test_arity_clash_messages_do_not_depend_on_the_hash_seed(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _report_outputs(capsys, tmp_path, q, db, *extra):
-    """(command, format) -> (exit code, stdout, stderr) of ``relevance`` and
-    ``compare`` on the instance, written to files first.  A ground disjunct
-    has no surface syntax, so it is written with an unused variable."""
+def _instance_files(tmp_path, q, db):
+    """The instance written to files: the query as read back, and the
+    ``--db``/``--query`` arguments.  A ground disjunct has no surface syntax,
+    so it is written with an unused variable."""
     from negshapley.query import parse_query
 
     text = " | ".join(str(cq) if cq.variables else f"exists x. {cq}" for cq in q.disjuncts)
@@ -810,13 +810,19 @@ def _report_outputs(capsys, tmp_path, q, db, *extra):
     here = Path(tempfile.mkdtemp(dir=tmp_path))
     (here / "i.facts").write_text("".join(f"{f}\n" for f in db.sorted_facts))
     (here / "i.query").write_text(text + "\n")
-    io = ("--db", str(here / "i.facts"), "--query", str(here / "i.query"))
+    return parse_query(text), ("--db", str(here / "i.facts"), "--query", str(here / "i.query"))
+
+
+def _report_outputs(capsys, tmp_path, q, db, *extra):
+    """(command, format) -> (exit code, stdout, stderr) of ``relevance`` and
+    ``compare`` on the instance, written to files first."""
+    q, io = _instance_files(tmp_path, q, db)
     outputs = {
         (command, fmt): run(capsys, command, *io, "--format", fmt, *extra)
         for command in ("relevance", "compare")
         for fmt in ("table", "json")
     }
-    return parse_query(text), outputs
+    return q, outputs
 
 
 def _assert_matches_reference(capsys, tmp_path, q, db, label=""):
@@ -888,3 +894,166 @@ def test_reports_never_build_the_completion(capsys, tmp_path, monkeypatch):
             monkeypatch.setattr(module, "signed_database", refuse)
     for inst in corpus(500)[::25]:
         _assert_matches_reference(capsys, tmp_path, inst.q, inst.db, str(inst))
+
+
+# ---------------------------------------------------------------------------
+# streamed score records against the materialized reference
+# ---------------------------------------------------------------------------
+
+_SCORED = ("drastic", "signed-drastic", "positive-drastic", "ms-signed", "mps")
+
+
+def _score_calls(tmp_path, q, db, measures=_SCORED, runs=((), ("--all",), ("--cap-subset", "2")),
+                 weights=tuple(oracles.WEIGHTS), formats=("table", "json")):
+    """(argv, expected output) of ``score`` on the instance, expected from
+    `oracles.reference_score`: each measure, weight and format, scoring every
+    player by each of ``runs``, the extra arguments (no player flag, ``--all``
+    or ``--cap-subset N``; a counting game builds no table, so it never meets
+    the cap and takes no ``--cap-subset`` run)."""
+    q, io = _instance_files(tmp_path, q, db)
+    for measure in measures:
+        for run_ in runs:
+            if "--cap-subset" in run_ and measure in ("ms-signed", "mps"):
+                continue
+            cap = int(run_[1]) if "--cap-subset" in run_ else 20
+            for weight in weights:
+                reference = oracles.reference_score(q, db, measure, weight, subset_cap=cap)
+                for fmt in formats:
+                    argv = ("score", *io, "--measure", measure, "--weight", weight, "--format", fmt)
+                    yield (*argv, *run_), reference[fmt]
+
+
+def _assert_score_matches_reference(capsys, tmp_path, q, db, label="", **options):
+    for argv, want in _score_calls(tmp_path, q, db, **options):
+        assert run(capsys, *argv) == (0, want, ""), (label, argv[5:])
+
+
+def test_score_matches_the_materialized_reference_on_corpus(capsys, tmp_path):
+    """Every measure on every instance, with and without ``--cap-subset 2``.
+    Each instance takes one weight, one way of scoring every player and one
+    format in turn, so that each of the eight pairings covers 62 or 63
+    instances and the test takes seconds: on inputs this small, most of a
+    call of ``main`` is building its argument parser."""
+    for i, inst in enumerate(corpus(500)):
+        _assert_score_matches_reference(
+            capsys, tmp_path, inst.q, inst.db, str(inst),
+            runs=[[(), ("--all",)][i // 2 % 2], ("--cap-subset", "2")],
+            weights=[list(oracles.WEIGHTS)[i % 2]], formats=[("table", "json")[i // 4 % 2]],
+        )
+
+
+@pytest.mark.parametrize("facts", sorted(_EDGE_DBS))
+@pytest.mark.parametrize("query", _EDGE_QUERIES)
+def test_score_matches_the_materialized_reference_on_edge_cases(capsys, tmp_path, facts, query):
+    from negshapley.core import load_database
+    from negshapley.query import parse_query
+
+    (tmp_path / "edge.facts").write_text(_EDGE_DBS[facts])
+    db, q = load_database(tmp_path / "edge.facts"), parse_query(query)
+    # Left out where the brute-force reference takes seconds to minutes: more
+    # than 12 players, unless a Boolean game is refused at the cap of 20.
+    signed, plain = len(oracles.oracle_signed_completion(db, q)), len(db.facts)
+    measures = [m for m in _SCORED
+                if (n := signed if m in ("signed-drastic", "ms-signed") else plain) <= 12
+                or n > 20 and m in ("drastic", "signed-drastic", "positive-drastic")]
+    _assert_score_matches_reference(capsys, tmp_path, q, db, measures=measures)
+
+
+def _readme_recipe(tmp_path):
+    from negshapley.core import load_database
+    from negshapley.query import parse_query
+
+    (tmp_path / "recipe.facts").write_text(RECIPE)
+    return parse_query(Q_FISH_TEXT.split("\n", 1)[1]), load_database(tmp_path / "recipe.facts")
+
+
+def test_score_matches_the_materialized_reference_over_the_signed_subset_cap(capsys, tmp_path):
+    """The README recipe: 25 signed players, so its signed-drastic game is
+    refused at the default cap of 20, one error record per player."""
+    q, db = _readme_recipe(tmp_path)
+    _assert_score_matches_reference(capsys, tmp_path, q, db)
+
+
+def test_score_never_builds_the_completion(capsys, tmp_path, monkeypatch):
+    """`score` builds no signed completion, but for the players of a
+    signed-drastic game within its cap: with `SignedDatabase` made to fail,
+    every other call still matches the reference."""
+    from negshapley.core import SignedDatabase
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the signed completion was built")
+
+    monkeypatch.setattr(SignedDatabase, "__init__", refuse)
+    instances = [(inst.q, inst.db) for inst in corpus(500)[::25]] + [_readme_recipe(tmp_path)]
+    for q, db in instances:
+        players = len(oracles.oracle_signed_completion(db, q))
+        for argv, want in _score_calls(tmp_path, q, db):
+            cap = int(argv[-1]) if "--cap-subset" in argv else 20
+            if argv[6] == "signed-drastic" and players <= cap:
+                continue  # its players are the completion
+            assert run(capsys, *argv) == (0, want, ""), (str(q), argv[5:])
+
+
+def _menus(tmp_path, menus=230):
+    """A recipe database of ``menus`` menus and 20 items, 250 constants at the
+    default, whose completion restricted to ``I`` holds their square, and its
+    query; the ``--db``/``--query`` arguments."""
+    lines = []
+    for i in range(menus):
+        items = ["iA"] * (i % 4 < 2) + ["iB"] * (i % 2 == 0) + [f"i{(i + k) % 18}" for k in range(3)]
+        lines += [f"I(m{i},{item})\n" for item in items]
+    (tmp_path / "menus.facts").write_text("".join(lines))
+    (tmp_path / "menus.query").write_text('exists x. I(x,"iA"), !I(x,"iB")\n')
+    return "--db", str(tmp_path / "menus.facts"), "--query", str(tmp_path / "menus.query")
+
+
+def test_score_all_streams_in_bounded_memory(tmp_path, monkeypatch):
+    """`score --measure ms-signed --all` holds the database and its minimal
+    supports, not the 62,500 facts of the completion it lists: its
+    tracemalloc peak stays under 8 MiB in both formats, and under twice that
+    of `relevance`, which streams the same rows."""
+    import tracemalloc
+
+    io = _menus(tmp_path)
+    peaks = {}
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        for command in (("score", "--measure", "ms-signed", "--all"), ("relevance",)):
+            for fmt in ("table", "json"):
+                tracemalloc.start()
+                try:
+                    code = main([*command, *io, "--format", fmt])
+                    peaks[command[0], fmt] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert code == 0
+    for fmt in ("table", "json"):
+        assert peaks["score", fmt] < 8 * 2**20, peaks
+        assert peaks["score", fmt] < 2 * peaks["relevance", fmt], peaks
+
+
+def test_every_write_is_bounded_by_size(tmp_path, monkeypatch):
+    """A write ends with the line or record that takes it to `output._CHUNK`
+    characters, however many records that is: on 3,600 rows of a few hundred
+    characters at most, no write holds more than `_CHUNK` and one record."""
+    from negshapley.output import _CHUNK
+
+    class Sink:
+        def __init__(self):
+            self.sizes = []
+
+        def writelines(self, chunks):
+            self.sizes += map(len, chunks)
+
+        def flush(self):
+            pass
+
+    io = _menus(tmp_path, menus=40)
+    for command in (("score", "--measure", "ms-signed", "--all"), ("relevance",),
+                    ("compare",), ("supports", "--kind", "positive")):
+        for fmt in ("table", "json"):
+            sink = Sink()
+            monkeypatch.setattr(sys, "stdout", sink)
+            assert main([*command, *io, "--format", fmt]) == 0
+            assert max(sink.sizes) < _CHUNK + 500, (command, fmt, sink.sizes)
+            assert sum(sink.sizes) > 4 * _CHUNK or command[0] == "supports", (command, fmt)
