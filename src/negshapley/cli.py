@@ -17,10 +17,11 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
-from .core import (Database, Fact, Sign, _absent, _completion_shape, load_database, negative,
-                   parse_fact, parse_signed_fact, positive)
+from .core import (Database, Fact, Sign, _absent, _completion_shape, in_completion, load_database,
+                   negative, parse_fact, parse_signed_fact, positive)
 from .errors import CapExceededError, InputParseError, SemanticError
 from .output import (_block, _bool, _columns, _dumps, _emit, _fact_width, _json, _value_cell,
                      _value_json, _write_rows)
@@ -31,6 +32,7 @@ from .shapley import (
     WEIGHT_FUNCTIONS,
     WealthKind,
     _ms_results,
+    _require_player,
     _table_cap,
     make_game,
     ms_shapley,
@@ -68,6 +70,7 @@ def _count(text: str) -> int:
     return value
 
 
+@cache  # built once per process: argparse does not change a parser as it parses
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="negshapley",
@@ -175,6 +178,9 @@ def _cmd_score(args: argparse.Namespace) -> None:
     kind = WealthKind(args.measure)
     signed = kind.signed_players
     target = None if args.fact is None else (parse_signed_fact if signed else parse_fact)(args.fact)
+    n = len(db.facts)  # the players, counted: the completion is built for a game only
+    if signed:
+        _, negated, n = _completion_shape(db, neg_rels(q), q.relations, args.cap_signed)
 
     # The measure picks the route: a counting measure is the weighted sum over
     # its minimal supports, a Boolean game is played on its coalition table.
@@ -189,16 +195,14 @@ def _cmd_score(args: argparse.Namespace) -> None:
             value = ms_shapley(q, db, target, weight=weight, mode=kind.support_mode,
                                signed_cap=args.cap_signed)
         else:
+            is_player = in_completion(db, target, negated) if signed else target in db.facts
+            _require_player(kind, target, is_player, n)
+            _table_cap(n, args.cap_subset)
             game = make_game(q, db, kind, signed_cap=args.cap_signed)
             value = (shapley_subset(game, target, cap=args.cap_subset), None)
         data = {target: value}
         n, plus, minus, width = 1, [(str(target), value)], [], len(str(target))
     else:
-        n, minus = len(db.facts), []
-        if signed:
-            base, negated, n = _completion_shape(db, neg_rels(q), q.relations, args.cap_signed)
-            adom = sorted(base.active_domain)
-            minus = [(rel, _absent(base, rel, adom)) for rel in negated]
         if counting:
             supports = _signed_supports(q, db) if signed else minimal_positive_supports(q, db)
             data = _ms_results({p for s in supports for p in s.elements}, supports, weight)
@@ -211,9 +215,9 @@ def _cmd_score(args: argparse.Namespace) -> None:
                 data, other = {}, (str(exc), None)
         plus = (((f"+{f}", data.get(positive(f), other)) for f in db.sorted_facts) if signed
                 else ((str(f), data.get(f, other)) for f in db.sorted_facts))
-        minus = [(rel, absent, {sf.fact.args: d for sf, d in data.items()
-                                if sf.sign is Sign.NEGATIVE and sf.fact.relation == rel}, other)
-                 for rel, absent in minus]
+        own = lambda rel: {sf.fact.args: d for sf, d in data.items()
+                           if sf.sign is Sign.NEGATIVE and sf.fact.relation == rel}
+        minus = [(rel, _absent(db, rel), own(rel), other) for rel in (negated if signed else ())]
         width = _fact_width(db, [rel for rel, *_ in minus], signed)
 
     def cells(data) -> tuple[str, str]:

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import os
 import re
-from collections import Counter
 from enum import IntEnum
 from functools import cached_property
-from itertools import chain, filterfalse, product, repeat
+from itertools import chain, filterfalse, groupby, product, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ArityError, CapExceededError, FactSyntaxError
@@ -152,17 +151,21 @@ class Database(_Record):
 
     def __init__(self, schema: Iterable[Relation], facts: Iterable[Fact]) -> None:
         schema, facts = _unique_schema(sorted(schema)), frozenset(facts)
-        for f in facts:
-            if f.relation not in schema:
-                raise ArityError(
-                    f"fact {f} does not match the schema entry for {f.relation.name}"
-                )
+        if stray := [f for f in facts if f.relation not in schema]:
+            f = min(stray)  # the first in canonical order, whatever the hash seed
+            raise ArityError(f"fact {f} does not match the schema entry for {f.relation.name}")
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "facts", facts)
 
     @cached_property
+    def by_relation(self) -> dict[Relation, list[Fact]]:
+        """Each relation's facts in canonical order, by relation in order; a
+        relation with no facts has no entry.  Do not mutate."""
+        return group_facts(self.facts)
+
+    @cached_property
     def sorted_facts(self) -> tuple[Fact, ...]:
-        return tuple(sorted(self.facts))
+        return tuple(chain.from_iterable(self.by_relation.values()))
 
     @cached_property
     def active_domain(self) -> frozenset[str]:
@@ -177,6 +180,11 @@ class Database(_Record):
 
     def __len__(self) -> int:
         return len(self.facts)
+
+
+def group_facts(facts: Iterable[Fact]) -> dict[Relation, list[Fact]]:
+    """The facts grouped by relation, in canonical order (see `Database.by_relation`)."""
+    return {rel: list(group) for rel, group in groupby(sorted(facts), lambda f: f.relation)}
 
 
 def database(facts: Iterable[Fact] = (), schema: Iterable[Relation] = ()) -> Database:
@@ -224,11 +232,10 @@ def _completion_shape(
     restrict_to: Iterable[Relation] | None,
     extra_relations: Iterable[Relation],
     cap: int | None,
-) -> tuple[Database, list[Relation], int]:
-    """The completion's base database, its negated relations in sorted
-    order and its size, after the checks that `signed_database` makes."""
+) -> tuple[frozenset[Relation], list[Relation], int]:
+    """The completion's schema, its negated relations in sorted order and
+    its size, after the checks that `signed_database` makes."""
     schema = _unique_schema(chain(db.schema, sorted(extra_relations)))
-    base = db if schema == db.schema else Database(schema, db.facts)
     negated = schema
     if restrict_to is not None:
         by_name = {rel.name: rel for rel in schema}
@@ -242,15 +249,14 @@ def _completion_shape(
                     f"relation {rel.name} has arity {known.arity}, not {rel.arity}"
                 )
             negated.add(known)
-    stored = Counter(f.relation for f in base.facts)
-    domain = len(base.active_domain)
-    total = len(base.facts) + sum(domain**rel.arity - stored[rel] for rel in negated)
+    domain, stored = len(db.active_domain), db.by_relation
+    total = len(db.facts) + sum(domain**rel.arity - len(stored.get(rel, ())) for rel in negated)
     cap = DEFAULT_SIGNED_CAP if cap is None else cap
     if total > cap:
         raise CapExceededError(
             f"signed completion would hold {_decimal(total)} facts, above the cap of {cap}"
         )
-    return base, sorted(negated), total
+    return schema, sorted(negated), total
 
 
 def _decimal(n: int) -> str:
@@ -280,25 +286,33 @@ def iter_completion(
 ) -> Iterator[SignedFact]:
     """`signed_database`'s members in its order, made one at a time; its
     checks and cap apply at the call, before any is made."""
-    base, negated, _ = _completion_shape(db, restrict_to, extra_relations, cap)
-    return _completion(base, negated)
+    _, negated, _ = _completion_shape(db, restrict_to, extra_relations, cap)
+    return _completion(db, negated)
 
 
-def _completion(base: Database, negated: list[Relation]) -> Iterator[SignedFact]:
+def _completion(db: Database, negated: list[Relation]) -> Iterator[SignedFact]:
     # The `-` facts skip `Fact.__new__`: their arity is right by construction.
     new = tuple.__new__
-    adom = sorted(base.active_domain)
-    yield from map(SignedFact, repeat(Sign.POSITIVE), base.sorted_facts)
+    yield from map(SignedFact, repeat(Sign.POSITIVE), db.sorted_facts)
     for rel in negated:
-        facts = map(new, repeat(Fact), zip(repeat(rel), _absent(base, rel, adom)))
+        facts = map(new, repeat(Fact), zip(repeat(rel), _absent(db, rel)))
         yield from map(new, repeat(SignedFact), zip(repeat(Sign.NEGATIVE), facts))
 
 
-def _absent(base: Database, rel: Relation, adom: list[str]) -> Iterator[tuple[str, ...]]:
-    """The argument tuples over the sorted ``adom`` that ``rel`` lacks in
-    ``base``, in order: the args of the completion's ``-`` facts of ``rel``."""
-    stored = {f.args for f in base.facts if f.relation == rel}
-    return filterfalse(stored.__contains__, product(adom, repeat=rel.arity))
+def _absent(db: Database, rel: Relation) -> Iterator[tuple[str, ...]]:
+    """The argument tuples over the active domain that ``rel`` lacks in
+    ``db``, in order: the args of the completion's ``-`` facts of ``rel``."""
+    stored = {f.args for f in db.by_relation.get(rel, ())}
+    return filterfalse(stored.__contains__, product(sorted(db.active_domain), repeat=rel.arity))
+
+
+def in_completion(db: Database, sf: object, negated: Iterable[Relation]) -> bool:
+    """Whether ``sf`` is a member of ``db``'s signed completion restricted to
+    the ``negated`` relations, decided without building it."""
+    return isinstance(sf, SignedFact) and (
+        sf.fact in db.facts if sf.sign is Sign.POSITIVE else sf.fact not in db.facts
+        and sf.fact.relation in negated and db.active_domain.issuperset(sf.fact.args)
+    )
 
 
 def signed_database(
@@ -319,8 +333,9 @@ def signed_database(
     The facts come out in canonical order with no sort: the positive ones,
     then each negated relation's tuples over the sorted active domain.
     """
-    base, negated, _ = _completion_shape(db, restrict_to, extra_relations, cap)
-    return SignedDatabase(base, tuple(_completion(base, negated)))
+    schema, negated, _ = _completion_shape(db, restrict_to, extra_relations, cap)
+    base = db if schema == db.schema else Database(schema, db.facts)
+    return SignedDatabase(base, tuple(_completion(db, negated)))
 
 
 # ---------------------------------------------------------------------------

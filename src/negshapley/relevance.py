@@ -131,7 +131,7 @@ def _report(q: Query, db: Database, signed_cap: int | None, impact_cap: int = DE
     fact with whether it is signed-relevant, positive-relevant and its impact;
     then each negated relation with a stream of its ``-`` facts' argument
     tuples and the set of the signed-relevant ones.  Checks and cap at the call."""
-    base, negated, _ = _completion_shape(db, neg_rels(q), q.relations, signed_cap)
+    _, negated, _ = _completion_shape(db, neg_rels(q), q.relations, signed_cap)
     signed, plain = support_families(q, db)
     drastic = make_game(q, db, WealthKind.DRASTIC_DIRECT)
     if len(db.facts) > impact_cap:
@@ -141,9 +141,8 @@ def _report(q: Query, db: Database, signed_cap: int | None, impact_cap: int = DE
     in_signed = {sf for support in signed for sf in support.elements}
     in_plain = {f for support in plain for f in support.elements}
     positives = ((f, positive(f) in in_signed, f in in_plain, impacts[f]) for f in db.sorted_facts)
-    adom = sorted(base.active_domain)
     negatives = [
-        (rel, _absent(base, rel, adom),
+        (rel, _absent(db, rel),
          {args for sign, (r, args) in in_signed if sign is Sign.NEGATIVE and r == rel})
         for rel in negated
     ]

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, Literal, Mapping, NamedTuple, Union
 
-from .core import Database, Fact, Sign, SignedFact, completion_size
+from .core import Database, Fact, SignedFact, completion_size, in_completion
 from .errors import CapExceededError, PlayerSetError
 from .query import Query, neg_rels, signed_database_restricted
 from .supports import (
@@ -161,12 +161,9 @@ def make_game(
     return Game(kind=kind, q=q, db=db, players=players)
 
 
-def _require_player(game: Game, target: Player) -> None:
-    if target not in game.players:
-        raise PlayerSetError(
-            f"{target} is not a player of the {game.kind.value} game "
-            f"({len(game.players)} players)"
-        )
+def _require_player(kind: WealthKind, target: Player, is_player: bool, n: int) -> None:
+    if not is_player:
+        raise PlayerSetError(f"{target} is not a player of the {kind.value} game ({n} players)")
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +204,7 @@ def shapley_subset(
     game: Game, target: Player, *, cap: int = DEFAULT_SUBSET_CAP
 ) -> Fraction:
     """One player's entry of `shapley_values`."""
-    _require_player(game, target)
+    _require_player(game.kind, target, target in game.players, len(game.players))
     return shapley_values(game, cap=cap)[target]
 
 
@@ -216,7 +213,7 @@ def permutation_marginal_counts(
 ) -> dict[Fraction, int]:
     """How many orderings of the players give each marginal contribution
     value of the target, walking every ordering."""
-    _require_player(game, target)
+    _require_player(game.kind, target, target in game.players, len(game.players))
     n = len(game.players)
     if n > cap:
         raise CapExceededError(f"{n} players means {n}! orderings (cap {cap})")
@@ -305,14 +302,9 @@ def ms_shapley(
     if mode == "signed":
         negated = neg_rels(q)
         completion_size(db, restrict_to=negated, extra_relations=q.relations, cap=signed_cap)
-        supports, f = _signed_supports(q, db), getattr(target, "fact", None)
-        is_player = isinstance(target, SignedFact) and (
-            f in db.facts if target.sign is Sign.POSITIVE else f not in db.facts
-            and f.relation in negated and db.active_domain.issuperset(f.args)
-        )
+        supports, is_player = _signed_supports(q, db), in_completion(db, target, negated)
     else:
-        supports = minimal_positive_supports(q, db)
-        is_player = target in db.facts
+        supports, is_player = minimal_positive_supports(q, db), target in db.facts
     if is_player:
         return _ms_results([target], supports, weight)[target]
     if mode == "signed":

@@ -52,6 +52,7 @@ from .core import (
     SignedFact,
     completion_size,
     database,
+    group_facts,
     negative,
     positive,
 )
@@ -102,33 +103,23 @@ def _support_order(s: SupportSet) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _mangle(signed: Iterable[SignedFact]) -> frozenset[Fact]:
-    """The signed facts as plain facts over the renamed relations."""
-    return frozenset(
-        Fact(Relation(sf.sign.symbol + sf.fact.relation.name, sf.fact.relation.arity),
-             sf.fact.args)
-        for sf in signed
-    )
-
-
 def _as_plain_facts(facts: Iterable[FactLike]) -> tuple[frozenset[Fact], bool]:
     """Normalize to plain facts; report whether the input was signed."""
     if isinstance(facts, Database):
         return facts.facts, False
     collected = list(facts)
-    if not collected:
-        return frozenset(), False
-    signed = isinstance(collected[0], SignedFact)
+    signed = bool(collected) and isinstance(collected[0], SignedFact)
     if any(isinstance(f, SignedFact) != signed for f in collected):
         raise SemanticError("cannot mix plain and signed facts in one set")
-    if signed:
-        return _mangle(collected), True
+    if signed:  # as plain facts over the renamed relations
+        return frozenset(Fact(Relation(sign.symbol + rel.name, rel.arity), args)
+                         for sign, (rel, args) in collected), True
     return frozenset(collected), False
 
 
-def _check_arity_compatible(q: Query, facts: Iterable[Fact]) -> None:
+def _check_arity_compatible(q: Query, relations: Iterable[Relation]) -> None:
     arities = {rel.name: rel.arity for rel in q.relations}
-    for rel in sorted({f.relation for f in facts}):  # the first clash by name
+    for rel in sorted(relations):  # the first clash by name
         known = arities.get(rel.name)
         if known is not None and known != rel.arity:
             raise ArityError(
@@ -179,7 +170,7 @@ class _Step(NamedTuple):
 
 
 def _search_steps(
-    cq: Conjunct, fact_index: dict[Relation, list[Fact]], facts: frozenset[Fact]
+    cq: Conjunct, index: dict[Relation, list[Fact]], facts: frozenset[Fact]
 ) -> list[_Step]:
     """The disjunct's match plan with each atom's facts bucketed by the
     values at its fixed positions, keeping their order inside a bucket.
@@ -203,7 +194,7 @@ def _search_steps(
             else:
                 first[term.name] = i
                 binds.append((i, term.name))
-        relation_facts = fact_index.get(atom.relation, [])
+        relation_facts = index.get(atom.relation, [])
         if not binds:
             lookup: Union[frozenset, dict, list] = facts
         elif key:
@@ -264,12 +255,15 @@ def _iter_assignments(
             if signed
             else "a context database is required to check negated atoms against plain facts"
         )
-    if signed or context is None:
-        context_facts: frozenset[Fact] = frozenset()
+    index = facts.by_relation if isinstance(facts, Database) else group_facts(plain)
+    context = frozenset() if signed or context is None else context
+    _check_arity_compatible(q, index)
+    if isinstance(context, Database):
+        _check_arity_compatible(q, context.by_relation)
+        context = context.facts
     else:
-        context_facts = context.facts if isinstance(context, Database) else frozenset(context)
-    _check_arity_compatible(q, plain)
-    _check_arity_compatible(q, context_facts)
+        context = frozenset(context)
+        _check_arity_compatible(q, {f.relation for f in context})
     deepest = max(len(cq.positive_atoms) for cq in q.disjuncts)
     if deepest > MAX_POSITIVE_ATOMS:
         raise CapExceededError(
@@ -277,23 +271,20 @@ def _iter_assignments(
             f"assignment search allows (limit {MAX_POSITIVE_ATOMS})"
         )
 
-    yield from _search(q.disjuncts, plain, context_facts)
+    yield from _search(q.disjuncts, index, plain, context)
 
 
 def _search(
-    disjuncts: Sequence[Conjunct], facts: frozenset[Fact], context: frozenset[Fact]
+    disjuncts: Sequence[Conjunct], index: dict[Relation, list[Fact]], facts: frozenset[Fact],
+    context: frozenset[Fact],
 ) -> Iterator[tuple[int, dict[str, str], frozenset[Fact]]]:
     """Yield (disjunct index, binding, image of the positive atoms), in
     deterministic order: disjunct by disjunct, each atom's matches in fact
-    order, depth first.  Nothing is checked here: an atom over a relation
-    that ``facts`` holds with another arity matches nothing."""
-    fact_index: dict[Relation, list[Fact]] = {}
-    for f in facts:
-        fact_index.setdefault(f.relation, []).append(f)
-    for relation_facts in fact_index.values():
-        relation_facts.sort()
+    order, depth first.  ``index`` groups ``facts`` as `core.group_facts`
+    does.  Nothing is checked here: an atom over a relation that ``facts``
+    holds with another arity matches nothing."""
     for idx, cq in enumerate(disjuncts):
-        for binding, image in _extend(_search_steps(cq, fact_index, facts), 0, {}, (), context):
+        for binding, image in _extend(_search_steps(cq, index, facts), 0, {}, (), context):
             yield idx, binding, image
 
 
@@ -326,7 +317,8 @@ def satisfies(q: Query, facts: Iterable[Fact] | Database) -> bool:
     plain, signed = _as_plain_facts(facts)
     if signed:
         raise SemanticError("satisfies() expects plain facts")
-    return _has_assignment(q, plain, plain)
+    facts = facts if isinstance(facts, Database) else plain
+    return _has_assignment(q, facts, facts)
 
 
 def signed_satisfies(q_signed: Query, signed_facts: Iterable[SignedFact]) -> bool:
@@ -397,7 +389,7 @@ def _support_images(q: Query, db: Database) -> tuple[set[frozenset], set[frozens
     adom = db.active_domain
     signed: set[frozenset] = set()
     plain: set[frozenset] = set()
-    for idx, binding, image in _iter_assignments(q, db.facts, db.facts):
+    for idx, binding, image in _iter_assignments(q, db, db):
         plain.add(image)
         absent = [_ground(a, binding) for a in q.disjuncts[idx].negated_atoms]
         if all(adom.issuperset(f.args) for f in absent):
@@ -432,12 +424,12 @@ def is_positive_support(S: Iterable[Fact], q: Query, db: Database) -> bool:
     S = frozenset(S)
     if not S <= db.facts:
         raise SemanticError("a positive support must be a subset of the database")
-    return _has_assignment(q, S, db.facts)
+    return _has_assignment(q, S, db)
 
 
 def minimal_positive_supports(q: Query, db: Database) -> list[SupportSet]:
     """All subset-minimal positive supports, in canonical order."""
-    images = {image for _, _, image in _iter_assignments(q, db.facts, db.facts)}
+    images = {image for _, _, image in _iter_assignments(q, db, db)}
     return _minimal_sets("positive", images)
 
 
@@ -472,7 +464,7 @@ def compile_witnesses(
         return tuple((mask(s.elements), 0) for s in minimal_positive_supports(q, db))
     witnesses = {
         (mask(image), mask(_ground(a, binding) for a in q.disjuncts[idx].negated_atoms))
-        for idx, binding, image in _iter_assignments(q, db.facts, frozenset())
+        for idx, binding, image in _iter_assignments(q, db, frozenset())
     }
     return tuple(sorted(witnesses))
 
@@ -736,7 +728,9 @@ def guarded_reduction(q: Query | Conjunct, db: Database) -> GuardedReduction:
     """
     from .query import is_guarded, mergeable_pairs  # local: avoids a cycle at import
 
-    cq = q if isinstance(q, Conjunct) else _single_disjunct(q)
+    if isinstance(q, Query) and len(q.disjuncts) != 1:
+        raise SemanticError("the reduction applies to single-disjunct queries")
+    cq = q if isinstance(q, Conjunct) else q.disjuncts[0]
     if mergeable_pairs(cq):
         raise SemanticError("the reduction requires a disjunct with no mergeable atoms")
     if not is_guarded(cq):
@@ -754,7 +748,8 @@ def guarded_reduction(q: Query | Conjunct, db: Database) -> GuardedReduction:
 
     def images(literals: Iterable[tuple]) -> set[Fact]:
         disjuncts = [Conjunct(cq.variables, lits) for lits in literals]
-        return {f for _, _, image in _search(disjuncts, db.facts, db.facts) for f in image}
+        return {f for _, _, image in _search(disjuncts, db.by_relation, db.facts, db.facts)
+                for f in image}
 
     return GuardedReduction(
         q_plus=Query((Conjunct(cq.variables, atoms),)),
@@ -763,12 +758,6 @@ def guarded_reduction(q: Query | Conjunct, db: Database) -> GuardedReduction:
             images((atom, *guard) for atom, guard in zip(atoms, guards)), db.schema
         ),
     )
-
-
-def _single_disjunct(q: Query) -> Conjunct:
-    if len(q.disjuncts) != 1:
-        raise SemanticError("the reduction applies to single-disjunct queries")
-    return q.disjuncts[0]
 
 
 # ---------------------------------------------------------------------------

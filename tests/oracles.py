@@ -125,6 +125,28 @@ def oracle_signed_completion(db: Database, q: Query) -> frozenset[SignedFact]:
     return frozenset(out)
 
 
+def signed_non_players(db: Database, q: Query) -> list[SignedFact]:
+    """Signed facts outside the completion restricted to the query's negated
+    relations, in order: each member with the other sign, a negated
+    relation's fact over a constant outside the active domain (``zz``), and
+    a ``-`` fact of each relation of the query that is not negated."""
+    completion = oracle_signed_completion(db, q)
+    negated = {atom.relation for cq in q.disjuncts for atom in cq.negated_atoms}
+    flipped = {SignedFact(Sign(1 - sf.sign), sf.fact) for sf in completion}
+    outside = {negative(Fact(rel, ("zz",) * rel.arity)) for rel in negated}
+    constant = min(adom(db.facts), default="a")
+    positive_only = {negative(Fact(rel, (constant,) * rel.arity)) for rel in q.relations - negated}
+    return sorted(flipped | outside | positive_only)
+
+
+def reference_absent(db: Database, rel: Relation) -> list[tuple[str, ...]]:
+    """`core._absent` as a scan of every stored fact: the argument tuples over
+    the sorted active domain that ``rel`` lacks in ``db``, in order."""
+    stored = {f.args for f in db.facts if f.relation == rel}
+    return [args for args in itertools.product(adom(db.facts), repeat=rel.arity)
+            if args not in stored]
+
+
 def signed_as_plain(signed: Iterable[SignedFact]) -> frozenset[Fact]:
     """Signed facts as plain facts over the sign-transformed schema: +R(a)
     and -R(a) become facts of relations literally named "+R" and "-R", the

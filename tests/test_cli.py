@@ -977,7 +977,9 @@ def test_score_matches_the_materialized_reference_over_the_signed_subset_cap(cap
 def test_score_never_builds_the_completion(capsys, tmp_path, monkeypatch):
     """`score` builds no signed completion, but for the players of a
     signed-drastic game within its cap: with `SignedDatabase` made to fail,
-    every other call still matches the reference."""
+    every other call still matches the reference.  Under `signed-drastic`,
+    `--fact` refuses a non-player (exit 2), and then a game above
+    `--cap-subset` (exit 3), from the count of the completion."""
     from negshapley.core import SignedDatabase
 
     def refuse(self, *args, **kwargs):
@@ -986,12 +988,23 @@ def test_score_never_builds_the_completion(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(SignedDatabase, "__init__", refuse)
     instances = [(inst.q, inst.db) for inst in corpus(500)[::25]] + [_readme_recipe(tmp_path)]
     for q, db in instances:
-        players = len(oracles.oracle_signed_completion(db, q))
+        completion = sorted(oracles.oracle_signed_completion(db, q))
+        players = len(completion)
         for argv, want in _score_calls(tmp_path, q, db):
             cap = int(argv[-1]) if "--cap-subset" in argv else 20
             if argv[6] == "signed-drastic" and players <= cap:
                 continue  # its players are the completion
             assert run(capsys, *argv) == (0, want, ""), (str(q), argv[5:])
+        q, io = _instance_files(tmp_path, q, db)
+        score = ("score", *io, "--measure", "signed-drastic")
+        cap_error = f"error: {players} players means 2^{players - 1} coalitions (cap 2)\n"
+        for sf in completion if players > 2 else ():
+            assert run(capsys, *score, f"--fact={sf}", "--cap-subset", "2") == (3, "", cap_error)
+        for sf in oracles.signed_non_players(db, q):
+            refusal = f"error: {sf} is not a player of the signed-drastic game ({players} players)\n"
+            for cap in ("2", "20"):
+                got = run(capsys, *score, f"--fact={sf}", "--cap-subset", cap)
+                assert got == (2, "", refusal), (str(q), str(sf))
 
 
 def _menus(tmp_path, menus=230):

@@ -1,5 +1,10 @@
 """Facts, databases, and signed completions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +19,7 @@ from negshapley.core import (
     completion_size,
     database,
     fact,
+    in_completion,
     iter_completion,
     load_database,
     negative,
@@ -23,7 +29,7 @@ from negshapley.core import (
     signed_database,
 )
 from negshapley.errors import ArityError, CapExceededError, FactSyntaxError
-from negshapley.query import neg_rels
+from negshapley.query import neg_rels, signed_database_restricted
 
 import oracles
 from corpus import corpus
@@ -81,6 +87,24 @@ def test_canonical_order_is_name_arity_args(facts, signed):
 def test_database_rejects_one_name_two_arities():
     with pytest.raises(ArityError, match="arities"):
         database([fact("R", "a"), fact("R", "a", "b")])
+
+
+def test_database_names_the_first_stray_fact_in_canonical_order():
+    """A set iterates in hash order, so each child takes its own hash seed;
+    R(a,b) (R/2 against R/1) sorts before S(x) (no S at all)."""
+    code = (
+        "from negshapley.core import Database, Relation, fact\n"
+        "try:\n"
+        "    Database({Relation('R', 1)}, [fact('R','a','b'), fact('R','c','d'), fact('S','x')])\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True)
+        assert result.stdout == "ArityError fact R(a,b) does not match the schema entry for R\n"
 
 
 def test_database_deduplicates_and_sorts():
@@ -260,3 +284,33 @@ def test_database_is_hashable_value_type():
     b = database([fact("A", "c")])
     assert a == b and hash(a) == hash(b)
     assert isinstance(a, Database)
+
+
+def test_the_per_relation_index_orders_and_counts_the_completion_on_corpus():
+    """`Database.by_relation` gives the canonical order, `_absent` the tuples
+    a scan of every fact gives, and `_completion_shape` the size of the
+    completion restricted to the query's negated relations."""
+    from negshapley.core import _absent, _completion_shape
+
+    for inst in corpus(500):
+        db, q = inst.db, inst.q
+        assert db.sorted_facts == tuple(sorted(db.facts)), str(inst)
+        assert list(db.by_relation) == sorted({f.relation for f in db.facts}), str(inst)
+        schema, _, total = _completion_shape(db, neg_rels(q), q.relations, None)
+        assert total == len(oracles.oracle_signed_completion(db, q)), str(inst)
+        for rel in sorted(schema):
+            assert list(_absent(db, rel)) == oracles.reference_absent(db, rel), str(inst)
+
+
+def test_completion_membership_is_decided_without_the_completion_on_corpus():
+    """`in_completion` agrees with membership in the built completion, for
+    each of its facts and for signed facts outside it: the other sign, a
+    constant outside the active domain, a relation that is not negated."""
+    for inst in corpus(500):
+        db, q = inst.db, inst.q
+        members = signed_database_restricted(db, q).sorted_facts
+        outside = oracles.signed_non_players(db, q)
+        assert not set(members) & set(outside), str(inst)
+        for sf in (*members, *outside):
+            assert in_completion(db, sf, neg_rels(q)) == (sf in members), (str(inst), str(sf))
+        assert not any(in_completion(db, f, neg_rels(q)) for f in db.facts), str(inst)
