@@ -16,12 +16,11 @@ import argparse
 import os
 import re
 import sys
-from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
-from .core import (Database, Fact, Sign, _absent, _completion_shape, in_completion, load_database,
-                   negative, parse_fact, parse_signed_fact, positive)
+from .core import (Database, Fact, Sign, _absent, load_database, negative, parse_fact,
+                   parse_signed_fact, positive)
 from .errors import CapExceededError, InputParseError, SemanticError
 from .output import (_block, _bool, _columns, _dumps, _emit, _fact_width, _json, _value_cell,
                      _value_json, _write_rows)
@@ -31,17 +30,12 @@ from .shapley import (
     DEFAULT_SUBSET_CAP,
     WEIGHT_FUNCTIONS,
     WealthKind,
-    _ms_results,
-    _require_player,
-    _table_cap,
-    make_game,
-    ms_shapley,
-    reciprocal_weight,
-    shapley_subset,
-    shapley_values,
+    game_values,
+    ms_shapley,  # noqa: F401 - perfbench's self-test checks that the tracer rebinds this name
+    scores,
+    support_values,
 )
 from .supports import (
-    _signed_supports,
     all_supports,
     minimal_d_monotone_supports,
     minimal_positive_supports,
@@ -176,58 +170,36 @@ def _cmd_score(args: argparse.Namespace) -> None:
     q = _load_query(args.query)
     db = _load_db(args.db)
     kind = WealthKind(args.measure)
-    signed = kind.signed_players
+    signed, counting = kind.signed_players, kind.support_mode is not None
     target = None if args.fact is None else (parse_signed_fact if signed else parse_fact)(args.fact)
-    n = len(db.facts)  # the players, counted: the completion is built for a game only
-    if signed:
-        _, negated, n = _completion_shape(db, neg_rels(q), q.relations, args.cap_signed)
-
-    # The measure picks the route: a counting measure is the weighted sum over
-    # its minimal supports, a Boolean game is played on its coalition table.
-    # A player's data is (value or cap message, supports by size or None).
-    # Scoring every player, data is held for the support members only, or for
-    # a game's players, and the other players share ``other``: the rows come
-    # from the database facts and the - facts' argument tuples.
-    counting, weight = kind.support_mode is not None, WEIGHT_FUNCTIONS[args.weight]
-    method, other = "closed-form" if counting else "subset", (Fraction(0), {})
+    # A result is an `MsShapleyResult` (a counting measure), a `Fraction` (a
+    # Boolean game) or a cap's message.  Scoring every player, results are
+    # held for the support members only, or for a game's players, and the
+    # other players share ``other``: the rows come from the database facts
+    # and the - facts' argument tuples.
+    data, other = scores(q, db, kind, target=target, weight=WEIGHT_FUNCTIONS[args.weight],
+                         subset_cap=args.cap_subset, signed_cap=args.cap_signed)
+    method = "closed-form" if counting else "subset"
     if target is not None:
-        if counting:
-            value = ms_shapley(q, db, target, weight=weight, mode=kind.support_mode,
-                               signed_cap=args.cap_signed)
-        else:
-            is_player = in_completion(db, target, negated) if signed else target in db.facts
-            _require_player(kind, target, is_player, n)
-            _table_cap(n, args.cap_subset)
-            game = make_game(q, db, kind, signed_cap=args.cap_signed)
-            value = (shapley_subset(game, target, cap=args.cap_subset), None)
-        data = {target: value}
-        n, plus, minus, width = 1, [(str(target), value)], [], len(str(target))
+        plus, minus, width = [(str(target), data[target])], [], len(str(target))
     else:
-        if counting:
-            supports = _signed_supports(q, db) if signed else minimal_positive_supports(q, db)
-            data = _ms_results({p for s in supports for p in s.elements}, supports, weight)
-        else:
-            try:  # the players are made within the cap only
-                _table_cap(n, args.cap_subset)
-                game = make_game(q, db, kind, signed_cap=args.cap_signed)
-                data = {p: (v, None) for p, v in shapley_values(game, cap=args.cap_subset).items()}
-            except CapExceededError as exc:
-                data, other = {}, (str(exc), None)
         plus = (((f"+{f}", data.get(positive(f), other)) for f in db.sorted_facts) if signed
                 else ((str(f), data.get(f, other)) for f in db.sorted_facts))
         own = lambda rel: {sf.fact.args: d for sf, d in data.items()
                            if sf.sign is Sign.NEGATIVE and sf.fact.relation == rel}
-        minus = [(rel, _absent(db, rel), own(rel), other) for rel in (negated if signed else ())]
-        width = _fact_width(db, [rel for rel, *_ in minus], signed)
+        negated = sorted(neg_rels(q)) if signed else []
+        minus = [(rel, _absent(db, rel), own(rel), other) for rel in negated]
+        width = _fact_width(db, negated, signed)
 
-    def cells(data) -> tuple[str, str]:
-        value = data[0]
-        return ("error: " + value, "-") if isinstance(value, str) else (str(value), method)
+    def cells(result) -> tuple[str, str]:
+        if isinstance(result, str):
+            return "error: " + result, "-"
+        return str(result.score if counting else result), method
 
-    def record(data) -> str:
-        value, sizes = data
-        if isinstance(value, str):
-            return f',\n      "error": {_dumps(value)}\n    }}'
+    def record(result) -> str:
+        if isinstance(result, str):
+            return f',\n      "error": {_dumps(result)}\n    }}'
+        value, sizes = result if counting else (result, None)
         score = _block("{}", [f'"{kind.value}": {_value_json(value)}'], 3)
         text = f',\n      "values": {score},\n      "method": "{method}"'
         if sizes is not None:
@@ -235,10 +207,9 @@ def _cmd_score(args: argparse.Namespace) -> None:
             text += f',\n      "supportsBySize": {_block("{}", counts, 3)}'
         return text + "\n    }"
 
-    shown = [*data.values(), other] if n > len(data) else data.values()
     _write_rows(args, {"command": "score", "query": str(q), "measure": kind.value,
                        "weight": args.weight}, ("fact", kind.value, "method"),
-                lambda: [width, max((len(cells(d)[0]) for d in shown), default=0), 0],
+                lambda: [width, max(len(cells(r)[0]) for r in [*data.values(), other]), 0],
                 record, cells, plus, minus)
 
 
@@ -299,23 +270,22 @@ def _cmd_report(args: argparse.Namespace) -> None:
     # One search gives both support families for the verdict and closed-form
     # columns, and one drastic game serves the impact and drastic columns.
     # Scores are kept for support members only (ms-signed by signed fact, the
-    # others by fact); every other fact shares one zero.  A row's data is
+    # others by fact); every other fact shares its column's other value, 0 or
+    # the message of the cap that refused the drastic table.  A row's data is
     # (signed-relevant, positive-relevant, impact, values); a - row's depends
     # only on its ms-signed score, 0 outside the signed supports.
     signed, plain, game, impacts, positives, negatives = _report(q, db, args.cap_signed)
-    scores: list[dict] = []
+    columns: list[tuple[dict, object]] = []  # (values, other)
     if args.command == "compare":
-        members = lambda family: {p for s in family for p in s.elements}
-        scores = [{p: r.score for p, r in _ms_results(members(f), f, reciprocal_weight).items()}
-                  for f in (signed, plain)]
-        try:
-            scores.append(shapley_values(game, cap=args.cap_subset))
-        except CapExceededError as exc:  # every player's value is the cap's message
-            scores.append(dict.fromkeys(game.players, str(exc)))
-    measures, zero = _COMPARED[:len(scores)], Fraction(0)
+        for family in (signed, plain):
+            values, other = support_values(family)
+            columns.append(({p: r.score for p, r in values.items()}, other.score))
+        columns.append(game_values(game, args.cap_subset))  # a refusal: the cap's message
+    measures = _COMPARED[:len(columns)]
 
     def values(*players) -> dict:  # a - row has one player: ms-signed only
-        return {m: by_player.get(p, zero) for m, by_player, p in zip(measures, scores, players)}
+        return {m: by_player.get(p, other)
+                for m, (by_player, other), p in zip(measures, columns, players)}
 
     def record(data) -> str:
         in_signed, in_plain, impact, values = data
@@ -335,7 +305,8 @@ def _cmd_report(args: argparse.Namespace) -> None:
     widths = lambda: [
         _fact_width(db, [r for r, _, _ in negatives], 1), 0, 0,
         max(map(len, impacts.values()), default=0),
-        *(max(map(len, map(_value_cell, by_player.values())), default=0) for by_player in scores),
+        *(max(map(len, map(_value_cell, [*by_player.values(), other])))
+          for by_player, other in columns),
     ]
     plus = ((f"+{f}", (in_signed, in_plain, impact, values(positive(f), f, f)))
             for f, in_signed, in_plain, impact in positives)

@@ -15,15 +15,19 @@ a cooperative game whose players are facts:
 * ``ms-signed`` / ``mps`` — the coalition's wealth is the number of minimal
   signed (resp. positive) supports it contains.
 
-For the two counting games the Shapley value has a closed form: the sum of
-``w(|S|)`` over the minimal supports S containing the target, where the
-reciprocal weight ``w(k) = 1/k`` recovers the Shapley value exactly and
-other weights give the general weighted-sum-of-minimal-supports scores.
-`ms_scores` evaluates it for every player from one enumeration of the
-minimal supports.
+`scores` is the one entry point: it counts the players, refuses a target
+that is no player, and picks the route.  For the two counting games the
+Shapley value has a closed form, `support_values`: the sum of ``w(|S|)``
+over the minimal supports S containing the target, where the reciprocal
+weight ``w(k) = 1/k`` recovers the Shapley value exactly and other weights
+give the general weighted-sum-of-minimal-supports scores.  The Boolean
+games take `game_values`, the subset formula over the coalition table.
+Both return the members' values and the one value every other player
+shares.
 
-All arithmetic is over `fractions.Fraction`; nothing here rounds.  `Game`
-and `MsShapleyResult` are named tuples, equal to the tuples of their fields.
+All arithmetic is over `fractions.Fraction`; nothing here rounds.  `Game`,
+`MsShapleyResult` and `Scores` are named tuples, equal to the tuples of
+their fields.
 """
 from __future__ import annotations
 
@@ -33,14 +37,13 @@ from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Literal, Mapping, NamedTuple, Union
+from typing import Any, Callable, Iterable, Literal, Mapping, NamedTuple, Union
 
 from .core import Database, Fact, SignedFact, completion_size, in_completion
 from .errors import CapExceededError, PlayerSetError
 from .query import Query, neg_rels, signed_database_restricted
 from .supports import (
     SupportSet,
-    _members,
     _signed_supports,
     coalition_halves,
     coalition_sizes,
@@ -166,46 +169,153 @@ def _require_player(kind: WealthKind, target: Player, is_player: bool, n: int) -
         raise PlayerSetError(f"{target} is not a player of the {kind.value} game ({n} players)")
 
 
+class MsShapleyResult(NamedTuple):
+    """Score plus the sizes of the minimal supports that produced it."""
+
+    score: Fraction
+    supports_by_size: Mapping[int, int]
+
+
+class Scores(NamedTuple):
+    """The results of the players scored on their own, and the one result
+    that every other player shares: a score, or the message of the cap that
+    refused the game."""
+
+    values: Mapping[Player, Any]
+    other: Any
+
+
+def scores(q: Query, db: Database, kind: WealthKind, *, target: Player | None = None,
+           weight: WeightFunction = reciprocal_weight, subset_cap: int = DEFAULT_SUBSET_CAP,
+           signed_cap: int | None = None) -> Scores:
+    """The ``kind`` scores of ``target``, or of every player.
+
+    The players are counted, not built, so the completion's cap comes
+    first; then a target that is no player is refused.  A counting measure
+    takes the closed form over its minimal supports (`MsShapleyResult`s,
+    under ``weight``), a Boolean game its coalition table (`Fraction`s).
+    A table above ``subset_cap`` players raises for a target; scoring
+    every player, it gives no members, and its message is ``other``.
+    """
+    kind = WealthKind(kind)
+    if kind.signed_players:
+        negated = neg_rels(q)
+        n = completion_size(db, restrict_to=negated, extra_relations=q.relations, cap=signed_cap)
+        is_player = lambda p: in_completion(db, p, negated)
+    else:
+        n, is_player = len(db.facts), db.facts.__contains__
+    if target is not None:
+        _require_player(kind, target, is_player(target), n)
+    if kind.support_mode is not None:
+        found = support_values(_minimal_supports(q, db, kind.support_mode), weight)
+    elif n > subset_cap:  # refused from the count: the players are made within the cap only
+        found = Scores({}, _too_many(n, subset_cap))
+    else:
+        found = game_values(make_game(q, db, kind, signed_cap=signed_cap), subset_cap)
+    if target is None:
+        return found
+    if isinstance(found.other, str):
+        raise CapExceededError(found.other)
+    return Scores({target: found.values.get(target, found.other)}, found.other)
+
+
+def _minimal_supports(q: Query, db: Database, mode: SupportMode) -> list[SupportSet]:
+    return _signed_supports(q, db) if mode == "signed" else minimal_positive_supports(q, db)
+
+
+def _too_many(n: int, cap: int) -> str:
+    return f"{n} players means 2^{n - 1} coalitions (cap {cap})"
+
+
 # ---------------------------------------------------------------------------
-# The subset route, and the permutation definition as a reference
+# The two kernels: one pass over the minimal supports, one coalition table
 # ---------------------------------------------------------------------------
 
 
-def shapley_values(game: Game, *, cap: int = DEFAULT_SUBSET_CAP) -> dict[Player, Fraction]:
+def support_values(supports: Iterable[SupportSet],
+                   weight: WeightFunction = reciprocal_weight) -> Scores:
+    """Each support member's Σ of ``weight(|S|)`` over the minimal supports S
+    containing it, with their size histogram; every other player scores 0.
+    With the reciprocal weight each score is the Shapley value of the
+    counting game: a sum of unanimity games, one per minimal support S,
+    each giving its members 1/|S|."""
+    by_size: dict[Player, Counter] = {}
+    for support in supports:
+        for p in support.elements:
+            by_size.setdefault(p, Counter())[len(support.elements)] += 1
+    return Scores({
+        p: MsShapleyResult(sum((weight(k) * n for k, n in sizes.items()), Fraction(0)),
+                           dict(sorted(sizes.items())))
+        for p, sizes in by_size.items()
+    }, MsShapleyResult(Fraction(0), {}))
+
+
+def game_values(game: Game, cap: int = DEFAULT_SUBSET_CAP) -> Scores:
     """Every player's Shapley value by the subset formula: Σ over the
     coalitions S of the other players of |S|!(n-1-|S|)!/n! times the
     player's marginal contribution to S, counted per size of S in the
-    coalition table, in integer numerators over n!.  A counting game is a
-    sum of unanimity games, one per minimal support S, and each gives its
-    members 1/|S|: the closed form, which builds no table, so ``cap`` (on
-    the players of a table) refuses Boolean games only."""
+    coalition table, in integer numerators over n!.  A counting game takes
+    `support_values`, which builds no table, so ``cap`` (on the players of
+    a table) refuses Boolean games only: with no values, and its message
+    as ``other``."""
     if game.kind.support_mode is not None:
-        mode, players = game.kind.support_mode, game.players
-        supports = [SupportSet(mode, _members(players, r), True) for r, _ in game._witnesses]
-        return {p: r.score for p, r in _ms_results(players, supports, reciprocal_weight).items()}
+        values, other = support_values(_minimal_supports(game.q, game.db, game.kind.support_mode))
+        return Scores({p: r.score for p, r in values.items()}, other.score)
     n = len(game.players)
-    _table_cap(n, cap)
+    try:  # a query too deep to search is refused here too
+        if n > cap:
+            raise CapExceededError(_too_many(n, cap))
+        halves = coalition_halves(game._table, n)
+    except CapExceededError as exc:
+        return Scores({}, str(exc))
     coefficients = [math.factorial(k) * math.factorial(n - 1 - k) for k in range(n)]
     sizes, n_fact = coalition_sizes(n), math.factorial(n)
-    return {
+    return Scores({
         p: Fraction(sum(c * ((win_with & size).bit_count() - (win_without & size).bit_count())
                         for c, size in zip(coefficients, sizes)), n_fact)
-        for p, (win_with, win_without) in zip(game.players, coalition_halves(game._table, n))
-    }
+        for p, (win_with, win_without) in zip(game.players, halves)
+    }, Fraction(0))
 
 
-def _table_cap(n: int, cap: int) -> None:
-    """Refuse the coalition table of ``n`` players above ``cap`` players."""
-    if n > cap:
-        raise CapExceededError(f"{n} players means 2^{n - 1} coalitions (cap {cap})")
+def shapley_values(game: Game, *, cap: int = DEFAULT_SUBSET_CAP) -> dict[Player, Fraction]:
+    """`game_values` for every player, in player order; a refused table raises."""
+    values, other = game_values(game, cap)
+    if isinstance(other, str):
+        raise CapExceededError(other)
+    return {p: values.get(p, other) for p in game.players}
 
 
-def shapley_subset(
-    game: Game, target: Player, *, cap: int = DEFAULT_SUBSET_CAP
-) -> Fraction:
+def shapley_subset(game: Game, target: Player, *, cap: int = DEFAULT_SUBSET_CAP) -> Fraction:
     """One player's entry of `shapley_values`."""
     _require_player(game.kind, target, target in game.players, len(game.players))
     return shapley_values(game, cap=cap)[target]
+
+
+# ---------------------------------------------------------------------------
+# The closed form by support mode, and the permutation definition as a reference
+# ---------------------------------------------------------------------------
+
+
+def ms_scores(q: Query, db: Database, *, weight: WeightFunction = reciprocal_weight,
+              mode: SupportMode = "signed", signed_cap: int | None = None
+              ) -> dict[Player, MsShapleyResult]:
+    """Every player's `scores` under the counting measure of ``mode``, in
+    player order: the restricted signed completion (signed mode) or the
+    database facts (positive mode); players in no minimal support score 0
+    with an empty size histogram."""
+    kind = WealthKind.MS_SIGNED if mode == "signed" else WealthKind.MPS_POSITIVE
+    values, other = scores(q, db, kind, weight=weight, signed_cap=signed_cap)
+    players = make_game(q, db, kind, signed_cap=signed_cap).players
+    return {p: values.get(p, other) for p in players}
+
+
+def ms_shapley(q: Query, db: Database, target: Player, *,
+               weight: WeightFunction = reciprocal_weight, mode: SupportMode = "signed",
+               signed_cap: int | None = None) -> MsShapleyResult:
+    """One player's entry of `ms_scores`, the completion counted, not built;
+    a target that is no player is refused."""
+    kind = WealthKind.MS_SIGNED if mode == "signed" else WealthKind.MPS_POSITIVE
+    return scores(q, db, kind, target=target, weight=weight, signed_cap=signed_cap).values[target]
 
 
 def permutation_marginal_counts(
@@ -232,89 +342,3 @@ def shapley_permutation(
     counts = permutation_marginal_counts(game, target, cap=cap)
     total = sum((value * count for value, count in counts.items()), Fraction(0))
     return total / math.factorial(len(game.players))
-
-
-# ---------------------------------------------------------------------------
-# Closed form: one pass over the minimal supports scores every player
-# ---------------------------------------------------------------------------
-
-
-class MsShapleyResult(NamedTuple):
-    """Score plus the sizes of the minimal supports that produced it."""
-
-    score: Fraction
-    supports_by_size: Mapping[int, int]
-
-
-def ms_scores(
-    q: Query,
-    db: Database,
-    *,
-    weight: WeightFunction = reciprocal_weight,
-    mode: SupportMode = "signed",
-    signed_cap: int | None = None,
-) -> dict[Player, MsShapleyResult]:
-    """Every player's Σ of ``weight(|S|)`` over the minimal supports S
-    containing it, from one enumeration of the minimal supports.
-
-    The players are the restricted signed completion (signed mode) or the
-    database facts (positive mode), in sorted order; players in no minimal
-    support score 0 with an empty size histogram.  With the reciprocal
-    weight each score is the Shapley value of the counting game.
-    """
-    if mode == "signed":
-        restricted = signed_database_restricted(db, q, cap=signed_cap)
-        players, supports = restricted.sorted_facts, _signed_supports(q, db)
-    else:
-        players, supports = db.sorted_facts, minimal_positive_supports(q, db)
-    return _ms_results(players, supports, weight)
-
-
-def _ms_results(
-    players: Iterable[Player], supports: Iterable[SupportSet], weight: WeightFunction
-) -> dict[Player, MsShapleyResult]:
-    """`ms_scores` over minimal supports the caller has enumerated."""
-    by_size: dict[Player, Counter] = {}
-    for support in supports:
-        for p in support.elements:
-            by_size.setdefault(p, Counter())[len(support.elements)] += 1
-    scores = {}
-    for p in players:
-        sizes = by_size.get(p, {})
-        scores[p] = MsShapleyResult(
-            score=sum((weight(k) * n for k, n in sizes.items()), Fraction(0)),
-            supports_by_size=dict(sorted(sizes.items())),
-        )
-    return scores
-
-
-def ms_shapley(
-    q: Query,
-    db: Database,
-    target: Player,
-    *,
-    weight: WeightFunction = reciprocal_weight,
-    mode: SupportMode = "signed",
-    signed_cap: int | None = None,
-) -> MsShapleyResult:
-    """One player's entry of `ms_scores`, the completion counted, not built;
-    a target that is no player is refused."""
-    if mode == "signed":
-        negated = neg_rels(q)
-        completion_size(db, restrict_to=negated, extra_relations=q.relations, cap=signed_cap)
-        supports, is_player = _signed_supports(q, db), in_completion(db, target, negated)
-    else:
-        supports, is_player = minimal_positive_supports(q, db), target in db.facts
-    if is_player:
-        return _ms_results([target], supports, weight)[target]
-    if mode == "signed":
-        if not isinstance(target, SignedFact):
-            raise PlayerSetError("signed mode scores signed facts; got a plain fact")
-        raise PlayerSetError(
-            f"{target} is not in the signed completion restricted to the "
-            f"query's negated relations"
-        )
-    if not isinstance(target, Fact):
-        raise PlayerSetError("positive mode scores plain facts; got a signed fact")
-    raise PlayerSetError(f"{target} is not in the database")
-

@@ -273,13 +273,23 @@ def _count_compilations(monkeypatch) -> list:
     return calls
 
 
-def test_score_all_compiles_one_game(capsys, paths, monkeypatch):
+def _count_games(monkeypatch) -> list:
+    """Count calls of `make_game`, wherever a module holds it."""
     import negshapley.cli as cli
+    import negshapley.shapley as shapley
 
-    calls = _count_compilations(monkeypatch)
     built = []
-    real = cli.make_game
-    monkeypatch.setattr(cli, "make_game", lambda *a, **k: built.append(a) or real(*a, **k))
+    real = shapley.make_game
+    counted = lambda *a, **k: built.append(a) or real(*a, **k)
+    for module in (cli, shapley):
+        if getattr(module, "make_game", None) is real:
+            monkeypatch.setattr(module, "make_game", counted)
+    return built
+
+
+def test_score_all_compiles_one_game(capsys, paths, monkeypatch):
+    calls = _count_compilations(monkeypatch)
+    built = _count_games(monkeypatch)
     code, out, _ = run(
         capsys, "score", "--db", paths["db"], "--query", paths["q2"],
         "--measure", "drastic", "--all", "--format", "json",
@@ -293,11 +303,7 @@ def test_score_all_compiles_one_game(capsys, paths, monkeypatch):
 
 
 def test_auto_builds_one_game_per_target(capsys, paths, monkeypatch):
-    import negshapley.cli as cli
-
-    built = []
-    real = cli.make_game
-    monkeypatch.setattr(cli, "make_game", lambda *a, **k: built.append(a) or real(*a, **k))
+    built = _count_games(monkeypatch)
     code, out, _ = run(
         capsys, "score", "--db", paths["db"], "--query", paths["q2"],
         "--measure", "drastic", "--fact", "I(mm,wine)", "--format", "json",
@@ -306,6 +312,27 @@ def test_auto_builds_one_game_per_target(capsys, paths, monkeypatch):
     (rec,) = json.loads(out)["records"]
     assert rec["values"]["drastic"] == {"num": "-1", "den": "6"}
     assert rec["method"] == "subset"
+
+
+def test_score_refuses_a_non_player_before_searching(capsys, paths, monkeypatch):
+    """Under every measure, a `--fact` that is no player is refused (exit 2)
+    with the one message, before any assignment search starts."""
+    import negshapley.supports as supports
+
+    searches = []
+    real = supports._iter_assignments
+    monkeypatch.setattr(
+        supports, "_iter_assignments", lambda *a: searches.append(a) or real(*a)
+    )
+    base = ("score", "--db", paths["db"], "--query", paths["q"])
+    for measure, target, players in (
+        ("drastic", "I(zz,fish)", 5), ("positive-drastic", "I(zz,fish)", 5),
+        ("mps", "I(zz,fish)", 5), ("signed-drastic", "-I(zz,meat)", 25),
+        ("ms-signed", "-I(zz,meat)", 25),
+    ):
+        refusal = f"error: {target} is not a player of the {measure} game ({players} players)\n"
+        got = run(capsys, *base, "--measure", measure, f"--fact={target}")
+        assert got == (2, "", refusal) and searches == [], measure
 
 
 def test_runs_are_deterministic(capsys, paths):

@@ -1,6 +1,7 @@
 """Exact Shapley scoring: permutation and subset routes, the one-pass closed
 form against the bounded-enumeration reference scorer, and the game axioms."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -338,16 +339,20 @@ def test_ms_shapley_scores_one_target_without_the_completion(monkeypatch):
         for mode, scores in by_mode.items():
             for p, result in scores.items():
                 assert ms_shapley(inst.q, inst.db, p, mode=mode) == result
+        signed, plain = len(by_mode["signed"]), len(by_mode["positive"])
+        refusal = lambda target, game, n: "^" + re.escape(
+            f"{target} is not a player of the {game} game ({n} players)") + "$"
         outside = [negative(fact("S", "zz")), negative(fact("Unknown", "a")),
                    *map(negative, inst.db.sorted_facts)]
         for target in outside:
-            with pytest.raises(PlayerSetError, match="not in the signed completion"):
+            with pytest.raises(PlayerSetError, match=refusal(target, "ms-signed", signed)):
                 ms_shapley(inst.q, inst.db, target)
-        with pytest.raises(PlayerSetError, match="signed facts; got a plain fact"):
-            ms_shapley(inst.q, inst.db, inst.db.sorted_facts[0])
-        with pytest.raises(PlayerSetError, match="plain facts; got a signed fact"):
-            ms_shapley(inst.q, inst.db, positive(inst.db.sorted_facts[0]), mode="positive")
-        with pytest.raises(PlayerSetError, match="is not in the database"):
+        target = inst.db.sorted_facts[0]
+        with pytest.raises(PlayerSetError, match=refusal(target, "ms-signed", signed)):
+            ms_shapley(inst.q, inst.db, target)
+        with pytest.raises(PlayerSetError, match=refusal(positive(target), "mps", plain)):
+            ms_shapley(inst.q, inst.db, positive(target), mode="positive")
+        with pytest.raises(PlayerSetError, match=refusal(fact("S", "zz"), "mps", plain)):
             ms_shapley(inst.q, inst.db, fact("S", "zz"), mode="positive")
 
 
