@@ -19,12 +19,12 @@ import sys
 from functools import cache
 from typing import Sequence
 
-from .core import (Database, Fact, Sign, _absent, load_database, negative, parse_fact,
-                   parse_signed_fact, positive)
+from .core import (Database, Fact, Sign, load_database, negative, parse_fact, parse_signed_fact,
+                   positive)
 from .errors import CapExceededError, InputParseError, SemanticError
 from .output import (_block, _bool, _columns, _dumps, _emit, _fact_width, _json, _value_cell,
                      _value_json, _write_rows)
-from .query import Query, analyze_query, neg_rels, parse_query
+from .query import Query, analyze_query, parse_query, signed_database_restricted
 from .relevance import _report
 from .shapley import (
     DEFAULT_SUBSET_CAP,
@@ -187,8 +187,9 @@ def _cmd_score(args: argparse.Namespace) -> None:
                 else ((str(f), data.get(f, other)) for f in db.sorted_facts))
         own = lambda rel: {sf.fact.args: d for sf, d in data.items()
                            if sf.sign is Sign.NEGATIVE and sf.fact.relation == rel}
-        negated = sorted(neg_rels(q)) if signed else []
-        minus = [(rel, _absent(db, rel), own(rel), other) for rel in negated]
+        players = signed_database_restricted(db, q, cap=args.cap_signed) if signed else None
+        negated = players.negated if signed else ()
+        minus = [(rel, players.absent(rel), own(rel), other) for rel in negated]
         width = _fact_width(db, negated, signed)
 
     def cells(result) -> tuple[str, str]:
@@ -244,21 +245,18 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
             for d in analysis.disjuncts
         ],
     }
-    lines = [
-        f"query = {q}",
-        f"negativeArity = {analysis.negative_arity}",
-        f"guarded = {_bool(analysis.guarded)}",
-        f"negPath = {_bool(analysis.has_non_hierarchical_neg_path)}",
-        f"selfJoinFreePositive = {_bool(analysis.self_join_free_positive)}",
-        f"selfJoinFreeAll = {_bool(analysis.self_join_free_all)}",
-    ]
-    for i, d in enumerate(analysis.disjuncts):
-        pairs = ", ".join(f"({a},{b})" for a, b in sorted(d.mergeable_pairs))
-        lines.append(
-            f"disjunct {i}: selfJoinWidth = {d.self_join_width}, "
-            f"mergeablePairs = [{pairs}], guarded = {_bool(d.guarded)}, "
-            f"negPath = {_bool(d.has_non_hierarchical_neg_path)}"
-        )
+
+    def cell(value) -> str:  # the table shows the payload's fields
+        if isinstance(value, bool):
+            return _bool(value)
+        if isinstance(value, list):  # the mergeable pairs
+            return "[" + ", ".join(f"({a},{b})" for a, b in value) + "]"
+        return str(value)
+
+    fields = lambda record: [f"{key} = {cell(value)}" for key, value in record.items()
+                             if key not in ("command", "disjuncts")]
+    lines = fields(payload) + [f"disjunct {i}: " + ", ".join(fields(d))
+                               for i, d in enumerate(payload["disjuncts"])]
     _emit(args, lambda: [_dumps(payload, indent=2) + "\n"], lambda: (line + "\n" for line in lines))
 
 

@@ -2,13 +2,15 @@
 
 A database is a finite set of ground facts over a finite schema.  Its signed
 completion marks every present fact with ``+`` and every absent fact over the
-active domain with ``-``.  Completions blow up as ``|adom|^arity``, so the
-constructor takes a hard cap (which `completion_size` checks by counting) and
-most callers restrict the negative side to the relations a query negates.
+active domain with ``-``.  Completions blow up as ``|adom|^arity``, so
+`signed_database` takes a hard cap, checked by counting, and most callers
+restrict the negative side to the relations a query negates.  The
+`SignedDatabase` it returns builds nothing until asked: it counts, tests
+and streams its members from the database.
 
 Facts and signed facts are named tuples, ``(relation, args)`` and ``(sign,
 fact)``: they hash, compare and sort as those tuples do, and a completion
-streams them straight from the active domain (`iter_completion`).
+streams them straight from the active domain in that order.
 `Database` and `SignedDatabase` are not tuples (they iterate over their
 facts); they are equal when their class and fields are, and immutable.
 """
@@ -194,16 +196,70 @@ def database(facts: Iterable[Fact] = (), schema: Iterable[Relation] = ()) -> Dat
 
 
 class SignedDatabase(_Record):
-    """A completion: the base facts marked ``+`` plus absent facts marked
-    ``-``, held in canonical order."""
+    """A signed completion: the database's facts marked ``+`` and, for each
+    ``negated`` relation, the tuples over the active domain that it lacks
+    marked ``-``.  Made by `signed_database`, it builds nothing: ``len``,
+    ``in``, ``iter`` (a stream in canonical order) and `absent` are read
+    from the database, and ``sorted_facts``, the sets made from it and
+    ``base`` are built on first use.  Equal when ``base`` and
+    ``sorted_facts`` are."""
 
     _fields = ("base", "sorted_facts")
-    base: Database
-    sorted_facts: tuple[SignedFact, ...]
+    negated: tuple[Relation, ...]
 
-    def __init__(self, base: Database, sorted_facts: tuple[SignedFact, ...]) -> None:
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "sorted_facts", sorted_facts)
+    def __init__(self, db: Database, schema: frozenset[Relation],
+                 negated: Iterable[Relation]) -> None:
+        object.__setattr__(self, "_db", db)
+        object.__setattr__(self, "_schema", schema)
+        object.__setattr__(self, "negated", tuple(sorted(negated)))
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self._db, self._schema, self.negated)
+
+    @cached_property
+    def size(self) -> int:
+        """The number of members, counted: ``len``, also past `sys.maxsize`."""
+        db = self._db
+        domain, stored = len(db.active_domain), db.by_relation
+        return len(db.facts) + sum(domain**rel.arity - len(stored.get(rel, ()))
+                                   for rel in self.negated)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __contains__(self, sf: object) -> bool:
+        db = self._db
+        return isinstance(sf, SignedFact) and (
+            sf.fact in db.facts if sf.sign is Sign.POSITIVE else sf.fact not in db.facts
+            and sf.fact.relation in self.negated and db.active_domain.issuperset(sf.fact.args)
+        )
+
+    def __iter__(self) -> Iterator[SignedFact]:
+        # The `-` facts skip `Fact.__new__`: their arity is right by construction.
+        new = tuple.__new__
+        yield from map(SignedFact, repeat(Sign.POSITIVE), self._db.sorted_facts)
+        for rel in self.negated:
+            facts = map(new, repeat(Fact), zip(repeat(rel), self.absent(rel)))
+            yield from map(new, repeat(SignedFact), zip(repeat(Sign.NEGATIVE), facts))
+
+    def absent(self, rel: Relation) -> Iterator[tuple[str, ...]]:
+        """The argument tuples of ``rel``'s ``-`` members, in order: those over
+        the active domain that the database lacks, if ``rel`` is negated."""
+        if rel not in self.negated:
+            return iter(())
+        db = self._db
+        stored = {f.args for f in db.by_relation.get(rel, ())}
+        return filterfalse(stored.__contains__, product(sorted(db.active_domain), repeat=rel.arity))
+
+    @cached_property
+    def base(self) -> Database:
+        """The database over the completion's schema."""
+        db = self._db
+        return db if self._schema == db.schema else Database(self._schema, db.facts)
+
+    @cached_property
+    def sorted_facts(self) -> tuple[SignedFact, ...]:
+        return tuple(self)
 
     @cached_property
     def signed_facts(self) -> frozenset[SignedFact]:
@@ -217,24 +273,32 @@ class SignedDatabase(_Record):
     def negative_part(self) -> frozenset[SignedFact]:
         return frozenset(sf for sf in self.sorted_facts if sf.sign is Sign.NEGATIVE)
 
-    def __contains__(self, sf: SignedFact) -> bool:
-        return sf in self.signed_facts
 
-    def __iter__(self) -> Iterator[SignedFact]:
-        return iter(self.sorted_facts)
+def _decimal(n: int) -> str:
+    """``n`` in decimal, or ``at least 2^k`` past the interpreter's limit on
+    the digits of an int-to-str conversion."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2^{n.bit_length() - 1}"
 
-    def __len__(self) -> int:
-        return len(self.sorted_facts)
 
-
-def _completion_shape(
+def signed_database(
     db: Database,
-    restrict_to: Iterable[Relation] | None,
-    extra_relations: Iterable[Relation],
-    cap: int | None,
-) -> tuple[frozenset[Relation], list[Relation], int]:
-    """The completion's schema, its negated relations in sorted order and
-    its size, after the checks that `signed_database` makes."""
+    *,
+    restrict_to: Iterable[Relation] | None = None,
+    extra_relations: Iterable[Relation] = (),
+    cap: int | None = DEFAULT_SIGNED_CAP,
+) -> SignedDatabase:
+    """The signed completion of ``db``, counted but not built.
+
+    Negative facts range over all tuples of active-domain constants that are
+    absent from ``db``; with ``restrict_to`` only the given relations get a
+    negative side.  ``extra_relations`` admits relations that appear in a
+    query but have no facts (their whole tuple space is then negative).
+    Raises :class:`CapExceededError` if the completion would hold more than
+    ``cap`` signed facts (``None`` means the default cap, not "unlimited").
+    """
     schema = _unique_schema(chain(db.schema, sorted(extra_relations)))
     negated = schema
     if restrict_to is not None:
@@ -249,93 +313,13 @@ def _completion_shape(
                     f"relation {rel.name} has arity {known.arity}, not {rel.arity}"
                 )
             negated.add(known)
-    domain, stored = len(db.active_domain), db.by_relation
-    total = len(db.facts) + sum(domain**rel.arity - len(stored.get(rel, ())) for rel in negated)
-    cap = DEFAULT_SIGNED_CAP if cap is None else cap
+    completion = SignedDatabase(db, schema, negated)
+    cap, total = DEFAULT_SIGNED_CAP if cap is None else cap, completion.size
     if total > cap:
         raise CapExceededError(
             f"signed completion would hold {_decimal(total)} facts, above the cap of {cap}"
         )
-    return schema, sorted(negated), total
-
-
-def _decimal(n: int) -> str:
-    """``n`` in decimal, or ``at least 2^k`` past the interpreter's limit on
-    the digits of an int-to-str conversion."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"at least 2^{n.bit_length() - 1}"
-
-
-def completion_size(
-    db: Database,
-    *,
-    restrict_to: Iterable[Relation] | None = None,
-    extra_relations: Iterable[Relation] = (),
-    cap: int | None = DEFAULT_SIGNED_CAP,
-) -> int:
-    """How many facts `signed_database` would hold for the same arguments,
-    counted without building them; raises the same errors."""
-    return _completion_shape(db, restrict_to, extra_relations, cap)[2]
-
-
-def iter_completion(
-    db: Database, *, restrict_to: Iterable[Relation] | None = None,
-    extra_relations: Iterable[Relation] = (), cap: int | None = DEFAULT_SIGNED_CAP,
-) -> Iterator[SignedFact]:
-    """`signed_database`'s members in its order, made one at a time; its
-    checks and cap apply at the call, before any is made."""
-    _, negated, _ = _completion_shape(db, restrict_to, extra_relations, cap)
-    return _completion(db, negated)
-
-
-def _completion(db: Database, negated: list[Relation]) -> Iterator[SignedFact]:
-    # The `-` facts skip `Fact.__new__`: their arity is right by construction.
-    new = tuple.__new__
-    yield from map(SignedFact, repeat(Sign.POSITIVE), db.sorted_facts)
-    for rel in negated:
-        facts = map(new, repeat(Fact), zip(repeat(rel), _absent(db, rel)))
-        yield from map(new, repeat(SignedFact), zip(repeat(Sign.NEGATIVE), facts))
-
-
-def _absent(db: Database, rel: Relation) -> Iterator[tuple[str, ...]]:
-    """The argument tuples over the active domain that ``rel`` lacks in
-    ``db``, in order: the args of the completion's ``-`` facts of ``rel``."""
-    stored = {f.args for f in db.by_relation.get(rel, ())}
-    return filterfalse(stored.__contains__, product(sorted(db.active_domain), repeat=rel.arity))
-
-
-def in_completion(db: Database, sf: object, negated: Iterable[Relation]) -> bool:
-    """Whether ``sf`` is a member of ``db``'s signed completion restricted to
-    the ``negated`` relations, decided without building it."""
-    return isinstance(sf, SignedFact) and (
-        sf.fact in db.facts if sf.sign is Sign.POSITIVE else sf.fact not in db.facts
-        and sf.fact.relation in negated and db.active_domain.issuperset(sf.fact.args)
-    )
-
-
-def signed_database(
-    db: Database,
-    *,
-    restrict_to: Iterable[Relation] | None = None,
-    extra_relations: Iterable[Relation] = (),
-    cap: int | None = DEFAULT_SIGNED_CAP,
-) -> SignedDatabase:
-    """Compute the signed completion of ``db``.
-
-    Negative facts range over all tuples of active-domain constants that are
-    absent from ``db``; with ``restrict_to`` only the given relations get a
-    negative side.  ``extra_relations`` admits relations that appear in a
-    query but have no facts (their whole tuple space is then negative).
-    Raises :class:`CapExceededError` if the completion would hold more than
-    ``cap`` signed facts (``None`` means the default cap, not "unlimited").
-    The facts come out in canonical order with no sort: the positive ones,
-    then each negated relation's tuples over the sorted active domain.
-    """
-    schema, negated, _ = _completion_shape(db, restrict_to, extra_relations, cap)
-    base = db if schema == db.schema else Database(schema, db.facts)
-    return SignedDatabase(base, tuple(_completion(db, negated)))
+    return completion
 
 
 # ---------------------------------------------------------------------------

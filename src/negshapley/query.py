@@ -392,7 +392,8 @@ def sign_transform(q: Query) -> Query:
 
 
 def signed_database_restricted(db: Database, q: Query, *, cap: int | None = None) -> SignedDatabase:
-    """The signed completion of ``db`` with negatives only over ``neg_rels(q)``.
+    """The signed completion of ``db`` with negatives only over ``neg_rels(q)``,
+    counted but not built: the players of the signed measures.
 
     Relations that ``q`` mentions but ``db`` lacks are added to the schema
     with an empty extension, so their whole tuple space over the active

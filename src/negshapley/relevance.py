@@ -12,9 +12,9 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .core import Database, Fact, Sign, SignedFact, _absent, _completion_shape, negative, positive
+from .core import Database, Fact, Sign, SignedFact, negative, positive
 from .errors import CapExceededError, SemanticError
-from .query import Query, neg_rels
+from .query import Query, signed_database_restricted
 from .supports import (
     coalition_halves,
     minimal_positive_supports,
@@ -131,7 +131,7 @@ def _report(q: Query, db: Database, signed_cap: int | None, impact_cap: int = DE
     fact with whether it is signed-relevant, positive-relevant and its impact;
     then each negated relation with a stream of its ``-`` facts' argument
     tuples and the set of the signed-relevant ones.  Checks and cap at the call."""
-    _, negated, _ = _completion_shape(db, neg_rels(q), q.relations, signed_cap)
+    completion = signed_database_restricted(db, q, cap=signed_cap)
     signed, plain = support_families(q, db)
     drastic = make_game(q, db, WealthKind.DRASTIC_DIRECT)
     if len(db.facts) > impact_cap:
@@ -142,8 +142,8 @@ def _report(q: Query, db: Database, signed_cap: int | None, impact_cap: int = DE
     in_plain = {f for support in plain for f in support.elements}
     positives = ((f, positive(f) in in_signed, f in in_plain, impacts[f]) for f in db.sorted_facts)
     negatives = [
-        (rel, _absent(db, rel),
+        (rel, completion.absent(rel),
          {args for sign, (r, args) in in_signed if sign is Sign.NEGATIVE and r == rel})
-        for rel in negated
+        for rel in completion.negated
     ]
     return signed, plain, drastic, impacts, positives, negatives

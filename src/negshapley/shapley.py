@@ -39,9 +39,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable, Iterable, Literal, Mapping, NamedTuple, Union
 
-from .core import Database, Fact, SignedFact, completion_size, in_completion
+from .core import Database, Fact, SignedDatabase, SignedFact
 from .errors import CapExceededError, PlayerSetError
-from .query import Query, neg_rels, signed_database_restricted
+from .query import Query, signed_database_restricted
 from .supports import (
     SupportSet,
     _signed_supports,
@@ -51,6 +51,7 @@ from .supports import (
     compile_witnesses,
     minimal_positive_supports,
     satisfies,  # noqa: F401 - perfbench's tracer finds query evaluation by this name
+    support_witnesses,
 )
 
 #: 8! = 40320 orderings; beyond this the permutation route is refused.
@@ -113,8 +114,9 @@ class Game(_GameFields):
 
     The game is compiled on first use into witness masks over its players
     (see `supports.compile_witnesses`), so a game that a cap rejects never
-    enumerates assignments.  No ``__slots__``: the compiled masks and table
-    are cached in the instance ``__dict__``.
+    enumerates assignments.  Every kind but ``drastic`` has a witness per
+    minimal support, searched for once.  No ``__slots__``: the supports,
+    masks and table are cached in the instance ``__dict__``.
     """
 
     @cached_property
@@ -122,11 +124,15 @@ class Game(_GameFields):
         return {p: i for i, p in enumerate(self.players)}
 
     @cached_property
+    def _supports(self) -> list[SupportSet]:
+        """The minimal signed or positive supports (not for ``drastic``)."""
+        return _minimal_supports(self.q, self.db, "signed" if self.kind.signed_players else "positive")
+
+    @cached_property
     def _witnesses(self) -> tuple[tuple[int, int], ...]:
-        semantics = "signed" if self.kind.signed_players else "positive"
         if self.kind is WealthKind.DRASTIC_DIRECT:
-            semantics = "drastic"
-        return compile_witnesses(self.q, self.db, semantics, self.players)
+            return compile_witnesses(self.q, self.db, "drastic", self.players)
+        return support_witnesses(self._supports, self.players)
 
     @cached_property
     def _table(self) -> int:
@@ -155,13 +161,14 @@ def make_game(
     leaves every score unchanged.
     """
     kind = WealthKind(kind)
-    if kind.signed_players:
-        players: tuple[Player, ...] = signed_database_restricted(
-            db, q, cap=signed_cap
-        ).sorted_facts
-    else:
-        players = db.sorted_facts
-    return Game(kind=kind, q=q, db=db, players=players)
+    return Game(kind=kind, q=q, db=db, players=_players(q, db, kind, signed_cap).sorted_facts)
+
+
+def _players(q: Query, db: Database, kind: WealthKind,
+             signed_cap: int | None) -> Database | SignedDatabase:
+    """A ``kind`` game's players, counted but not built: the completion
+    restricted to the query's negated relations, or the database."""
+    return signed_database_restricted(db, q, cap=signed_cap) if kind.signed_players else db
 
 
 def _require_player(kind: WealthKind, target: Player, is_player: bool, n: int) -> None:
@@ -198,14 +205,10 @@ def scores(q: Query, db: Database, kind: WealthKind, *, target: Player | None = 
     every player, it gives no members, and its message is ``other``.
     """
     kind = WealthKind(kind)
-    if kind.signed_players:
-        negated = neg_rels(q)
-        n = completion_size(db, restrict_to=negated, extra_relations=q.relations, cap=signed_cap)
-        is_player = lambda p: in_completion(db, p, negated)
-    else:
-        n, is_player = len(db.facts), db.facts.__contains__
+    players = _players(q, db, kind, signed_cap)
+    n = players.size if kind.signed_players else len(players)  # `len` stops at sys.maxsize
     if target is not None:
-        _require_player(kind, target, is_player(target), n)
+        _require_player(kind, target, target in players, n)
     if kind.support_mode is not None:
         found = support_values(_minimal_supports(q, db, kind.support_mode), weight)
     elif n > subset_cap:  # refused from the count: the players are made within the cap only
@@ -259,7 +262,7 @@ def game_values(game: Game, cap: int = DEFAULT_SUBSET_CAP) -> Scores:
     a table) refuses Boolean games only: with no values, and its message
     as ``other``."""
     if game.kind.support_mode is not None:
-        values, other = support_values(_minimal_supports(game.q, game.db, game.kind.support_mode))
+        values, other = support_values(game._supports)
         return Scores({p: r.score for p, r in values.items()}, other.score)
     n = len(game.players)
     try:  # a query too deep to search is refused here too
@@ -305,8 +308,7 @@ def ms_scores(q: Query, db: Database, *, weight: WeightFunction = reciprocal_wei
     with an empty size histogram."""
     kind = WealthKind.MS_SIGNED if mode == "signed" else WealthKind.MPS_POSITIVE
     values, other = scores(q, db, kind, weight=weight, signed_cap=signed_cap)
-    players = make_game(q, db, kind, signed_cap=signed_cap).players
-    return {p: values.get(p, other) for p in players}
+    return {p: values.get(p, other) for p in _players(q, db, kind, signed_cap)}
 
 
 def ms_shapley(q: Query, db: Database, target: Player, *,

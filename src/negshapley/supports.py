@@ -50,14 +50,13 @@ from .core import (
     Relation,
     Sign,
     SignedFact,
-    completion_size,
     database,
     group_facts,
     negative,
     positive,
 )
 from .errors import ArityError, CapExceededError, SemanticError
-from .query import Atom, Conjunct, Const, Inequality, Query, neg_rels
+from .query import Atom, Conjunct, Const, Inequality, Query
 from .query import sign_transform, signed_database_restricted
 
 #: Exhaustively checking D-monotonicity enumerates ``2^|db \ S|`` supersets.
@@ -363,7 +362,7 @@ def minimal_signed_supports(
     ``cap`` bounds the completion restricted to the negated relations, the
     players of these supports, although they are found without building it.
     """
-    completion_size(db, restrict_to=neg_rels(q), extra_relations=q.relations, cap=cap)
+    signed_database_restricted(db, q, cap=cap)
     return _signed_supports(q, db)
 
 
@@ -456,17 +455,24 @@ def compile_witnesses(
       the database facts; negation checked against the database): one
       witness per minimal support, forbidding nothing.
     """
+    if semantics == "signed":
+        return support_witnesses(_signed_supports(q, db), players)
+    if semantics == "positive":
+        return support_witnesses(minimal_positive_supports(q, db), players)
     index = {p: i for i, p in enumerate(players)}
     mask = lambda facts: sum(1 << index[f] for f in set(facts) if f in index)
-    if semantics == "signed":
-        return tuple((mask(s.elements), 0) for s in _signed_supports(q, db))
-    if semantics == "positive":
-        return tuple((mask(s.elements), 0) for s in minimal_positive_supports(q, db))
     witnesses = {
         (mask(image), mask(_ground(a, binding) for a in q.disjuncts[idx].negated_atoms))
         for idx, binding, image in _iter_assignments(q, db, frozenset())
     }
     return tuple(sorted(witnesses))
+
+
+def support_witnesses(supports: Iterable[SupportSet],
+                      players: Sequence[FactLike]) -> tuple[Witness, ...]:
+    """A witness per support, requiring its members among ``players``."""
+    index = {p: i for i, p in enumerate(players)}
+    return tuple((sum(1 << index[p] for p in s.elements if p in index), 0) for s in supports)
 
 
 def player_masks(n: int) -> list[int]:
@@ -775,17 +781,13 @@ def all_supports(
         universe: Sequence = db.sorted_facts
         table = _d_monotone_table(q, db, cap)
     elif kind in ("signed", "positive"):
-        n = len(db.facts) if kind == "positive" else completion_size(
-            db, restrict_to=neg_rels(q), extra_relations=q.relations, cap=signed_cap
-        )
+        players = signed_database_restricted(db, q, cap=signed_cap) if kind == "signed" else db
+        n = players.size if kind == "signed" else len(players)
         if n > cap:
             raise CapExceededError(
                 f"listing all supports over {n} facts needs 2^{n} checks (cap {cap})"
             )
-        universe = (  # the completion is built where it lists the players
-            signed_database_restricted(db, q, cap=signed_cap).sorted_facts
-            if kind == "signed" else db.sorted_facts
-        )
+        universe = players.sorted_facts
         table = coalition_table(len(universe), compile_witnesses(q, db, kind, universe))
     else:
         raise SemanticError(f"unknown support kind {kind!r}")

@@ -140,8 +140,9 @@ def signed_non_players(db: Database, q: Query) -> list[SignedFact]:
 
 
 def reference_absent(db: Database, rel: Relation) -> list[tuple[str, ...]]:
-    """`core._absent` as a scan of every stored fact: the argument tuples over
-    the sorted active domain that ``rel`` lacks in ``db``, in order."""
+    """`SignedDatabase.absent` of a negated ``rel`` as a scan of every stored
+    fact: the argument tuples over the sorted active domain that ``rel``
+    lacks in ``db``, in order."""
     stored = {f.args for f in db.facts if f.relation == rel}
     return [args for args in itertools.product(adom(db.facts), repeat=rel.arity)
             if args not in stored]

@@ -119,13 +119,13 @@ def test_supports_all_honours_the_signed_cap(capsys, tmp_path):
 
 def test_supports_all_refuses_before_compiling(capsys, paths, monkeypatch):
     """The listing cap is checked by counting, so a refused listing never
-    compiles its witnesses or builds its players."""
-    import negshapley.core as core
+    compiles its witnesses or makes its players."""
+    from negshapley.core import SignedDatabase
 
     calls = _count_compilations(monkeypatch)
     built = []
-    real = core.signed_database
-    monkeypatch.setattr(core, "signed_database", lambda *a, **k: built.append(a) or real(*a, **k))
+    real = SignedDatabase.__iter__
+    monkeypatch.setattr(SignedDatabase, "__iter__", lambda self: built.append(self) or real(self))
     code, out, err = run(
         capsys, "supports", "--db", paths["db"], "--query", paths["q"],
         "--kind", "signed", "--all",
@@ -911,14 +911,16 @@ def test_reports_keep_the_signed_cap_refusal(capsys, tmp_path):
 
 
 def test_reports_never_build_the_completion(capsys, tmp_path, monkeypatch):
-    """The rows stream from the active domain: with every binding of
-    `signed_database` made to fail, the reports still match the reference."""
+    """The rows stream from the active domain's argument tuples: with the
+    making of the completion's members (`SignedDatabase.__iter__`, which
+    `sorted_facts` uses too) made to fail, the reports still match the
+    reference."""
+    from negshapley.core import SignedDatabase
+
     def refuse(*args, **kwargs):
         raise AssertionError("the signed completion was materialized")
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "negshapley" and hasattr(module, "signed_database"):
-            monkeypatch.setattr(module, "signed_database", refuse)
+    monkeypatch.setattr(SignedDatabase, "__iter__", refuse)
     for inst in corpus(500)[::25]:
         _assert_matches_reference(capsys, tmp_path, inst.q, inst.db, str(inst))
 
@@ -1002,17 +1004,18 @@ def test_score_matches_the_materialized_reference_over_the_signed_subset_cap(cap
 
 
 def test_score_never_builds_the_completion(capsys, tmp_path, monkeypatch):
-    """`score` builds no signed completion, but for the players of a
-    signed-drastic game within its cap: with `SignedDatabase` made to fail,
-    every other call still matches the reference.  Under `signed-drastic`,
-    `--fact` refuses a non-player (exit 2), and then a game above
-    `--cap-subset` (exit 3), from the count of the completion."""
+    """`score` makes no member of the signed completion, but for the players
+    of a signed-drastic game within its cap: with `SignedDatabase.__iter__`,
+    which `sorted_facts` uses too, made to fail, every other call still
+    matches the reference.  Under `signed-drastic`, `--fact` refuses a
+    non-player (exit 2), and then a game above `--cap-subset` (exit 3), from
+    the count of the completion."""
     from negshapley.core import SignedDatabase
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("the signed completion was built")
 
-    monkeypatch.setattr(SignedDatabase, "__init__", refuse)
+    monkeypatch.setattr(SignedDatabase, "__iter__", refuse)
     instances = [(inst.q, inst.db) for inst in corpus(500)[::25]] + [_readme_recipe(tmp_path)]
     for q, db in instances:
         completion = sorted(oracles.oracle_signed_completion(db, q))

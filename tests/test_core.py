@@ -16,11 +16,8 @@ from negshapley.core import (
     Relation,
     Sign,
     SignedFact,
-    completion_size,
     database,
     fact,
-    in_completion,
-    iter_completion,
     load_database,
     negative,
     parse_fact,
@@ -29,7 +26,7 @@ from negshapley.core import (
     signed_database,
 )
 from negshapley.errors import ArityError, CapExceededError, FactSyntaxError
-from negshapley.query import neg_rels, signed_database_restricted
+from negshapley.query import signed_database_restricted
 
 import oracles
 from corpus import corpus
@@ -149,39 +146,81 @@ def test_signed_database_cap():
     assert DEFAULT_SIGNED_CAP >= 25
 
 
-def test_completion_is_generated_in_sorted_order():
-    """The completion comes out in canonical order without being sorted; the
-    restricted and the full completion of every corpus instance agree with
-    a plain sort, and `completion_size` counts them without building them."""
+def test_the_completion_counts_streams_and_tests_its_members_on_corpus():
+    """Against the oracles, on every corpus instance: the completion
+    restricted to the query's negated relations counts its members (`len`),
+    streams them in canonical order with their exact types (`iter`, the `-`
+    facts made without `Fact.__new__` included), holds each of them and no
+    `oracles.signed_non_players` entry or plain fact (`in`), and lists each
+    relation's `-` tuples (`absent`), all with nothing built; then
+    `sorted_facts` is the stream."""
     for inst in corpus(500):
-        for restrict_to in (neg_rels(inst.q), None):
-            args = {"restrict_to": restrict_to, "extra_relations": inst.q.relations}
-            sd = signed_database(inst.db, **args)
-            assert sd.sorted_facts == tuple(sorted(sd.signed_facts)), str(inst)
-            assert completion_size(inst.db, **args) == len(sd), str(inst)
-
-
-def test_completion_members_are_signed_facts_of_facts():
-    """Every member of the built and of the streamed completion, the `-`
-    facts made without `Fact.__new__` included, has the exact types."""
-    for inst in corpus(500):
-        args = {"restrict_to": neg_rels(inst.q), "extra_relations": inst.q.relations}
-        built = signed_database(inst.db, **args).sorted_facts
-        streamed = tuple(iter_completion(inst.db, **args))
-        assert streamed == built, str(inst)
-        for sf in (*built, *streamed):
+        db, q = inst.db, inst.q
+        completion = signed_database_restricted(db, q)
+        members = sorted(oracles.oracle_signed_completion(db, q))
+        negated = {atom.relation for cq in q.disjuncts for atom in cq.negated_atoms}
+        assert len(completion) == completion.size == len(members), str(inst)
+        assert completion.negated == tuple(sorted(negated)), str(inst)
+        assert all(sf in completion for sf in members), str(inst)
+        assert not any(sf in completion for sf in oracles.signed_non_players(db, q)), str(inst)
+        assert not any(f in completion for f in db.facts), str(inst)
+        for rel in sorted(db.schema | q.relations):
+            minus = [sf.fact.args for sf in members
+                     if sf.sign is Sign.NEGATIVE and sf.fact.relation == rel]
+            assert list(completion.absent(rel)) == minus, (str(inst), rel)
+            if rel in negated:
+                assert minus == oracles.reference_absent(db, rel), (str(inst), rel)
+        streamed = list(completion)
+        assert streamed == members, str(inst)
+        for sf in streamed:
             assert type(sf) is SignedFact and type(sf.fact) is Fact, str(inst)
             assert type(sf.sign) is Sign and len(sf.fact.args) == sf.fact.relation.arity
+        assert not {"sorted_facts", "signed_facts", "base"} & vars(completion).keys(), str(inst)
+        assert completion.sorted_facts == tuple(members), str(inst)
 
 
-def test_completion_size_raises_what_the_completion_raises():
-    for build in (signed_database, completion_size, iter_completion):
-        with pytest.raises(CapExceededError, match="would hold 25 facts, above the cap of 24"):
-            build(RECIPE_DB, cap=24)
-        with pytest.raises(ArityError, match="relation I used with arities 2 and 1"):
-            build(RECIPE_DB, extra_relations=[Relation("I", 1)])
-        with pytest.raises(ArityError, match="cannot restrict to unknown relation Z"):
-            build(RECIPE_DB, restrict_to=[Relation("Z", 1)])
+def test_the_full_completion_counts_and_streams_its_members_on_corpus():
+    """With no restriction, every relation of the database and the query
+    gets its `-` side: the stored facts and `oracles.reference_absent`."""
+    for inst in corpus(500):
+        db, relations = inst.db, inst.db.schema | inst.q.relations
+        full = signed_database(db, extra_relations=inst.q.relations)
+        want = sorted({*map(positive, db.facts), *(
+            negative(Fact(rel, args)) for rel in relations
+            for args in oracles.reference_absent(db, rel))})
+        assert full.negated == tuple(sorted(relations)), str(inst)
+        assert (len(full), list(full), full.sorted_facts) == (len(want), want, tuple(want)), str(inst)
+        assert all(sf in full for sf in want) and not any(f in full for f in db.facts), str(inst)
+
+
+def test_the_completion_refuses_at_the_call_in_the_order_of_its_checks():
+    """Arity clashes, then an unknown or mismatched relation to restrict to,
+    then the cap, each with its message, before anything is counted lazily."""
+    clash, unknown = [Relation("I", 1)], [Relation("Z", 1)]
+    cases = [
+        ({"cap": 24}, CapExceededError, "signed completion would hold 25 facts, above the cap of 24"),
+        ({"extra_relations": clash, "restrict_to": unknown, "cap": 0}, ArityError,
+         "relation I used with arities 2 and 1"),
+        ({"restrict_to": unknown, "cap": 0}, ArityError, "cannot restrict to unknown relation Z"),
+        ({"restrict_to": clash, "cap": 0}, ArityError, "relation I has arity 2, not 1"),
+    ]
+    for kwargs, error, message in cases:
+        with pytest.raises(error) as refused:
+            signed_database(RECIPE_DB, **kwargs)
+        assert str(refused.value) == message
+
+
+def test_the_completion_counts_past_what_len_reports():
+    """A completion of 10^19 facts, more than `len` can return, is counted
+    by `size` and refused or admitted by its cap like any other."""
+    db = database([fact("R", *(f"c{i}" for i in range(10)), *["c0"] * 9)])
+    rel = Relation("R", 19)
+    with pytest.raises(CapExceededError, match="would hold 10000000000000000000 facts"):
+        signed_database(db, restrict_to=[rel])
+    completion = signed_database(db, restrict_to=[rel], cap=10**20)
+    assert completion.size == 10**19 and negative(fact("R", *["c1"] * 19)) in completion
+    with pytest.raises(OverflowError):
+        len(completion)
 
 
 def test_extra_relations_get_a_fully_negative_extension():
@@ -287,30 +326,12 @@ def test_database_is_hashable_value_type():
 
 
 def test_the_per_relation_index_orders_and_counts_the_completion_on_corpus():
-    """`Database.by_relation` gives the canonical order, `_absent` the tuples
-    a scan of every fact gives, and `_completion_shape` the size of the
-    completion restricted to the query's negated relations."""
-    from negshapley.core import _absent, _completion_shape
-
+    """`Database.by_relation` gives the canonical order, and the count of the
+    completion restricted to the query's negated relations, read from it,
+    is the oracle's."""
     for inst in corpus(500):
         db, q = inst.db, inst.q
         assert db.sorted_facts == tuple(sorted(db.facts)), str(inst)
         assert list(db.by_relation) == sorted({f.relation for f in db.facts}), str(inst)
-        schema, _, total = _completion_shape(db, neg_rels(q), q.relations, None)
-        assert total == len(oracles.oracle_signed_completion(db, q)), str(inst)
-        for rel in sorted(schema):
-            assert list(_absent(db, rel)) == oracles.reference_absent(db, rel), str(inst)
-
-
-def test_completion_membership_is_decided_without_the_completion_on_corpus():
-    """`in_completion` agrees with membership in the built completion, for
-    each of its facts and for signed facts outside it: the other sign, a
-    constant outside the active domain, a relation that is not negated."""
-    for inst in corpus(500):
-        db, q = inst.db, inst.q
-        members = signed_database_restricted(db, q).sorted_facts
-        outside = oracles.signed_non_players(db, q)
-        assert not set(members) & set(outside), str(inst)
-        for sf in (*members, *outside):
-            assert in_completion(db, sf, neg_rels(q)) == (sf in members), (str(inst), str(sf))
-        assert not any(in_completion(db, f, neg_rels(q)) for f in db.facts), str(inst)
+        want = len(oracles.oracle_signed_completion(db, q))
+        assert len(signed_database_restricted(db, q)) == want, str(inst)

@@ -18,7 +18,7 @@ def test_cli_imports_no_private_scoring_names():
     private = [
         f"{node.module}.{alias.name}"
         for node in ast.walk(_tree(PACKAGE / "cli.py"))
-        if isinstance(node, ast.ImportFrom) and node.module in ("shapley", "supports")
+        if isinstance(node, ast.ImportFrom) and node.module in ("core", "shapley", "supports")
         for alias in node.names if alias.name.startswith("_")
     ]
     assert private == []

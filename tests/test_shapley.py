@@ -195,6 +195,41 @@ def test_counting_games_never_meet_the_table_cap():
     assert shapley_subset(g, negative(fact("I", "mm", "meat")), cap=2) == Fraction(1, 2)
 
 
+def test_a_counting_game_searches_for_its_supports_once(monkeypatch):
+    """20 `shapley_subset` calls on a 60-player `mps` game, then its values
+    and a wealth, run one assignment search between them."""
+    import negshapley.supports as supports
+
+    searches = []
+    real = supports._iter_assignments
+    monkeypatch.setattr(supports, "_iter_assignments", lambda *a: searches.append(a) or real(*a))
+    db = database(fact("R", f"v{i}", f"v{i + 1}") for i in range(60))
+    g = make_game(parse_query("exists x, y, z. R(x,y), R(y,z)"), db, WealthKind.MPS_POSITIVE)
+    assert len(g.players) == 60
+    got = [shapley_subset(g, p) for p in g.players[:20]]
+    assert got == [Fraction(1, 2)] + [Fraction(1)] * 19  # R(v0,v1) ends the path
+    assert shapley_values(g)[fact("R", "v59", "v60")] == Fraction(1, 2)
+    assert g.wealth(fact("R", f"v{i}", f"v{i + 1}") for i in range(3)) == 2
+    assert len(searches) == 1
+
+
+def test_players_are_counted_past_what_len_reports():
+    """A signed game of 10^19 players, more than `len` can return, is
+    counted, refuses a non-player with its count, and is refused by the
+    subset cap, as a completion within `len` is."""
+    from negshapley.shapley import scores
+
+    db = database([fact("R", *(f"c{i}" for i in range(10)), *["c0"] * 9)])
+    q = parse_query("exists " + ", ".join(f"x{i}" for i in range(19)) + ". R("
+                    + ",".join(f"x{i}" for i in range(19)) + "), !R("
+                    + ",".join(f"x{(i + 1) % 19}" for i in range(19)) + ")")
+    n = 10**19
+    with pytest.raises(PlayerSetError, match=f"^R\\(c0\\) is not .* \\({n} players\\)$"):
+        scores(q, db, WealthKind.SIGNED_DRASTIC, target=fact("R", "c0"), signed_cap=n)
+    refused = scores(q, db, WealthKind.SIGNED_DRASTIC, signed_cap=n)
+    assert refused == ({}, f"{n} players means 2^{n - 1} coalitions (cap 20)")
+
+
 def test_target_must_be_a_player():
     g = make_game(Q_FISH, RECIPE_DB, WealthKind.MS_SIGNED)
     with pytest.raises(PlayerSetError):
@@ -319,8 +354,9 @@ def test_ms_shapley_agrees_with_closed_form_and_oracle():
 
 def test_ms_shapley_scores_one_target_without_the_completion(monkeypatch):
     """Each player's entry of `ms_scores`, and the same refusals for facts
-    outside the player set, with `signed_database` made to fail."""
-    import sys
+    outside the player set, with the making of the completion's members
+    (`SignedDatabase.__iter__`, which `sorted_facts` uses too) made to fail."""
+    from negshapley.core import SignedDatabase
 
     instances = corpus(500)[:60]
     expected = [
@@ -331,10 +367,7 @@ def test_ms_shapley_scores_one_target_without_the_completion(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the signed completion was materialized")
 
-    for name, module in list(sys.modules.items()):
-        for attr in ("signed_database", "signed_database_restricted"):
-            if name.split(".")[0] == "negshapley" and hasattr(module, attr):
-                monkeypatch.setattr(module, attr, refuse)
+    monkeypatch.setattr(SignedDatabase, "__iter__", refuse)
     for inst, by_mode in zip(instances, expected):
         for mode, scores in by_mode.items():
             for p, result in scores.items():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import negshapley.shapley
-from negshapley.core import Database, Relation, SignedDatabase, database, fact, positive
+from negshapley.core import Database, Relation, database, fact, positive
 from negshapley.core import signed_database
 from negshapley.errors import ArityError, SafetyError, SemanticError
 from negshapley.query import (
@@ -153,7 +153,7 @@ def test_databases_equal_and_hash_by_schema_and_facts():
     assert a != database([fact("R", "a", "b"), S_A], schema=[Relation("T", 1)])
     assert signed_database(a) == signed_database(b)
     assert hash(signed_database(a)) == hash(signed_database(b))
-    assert signed_database(a) != SignedDatabase(a, ())
+    assert signed_database(a) != signed_database(a, restrict_to=())
     red = guarded_reduction(parse_query("exists x, y. R(x,y)"), a)
     assert red.d_double_prime == red.d_prime
 
