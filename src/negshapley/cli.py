@@ -118,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_query(path: str) -> Query:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputParseError(f"cannot read query file: {exc}") from exc

@@ -365,7 +365,7 @@ def _parse_fact_line(
 
 def load_database(path: str | os.PathLike) -> Database:
     """Read a facts file into a :class:`Database` (see module docstring)."""
-    with open(path, encoding="utf-8") as stream:
+    with open(path, encoding="utf-8-sig") as stream:
         text = stream.read()
     arities: dict[str, int] = {}
     relations: dict[str, Relation] = {}

@@ -44,13 +44,12 @@ from .errors import CapExceededError, PlayerSetError
 from .query import Query, signed_database_restricted
 from .supports import (
     SupportSet,
-    _signed_supports,
     coalition_halves,
     coalition_sizes,
     coalition_table,
     compile_witnesses,
-    minimal_positive_supports,
     satisfies,  # noqa: F401 - perfbench's tracer finds query evaluation by this name
+    support_families,
     support_witnesses,
 )
 
@@ -112,9 +111,9 @@ class Game(_GameFields):
     """A wealth function bound to its player set: the tuple ``(kind, q, db,
     players)``.
 
-    The game is compiled on first use into witness masks over its players
-    (see `supports.compile_witnesses`), so a game that a cap rejects never
-    enumerates assignments.  Every kind but ``drastic`` has a witness per
+    The game is compiled on first use into witness masks over its players,
+    so a game that a cap rejects never enumerates assignments: ``drastic``
+    by `supports.compile_witnesses`, every other kind one witness per
     minimal support, searched for once.  No ``__slots__``: the supports,
     masks and table are cached in the instance ``__dict__``.
     """
@@ -126,12 +125,13 @@ class Game(_GameFields):
     @cached_property
     def _supports(self) -> list[SupportSet]:
         """The minimal signed or positive supports (not for ``drastic``)."""
-        return _minimal_supports(self.q, self.db, "signed" if self.kind.signed_players else "positive")
+        family = "signed" if self.kind.signed_players else "positive"
+        return support_families(self.q, self.db, family)[0]
 
     @cached_property
     def _witnesses(self) -> tuple[tuple[int, int], ...]:
         if self.kind is WealthKind.DRASTIC_DIRECT:
-            return compile_witnesses(self.q, self.db, "drastic", self.players)
+            return compile_witnesses(self.q, self.db, self.players)
         return support_witnesses(self._supports, self.players)
 
     @cached_property
@@ -210,7 +210,7 @@ def scores(q: Query, db: Database, kind: WealthKind, *, target: Player | None = 
     if target is not None:
         _require_player(kind, target, target in players, n)
     if kind.support_mode is not None:
-        found = support_values(_minimal_supports(q, db, kind.support_mode), weight)
+        found = support_values(support_families(q, db, kind.support_mode)[0], weight)
     elif n > subset_cap:  # refused from the count: the players are made within the cap only
         found = Scores({}, _too_many(n, subset_cap))
     else:
@@ -220,10 +220,6 @@ def scores(q: Query, db: Database, kind: WealthKind, *, target: Player | None = 
     if isinstance(found.other, str):
         raise CapExceededError(found.other)
     return Scores({target: found.values.get(target, found.other)}, found.other)
-
-
-def _minimal_supports(q: Query, db: Database, mode: SupportMode) -> list[SupportSet]:
-    return _signed_supports(q, db) if mode == "signed" else minimal_positive_supports(q, db)
 
 
 def _too_many(n: int, cap: int) -> str:

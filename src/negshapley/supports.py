@@ -8,7 +8,7 @@ context:
 
 * a *signed support* is a set of signed facts satisfying the sign-transformed
   query; the minimal ones are read off the query's assignments over the
-  database itself (see `_support_images`), never off the completion;
+  database itself (see `support_families`), never off the completion;
 * a *positive support* is a set of plain facts whose positive atoms embed
   into it while negation is checked against the full database;
 * a *D-monotone support* is a set all of whose supersets within the database
@@ -31,10 +31,10 @@ is one dictionary lookup, not a scan of the relation, and an atom fixed at
 every position is one membership test in the fact set.  Buckets keep fact
 order, so assignments come out in the order a scan would give.
 
-Minimal signed and positive supports are computed as the minimal elements of
-the set of assignment images, which coincide with the subset-minimal
-supports: every support contains the image of one of its own satisfying
-assignments, and every image is itself a support.
+`support_families` alone makes the minimal signed and positive supports, as
+the minimal elements of the set of assignment images: every support contains
+the image of one of its own satisfying assignments, and every image is itself
+a support.  `compile_witnesses` compiles the drastic game off the assignments.
 
 `SupportSet` and `GuardedReduction` are named tuples, equal to the tuples
 of their fields.
@@ -363,37 +363,30 @@ def minimal_signed_supports(
     players of these supports, although they are found without building it.
     """
     signed_database_restricted(db, q, cap=cap)
-    return _signed_supports(q, db)
+    return support_families(q, db, "signed")[0]
 
 
-def _signed_supports(q: Query, db: Database) -> list[SupportSet]:
-    return _minimal_sets("signed", _support_images(q, db)[0])
-
-
-def support_families(q: Query, db: Database) -> tuple[list[SupportSet], list[SupportSet]]:
-    """The minimal signed and positive supports, from one search."""
-    signed, plain = _support_images(q, db)
-    return _minimal_sets("signed", signed), _minimal_sets("positive", plain)
-
-
-def _support_images(q: Query, db: Database) -> tuple[set[frozenset], set[frozenset]]:
-    """The signed and positive images of the assignments over the database,
-    negation checked against it.
-
-    Safety binds every variable through a positive atom, so these are the
-    assignments of the sign-transformed query over the completion.  The
-    signed image adds the grounded negated atoms as ``-`` facts, and is
-    dropped when one of them leaves the active domain, and so the completion.
-    """
-    adom = db.active_domain
+def support_families(q: Query, db: Database, *kinds: SupportKind) -> tuple[list[SupportSet], ...]:
+    """The minimal supports of each kind named, ``signed`` or ``positive``
+    (both when none is), in that order, from one assignment search over the
+    database with negation checked against it: by safety, the assignments of
+    the sign-transformed query over the completion.  A signed image adds the
+    grounded negated atoms as ``-`` facts, and is dropped when one of them
+    leaves the active domain, and so the completion.  Only the families
+    named are built."""
+    kinds = kinds or ("signed", "positive")
+    if not set(kinds) <= {"signed", "positive"}:
+        raise SemanticError(f"minimal supports are signed or positive, not {kinds}")
     signed: set[frozenset] = set()
     plain: set[frozenset] = set()
     for idx, binding, image in _iter_assignments(q, db, db):
-        plain.add(image)
-        absent = [_ground(a, binding) for a in q.disjuncts[idx].negated_atoms]
-        if all(adom.issuperset(f.args) for f in absent):
-            signed.add(frozenset([*map(positive, image), *map(negative, absent)]))
-    return signed, plain
+        if "positive" in kinds:
+            plain.add(image)
+        if "signed" in kinds:
+            absent = [_ground(a, binding) for a in q.disjuncts[idx].negated_atoms]
+            if all(db.active_domain.issuperset(f.args) for f in absent):
+                signed.add(frozenset([*map(positive, image), *map(negative, absent)]))
+    return tuple(_minimal_sets(kind, signed if kind == "signed" else plain) for kind in kinds)
 
 
 def _minimal_sets(kind: SupportKind, family: set[frozenset]) -> list[SupportSet]:
@@ -428,8 +421,7 @@ def is_positive_support(S: Iterable[Fact], q: Query, db: Database) -> bool:
 
 def minimal_positive_supports(q: Query, db: Database) -> list[SupportSet]:
     """All subset-minimal positive supports, in canonical order."""
-    images = {image for _, _, image in _iter_assignments(q, db, db)}
-    return _minimal_sets("positive", images)
+    return support_families(q, db, "positive")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -440,25 +432,15 @@ def minimal_positive_supports(q: Query, db: Database) -> list[SupportSet]:
 #: fits the witness when it holds every required player and no forbidden one.
 Witness = tuple[int, int]
 
-Semantics = Literal["drastic", "signed", "positive"]
-
 
 def compile_witnesses(
-    q: Query, db: Database, semantics: Semantics, players: Sequence[FactLike]
+    q: Query, db: Database, players: Sequence[Fact]
 ) -> tuple[Witness, ...]:
-    """The witnesses of ``q`` over ``players``, from one assignment search.
-
-    * ``drastic`` (players: the database facts; negation checked inside the
-      coalition): one witness per assignment over the database, requiring
-      its image and forbidding its grounded negated atoms that are players;
-    * ``signed`` (players: a signed completion) and ``positive`` (players:
-      the database facts; negation checked against the database): one
-      witness per minimal support, forbidding nothing.
-    """
-    if semantics == "signed":
-        return support_witnesses(_signed_supports(q, db), players)
-    if semantics == "positive":
-        return support_witnesses(minimal_positive_supports(q, db), players)
+    """The drastic game's witnesses over ``players``, database facts, from
+    one assignment search over the database with negation checked inside
+    the coalition: one witness per assignment, requiring its image and
+    forbidding its grounded negated atoms that are players.  The other games'
+    witnesses are their minimal supports (`support_witnesses`)."""
     index = {p: i for i, p in enumerate(players)}
     mask = lambda facts: sum(1 << index[f] for f in set(facts) if f in index)
     witnesses = {
@@ -545,7 +527,7 @@ def is_d_monotone_support(
     low = (1 << len(rest)) - 1
     witnesses = [
         (required & low, forbidden)
-        for required, forbidden in compile_witnesses(q, db, "drastic", players)
+        for required, forbidden in compile_witnesses(q, db, players)
         if not forbidden & ~low
     ]
     return coalition_table(len(rest), witnesses) == (1 << (1 << len(rest))) - 1
@@ -560,7 +542,7 @@ def _d_monotone_table(q: Query, db: Database, cap: int) -> int:
             f"enumerating D-monotone supports over {len(facts)} facts needs "
             f"2^{len(facts)} evaluations (cap {cap})"
         )
-    table = coalition_table(len(facts), compile_witnesses(q, db, "drastic", facts))
+    table = coalition_table(len(facts), compile_witnesses(q, db, facts))
     for i, mask in enumerate(player_masks(len(facts))):
         table &= mask | table >> (1 << i)  # S without fact i needs S with it
     return table
@@ -788,7 +770,8 @@ def all_supports(
                 f"listing all supports over {n} facts needs 2^{n} checks (cap {cap})"
             )
         universe = players.sorted_facts
-        table = coalition_table(len(universe), compile_witnesses(q, db, kind, universe))
+        (family,) = support_families(q, db, kind)
+        table = coalition_table(len(universe), support_witnesses(family, universe))
     else:
         raise SemanticError(f"unknown support kind {kind!r}")
     minimal = set(_minimal_masks(table, len(universe)))  # every family is closed upwards

@@ -705,7 +705,7 @@ def reference_load_database(path) -> Database:
     from negshapley.core import _HEADER_RE, _parse_fact_line
     from negshapley.errors import ArityError, FactSyntaxError
 
-    with open(path, encoding="utf-8") as stream:
+    with open(path, encoding="utf-8-sig") as stream:
         text = stream.read()
     arities: dict[str, int] = {}
     facts: set[Fact] = set()

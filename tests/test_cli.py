@@ -1,7 +1,9 @@
 """Command-line front end: golden outputs, exit codes, determinism."""
 
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -119,10 +121,11 @@ def test_supports_all_honours_the_signed_cap(capsys, tmp_path):
 
 def test_supports_all_refuses_before_compiling(capsys, paths, monkeypatch):
     """The listing cap is checked by counting, so a refused listing never
-    compiles its witnesses or makes its players."""
+    searches for assignments, compiles its witnesses or makes its players."""
     from negshapley.core import SignedDatabase
 
     calls = _count_compilations(monkeypatch)
+    searches = _count_searches(monkeypatch)
     built = []
     real = SignedDatabase.__iter__
     monkeypatch.setattr(SignedDatabase, "__iter__", lambda self: built.append(self) or real(self))
@@ -130,7 +133,7 @@ def test_supports_all_refuses_before_compiling(capsys, paths, monkeypatch):
         capsys, "supports", "--db", paths["db"], "--query", paths["q"],
         "--kind", "signed", "--all",
     )
-    assert (code, out) == (3, "") and calls == built == []
+    assert (code, out) == (3, "") and calls == built == searches == []
     assert err == "error: listing all supports over 25 facts needs 2^25 checks (cap 20)\n"
 
 
@@ -273,6 +276,18 @@ def _count_compilations(monkeypatch) -> list:
     return calls
 
 
+def _count_searches(monkeypatch) -> list:
+    """Count the assignment searches started, one per `_iter_assignments` call."""
+    import negshapley.supports as supports
+
+    searches = []
+    real = supports._iter_assignments
+    monkeypatch.setattr(
+        supports, "_iter_assignments", lambda *a: searches.append(a) or real(*a)
+    )
+    return searches
+
+
 def _count_games(monkeypatch) -> list:
     """Count calls of `make_game`, wherever a module holds it."""
     import negshapley.cli as cli
@@ -317,13 +332,7 @@ def test_auto_builds_one_game_per_target(capsys, paths, monkeypatch):
 def test_score_refuses_a_non_player_before_searching(capsys, paths, monkeypatch):
     """Under every measure, a `--fact` that is no player is refused (exit 2)
     with the one message, before any assignment search starts."""
-    import negshapley.supports as supports
-
-    searches = []
-    real = supports._iter_assignments
-    monkeypatch.setattr(
-        supports, "_iter_assignments", lambda *a: searches.append(a) or real(*a)
-    )
+    searches = _count_searches(monkeypatch)
     base = ("score", "--db", paths["db"], "--query", paths["q"])
     for measure, target, players in (
         ("drastic", "I(zz,fish)", 5), ("positive-drastic", "I(zz,fish)", 5),
@@ -333,6 +342,35 @@ def test_score_refuses_a_non_player_before_searching(capsys, paths, monkeypatch)
         refusal = f"error: {target} is not a player of the {measure} game ({players} players)\n"
         got = run(capsys, *base, "--measure", measure, f"--fact={target}")
         assert got == (2, "", refusal) and searches == [], measure
+
+
+def test_each_listing_and_score_runs_one_search(capsys, paths, monkeypatch):
+    """Every minimal listing, the listings with `--all` that the recipe's 5
+    facts allow, and every measure's score of all players or of one, run
+    one assignment search.  Only the drastic game and the `dmonotone`
+    listing compile witnesses; the other games and listings are read off
+    the minimal supports.  The recipe's 25 signed players are over the
+    subset cap, so `signed-drastic` plays on 2 of its facts (16 players)."""
+    calls = _count_compilations(monkeypatch)
+    searches = _count_searches(monkeypatch)
+    small = paths["dir"] / "small.facts"
+    small.write_text("I(mm,fish)\nI(mp,meat)\n")
+    runs = [(("supports", "--kind", kind), kind == "dmonotone")
+            for kind in ("signed", "positive", "dmonotone")]
+    runs += [(("supports", "--kind", kind, "--all"), kind == "dmonotone")
+             for kind in ("positive", "dmonotone")]
+    for measure, player in (
+        ("drastic", "I(mm,fish)"), ("positive-drastic", "I(mm,fish)"), ("mps", "I(mm,fish)"),
+        ("signed-drastic", "-I(mm,meat)"), ("ms-signed", "-I(mm,meat)"),
+    ):
+        runs += [(("score", "--measure", measure, players), measure == "drastic")
+                 for players in ("--all", f"--fact={player}")]
+    for argv, compiles in runs:
+        db = small if "signed-drastic" in argv else paths["db"]
+        del calls[:], searches[:]
+        code, out, err = run(capsys, *argv, "--db", str(db), "--query", paths["q"])
+        assert code == 0 and "error" not in out + err, argv
+        assert (len(searches), len(calls)) == (1, compiles), argv
 
 
 def test_runs_are_deterministic(capsys, paths):
@@ -472,13 +510,7 @@ def test_compare_matrix(capsys, paths):
 def test_compare_searches_once_and_compiles_drastic_once(capsys, paths, monkeypatch):
     """One assignment search serves both support families, and one drastic
     compile serves the impact column and the drastic column."""
-    import negshapley.supports as supports
-
-    searches = []
-    real = supports._iter_assignments
-    monkeypatch.setattr(
-        supports, "_iter_assignments", lambda *a: searches.append(a) or real(*a)
-    )
+    searches = _count_searches(monkeypatch)
     code, _, _ = run(capsys, "compare", "--db", paths["db"], "--query", paths["q"])
     assert code == 0 and len(searches) == 2
 
@@ -527,6 +559,33 @@ def test_exit_1_on_query_file_that_is_not_utf8(capsys, paths, tmp_path):
         code, out, err = run(capsys, *argv, "--query", str(bad))
         assert (code, out) == (1, "")
         assert err.startswith("error: cannot read query file: 'utf-8' codec can't decode")
+
+
+def test_a_leading_byte_order_mark_is_ignored(capsys, paths, tmp_path):
+    """Fact and query files saved with a UTF-8 byte-order mark give the plain
+    files' output; a mark past the start is still a syntax error."""
+    bom = {}
+    for name in ("db", "q"):
+        bom[name] = tmp_path / f"bom-{Path(paths[name]).name}"
+        bom[name].write_bytes(b"\xef\xbb\xbf" + Path(paths[name]).read_bytes())
+    inputs = [(db, q) for db in (paths["db"], bom["db"]) for q in (paths["q"], bom["q"])]
+    for argv in (("supports", "--kind", "signed"), ("score", "--measure", "ms-signed", "--all"),
+                 ("relevance",), ("compare",)):
+        for fmt in ("table", "json"):
+            got = {run(capsys, *argv, "--db", str(db), "--query", str(q), "--format", fmt)
+                   for db, q in inputs}
+            assert len(got) == 1 and next(iter(got))[0] == 0, argv
+    got = {run(capsys, "analyze", "--query", str(q)) for q in (paths["q"], bom["q"])}
+    assert len(got) == 1 and next(iter(got))[0] == 0
+
+    inner = tmp_path / "inner.facts"
+    inner.write_text("I(mm,fish)\n\ufeffI(mm,wine)\n", encoding="utf-8")
+    code, out, err = run(capsys, "supports", "--db", str(inner), "--query", paths["q"])
+    assert (code, out) == (1, "") and err.startswith("error: line 2: cannot parse fact")
+    inner = tmp_path / "inner.query"
+    inner.write_text('exists x. \ufeffI(x,"fish")\n', encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--query", str(inner))
+    assert (code, out) == (1, "") and err.startswith("error: unexpected character '\\ufeff'")
 
 
 def test_exit_1_on_unknown_flag(capsys, paths):
@@ -698,6 +757,18 @@ def test_console_script_entry_point(paths):
     # module execution mirrors the installed `negshapley` script
     assert proc.returncode == 0
     assert "guarded = true" in proc.stdout
+
+
+def test_console_script_names_an_importable_main():
+    """The ``negshapley`` entry of ``[project.scripts]`` in ``pyproject.toml``
+    (read with a regex: Python 3.10 has no ``tomllib``) is ``cli.main``."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    entry = re.search(r'^negshapley\s*=\s*"([^"]*)"\s*$', scripts[1] if scripts else "", re.M)
+    assert entry and entry[1] == "negshapley.cli:main"
+    module, name = entry[1].split(":")
+    target = getattr(importlib.import_module(module), name)
+    assert callable(target) and target is main
 
 
 def _cli(*argv: str) -> list[str]:

@@ -1,6 +1,6 @@
 """Import hygiene of the package, checked from its syntax trees: the command
-line reaches scoring through public names only, and no module imports a
-name it never uses."""
+line reaches scoring, and scoring and relevance reach the support search,
+through public names only, and no module imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -14,14 +14,24 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def test_cli_imports_no_private_scoring_names():
-    private = [
-        f"{node.module}.{alias.name}"
-        for node in ast.walk(_tree(PACKAGE / "cli.py"))
-        if isinstance(node, ast.ImportFrom) and node.module in ("core", "shapley", "supports")
+def _private_imports(module: str, sources: tuple[str, ...]) -> list[str]:
+    """The ``_``-prefixed names ``module`` imports from the ``sources``."""
+    return [
+        f"{module} <- {node.module}.{alias.name}"
+        for node in ast.walk(_tree(PACKAGE / f"{module}.py"))
+        if isinstance(node, ast.ImportFrom) and node.module in sources
         for alias in node.names if alias.name.startswith("_")
     ]
-    assert private == []
+
+
+def test_cli_imports_no_private_scoring_names():
+    assert _private_imports("cli", ("core", "shapley", "supports")) == []
+
+
+def test_scoring_and_relevance_import_no_private_support_names():
+    """Minimal supports reach them through `supports.support_families`."""
+    assert _private_imports("shapley", ("supports",)) == []
+    assert _private_imports("relevance", ("supports",)) == []
 
 
 def test_no_module_imports_a_name_it_never_uses():
