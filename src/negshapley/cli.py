@@ -19,21 +19,18 @@ import sys
 from functools import cache
 from typing import Sequence
 
-from .core import (Database, Fact, Sign, load_database, negative, parse_fact, parse_signed_fact,
-                   positive)
+from .core import Database, load_database, parse_fact, parse_signed_fact
 from .errors import CapExceededError, InputParseError, SemanticError
-from .output import (_block, _bool, _columns, _dumps, _emit, _fact_width, _json, _value_cell,
-                     _value_json, _write_rows)
+from .output import (_block, _bool, _columns, _dumps, _emit, _json, _value_cell, _value_json,
+                     _write_rows)
 from .query import Query, analyze_query, parse_query, signed_database_restricted
-from .relevance import _report
+from .relevance import report
 from .shapley import (
     DEFAULT_SUBSET_CAP,
     WEIGHT_FUNCTIONS,
     WealthKind,
-    game_values,
     ms_shapley,  # noqa: F401 - perfbench's self-test checks that the tracer rebinds this name
     scores,
-    support_values,
 )
 from .supports import (
     all_supports,
@@ -173,24 +170,13 @@ def _cmd_score(args: argparse.Namespace) -> None:
     signed, counting = kind.signed_players, kind.support_mode is not None
     target = None if args.fact is None else (parse_signed_fact if signed else parse_fact)(args.fact)
     # A result is an `MsShapleyResult` (a counting measure), a `Fraction` (a
-    # Boolean game) or a cap's message.  Scoring every player, results are
-    # held for the support members only, or for a game's players, and the
-    # other players share ``other``: the rows come from the database facts
-    # and the - facts' argument tuples.
-    data, other = scores(q, db, kind, target=target, weight=WEIGHT_FUNCTIONS[args.weight],
-                         subset_cap=args.cap_subset, signed_cap=args.cap_signed)
+    # Boolean game) or a cap's message, held for the target, the support
+    # members or a game's players; every other player shares ``other``.
+    found = scores(q, db, kind, target=target, weight=WEIGHT_FUNCTIONS[args.weight],
+                   subset_cap=args.cap_subset, signed_cap=args.cap_signed)
     method = "closed-form" if counting else "subset"
-    if target is not None:
-        plus, minus, width = [(str(target), data[target])], [], len(str(target))
-    else:
-        plus = (((f"+{f}", data.get(positive(f), other)) for f in db.sorted_facts) if signed
-                else ((str(f), data.get(f, other)) for f in db.sorted_facts))
-        own = lambda rel: {sf.fact.args: d for sf, d in data.items()
-                           if sf.sign is Sign.NEGATIVE and sf.fact.relation == rel}
-        players = signed_database_restricted(db, q, cap=args.cap_signed) if signed else None
-        negated = players.negated if signed else ()
-        minus = [(rel, players.absent(rel), own(rel), other) for rel in negated]
-        width = _fact_width(db, negated, signed)
+    players = target if target is not None else (
+        signed_database_restricted(db, q, cap=args.cap_signed) if signed else db)
 
     def cells(result) -> tuple[str, str]:
         if isinstance(result, str):
@@ -210,8 +196,8 @@ def _cmd_score(args: argparse.Namespace) -> None:
 
     _write_rows(args, {"command": "score", "query": str(q), "measure": kind.value,
                        "weight": args.weight}, ("fact", kind.value, "method"),
-                lambda: [width, max(len(cells(r)[0]) for r in [*data.values(), other]), 0],
-                record, cells, plus, minus)
+                lambda: [max(len(cells(r)[0]) for r in [*found.values.values(), found.other]), 0],
+                record, cells, players, [(found, signed)])
 
 
 # ---------------------------------------------------------------------------
@@ -262,56 +248,31 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
 
 def _cmd_report(args: argparse.Namespace) -> None:
     """``relevance``, and ``compare`` with the ms-signed, mps and drastic scores
-    added: a row per fact of the restricted completion, written as it is made."""
+    added: a row per fact of the restricted completion, written as it is made
+    from the columns of `relevance.report`."""
     q = _load_query(args.query)
     db = _load_db(args.db)
-    # One search gives both support families for the verdict and closed-form
-    # columns, and one drastic game serves the impact and drastic columns.
-    # Scores are kept for support members only (ms-signed by signed fact, the
-    # others by fact); every other fact shares its column's other value, 0 or
-    # the message of the cap that refused the drastic table.  A row's data is
-    # (signed-relevant, positive-relevant, impact, values); a - row's depends
-    # only on its ms-signed score, 0 outside the signed supports.
-    signed, plain, game, impacts, positives, negatives = _report(q, db, args.cap_signed)
-    columns: list[tuple[dict, object]] = []  # (values, other)
-    if args.command == "compare":
-        for family in (signed, plain):
-            values, other = support_values(family)
-            columns.append(({p: r.score for p, r in values.items()}, other.score))
-        columns.append(game_values(game, args.cap_subset))  # a refusal: the cap's message
-    measures = _COMPARED[:len(columns)]
+    measures = _COMPARED if args.command == "compare" else ()
+    completion, columns = report(q, db, signed_cap=args.cap_signed,
+                                 subset_cap=args.cap_subset if measures else None)
 
-    def values(*players) -> dict:  # a - row has one player: ms-signed only
-        return {m: by_player.get(p, other)
-                for m, (by_player, other), p in zip(measures, columns, players)}
-
-    def record(data) -> str:
-        in_signed, in_plain, impact, values = data
+    def record(in_signed, in_plain, impact, *values) -> str:
         impact = "null" if impact is None else f'"{impact}"'  # a name: nothing to escape
         text = (f',\n      "signedRelevant": {_bool(in_signed)},\n      "positiveRelevant": '
                 f'{"null" if in_plain is None else _bool(in_plain)},\n      "impact": {impact}')
-        if measures:
-            shown = (f'"{m}": {_value_json(v)}' for m, v in values.items())
+        if measures:  # a - row has an ms-signed score only
+            shown = (f'"{m}": {_value_json(v)}' for m, v in zip(measures, values) if v is not None)
             text += f',\n      "values": {_block("{}", shown, 3)}'
         return text + "\n    }"
 
-    def cells(data) -> tuple[str, ...]:
-        in_signed, in_plain, impact, values = data
+    def cells(in_signed, in_plain, impact, *values) -> tuple[str, ...]:
         return (_bool(in_signed), "-" if in_plain is None else _bool(in_plain), impact or "-",
-                *(_value_cell(values.get(m)) for m in measures))
+                *map(_value_cell, values))
 
-    widths = lambda: [
-        _fact_width(db, [r for r, _, _ in negatives], 1), 0, 0,
-        max(map(len, impacts.values()), default=0),
-        *(max(map(len, map(_value_cell, [*by_player.values(), other])))
-          for by_player, other in columns),
-    ]
-    plus = ((f"+{f}", (in_signed, in_plain, impact, values(positive(f), f, f)))
-            for f, in_signed, in_plain, impact in positives)
-    minus = ((rel, absent, {a: (True, None, None, values(negative(Fact(rel, a)))) for a in relevant},
-              (False, None, None, values(None))) for rel, absent, relevant in negatives)
+    widths = lambda: [0, 0, *(max(len(cell(v)) for v in [*values.values(), other]) for cell, (
+        (values, other), _) in zip((str, _value_cell, _value_cell, _value_cell), columns[2:]))]
     _write_rows(args, {"command": args.command, "query": str(q)}, (*_VERDICT_COLUMNS, *measures),
-                widths, record, cells, plus, minus)
+                widths, record, cells, completion, columns)
 
 
 # ---------------------------------------------------------------------------

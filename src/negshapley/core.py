@@ -196,30 +196,31 @@ def database(facts: Iterable[Fact] = (), schema: Iterable[Relation] = ()) -> Dat
 
 
 class SignedDatabase(_Record):
-    """A signed completion: the database's facts marked ``+`` and, for each
-    ``negated`` relation, the tuples over the active domain that it lacks
-    marked ``-``.  Made by `signed_database`, it builds nothing: ``len``,
+    """A signed completion: the facts of the database ``db`` marked ``+`` and,
+    for each ``negated`` relation, the tuples over the active domain that it
+    lacks marked ``-``.  Made by `signed_database`, it builds nothing: ``len``,
     ``in``, ``iter`` (a stream in canonical order) and `absent` are read
     from the database, and ``sorted_facts``, the sets made from it and
     ``base`` are built on first use.  Equal when ``base`` and
     ``sorted_facts`` are."""
 
     _fields = ("base", "sorted_facts")
+    db: Database
     negated: tuple[Relation, ...]
 
     def __init__(self, db: Database, schema: frozenset[Relation],
                  negated: Iterable[Relation]) -> None:
-        object.__setattr__(self, "_db", db)
+        object.__setattr__(self, "db", db)
         object.__setattr__(self, "_schema", schema)
         object.__setattr__(self, "negated", tuple(sorted(negated)))
 
     def __reduce__(self) -> tuple:
-        return type(self), (self._db, self._schema, self.negated)
+        return type(self), (self.db, self._schema, self.negated)
 
     @cached_property
     def size(self) -> int:
         """The number of members, counted: ``len``, also past `sys.maxsize`."""
-        db = self._db
+        db = self.db
         domain, stored = len(db.active_domain), db.by_relation
         return len(db.facts) + sum(domain**rel.arity - len(stored.get(rel, ()))
                                    for rel in self.negated)
@@ -228,7 +229,7 @@ class SignedDatabase(_Record):
         return self.size
 
     def __contains__(self, sf: object) -> bool:
-        db = self._db
+        db = self.db
         return isinstance(sf, SignedFact) and (
             sf.fact in db.facts if sf.sign is Sign.POSITIVE else sf.fact not in db.facts
             and sf.fact.relation in self.negated and db.active_domain.issuperset(sf.fact.args)
@@ -237,7 +238,7 @@ class SignedDatabase(_Record):
     def __iter__(self) -> Iterator[SignedFact]:
         # The `-` facts skip `Fact.__new__`: their arity is right by construction.
         new = tuple.__new__
-        yield from map(SignedFact, repeat(Sign.POSITIVE), self._db.sorted_facts)
+        yield from map(SignedFact, repeat(Sign.POSITIVE), self.db.sorted_facts)
         for rel in self.negated:
             facts = map(new, repeat(Fact), zip(repeat(rel), self.absent(rel)))
             yield from map(new, repeat(SignedFact), zip(repeat(Sign.NEGATIVE), facts))
@@ -247,14 +248,14 @@ class SignedDatabase(_Record):
         the active domain that the database lacks, if ``rel`` is negated."""
         if rel not in self.negated:
             return iter(())
-        db = self._db
+        db = self.db
         stored = {f.args for f in db.by_relation.get(rel, ())}
         return filterfalse(stored.__contains__, product(sorted(db.active_domain), repeat=rel.arity))
 
     @cached_property
     def base(self) -> Database:
         """The database over the completion's schema."""
-        db = self._db
+        db = self.db
         return db if self._schema == db.schema else Database(self._schema, db.facts)
 
     @cached_property

@@ -4,7 +4,8 @@ at a time and written in chunks of bounded size.
 Every document is byte-for-byte what ``json.dumps(..., indent=2)`` writes,
 plus a newline; records are written from fixed-shape templates rather than
 built as objects.  A table's columns are padded to widths worked out before
-its first row is written.
+its first row is written.  A per-fact output is columns of `shapley.Scores`
+keyed by facts or by signed facts, and `_write_rows` alone walks its rows.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .core import Database
+from .core import Database, Fact, Sign, SignedDatabase, SignedFact, negative, positive
 
 
 def _emit(args: argparse.Namespace, document: Callable, table: Callable) -> None:
@@ -93,45 +94,67 @@ def _columns(rows: list[Sequence[str]]) -> Iterable[str]:
     return _chunks(itertools.starmap(template.format, rows))
 
 
-def _fact_width(db: Database, negated: Iterable, sign: int) -> int:
-    """The widest cell of ``db``'s facts (with ``sign`` characters of sign) and
-    the ``negated`` relations' ``-`` facts, with no row listed: each negated
-    relation's tuple of the longest constant is a ``-`` fact or a stored one."""
+def _fact_width(db: Database, negated: Iterable) -> int:
+    """The widest of ``db``'s facts and the ``negated`` relations' facts over
+    its active domain, unsigned, with no row listed: each negated relation's
+    tuple of the longest constant is a ``-`` fact or a stored one."""
     longest = max(map(len, db.active_domain), default=0)
-    minus = [len(r.name) + 2 + r.arity * (longest + 1) for r in negated] if longest else []
-    return max([len(str(f)) + sign for f in db.facts] + minus, default=0)
+    minus = [len(r.name) + 1 + r.arity * (longest + 1) for r in negated] if longest else []
+    return max([len(str(f)) for f in db.facts] + minus, default=0)
 
 
 def _write_rows(args: argparse.Namespace, payload: dict, header: Sequence[str],
                 widths: Callable, json_tail: Callable, cells: Callable,
-                plus: Iterable, minus: Iterable) -> None:
+                players: Database | SignedDatabase | Fact | SignedFact,
+                columns: Sequence[tuple[Any, bool]]) -> None:
     """Write ``payload`` with a record per row under ``"records"``, or a table
-    under ``header``, each row as it is made: its fact's cell and a tail made
-    from its data, the rest of its JSON record (``json_tail``) or its table
-    ``cells`` padded to ``widths()``.  ``plus`` holds (cell, data) pairs, and
-    ``minus`` per negated relation (relation, its ``-`` facts' argument tuples,
-    {args: data} for the facts with data of their own, the others' data): so a
-    relation's tails are few, one interned per such fact and one shared."""
+    under ``header``, a row at a time: its fact's cell, then the rest of its
+    JSON record (``json_tail(*data)``) or its table ``cells(*data)``, padded
+    to the fact's width and ``widths()``.  A row per player: a `Database`'s
+    facts, the one target, or a `SignedDatabase`'s ``+`` facts and then each
+    negated relation's ``-`` facts.  Its data is its player's value in each
+    of ``columns``, (`shapley.Scores`, keyed by signed facts) pairs:
+    ``values.get(key, other)``, and ``None`` in a plain column for a ``-``
+    fact.  So a relation's ``-`` tails are few: one interned per fact that
+    some signed column holds, and one shared."""
+    if isinstance(players, SignedDatabase):
+        negated = players.negated
+        plus = ((f"+{f}", f, positive(f)) for f in players.db.sorted_facts)
+        fact_width = lambda: _fact_width(players.db, negated) + 1
+    elif isinstance(players, Database):
+        negated, plus = (), ((str(f), f, f) for f in players.sorted_facts)
+        fact_width = lambda: _fact_width(players, ())
+    else:  # the one target, keyed as it is in every column
+        negated, plus = (), [(str(players), players, players)]
+        fact_width = lambda: len(str(players))
     if args.format == "json":
         from json.encoder import encode_basestring_ascii as quote  # json.dumps of a str
 
         opening = '{\n      "fact": '
-        fact, tail = (lambda cell: opening + quote(cell)), json_tail
+        fact, tail = (lambda cell: opening + quote(cell)), (lambda data: json_tail(*data))
     else:
-        widths = [max(len(h), w) for h, w in zip(header, widths())]
+        widths = [max(len(h), w) for h, w in zip(header, [fact_width(), *widths()])]
         template = "".join(f"  {{:<{w}}}" for w in widths[1:-1]) + "  {}\n"
         width = widths[0]
-        fact, tail = (lambda cell: cell.ljust(width)), (lambda data: template.format(*cells(data)))
+        fact, tail = (lambda cell: cell.ljust(width)), (lambda data: template.format(*cells(*data)))
 
-    def minus_rows(rel, absent: Iterator[tuple[str, ...]], own: dict, other) -> Iterator[str]:
-        tails = {a: sys.intern(tail(data)) for a, data in own.items()}
-        other, head = tail(other), f"-{rel.name}("
+    def row(key: Any, signed_key: Any) -> tuple:  # a - fact has no key: None in a plain column
+        return tuple(values.get(signed_key, other) if signed else
+                     None if key is None else values.get(key, other)
+                     for (values, other), signed in columns)
+
+    def minus_rows(rel) -> Iterator[str]:
+        own = {sf.fact.args for (values, _), signed in columns if signed
+               for sf in values if sf.sign is Sign.NEGATIVE and sf.fact.relation == rel}
+        tails = {a: sys.intern(tail(row(None, negative(Fact(rel, a))))) for a in own}
+        other, head = tail(row(None, None)), f"-{rel.name}("
         if args.format == "json":  # `fact` written out: this runs once per row
             return (opening + quote(head + ",".join(a) + ")") + tails.get(a, other)
-                    for a in absent)
-        return ((head + ",".join(a) + ")").ljust(width) + tails.get(a, other) for a in absent)
+                    for a in players.absent(rel))
+        return ((head + ",".join(a) + ")").ljust(width) + tails.get(a, other)
+                for a in players.absent(rel))
 
-    rows = itertools.chain((fact(cell) + tail(data) for cell, data in plus),
-                           *itertools.starmap(minus_rows, minus))
+    rows = itertools.chain((fact(cell) + tail(row(key, signed_key)) for cell, key, signed_key
+                            in plus), *map(minus_rows, negated))
     _emit(args, lambda: _json({**payload, "records": rows}),
           lambda: _chunks(itertools.chain([fact(header[0]) + template.format(*header[1:])], rows)))

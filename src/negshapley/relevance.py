@@ -5,14 +5,16 @@ support, and a database fact is *positive-relevant* when it occurs in some
 minimal positive support.  *Impact* is the counterfactual notion: a fact has
 impact when adding it to some subset of the remaining database flips the
 query's truth value, classified by the direction(s) of the flips observed.
-A `RelevanceVerdict` is a named tuple, equal to the tuple of its fields.
+`report` gives the three notions, and ``compare``'s scores, as columns of
+`Scores` over the restricted signed completion; `relevance_report` reads
+them into `RelevanceVerdict`s, named tuples equal to their fields' tuples.
 """
 from __future__ import annotations
 
 from enum import Enum
 from typing import NamedTuple
 
-from .core import Database, Fact, Sign, SignedFact, negative, positive
+from .core import Database, Fact, Sign, SignedDatabase, SignedFact, positive
 from .errors import CapExceededError, SemanticError
 from .query import Query, signed_database_restricted
 from .supports import (
@@ -26,7 +28,7 @@ from .supports import (
 # Imported after `.supports`, which `.shapley` imports too: where no bytecode
 # cache is written, the larger `supports` then compiles while `shapley` is not
 # yet resident, which keeps peak memory at start-up down.
-from .shapley import Game, WealthKind, make_game
+from .shapley import Game, Scores, WealthKind, game_values, make_game, support_values
 
 #: Impact classification enumerates ``2^(|db|-1)`` subsets per fact.
 DEFAULT_IMPACT_CAP = 20
@@ -110,40 +112,51 @@ def relevance_report(
     impact_cap: int = DEFAULT_IMPACT_CAP,
     signed_cap: int | None = None,
 ) -> list[RelevanceVerdict]:
-    """Verdicts for every member of the restricted signed completion.
+    """Verdicts for every member of the restricted signed completion, from
+    `report`'s columns: positive facts get all three, negative facts only
+    the signed one.  Above ``impact_cap`` facts impact is skipped rather
+    than failing the whole report."""
+    completion, columns = report(q, db, impact_cap=impact_cap, signed_cap=signed_cap)
+    (signed, _), (plain, _), (impacts, _) = columns
 
-    Positive facts get all three columns; negative facts only the signed
-    one.  When the database is too large for exhaustive impact search the
-    impact column is skipped rather than failing the whole report.
-    """
-    *_, positives, negatives = _report(q, db, signed_cap, impact_cap)
-    skipped = lambda impact: (None, True) if impact == "skipped" else (ImpactKind(impact), False)
-    verdicts = [RelevanceVerdict(positive(f), signed, plain, *skipped(impact))
-                for f, signed, plain, impact in positives]
-    return verdicts + [RelevanceVerdict(negative(Fact(rel, args)), args in relevant, None, None)
-                       for rel, absent, relevant in negatives for args in absent]
+    def verdict(sf: SignedFact) -> RelevanceVerdict:
+        if sf.sign is Sign.NEGATIVE:
+            return RelevanceVerdict(sf, sf in signed.values, None, None)
+        impact = impacts.values.get(sf.fact, impacts.other)
+        return RelevanceVerdict(sf, sf in signed.values, sf.fact in plain.values, *(
+            (None, True) if impact == "skipped" else (ImpactKind(impact), False)))
+
+    return list(map(verdict, completion))
 
 
-def _report(q: Query, db: Database, signed_cap: int | None, impact_cap: int = DEFAULT_IMPACT_CAP):
-    """The minimal signed and positive supports, the drastic game, every
-    database fact's impact as reports show it, and the report's rows in the
-    completion's order, built as no signed fact: a stream of each database
-    fact with whether it is signed-relevant, positive-relevant and its impact;
-    then each negated relation with a stream of its ``-`` facts' argument
-    tuples and the set of the signed-relevant ones.  Checks and cap at the call."""
+def report(
+    q: Query,
+    db: Database,
+    *,
+    impact_cap: int = DEFAULT_IMPACT_CAP,
+    signed_cap: int | None = None,
+    subset_cap: int | None = None,
+) -> tuple[SignedDatabase, list[tuple[Scores, bool]]]:
+    """The restricted signed completion, counted once and capped at
+    ``signed_cap``, and the report's columns: (`Scores`, keyed by signed
+    facts) pairs.  Signed-relevant (signed) and positive-relevant hold
+    ``True`` for the members of some minimal support, ``False`` shared;
+    impact holds each fact's `ImpactKind` value, or ``"skipped"`` above
+    ``impact_cap`` facts.  ``subset_cap`` adds the ms-signed (signed), mps
+    and drastic scores; a drastic game above it has no values, and the
+    cap's message as ``other``.  One search gives both support families,
+    and one drastic game the impact and drastic columns."""
     completion = signed_database_restricted(db, q, cap=signed_cap)
     signed, plain = support_families(q, db)
     drastic = make_game(q, db, WealthKind.DRASTIC_DIRECT)
-    if len(db.facts) > impact_cap:
-        impacts = dict.fromkeys(db.facts, "skipped")
-    else:
-        impacts = {f: kind.value for f, kind in _impacts(drastic).items()}
-    in_signed = {sf for support in signed for sf in support.elements}
-    in_plain = {f for support in plain for f in support.elements}
-    positives = ((f, positive(f) in in_signed, f in in_plain, impacts[f]) for f in db.sorted_facts)
-    negatives = [
-        (rel, completion.absent(rel),
-         {args for sign, (r, args) in in_signed if sign is Sign.NEGATIVE and r == rel})
-        for rel in completion.negated
-    ]
-    return signed, plain, drastic, impacts, positives, negatives
+    impacts = Scores({}, "skipped") if len(db.facts) > impact_cap else Scores(
+        {f: kind.value for f, kind in _impacts(drastic).items()}, ImpactKind.NONE.value)
+    members = lambda family: dict.fromkeys((p for s in family for p in s.elements), True)
+    columns = [(Scores(members(signed), False), True), (Scores(members(plain), False), False),
+               (impacts, False)]
+    if subset_cap is not None:
+        for family, keyed in ((signed, True), (plain, False)):
+            values, other = support_values(family)
+            columns.append((Scores({p: r.score for p, r in values.items()}, other.score), keyed))
+        columns.append((game_values(drastic, subset_cap), False))
+    return completion, columns

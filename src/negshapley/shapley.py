@@ -186,7 +186,8 @@ class MsShapleyResult(NamedTuple):
 class Scores(NamedTuple):
     """The results of the players scored on their own, and the one result
     that every other player shares: a score, or the message of the cap that
-    refused the game."""
+    refused the game.  A report's column too (see `relevance.report`), whose
+    row for a player keyed ``key`` holds ``values.get(key, other)``."""
 
     values: Mapping[Player, Any]
     other: Any

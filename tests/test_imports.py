@@ -1,6 +1,7 @@
 """Import hygiene of the package, checked from its syntax trees: the command
-line reaches scoring, and scoring and relevance reach the support search,
-through public names only, and no module imports a name it never uses."""
+line reaches scoring and relevance, and scoring and relevance reach the
+support search, through public names only; only the completion and the row
+writer list the ``-`` rows; and no module imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -25,13 +26,26 @@ def _private_imports(module: str, sources: tuple[str, ...]) -> list[str]:
 
 
 def test_cli_imports_no_private_scoring_names():
-    assert _private_imports("cli", ("core", "shapley", "supports")) == []
+    assert _private_imports("cli", ("core", "relevance", "shapley", "supports")) == []
 
 
 def test_scoring_and_relevance_import_no_private_support_names():
     """Minimal supports reach them through `supports.support_families`."""
     assert _private_imports("shapley", ("supports",)) == []
     assert _private_imports("relevance", ("supports",)) == []
+
+
+def test_only_core_and_output_list_the_minus_rows():
+    """`SignedDatabase.absent` is called in `core` and by the row writer in
+    `output` only, so that no other module knows how the ``-`` rows are laid out."""
+    callers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.stem not in ("core", "output")
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "absent"
+    ]
+    assert callers == []
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -1,15 +1,18 @@
 """Signed, positive, and impact relevance."""
 
+from fractions import Fraction
+
 import pytest
 
 from negshapley.core import database, fact, negative, positive
 from negshapley.errors import CapExceededError, SemanticError
-from negshapley.query import parse_query
+from negshapley.query import parse_query, signed_database_restricted
 from negshapley.relevance import (
     ImpactKind,
     impact_relevant,
     positive_relevant,
     relevance_report,
+    report,
     signed_relevant,
 )
 
@@ -116,6 +119,35 @@ def test_relevance_flags_match_oracle_supports_on_corpus_sample():
                 positive(f) in signed_members
             )
             assert positive_relevant(f, inst.q, inst.db) == (f in positive_members)
+
+
+def test_report_columns_match_the_reference_oracles_on_corpus():
+    """`report`'s columns against the oracles behind `oracles.reference_reports`:
+    support members from the completion scan, impact by sub-database scan,
+    the closed-form scores from the minimal supports and the drastic values
+    from a coalition table; and the completion is the restricted one."""
+    for inst in corpus(500):
+        q, db = inst.q, inst.db
+        completion, columns = report(q, db, subset_cap=20)
+        assert completion == signed_database_restricted(db, q), str(inst)
+        assert [keyed for _, keyed in columns] == [True, False, False, True, False, False]
+        (in_signed, in_plain, impacts, ms, mps, drastic) = (scores for scores, _ in columns)
+        signed = oracles.reference_signed_supports(q, db)
+        plain = oracles.minimal_among(
+            image for _, _, image in oracles.reference_assignments(q, db.facts, db.facts))
+        assert in_signed == (dict.fromkeys(set().union(*signed), True), False), str(inst)
+        assert in_plain == (dict.fromkeys(set().union(*plain), True), False), str(inst)
+        assert {f: impacts.values.get(f, impacts.other) for f in db.facts} == {
+            f: oracles.oracle_impact(f, q, db) for f in db.facts}, str(inst)
+        score = lambda p, family: sum((Fraction(1, len(s)) for s in family if p in s), Fraction(0))
+        assert {sf: ms.values.get(sf, ms.other) for sf in completion} == {
+            sf: score(sf, signed) for sf in completion}, str(inst)
+        assert {f: mps.values.get(f, mps.other) for f in db.facts} == {
+            f: score(f, plain) for f in db.facts}, str(inst)
+        facts = sorted(db.facts)
+        table = oracles.wealth_table(facts, oracles.oracle_wealth("drastic", q, db))
+        assert [drastic.values.get(f, drastic.other) for f in facts] == (
+            oracles.shapley_from_table(table, len(facts))), str(inst)
 
 
 def test_empty_database_report_is_empty():
