@@ -23,7 +23,7 @@ from .core import Database, load_database, parse_fact, parse_signed_fact
 from .errors import CapExceededError, InputParseError, SemanticError
 from .output import (_block, _bool, _columns, _dumps, _emit, _json, _value_cell, _value_json,
                      _write_rows)
-from .query import Query, analyze_query, parse_query, signed_database_restricted
+from .query import Query, analyze_query, parse_query
 from .relevance import report
 from .shapley import (
     DEFAULT_SUBSET_CAP,
@@ -172,11 +172,9 @@ def _cmd_score(args: argparse.Namespace) -> None:
     # A result is an `MsShapleyResult` (a counting measure), a `Fraction` (a
     # Boolean game) or a cap's message, held for the target, the support
     # members or a game's players; every other player shares ``other``.
-    found = scores(q, db, kind, target=target, weight=WEIGHT_FUNCTIONS[args.weight],
-                   subset_cap=args.cap_subset, signed_cap=args.cap_signed)
+    players, found = scores(q, db, kind, target=target, weight=WEIGHT_FUNCTIONS[args.weight],
+                            subset_cap=args.cap_subset, signed_cap=args.cap_signed)
     method = "closed-form" if counting else "subset"
-    players = target if target is not None else (
-        signed_database_restricted(db, q, cap=args.cap_signed) if signed else db)
 
     def cells(result) -> tuple[str, str]:
         if isinstance(result, str):
@@ -197,7 +195,7 @@ def _cmd_score(args: argparse.Namespace) -> None:
     _write_rows(args, {"command": "score", "query": str(q), "measure": kind.value,
                        "weight": args.weight}, ("fact", kind.value, "method"),
                 lambda: [max(len(cells(r)[0]) for r in [*found.values.values(), found.other]), 0],
-                record, cells, players, [(found, signed)])
+                record, cells, players if target is None else target, [(found, signed)])
 
 
 # ---------------------------------------------------------------------------

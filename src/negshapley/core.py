@@ -6,7 +6,8 @@ active domain with ``-``.  Completions blow up as ``|adom|^arity``, so
 `signed_database` takes a hard cap, checked by counting, and most callers
 restrict the negative side to the relations a query negates.  The
 `SignedDatabase` it returns builds nothing until asked: it counts, tests
-and streams its members from the database.
+and streams its members from the database, and compares, hashes and prints
+by the database, schema and negated relations it was made from.
 
 Facts and signed facts are named tuples, ``(relation, args)`` and ``(sign,
 fact)``: they hash, compare and sort as those tuples do, and a completion
@@ -197,25 +198,23 @@ def database(facts: Iterable[Fact] = (), schema: Iterable[Relation] = ()) -> Dat
 
 class SignedDatabase(_Record):
     """A signed completion: the facts of the database ``db`` marked ``+`` and,
-    for each ``negated`` relation, the tuples over the active domain that it
-    lacks marked ``-``.  Made by `signed_database`, it builds nothing: ``len``,
-    ``in``, ``iter`` (a stream in canonical order) and `absent` are read
-    from the database, and ``sorted_facts``, the sets made from it and
-    ``base`` are built on first use.  Equal when ``base`` and
-    ``sorted_facts`` are."""
+    for each ``negated`` relation of the completion's ``schema``, the tuples
+    over the active domain that it lacks marked ``-``.  Made by
+    `signed_database`, it builds nothing: ``len``, ``in``, ``iter`` (a stream
+    in canonical order) and `absent` are read from the database, and
+    ``sorted_facts`` is built on first use.  Equal, hashed and printed by
+    its fields, so comparing it builds nothing either."""
 
-    _fields = ("base", "sorted_facts")
+    _fields = ("db", "schema", "negated")
     db: Database
+    schema: frozenset[Relation]
     negated: tuple[Relation, ...]
 
     def __init__(self, db: Database, schema: frozenset[Relation],
                  negated: Iterable[Relation]) -> None:
         object.__setattr__(self, "db", db)
-        object.__setattr__(self, "_schema", schema)
+        object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "negated", tuple(sorted(negated)))
-
-    def __reduce__(self) -> tuple:
-        return type(self), (self.db, self._schema, self.negated)
 
     @cached_property
     def size(self) -> int:
@@ -253,26 +252,10 @@ class SignedDatabase(_Record):
         return filterfalse(stored.__contains__, product(sorted(db.active_domain), repeat=rel.arity))
 
     @cached_property
-    def base(self) -> Database:
-        """The database over the completion's schema."""
-        db = self.db
-        return db if self._schema == db.schema else Database(self._schema, db.facts)
-
-    @cached_property
     def sorted_facts(self) -> tuple[SignedFact, ...]:
+        """Every member, built: for a table game's players and listings
+        within their caps."""
         return tuple(self)
-
-    @cached_property
-    def signed_facts(self) -> frozenset[SignedFact]:
-        return frozenset(self.sorted_facts)
-
-    @cached_property
-    def positive_part(self) -> frozenset[SignedFact]:
-        return frozenset(sf for sf in self.sorted_facts if sf.sign is Sign.POSITIVE)
-
-    @cached_property
-    def negative_part(self) -> frozenset[SignedFact]:
-        return frozenset(sf for sf in self.sorted_facts if sf.sign is Sign.NEGATIVE)
 
 
 def _decimal(n: int) -> str:

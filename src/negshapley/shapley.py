@@ -16,11 +16,12 @@ a cooperative game whose players are facts:
   signed (resp. positive) supports it contains.
 
 `scores` is the one entry point: it counts the players, refuses a target
-that is no player, and picks the route.  For the two counting games the
-Shapley value has a closed form, `support_values`: the sum of ``w(|S|)``
-over the minimal supports S containing the target, where the reciprocal
-weight ``w(k) = 1/k`` recovers the Shapley value exactly and other weights
-give the general weighted-sum-of-minimal-supports scores.  The Boolean
+that is no player, picks the route, and hands the players it counted back
+with the scores.  For the two counting games the Shapley value has a
+closed form, `support_values`: the sum of ``w(|S|)`` over the minimal
+supports S containing the target, where the reciprocal weight
+``w(k) = 1/k`` recovers the Shapley value exactly and other weights give
+the general weighted-sum-of-minimal-supports scores.  The Boolean
 games take `game_values`, the subset formula over the coalition table.
 Both return the members' values and the one value every other player
 shares.
@@ -40,7 +41,7 @@ from functools import cached_property
 from typing import Any, Callable, Iterable, Literal, Mapping, NamedTuple, Union
 
 from .core import Database, Fact, SignedDatabase, SignedFact
-from .errors import CapExceededError, PlayerSetError
+from .errors import CapExceededError, PlayerSetError, SemanticError
 from .query import Query, signed_database_restricted
 from .supports import (
     SupportSet,
@@ -195,15 +196,18 @@ class Scores(NamedTuple):
 
 def scores(q: Query, db: Database, kind: WealthKind, *, target: Player | None = None,
            weight: WeightFunction = reciprocal_weight, subset_cap: int = DEFAULT_SUBSET_CAP,
-           signed_cap: int | None = None) -> Scores:
-    """The ``kind`` scores of ``target``, or of every player.
+           signed_cap: int | None = None) -> tuple[Database | SignedDatabase, Scores]:
+    """The ``kind`` game's players, and the scores of ``target`` or of
+    every player.
 
     The players are counted, not built, so the completion's cap comes
-    first; then a target that is no player is refused.  A counting measure
-    takes the closed form over its minimal supports (`MsShapleyResult`s,
-    under ``weight``), a Boolean game its coalition table (`Fraction`s).
-    A table above ``subset_cap`` players raises for a target; scoring
-    every player, it gives no members, and its message is ``other``.
+    first; then a target that is no player is refused.  They come back as
+    counted: the database, or the completion restricted to the query's
+    negated relations.  A counting measure takes the closed form over its
+    minimal supports (`MsShapleyResult`s, under ``weight``), a Boolean game
+    its coalition table (`Fraction`s).  A table above ``subset_cap``
+    players raises for a target; scoring every player, it gives no
+    members, and its message is ``other``.
     """
     kind = WealthKind(kind)
     players = _players(q, db, kind, signed_cap)
@@ -217,10 +221,10 @@ def scores(q: Query, db: Database, kind: WealthKind, *, target: Player | None = 
     else:
         found = game_values(make_game(q, db, kind, signed_cap=signed_cap), subset_cap)
     if target is None:
-        return found
+        return players, found
     if isinstance(found.other, str):
         raise CapExceededError(found.other)
-    return Scores({target: found.values.get(target, found.other)}, found.other)
+    return players, Scores({target: found.values.get(target, found.other)}, found.other)
 
 
 def _too_many(n: int, cap: int) -> str:
@@ -296,6 +300,14 @@ def shapley_subset(game: Game, target: Player, *, cap: int = DEFAULT_SUBSET_CAP)
 # ---------------------------------------------------------------------------
 
 
+def _counting(mode: SupportMode) -> WealthKind:
+    """The counting measure over the minimal supports of ``mode``."""
+    for kind in (WealthKind.MS_SIGNED, WealthKind.MPS_POSITIVE):
+        if kind.support_mode == mode:
+            return kind
+    raise SemanticError(f"minimal supports are signed or positive, not {mode!r}")
+
+
 def ms_scores(q: Query, db: Database, *, weight: WeightFunction = reciprocal_weight,
               mode: SupportMode = "signed", signed_cap: int | None = None
               ) -> dict[Player, MsShapleyResult]:
@@ -303,9 +315,9 @@ def ms_scores(q: Query, db: Database, *, weight: WeightFunction = reciprocal_wei
     player order: the restricted signed completion (signed mode) or the
     database facts (positive mode); players in no minimal support score 0
     with an empty size histogram."""
-    kind = WealthKind.MS_SIGNED if mode == "signed" else WealthKind.MPS_POSITIVE
-    values, other = scores(q, db, kind, weight=weight, signed_cap=signed_cap)
-    return {p: values.get(p, other) for p in _players(q, db, kind, signed_cap)}
+    players, (values, other) = scores(q, db, _counting(mode), weight=weight,
+                                      signed_cap=signed_cap)
+    return {p: values.get(p, other) for p in players}
 
 
 def ms_shapley(q: Query, db: Database, target: Player, *,
@@ -313,8 +325,9 @@ def ms_shapley(q: Query, db: Database, target: Player, *,
                signed_cap: int | None = None) -> MsShapleyResult:
     """One player's entry of `ms_scores`, the completion counted, not built;
     a target that is no player is refused."""
-    kind = WealthKind.MS_SIGNED if mode == "signed" else WealthKind.MPS_POSITIVE
-    return scores(q, db, kind, target=target, weight=weight, signed_cap=signed_cap).values[target]
+    _, found = scores(q, db, _counting(mode), target=target, weight=weight,
+                      signed_cap=signed_cap)
+    return found.values[target]
 
 
 def permutation_marginal_counts(

@@ -302,6 +302,31 @@ def _count_games(monkeypatch) -> list:
     return built
 
 
+def _count_completions(monkeypatch) -> list:
+    """Count the completions made, one per `signed_database` call through the
+    name `query` holds."""
+    import negshapley.query as query
+
+    made = []
+    real = query.signed_database
+    monkeypatch.setattr(query, "signed_database", lambda *a, **k: made.append(a) or real(*a, **k))
+    return made
+
+
+@pytest.mark.parametrize("measure", ["ms-signed", "signed-drastic"])
+def test_score_all_counts_the_completion_once(capsys, paths, monkeypatch, measure):
+    """The rows are the players `scores` counted; a signed-drastic table
+    above ``--cap-subset`` is refused from that count, with no game."""
+    made = _count_completions(monkeypatch)
+    built = _count_games(monkeypatch)
+    code, out, _ = run(
+        capsys, "score", "--db", paths["db"], "--query", paths["q"],
+        "--measure", measure, "--all", "--cap-subset", "2",
+    )
+    assert code == 0 and len(made) == 1 and not built
+    assert len(out.splitlines()) == 1 + 25  # the header and the restricted completion
+
+
 def test_score_all_compiles_one_game(capsys, paths, monkeypatch):
     calls = _count_compilations(monkeypatch)
     built = _count_games(monkeypatch)

@@ -1,6 +1,7 @@
 """Facts, databases, and signed completions."""
 
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -124,8 +125,8 @@ def test_signed_fact_rendering_and_order():
 def test_signed_database_counts_on_recipe():
     """5 constants, one binary relation: 25 slots, 5 present, 20 absent."""
     sd = signed_database(RECIPE_DB)
-    assert len(sd.positive_part) == 5
-    assert len(sd.negative_part) == 20
+    signs = [sf.sign for sf in sd]
+    assert (signs.count(Sign.POSITIVE), signs.count(Sign.NEGATIVE)) == (5, 20)
     assert negative(fact("I", "wine", "mp")) in sd
     assert positive(fact("I", "mp", "wine")) in sd
 
@@ -144,6 +145,23 @@ def test_signed_database_cap():
         signed_database(RECIPE_DB, cap=24)
     assert len(signed_database(RECIPE_DB, cap=25)) == 25
     assert DEFAULT_SIGNED_CAP >= 25
+
+
+def test_a_completion_is_compared_hashed_printed_and_pickled_unbuilt():
+    """By its fields: on 10^19 members, more than `len` can return, and on
+    10^6, with no `sorted_facts` built and the unpickled value equal."""
+    wide = database([fact("R", *(f"c{i}" for i in range(10)), *["c0"] * 9)])
+    cycle = database(fact("R", f"c{i}", f"c{(i + 1) % 1000}") for i in range(1000))
+    for db, n in ((wide, 10**19), (cycle, 10**6)):
+        completion, again = signed_database(db, cap=n), signed_database(db, cap=n)
+        assert completion.size == n
+        assert completion == again and hash(completion) == hash(again)
+        assert completion != signed_database(db, restrict_to=(), cap=n)
+        assert repr(completion) == (f"SignedDatabase(db={db!r}, schema={db.schema!r}, "
+                                    f"negated={tuple(db.schema)!r})")
+        copy = pickle.loads(pickle.dumps(completion))
+        assert copy == completion and hash(copy) == hash(completion)
+        assert "sorted_facts" not in vars(completion) and "sorted_facts" not in vars(copy)
 
 
 def test_the_completion_counts_streams_and_tests_its_members_on_corpus():
@@ -175,7 +193,7 @@ def test_the_completion_counts_streams_and_tests_its_members_on_corpus():
         for sf in streamed:
             assert type(sf) is SignedFact and type(sf.fact) is Fact, str(inst)
             assert type(sf.sign) is Sign and len(sf.fact.args) == sf.fact.relation.arity
-        assert not {"sorted_facts", "signed_facts", "base"} & vars(completion).keys(), str(inst)
+        assert "sorted_facts" not in vars(completion), str(inst)
         assert completion.sorted_facts == tuple(members), str(inst)
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from negshapley.core import Relation, fact, negative, positive
+from negshapley.core import Relation, Sign, fact, negative, positive
 from negshapley.errors import (
     ArityError,
     QuerySyntaxError,
@@ -126,10 +126,10 @@ def test_restricted_completion_only_negates_query_relations():
     q = parse_query("exists x, y. A(x), R(x,y), !A(y)")
     db = RECIPE_DB  # no A or R facts at all: A's negative side spans adom
     sd = signed_database_restricted(db, q)
-    names = {sf.fact.relation.name for sf in sd.negative_part}
-    assert names == {"A"}
-    assert len(sd.negative_part) == 5  # one per active-domain constant
-    assert sd.positive_part == {positive(f) for f in db.facts}
+    minus = [sf for sf in sd if sf.sign is Sign.NEGATIVE]
+    assert {sf.fact.relation.name for sf in minus} == {"A"}
+    assert len(minus) == 5  # one per active-domain constant
+    assert {sf for sf in sd if sf.sign is Sign.POSITIVE} == {positive(f) for f in db.facts}
 
 
 def test_restricted_completion_example():
@@ -138,7 +138,7 @@ def test_restricted_completion_example():
     from negshapley.core import database
 
     sd = signed_database_restricted(database(db_facts), q)
-    assert set(sd.negative_part) == {negative(fact("A", "d"))}
+    assert {sf for sf in sd if sf.sign is Sign.NEGATIVE} == {negative(fact("A", "d"))}
 
 
 # ---------------------------------------------------------------------------

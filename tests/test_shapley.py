@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from negshapley.core import database, fact, negative, positive, signed_database
-from negshapley.errors import CapExceededError, PlayerSetError
+from negshapley.errors import CapExceededError, PlayerSetError, SemanticError
 from negshapley.query import parse_query
 from negshapley.relevance import _impacts
 from negshapley.shapley import (
@@ -226,8 +226,17 @@ def test_players_are_counted_past_what_len_reports():
     n = 10**19
     with pytest.raises(PlayerSetError, match=f"^R\\(c0\\) is not .* \\({n} players\\)$"):
         scores(q, db, WealthKind.SIGNED_DRASTIC, target=fact("R", "c0"), signed_cap=n)
-    refused = scores(q, db, WealthKind.SIGNED_DRASTIC, signed_cap=n)
+    players, refused = scores(q, db, WealthKind.SIGNED_DRASTIC, signed_cap=n)
+    assert players.size == n
     assert refused == ({}, f"{n} players means 2^{n - 1} coalitions (cap 20)")
+
+
+def test_an_unknown_support_mode_is_refused():
+    """A mode other than signed or positive raises, instead of scoring as mps."""
+    with pytest.raises(SemanticError, match="^minimal supports are signed or positive, not 'signd'$"):
+        ms_scores(Q_FISH, RECIPE_DB, mode="signd")
+    with pytest.raises(SemanticError, match="not 'signd'"):
+        ms_shapley(Q_FISH, RECIPE_DB, fact("I", "mm", "fish"), mode="signd")
 
 
 def test_target_must_be_a_player():

@@ -119,7 +119,7 @@ def test_assignment_search_matches_the_reference_scan(setting):
             q = sign_transform(q)
             got = _iter_assignments(q, completion, None)
             want = oracles.reference_assignments(
-                q, oracles.signed_as_plain(completion.signed_facts)
+                q, oracles.signed_as_plain(completion)
             )
         else:
             context = db.facts if setting == "context" else frozenset()

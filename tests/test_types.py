@@ -72,7 +72,7 @@ def _instances():
          f"disjuncts=({analysis},))"),
         (DB, db),
         (signed_database(DB),
-         f"SignedDatabase(base={db}, sorted_facts=(SignedFact(sign=<Sign.POSITIVE: 0>, fact={s_a}),))"),
+         f"SignedDatabase(db={db}, schema=frozenset({{{rel}}}), negated=({rel},))"),
         (RelevanceVerdict(positive(S_A), True, False, ImpactKind("none")),
          f"RelevanceVerdict(subject=SignedFact(sign=<Sign.POSITIVE: 0>, fact={s_a}), "
          "signed_relevant=True, positive_relevant=False, impact=<ImpactKind.NONE: 'none'>, "
