@@ -8,7 +8,7 @@ comments, optional ``@relation R/2`` headers); queries are expression files
 
 Exit codes: 0 success, 1 usage or parse error, 2 semantic error (unsafe
 query, arity clash, bad player), 3 cap exceeded, 4 standard output closed
-or its reader gone (nothing more is written).
+or its reader gone, or a write to it failed (nothing more is written).
 """
 from __future__ import annotations
 
@@ -314,9 +314,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SemanticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # Standard output is closed or its reader has gone; what it still
-        # buffers goes to /dev/null, so that the flush at exit passes.
+    except OSError as exc:  # a failed read is an `InputParseError` by now: this is a write
+        # Said by no message if stdout is closed or its reader gone; what it
+        # still buffers goes to /dev/null, so that the flush at exit passes.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
         if sys.stdout is not None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 4

@@ -74,19 +74,19 @@ def impact_relevant(
             f"impact over {len(db.facts)} facts enumerates "
             f"2^{len(db.facts) - 1} subsets (cap {cap})"
         )
-    return _impacts(make_game(q, db, WealthKind.DRASTIC_DIRECT))[f]
+    return _impacts(make_game(q, db, WealthKind.DRASTIC_DIRECT)).get(f, ImpactKind.NONE)
 
 
 def _impacts(drastic: Game) -> dict[Fact, ImpactKind]:
-    """Every database fact's impact, from the drastic game's table of the
-    query's truth on every subset of the database: the fact flips it up on
-    a subset that wins with it and not without it, and down the other way."""
+    """Each witness player's impact (a null player's is none), from the
+    drastic game's table over them: it flips the query up on a subset that
+    wins with it and not without it, and down the other way."""
     kinds = list(ImpactKind)  # none, positiveOnly, negativeOnly, both
+    players = drastic._compiled[0]
+    halves = coalition_halves(drastic._table, len(players))
     return {
         f: kinds[bool(win_with & ~win_without) + 2 * bool(win_without & ~win_with)]
-        for f, (win_with, win_without) in zip(
-            drastic.players, coalition_halves(drastic._table, len(drastic.players))
-        )
+        for f, (win_with, win_without) in zip(players, halves)
     }
 
 

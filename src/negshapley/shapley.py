@@ -22,9 +22,9 @@ closed form, `support_values`: the sum of ``w(|S|)`` over the minimal
 supports S containing the target, where the reciprocal weight
 ``w(k) = 1/k`` recovers the Shapley value exactly and other weights give
 the general weighted-sum-of-minimal-supports scores.  The Boolean
-games take `game_values`, the subset formula over the coalition table.
-Both return the members' values and the one value every other player
-shares.
+games take `game_values`, the subset formula over the coalition table of
+their witness players.  Both return the values of the support members or
+witness players and the one value every other player shares.
 
 All arithmetic is over `fractions.Fraction`; nothing here rounds.  `Game`,
 `MsShapleyResult` and `Scores` are named tuples, equal to the tuples of
@@ -38,20 +38,21 @@ from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Iterable, Literal, Mapping, NamedTuple, Union
+from typing import Any, Callable, Collection, Iterable, Literal, Mapping, NamedTuple, Union
 
 from .core import Database, Fact, SignedDatabase, SignedFact
 from .errors import CapExceededError, PlayerSetError, SemanticError
 from .query import Query, signed_database_restricted
 from .supports import (
     SupportSet,
+    Witness,
     coalition_halves,
     coalition_sizes,
     coalition_table,
     compile_witnesses,
     satisfies,  # noqa: F401 - perfbench's tracer finds query evaluation by this name
     support_families,
-    support_witnesses,
+    witness_masks,
 )
 
 #: 8! = 40320 orderings; beyond this the permutation route is refused.
@@ -105,23 +106,25 @@ class _GameFields(NamedTuple):
     kind: WealthKind
     q: Query
     db: Database
-    players: tuple[Player, ...]
+    players: Collection[Player]
 
 
 class Game(_GameFields):
-    """A wealth function bound to its player set: the tuple ``(kind, q, db,
-    players)``.
+    """A wealth function bound to its players, any collection, counted
+    (`size`) and tested but never listed: the tuple ``(kind, q, db, players)``.
 
-    The game is compiled on first use into witness masks over its players,
-    so a game that a cap rejects never enumerates assignments: ``drastic``
-    by `supports.compile_witnesses`, every other kind one witness per
-    minimal support, searched for once.  No ``__slots__``: the supports,
-    masks and table are cached in the instance ``__dict__``.
+    It is compiled on first use over its witness players, those some
+    witness requires or forbids, in canonical order: ``drastic`` by
+    `supports.compile_witnesses`, every other kind one witness per minimal
+    support, searched for once.  Every other player is null and has no bit
+    in a table.  No ``__slots__``: what is compiled is cached in ``__dict__``.
     """
 
     @cached_property
-    def _index(self) -> dict[Player, int]:
-        return {p: i for i, p in enumerate(self.players)}
+    def size(self) -> int:
+        """The number of players, also past what ``len`` can report."""
+        players = self.players
+        return players.size if isinstance(players, SignedDatabase) else len(players)
 
     @cached_property
     def _supports(self) -> list[SupportSet]:
@@ -130,51 +133,48 @@ class Game(_GameFields):
         return support_families(self.q, self.db, family)[0]
 
     @cached_property
-    def _witnesses(self) -> tuple[tuple[int, int], ...]:
+    def _compiled(self) -> tuple[tuple[Player, ...], tuple[Witness, ...]]:
+        """The witness players and the witnesses over them (`supports.witness_masks`)."""
         if self.kind is WealthKind.DRASTIC_DIRECT:
-            return compile_witnesses(self.q, self.db, self.players)
-        return support_witnesses(self._supports, self.players)
+            return witness_masks(compile_witnesses(self.q, self.db))
+        return witness_masks((s.elements, frozenset()) for s in self._supports)
 
     @cached_property
     def _table(self) -> int:
-        """The winning coalitions of a Boolean game (`supports.coalition_table`)."""
-        return coalition_table(len(self.players), self._witnesses)
+        """The winning coalitions of the witness players (`supports.coalition_table`)."""
+        players, witnesses = self._compiled
+        return coalition_table(len(players), witnesses)
 
     def _worth(self, mask: int) -> int:
-        """The wealth of the coalition with this bit mask, from the witnesses."""
-        fits = sum(mask & r == r and not mask & f for r, f in self._witnesses)
+        """The wealth of the coalition of witness players with this bit mask."""
+        fits = sum(mask & r == r and not mask & f for r, f in self._compiled[1])
         return fits if self.kind.support_mode is not None else min(fits, 1)
 
     def wealth(self, coalition: Iterable[Player]) -> Fraction:
         coalition = frozenset(coalition)
-        if any(p not in self._index for p in coalition):
+        if any(p not in self.players for p in coalition):
             raise PlayerSetError("coalition contains non-players")
-        return Fraction(self._worth(sum(1 << self._index[p] for p in coalition)))
+        return Fraction(self._worth(
+            sum(1 << i for i, p in enumerate(self._compiled[0]) if p in coalition)))
 
 
 def make_game(
     q: Query, db: Database, kind: WealthKind, *, signed_cap: int | None = None
 ) -> Game:
-    """Bind a wealth kind to a concrete query and database.
-
-    Signed games play over the completion restricted to the query's negated
-    relations: the completion's other players are null, so leaving them out
-    leaves every score unchanged.
-    """
+    """Bind a wealth kind to a concrete query and database, with its players
+    counted, not built: the database, or for a signed game the completion
+    restricted to the query's negated relations, capped at ``signed_cap``.
+    The completion's other players are null, so leaving them out leaves
+    every score unchanged."""
     kind = WealthKind(kind)
-    return Game(kind=kind, q=q, db=db, players=_players(q, db, kind, signed_cap).sorted_facts)
+    players = signed_database_restricted(db, q, cap=signed_cap) if kind.signed_players else db
+    return Game(kind, q, db, players)
 
 
-def _players(q: Query, db: Database, kind: WealthKind,
-             signed_cap: int | None) -> Database | SignedDatabase:
-    """A ``kind`` game's players, counted but not built: the completion
-    restricted to the query's negated relations, or the database."""
-    return signed_database_restricted(db, q, cap=signed_cap) if kind.signed_players else db
-
-
-def _require_player(kind: WealthKind, target: Player, is_player: bool, n: int) -> None:
-    if not is_player:
-        raise PlayerSetError(f"{target} is not a player of the {kind.value} game ({n} players)")
+def _require_player(game: Game, target: Player) -> None:
+    if target not in game.players:
+        raise PlayerSetError(f"{target} is not a player of the {game.kind.value} game "
+                             f"({game.size} players)")
 
 
 class MsShapleyResult(NamedTuple):
@@ -197,34 +197,24 @@ class Scores(NamedTuple):
 def scores(q: Query, db: Database, kind: WealthKind, *, target: Player | None = None,
            weight: WeightFunction = reciprocal_weight, subset_cap: int = DEFAULT_SUBSET_CAP,
            signed_cap: int | None = None) -> tuple[Database | SignedDatabase, Scores]:
-    """The ``kind`` game's players, and the scores of ``target`` or of
-    every player.
-
-    The players are counted, not built, so the completion's cap comes
-    first; then a target that is no player is refused.  They come back as
-    counted: the database, or the completion restricted to the query's
-    negated relations.  A counting measure takes the closed form over its
-    minimal supports (`MsShapleyResult`s, under ``weight``), a Boolean game
-    its coalition table (`Fraction`s).  A table above ``subset_cap``
-    players raises for a target; scoring every player, it gives no
-    members, and its message is ``other``.
+    """The ``kind`` game's players, counted as `make_game` counts them, and
+    the scores of ``target`` or of every player.  The completion's cap comes
+    first, then a target that is no player is refused.  A counting measure
+    takes the closed form over its minimal supports (`MsShapleyResult`s,
+    under ``weight``), a Boolean game its coalition table (`Fraction`s).  A
+    table above ``subset_cap`` players raises for a target; scoring every
+    player, it gives no members, and its message is ``other``.
     """
-    kind = WealthKind(kind)
-    players = _players(q, db, kind, signed_cap)
-    n = players.size if kind.signed_players else len(players)  # `len` stops at sys.maxsize
+    game = make_game(q, db, kind, signed_cap=signed_cap)
     if target is not None:
-        _require_player(kind, target, target in players, n)
-    if kind.support_mode is not None:
-        found = support_values(support_families(q, db, kind.support_mode)[0], weight)
-    elif n > subset_cap:  # refused from the count: the players are made within the cap only
-        found = Scores({}, _too_many(n, subset_cap))
-    else:
-        found = game_values(make_game(q, db, kind, signed_cap=signed_cap), subset_cap)
+        _require_player(game, target)
+    found = (support_values(game._supports, weight) if game.kind.support_mode is not None
+             else game_values(game, subset_cap))
     if target is None:
-        return players, found
+        return game.players, found
     if isinstance(found.other, str):
         raise CapExceededError(found.other)
-    return players, Scores({target: found.values.get(target, found.other)}, found.other)
+    return game.players, Scores({target: found.values.get(target, found.other)}, found.other)
 
 
 def _too_many(n: int, cap: int) -> str:
@@ -255,29 +245,29 @@ def support_values(supports: Iterable[SupportSet],
 
 
 def game_values(game: Game, cap: int = DEFAULT_SUBSET_CAP) -> Scores:
-    """Every player's Shapley value by the subset formula: Σ over the
-    coalitions S of the other players of |S|!(n-1-|S|)!/n! times the
-    player's marginal contribution to S, counted per size of S in the
-    coalition table, in integer numerators over n!.  A counting game takes
-    `support_values`, which builds no table, so ``cap`` (on the players of
-    a table) refuses Boolean games only: with no values, and its message
-    as ``other``."""
+    """Each of the m witness players' Shapley value by the subset formula: Σ
+    over the coalitions S of the other witness players of |S|!(m-1-|S|)!/m!
+    times the player's marginal contribution to S, counted per size of S in
+    the coalition table, in integer numerators over m!; ``other`` is a null
+    player's 0.  A counting game takes `support_values`, which builds no
+    table, so ``cap`` (on all players) refuses Boolean games only: with no
+    values, and its message as ``other``."""
     if game.kind.support_mode is not None:
         values, other = support_values(game._supports)
         return Scores({p: r.score for p, r in values.items()}, other.score)
-    n = len(game.players)
     try:  # a query too deep to search is refused here too
-        if n > cap:
-            raise CapExceededError(_too_many(n, cap))
-        halves = coalition_halves(game._table, n)
+        if game.size > cap:
+            raise CapExceededError(_too_many(game.size, cap))
+        players, table = game._compiled[0], game._table
     except CapExceededError as exc:
         return Scores({}, str(exc))
-    coefficients = [math.factorial(k) * math.factorial(n - 1 - k) for k in range(n)]
-    sizes, n_fact = coalition_sizes(n), math.factorial(n)
+    m = len(players)
+    coefficients = [math.factorial(k) * math.factorial(m - 1 - k) for k in range(m)]
+    sizes, m_fact = coalition_sizes(m), math.factorial(m)
     return Scores({
         p: Fraction(sum(c * ((win_with & size).bit_count() - (win_without & size).bit_count())
-                        for c, size in zip(coefficients, sizes)), n_fact)
-        for p, (win_with, win_without) in zip(game.players, halves)
+                        for c, size in zip(coefficients, sizes)), m_fact)
+        for p, (win_with, win_without) in zip(players, coalition_halves(table, m))
     }, Fraction(0))
 
 
@@ -291,7 +281,7 @@ def shapley_values(game: Game, *, cap: int = DEFAULT_SUBSET_CAP) -> dict[Player,
 
 def shapley_subset(game: Game, target: Player, *, cap: int = DEFAULT_SUBSET_CAP) -> Fraction:
     """One player's entry of `shapley_values`."""
-    _require_player(game.kind, target, target in game.players, len(game.players))
+    _require_player(game, target)
     return shapley_values(game, cap=cap)[target]
 
 
@@ -333,18 +323,24 @@ def ms_shapley(q: Query, db: Database, target: Player, *,
 def permutation_marginal_counts(
     game: Game, target: Player, *, cap: int = DEFAULT_PERMUTATION_CAP
 ) -> dict[Fraction, int]:
-    """How many orderings of the players give each marginal contribution
-    value of the target, walking every ordering."""
-    _require_player(game.kind, target, target in game.players, len(game.players))
-    n = len(game.players)
+    """How many of the n! orderings of the players give each marginal
+    contribution value of the target.  The value depends only on the order
+    of the witness players and the target among themselves, so each of the
+    k! orderings of those k players is walked once and counts n!/k! times."""
+    n = game.size
+    _require_player(game, target)
     if n > cap:
         raise CapExceededError(f"{n} players means {n}! orderings (cap {cap})")
-    worth = [game._worth(mask) for mask in range(1 << n)]
-    bit, counts = 1 << game._index[target], Counter()
-    for ordering in itertools.permutations([1 << i for i in range(n)]):
+    players = game._compiled[0]
+    m = len(players)
+    worth = [game._worth(mask) for mask in range(1 << m)]
+    own = players.index(target) if target in players else m  # bit m: in no witness
+    bit, k, counts = 1 << own, max(m, own + 1), Counter()
+    for ordering in itertools.permutations([1 << i for i in range(k)]):
         prefix = sum(itertools.takewhile(bit.__ne__, ordering))
-        counts[worth[prefix | bit] - worth[prefix]] += 1
-    return {Fraction(value): count for value, count in counts.items()}
+        counts[worth[(prefix | bit) & ~(1 << m)] - worth[prefix]] += 1
+    scale = math.factorial(n) // math.factorial(k)
+    return {Fraction(value): count * scale for value, count in counts.items()}
 
 
 def shapley_permutation(
@@ -353,4 +349,4 @@ def shapley_permutation(
     """Average marginal contribution over every ordering of the players."""
     counts = permutation_marginal_counts(game, target, cap=cap)
     total = sum((value * count for value, count in counts.items()), Fraction(0))
-    return total / math.factorial(len(game.players))
+    return total / math.factorial(game.size)

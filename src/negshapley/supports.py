@@ -34,7 +34,8 @@ order, so assignments come out in the order a scan would give.
 `support_families` alone makes the minimal signed and positive supports, as
 the minimal elements of the set of assignment images: every support contains
 the image of one of its own satisfying assignments, and every image is itself
-a support.  `compile_witnesses` compiles the drastic game off the assignments.
+a support.  `compile_witnesses` compiles the drastic game off the assignments;
+`witness_masks` turns any game's witnesses into masks over the players they name.
 
 `SupportSet` and `GuardedReduction` are named tuples, equal to the tuples
 of their fields.
@@ -433,28 +434,29 @@ def minimal_positive_supports(q: Query, db: Database) -> list[SupportSet]:
 Witness = tuple[int, int]
 
 
-def compile_witnesses(
-    q: Query, db: Database, players: Sequence[Fact]
-) -> tuple[Witness, ...]:
-    """The drastic game's witnesses over ``players``, database facts, from
+def compile_witnesses(q: Query, db: Database) -> set[tuple[frozenset[Fact], frozenset[Fact]]]:
+    """The drastic game's witnesses as (required, forbidden) fact sets, from
     one assignment search over the database with negation checked inside
-    the coalition: one witness per assignment, requiring its image and
-    forbidding its grounded negated atoms that are players.  The other games'
-    witnesses are their minimal supports (`support_witnesses`)."""
-    index = {p: i for i, p in enumerate(players)}
-    mask = lambda facts: sum(1 << index[f] for f in set(facts) if f in index)
-    witnesses = {
-        (mask(image), mask(_ground(a, binding) for a in q.disjuncts[idx].negated_atoms))
+    the coalition: one per assignment, requiring its image and forbidding
+    its grounded negated atoms that are stored.  The other games' witnesses
+    are their minimal supports, with nothing forbidden."""
+    return {
+        (image, db.facts.intersection(_ground(a, binding) for a in q.disjuncts[idx].negated_atoms))
         for idx, binding, image in _iter_assignments(q, db, frozenset())
     }
-    return tuple(sorted(witnesses))
 
 
-def support_witnesses(supports: Iterable[SupportSet],
-                      players: Sequence[FactLike]) -> tuple[Witness, ...]:
-    """A witness per support, requiring its members among ``players``."""
-    index = {p: i for i, p in enumerate(players)}
-    return tuple((sum(1 << index[p] for p in s.elements if p in index), 0) for s in supports)
+def witness_masks(
+    pairs: Iterable[tuple[frozenset, frozenset]]
+) -> tuple[tuple[FactLike, ...], tuple[Witness, ...]]:
+    """The witness players, those some (required, forbidden) pair names, in
+    canonical order, and the pairs as masks over them.  Every other player
+    is null: a coalition fits a witness by its witness players alone."""
+    pairs = list(pairs)
+    players = tuple(sorted({p for pair in pairs for side in pair for p in side}))
+    bit = {p: 1 << i for i, p in enumerate(players)}
+    mask = lambda facts: sum(map(bit.__getitem__, facts))
+    return players, tuple(sorted({(mask(r), mask(f)) for r, f in pairs}))
 
 
 def player_masks(n: int) -> list[int]:
@@ -513,39 +515,32 @@ def is_d_monotone_support(
     """Whether every superset of ``S`` within the database satisfies the query.
 
     A drastic witness that forbids a member of ``S`` fits no superset; the
-    others, less ``S``, must cover every subset of the rest of the database.
+    others, less ``S``, must cover every subset of their players.
     """
     S = frozenset(S)
     if not S <= db.facts:
         raise SemanticError("a D-monotone support must be a subset of the database")
-    rest = sorted(db.facts - S)
-    if len(rest) > cap:
-        raise CapExceededError(
-            f"D-monotonicity would check 2^{len(rest)} supersets (cap {cap})"
-        )
-    players = rest + list(S)
-    low = (1 << len(rest)) - 1
-    witnesses = [
-        (required & low, forbidden)
-        for required, forbidden in compile_witnesses(q, db, players)
-        if not forbidden & ~low
-    ]
-    return coalition_table(len(rest), witnesses) == (1 << (1 << len(rest))) - 1
+    rest = len(db.facts) - len(S)
+    if rest > cap:
+        raise CapExceededError(f"D-monotonicity would check 2^{rest} supersets (cap {cap})")
+    players, witnesses = witness_masks((r - S, f) for r, f in compile_witnesses(q, db) if not f & S)
+    return coalition_table(len(players), witnesses) == (1 << (1 << len(players))) - 1
 
 
-def _d_monotone_table(q: Query, db: Database, cap: int) -> int:
-    """Which subsets of the database have every superset (themselves
-    included) satisfy the query, as a coalition table over its facts."""
-    facts = db.sorted_facts
-    if len(facts) > cap:
+def _d_monotone_table(q: Query, db: Database, cap: int) -> tuple[tuple[Fact, ...], int]:
+    """The drastic game's witness players, and which subsets of them have
+    every superset within the database satisfy the query, as a coalition
+    table over them."""
+    if len(db.facts) > cap:
         raise CapExceededError(
-            f"enumerating D-monotone supports over {len(facts)} facts needs "
-            f"2^{len(facts)} evaluations (cap {cap})"
+            f"enumerating D-monotone supports over {len(db.facts)} facts needs "
+            f"2^{len(db.facts)} evaluations (cap {cap})"
         )
-    table = coalition_table(len(facts), compile_witnesses(q, db, facts))
-    for i, mask in enumerate(player_masks(len(facts))):
-        table &= mask | table >> (1 << i)  # S without fact i needs S with it
-    return table
+    players, witnesses = witness_masks(compile_witnesses(q, db))
+    table = coalition_table(len(players), witnesses)
+    for i, mask in enumerate(player_masks(len(players))):
+        table &= mask | table >> (1 << i)  # S without player i needs S with it
+    return players, table
 
 
 def _minimal_masks(table: int, n: int) -> list[int]:
@@ -565,11 +560,11 @@ def minimal_d_monotone_supports(
     q: Query, db: Database, *, cap: int = DEFAULT_DMONOTONE_CAP
 ) -> list[SupportSet]:
     """All subset-minimal D-monotone supports, in canonical order."""
-    table = _d_monotone_table(q, db, cap)
+    players, table = _d_monotone_table(q, db, cap)
     return sorted(
         (
-            SupportSet("dMonotone", _members(db.sorted_facts, S), True)
-            for S in _minimal_masks(table, len(db.facts))
+            SupportSet("dMonotone", _members(players, S), True)
+            for S in _minimal_masks(table, len(players))
         ),
         key=_support_order,
     )
@@ -760,22 +755,26 @@ def all_supports(
     """Every support of the given kind, minimal or not (exponential); the
     players are counted against ``signed_cap``, then ``cap``, before any is built."""
     if kind == "dMonotone":
-        universe: Sequence = db.sorted_facts
-        table = _d_monotone_table(q, db, cap)
+        universe = db
+        players, table = _d_monotone_table(q, db, cap)
     elif kind in ("signed", "positive"):
-        players = signed_database_restricted(db, q, cap=signed_cap) if kind == "signed" else db
-        n = players.size if kind == "signed" else len(players)
+        universe = signed_database_restricted(db, q, cap=signed_cap) if kind == "signed" else db
+        n = universe.size if kind == "signed" else len(universe)
         if n > cap:
             raise CapExceededError(
                 f"listing all supports over {n} facts needs 2^{n} checks (cap {cap})"
             )
-        universe = players.sorted_facts
         (family,) = support_families(q, db, kind)
-        table = coalition_table(len(universe), support_witnesses(family, universe))
+        players, witnesses = witness_masks((s.elements, frozenset()) for s in family)
+        table = coalition_table(len(players), witnesses)
     else:
         raise SemanticError(f"unknown support kind {kind!r}")
-    minimal = set(_minimal_masks(table, len(universe)))  # every family is closed upwards
+    named = set(players)  # every family is closed upwards: a null player doubles the table
+    players += tuple(p for p in universe.sorted_facts if p not in named)
+    for i in range(len(named), len(players)):
+        table |= table << (1 << i)
+    minimal = set(_minimal_masks(table, len(players)))
     return sorted(
-        (SupportSet(kind, _members(universe, S), S in minimal) for S in _indices(table)),
+        (SupportSet(kind, _members(players, S), S in minimal) for S in _indices(table)),
         key=_support_order,
     )

@@ -313,18 +313,74 @@ def _count_completions(monkeypatch) -> list:
     return made
 
 
+class _Listed(Exception):
+    """Raised by a patched `SignedDatabase.sorted_facts`: the completion was listed."""
+
+
+def _forbid_listing(monkeypatch) -> None:
+    """Make reading `SignedDatabase.sorted_facts`, every member built, raise."""
+    from negshapley.core import SignedDatabase
+
+    def listed(self):
+        raise _Listed(repr(self))
+
+    monkeypatch.setattr(SignedDatabase, "sorted_facts", property(listed))
+
+
 @pytest.mark.parametrize("measure", ["ms-signed", "signed-drastic"])
 def test_score_all_counts_the_completion_once(capsys, paths, monkeypatch, measure):
-    """The rows are the players `scores` counted; a signed-drastic table
-    above ``--cap-subset`` is refused from that count, with no game."""
+    """Within ``--cap-subset``, ``score --all``, ``score --fact`` and
+    ``compare`` count the restricted completion once.  Above it, the rows
+    are the players `scores` counted, and a signed-drastic table is refused
+    from that count, with no search and no player listed."""
     made = _count_completions(monkeypatch)
-    built = _count_games(monkeypatch)
-    code, out, _ = run(
-        capsys, "score", "--db", paths["db"], "--query", paths["q"],
-        "--measure", measure, "--all", "--cap-subset", "2",
-    )
-    assert code == 0 and len(made) == 1 and not built
+    io = ("--db", paths["db"], "--query", paths["q"])
+    for argv in (("score", "--measure", measure, "--all"),
+                 ("score", "--measure", measure, "--fact=-I(mm,meat)"), ("compare",)):
+        del made[:]
+        code, out, err = run(capsys, *argv, *io, "--cap-subset", "25")
+        assert (code, err, len(made)) == (0, "", 1) and "error" not in out, argv
+    del made[:]
+    searches = _count_searches(monkeypatch)
+    _forbid_listing(monkeypatch)
+    code, out, _ = run(capsys, "score", *io, "--measure", measure, "--all", "--cap-subset", "2")
+    assert code == 0 and len(made) == 1 and len(searches) == (measure == "ms-signed")
     assert len(out.splitlines()) == 1 + 25  # the header and the restricted completion
+
+
+def test_no_score_or_report_lists_the_completion(capsys, paths, monkeypatch):
+    """Every measure's score of all players and of one, ``relevance``,
+    ``compare``, `shapley_values` of a `make_game` game and
+    `impact_relevant` give the same output with `SignedDatabase.sorted_facts`
+    raising: only ``supports --kind signed --all`` lists the completion."""
+    from negshapley.core import load_database
+    from negshapley.query import parse_query
+    from negshapley.relevance import impact_relevant
+    from negshapley.shapley import WealthKind, make_game, shapley_values
+
+    io = ("--db", paths["db"], "--query", paths["q"])
+    runs = [("relevance",), ("compare",), ("compare", "--format", "json")]
+    for measure, player in (
+        ("drastic", "I(mm,fish)"), ("positive-drastic", "I(mm,fish)"), ("mps", "I(mp,fish)"),
+        ("signed-drastic", "-I(mm,meat)"), ("ms-signed", "-I(mm,meat)"),
+    ):
+        runs += [("score", "--measure", measure, players, "--cap-subset", "25")
+                 for players in ("--all", f"--fact={player}")]
+    q, db = parse_query(Q_FISH_TEXT.split("\n", 1)[1]), load_database(paths["db"])
+
+    def outputs():
+        return ([run(capsys, *argv, *io) for argv in runs],
+                [shapley_values(make_game(q, db, kind), cap=25) for kind in WealthKind],
+                [impact_relevant(f, q, db) for f in db])
+
+    want = outputs()
+    assert all(code == 0 and err == "" for code, _, err in want[0])
+    _forbid_listing(monkeypatch)
+    assert outputs() == want
+    small = paths["dir"] / "small.facts"  # 16 signed players, within the listing cap
+    small.write_text("I(mm,fish)\nI(mp,meat)\n")
+    with pytest.raises(_Listed):
+        main(["supports", "--kind", "signed", "--all", "--db", str(small), "--query", paths["q"]])
 
 
 def test_score_all_compiles_one_game(capsys, paths, monkeypatch):
@@ -813,6 +869,19 @@ def test_reader_gone_exits_4_without_a_traceback(paths):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (4, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("command", [("supports",), ("relevance", "--format", "json")])
+def test_a_failed_write_exits_4_with_one_line(paths, command):
+    """A write that fails for another reason than a closed pipe, here a full
+    device, is reported in one line of stderr, with no traceback."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(_cli(*command, "--db", paths["db"], "--query", paths["q"]),
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error: cannot write output: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_closed_stdout_exits_4_without_a_traceback(paths):

@@ -1,6 +1,7 @@
 """Exact Shapley scoring: permutation and subset routes, the one-pass closed
 form against the bounded-enumeration reference scorer, and the game axioms."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from negshapley.core import database, fact, negative, positive, signed_database
 from negshapley.errors import CapExceededError, PlayerSetError, SemanticError
 from negshapley.query import parse_query
-from negshapley.relevance import _impacts
+from negshapley.relevance import ImpactKind, _impacts, impact_relevant
 from negshapley.shapley import (
     WEIGHT_FUNCTIONS,
     Game,
@@ -206,7 +207,7 @@ def test_a_counting_game_searches_for_its_supports_once(monkeypatch):
     db = database(fact("R", f"v{i}", f"v{i + 1}") for i in range(60))
     g = make_game(parse_query("exists x, y, z. R(x,y), R(y,z)"), db, WealthKind.MPS_POSITIVE)
     assert len(g.players) == 60
-    got = [shapley_subset(g, p) for p in g.players[:20]]
+    got = [shapley_subset(g, p) for p in list(g.players)[:20]]
     assert got == [Fraction(1, 2)] + [Fraction(1)] * 19  # R(v0,v1) ends the path
     assert shapley_values(g)[fact("R", "v59", "v60")] == Fraction(1, 2)
     assert g.wealth(fact("R", f"v{i}", f"v{i + 1}") for i in range(3)) == 2
@@ -282,8 +283,9 @@ def test_permutation_all_matches_single_target(seed):
 
 def test_compiled_wealth_matches_oracle_on_corpus():
     """Every coalition's wealth in every compiled game equals the oracle's,
-    and the one-pass values equal the oracle's subset formula over the
-    oracle's own table."""
+    a Boolean game's bit table over its witness players too, and the
+    one-pass values equal the oracle's subset formula over the oracle's own
+    table of all players."""
     for inst in corpus(500):
         for kind in WealthKind:
             g = make_game(inst.q, inst.db, kind)
@@ -291,8 +293,9 @@ def test_compiled_wealth_matches_oracle_on_corpus():
             table = oracles.wealth_table(g.players, oracle)
             assert oracles.wealth_table(g.players, g.wealth) == table, (str(inst), kind)
             if kind.support_mode is None:  # a Boolean game's bit table
-                bits = [g._table >> S & 1 for S in range(1 << len(g.players))]
-                assert bits == table, (str(inst), kind)
+                players = g._compiled[0]
+                bits = [g._table >> S & 1 for S in range(1 << len(players))]
+                assert bits == oracles.wealth_table(players, oracle), (str(inst), kind)
             values = shapley_values(g)
             assert list(values) == list(g.players)
             assert list(values.values()) == oracles.shapley_from_table(
@@ -321,6 +324,32 @@ def test_a_fourteen_player_drastic_game_matches_the_list_table():
         want.append(kinds[(1 in flips) + 2 * (-1 in flips)])
     assert [kind.value for kind in _impacts(g).values()] == want
     assert {"positiveOnly", "negativeOnly", "both"} <= set(want)
+
+
+def test_null_players_share_zero_and_no_table_bit():
+    """A 12-fact drastic game with 4 witness players: every value equals the
+    oracle's subset formula over all 12, every null player scores 0, has
+    impact none and a marginal of 0 in each of the 12! orderings, and the
+    table has a bit per coalition of the witness players only."""
+    db = database([fact("S", "a"), fact("S", "b"), fact("T", "a"), fact("U", "c", "c"),
+                   fact("T", "c"), fact("U", "a", "b")]
+                  + [fact("R", f"c{i}", f"c{i + 1}") for i in range(6)])
+    q = parse_query("exists x. S(x), !T(x) | exists x. U(x,x)")
+    g = make_game(q, db, WealthKind.DRASTIC_DIRECT)
+    players, n = g._compiled[0], len(g.players)
+    m = len(players)
+    assert (m, n) == (4, 12)
+    table = oracles.wealth_table(g.players, oracles.oracle_wealth("drastic", q, db))
+    values = shapley_values(g)
+    assert list(values.values()) == oracles.shapley_from_table(table, n)
+    assert g._table.bit_length() <= 1 << m
+    impacts = _impacts(g)
+    for p in g.players:
+        counts = permutation_marginal_counts(g, p, cap=n)
+        assert sum(value * count for value, count in counts.items()) / math.factorial(n) == values[p]
+        if p not in players:
+            assert values[p] == 0 and counts == {0: math.factorial(n)}
+            assert impacts.get(p, ImpactKind.NONE) is impact_relevant(p, q, db) is ImpactKind.NONE
 
 
 def test_closed_form_equals_subset_shapley_across_corpus():
