@@ -4,9 +4,11 @@ inequalities.
 
 The pieces: `core` holds facts, databases, and signed completions; `query`
 the query model, parser, sign transform, and structural analysis; `supports`
-the satisfying-assignment search and the support semantics; `relevance` the
-qualitative verdicts; `shapley` the exact scores; `cli` the command line,
-and `output` the writers of its tables and JSON documents.
+the satisfying-assignment search and the support semantics; `entailment`
+the bounded entailment check, which no command uses and which is loaded on
+first use; `relevance` the qualitative verdicts; `shapley` the exact scores;
+`cli` the command line, and `output` the writers of its tables and JSON
+documents.
 """
 from .core import (
     Database,
@@ -74,7 +76,6 @@ from .shapley import (
 from .supports import (
     GuardedReduction,
     SupportSet,
-    entailment_supports_bounded,
     guarded_reduction,
     is_d_monotone_support,
     is_positive_support,
@@ -158,3 +159,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """`entailment.entailment_supports_bounded`, imported on first use."""
+    if name == "entailment_supports_bounded":
+        from .entailment import entailment_supports_bounded
+
+        return entailment_supports_bounded
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

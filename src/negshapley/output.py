@@ -9,13 +9,15 @@ keyed by facts or by signed facts, and `_write_rows` alone walks its rows.
 """
 from __future__ import annotations
 
-import argparse
 import itertools
 import sys
-from fractions import Fraction
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from .core import Database, Fact, Sign, SignedDatabase, SignedFact, negative, positive
+
+if TYPE_CHECKING:
+    import argparse
+    from fractions import Fraction
 
 
 def _emit(args: argparse.Namespace, document: Callable, table: Callable) -> None:

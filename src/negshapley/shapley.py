@@ -36,9 +36,9 @@ import itertools
 import math
 from collections import Counter
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Collection, Iterable, Literal, Mapping, NamedTuple, Union
+from typing import (TYPE_CHECKING, Any, Callable, Collection, Iterable, Literal, Mapping,
+                    NamedTuple, Union)
 
 from .core import Database, Fact, SignedDatabase, SignedFact
 from .errors import CapExceededError, PlayerSetError, SemanticError
@@ -55,6 +55,13 @@ from .supports import (
     witness_masks,
 )
 
+# `fractions`, and `decimal` and `numbers` with it, is imported where a score
+# is built, so that a command that never scores does not load it.
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    WeightFunction = Callable[[int], Fraction]
+
 #: 8! = 40320 orderings; beyond this the permutation route is refused.
 DEFAULT_PERMUTATION_CAP = 8
 #: 2^20 coalitions; beyond this the subset route is refused.
@@ -63,14 +70,16 @@ DEFAULT_SUBSET_CAP = 20
 Player = Union[Fact, SignedFact]
 SupportMode = Literal["signed", "positive"]
 
-WeightFunction = Callable[[int], Fraction]
-
 
 def reciprocal_weight(k: int) -> Fraction:
+    from fractions import Fraction
+
     return Fraction(1, k)
 
 
 def constant_weight(k: int) -> Fraction:
+    from fractions import Fraction
+
     return Fraction(1)
 
 
@@ -151,6 +160,8 @@ class Game(_GameFields):
         return fits if self.kind.support_mode is not None else min(fits, 1)
 
     def wealth(self, coalition: Iterable[Player]) -> Fraction:
+        from fractions import Fraction
+
         coalition = frozenset(coalition)
         if any(p not in self.players for p in coalition):
             raise PlayerSetError("coalition contains non-players")
@@ -233,6 +244,8 @@ def support_values(supports: Iterable[SupportSet],
     With the reciprocal weight each score is the Shapley value of the
     counting game: a sum of unanimity games, one per minimal support S,
     each giving its members 1/|S|."""
+    from fractions import Fraction
+
     by_size: dict[Player, Counter] = {}
     for support in supports:
         for p in support.elements:
@@ -252,6 +265,8 @@ def game_values(game: Game, cap: int = DEFAULT_SUBSET_CAP) -> Scores:
     player's 0.  A counting game takes `support_values`, which builds no
     table, so ``cap`` (on all players) refuses Boolean games only: with no
     values, and its message as ``other``."""
+    from fractions import Fraction
+
     if game.kind.support_mode is not None:
         values, other = support_values(game._supports)
         return Scores({p: r.score for p, r in values.items()}, other.score)
@@ -327,6 +342,8 @@ def permutation_marginal_counts(
     contribution value of the target.  The value depends only on the order
     of the witness players and the target among themselves, so each of the
     k! orderings of those k players is walked once and counts n!/k! times."""
+    from fractions import Fraction
+
     n = game.size
     _require_player(game, target)
     if n > cap:
@@ -347,6 +364,8 @@ def shapley_permutation(
     game: Game, target: Player, *, cap: int = DEFAULT_PERMUTATION_CAP
 ) -> Fraction:
     """Average marginal contribution over every ordering of the players."""
+    from fractions import Fraction
+
     counts = permutation_marginal_counts(game, target, cap=cap)
     total = sum((value * count for value, count in counts.items()), Fraction(0))
     return total / math.factorial(game.size)

@@ -1,11 +1,12 @@
 """Byte-identity sweep of the command line over the property corpus.
 
 Runs `negshapley.cli.main` in process on every instance of ``corpus(500)``:
-``relevance``, ``compare --format json``, ``supports --kind dmonotone``
-with and without ``--all``, every ``score`` measure in JSON and at
-``--cap-subset 3``, and ``score --fact`` on the first three stored facts
-(plain measures) and the first three players of the restricted completion
-(signed measures, also at ``--cap-subset 3``).  It prints the number of
+``relevance``, ``compare`` and ``analyze`` in both formats, ``supports`` of
+every kind with and without ``--all``, every ``score`` measure in JSON and
+at ``--cap-subset 3``, the counting measures under ``--weight constant``,
+and ``score --fact`` on the first three stored facts (plain measures) and
+the first three players of the restricted completion (signed measures,
+also at ``--cap-subset 3``).  It prints the number of
 calls and one sha256 over every call's (argv, exit code, stdout, stderr),
 with the instance's file paths replaced by fixed names, so two versions of
 the code can be compared by their digests:
@@ -37,11 +38,15 @@ from negshapley.shapley import WealthKind  # noqa: E402
 
 def _argvs(inst) -> list[tuple[str, ...]]:
     """The calls made on one instance, without ``--db`` and ``--query``."""
-    runs = [("relevance",), ("compare", "--format", "json"),
-            ("supports", "--kind", "dmonotone"), ("supports", "--kind", "dmonotone", "--all")]
+    runs = [("relevance",), ("relevance", "--format", "json"), ("compare",),
+            ("compare", "--format", "json"), ("analyze",), ("analyze", "--format", "json")]
+    for kind in ("signed", "positive", "dmonotone"):
+        runs += [("supports", "--kind", kind), ("supports", "--kind", kind, "--all")]
     for kind in WealthKind:
         runs += [("score", "--measure", kind.value, "--format", "json"),
                  ("score", "--measure", kind.value, "--cap-subset", "3")]
+    runs += [("score", "--measure", m, "--weight", "constant", "--format", "json")
+             for m in ("ms-signed", "mps")]
     for f in inst.db.sorted_facts[:3]:
         runs += [("score", "--measure", m, f"--fact={f}") for m in ("drastic", "positive-drastic", "mps")]
     for sf in itertools.islice(signed_database_restricted(inst.db, inst.q), 3):

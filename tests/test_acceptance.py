@@ -26,6 +26,7 @@ import time
 from fractions import Fraction
 
 from negshapley.core import database, fact, negative, positive
+from negshapley.entailment import entailment_supports_bounded
 from negshapley.errors import SemanticError
 from negshapley.query import mergeable_pairs, sign_transform
 from negshapley.relevance import (
@@ -43,7 +44,6 @@ from negshapley.shapley import (
     shapley_subset,
 )
 from negshapley.supports import (
-    entailment_supports_bounded,
     guarded_reduction,
     is_d_monotone_support,
     is_positive_support,

@@ -13,14 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import negshapley
 from negshapley.core import Fact, database, fact, negative, positive
+from negshapley.entailment import DEFAULT_ENTAILMENT_CAP, entailment_supports_bounded
 from negshapley.errors import ArityError, CapExceededError, SemanticError
 from negshapley.query import parse_query, sign_transform, signed_database_restricted
 from negshapley.supports import (
     MAX_POSITIVE_ATOMS,
     _iter_assignments,
     all_supports,
-    entailment_supports_bounded,
     guarded_reduction,
     is_d_monotone_support,
     is_positive_support,
@@ -299,6 +300,15 @@ def test_monotone_chain_has_minimal_support_of_size_n_plus_2(n):
 # ---------------------------------------------------------------------------
 
 
+def test_the_package_name_is_the_entailment_modules_function():
+    """The package loads `negshapley.entailment` on first use of the name,
+    and still exports it."""
+    assert negshapley.entailment_supports_bounded is entailment_supports_bounded
+    assert "entailment_supports_bounded" in negshapley.__all__
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        negshapley.no_such_name
+
+
 def test_entailment_admits_the_extra_support():
     """The 4-element set entails the query over {b,c,d} although it is not
     a signed support: entailment reasons by cases over A(c)."""
@@ -342,6 +352,9 @@ def test_entailment_cap():
     db, support, domain = entailment_chain(4)  # 30 candidate facts
     with pytest.raises(CapExceededError):
         entailment_supports_bounded(support, Q_CHAIN, domain, cap=24)
+    assert DEFAULT_ENTAILMENT_CAP == 24
+    with pytest.raises(CapExceededError, match=r"30 possible facts \(cap 24\)"):
+        entailment_supports_bounded(support, Q_CHAIN, domain)
 
 
 def test_entailment_shares_the_search_depth_limit():

@@ -1,5 +1,6 @@
 """The public value types: equality, hashing, repr, immutability and
-caching, and the modules a fresh import of the command line loads."""
+caching, and the modules a fresh import of the command line, and each of
+its commands, loads."""
 
 import os
 import pickle
@@ -190,3 +191,41 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
         check=True,
     )
     assert result.stdout == "[]\n"
+
+
+#: Loaded only where a score is built (`fractions` brings the other two),
+#: and by the bounded-entailment check's first caller.
+_DEFERRED = ("decimal", "fractions", "negshapley.entailment", "numbers")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ((), []),
+    (("supports", "--kind", "signed"), []),
+    (("supports", "--kind", "positive"), []),
+    (("supports", "--kind", "dmonotone"), []),
+    (("relevance",), []),
+    (("relevance", "--format", "json"), []),
+    (("analyze",), []),
+    (("score",), ["decimal", "fractions", "numbers"]),
+    (("compare",), ["decimal", "fractions", "numbers"]),
+])
+def test_only_scoring_commands_load_fractions(tmp_path, argv, loaded):
+    """A fresh ``python -S`` child imports the command line, runs one
+    command on a small instance, and lists the deferred modules it loaded:
+    only ``score`` and ``compare`` build scores, and no command reaches the
+    bounded-entailment check."""
+    (tmp_path / "i.facts").write_text("R(a,b)\nR(b,c)\nS(c)\n")
+    (tmp_path / "i.query").write_text("exists x, y. R(x,y), !S(y)\n")
+    code = (
+        "import sys\n"
+        "from negshapley.cli import main\n"
+        "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+        f"print(code, sorted(set({_DEFERRED!r}) & set(sys.modules)))\n"
+    )
+    files = ("--db", "i.facts", "--query", "i.query") if argv else ()
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv, *files], env=env, cwd=tmp_path,
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.splitlines()[-1] == f"0 {loaded}"
