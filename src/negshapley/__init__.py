@@ -3,12 +3,16 @@ database facts under unions of conjunctive queries with negated atoms and
 inequalities.
 
 The pieces: `core` holds facts, databases, and signed completions; `query`
-the query model, parser, sign transform, and structural analysis; `supports`
-the satisfying-assignment search and the support semantics; `entailment`
-the bounded entailment check, which no command uses and which is loaded on
-first use; `relevance` the qualitative verdicts; `shapley` the exact scores;
-`cli` the command line, and `output` the writers of its tables and JSON
-documents.
+the query model, parser and sign transform; `supports` the
+satisfying-assignment search and the support semantics; `relevance` the
+qualitative verdicts; `shapley` the exact scores; `cli` the command line,
+and `output` the writers of its tables and JSON documents.  Three modules
+are loaded on first use, not at start-up: `analysis`, the structural
+analysis and the guarded reduction, which only ``analyze`` imports;
+`reference`, the per-set support tests, per-fact verdicts and per-player
+Shapley routes that no command calls; and `entailment`, the bounded
+entailment check.  Their names still resolve from the package and from the
+modules they left.
 """
 from .core import (
     Database,
@@ -20,6 +24,7 @@ from .core import (
     database,
     fact,
     load_database,
+    moved,
     negative,
     parse_fact,
     parse_signed_fact,
@@ -42,50 +47,29 @@ from .query import (
     Const,
     Inequality,
     Query,
-    QueryAnalysis,
     Var,
-    analyze_query,
     conjunct,
     neg_rels,
     parse_query,
     sign_transform,
     signed_database_restricted,
 )
-from .relevance import (
-    ImpactKind,
-    RelevanceVerdict,
-    impact_relevant,
-    positive_relevant,
-    relevance_report,
-    signed_relevant,
-)
+from .relevance import ImpactKind
 from .shapley import (
     Game,
     MsShapleyResult,
     WealthKind,
     constant_weight,
     make_game,
-    ms_scores,
     ms_shapley,
-    permutation_marginal_counts,
     reciprocal_weight,
-    shapley_permutation,
-    shapley_subset,
-    shapley_values,
 )
 from .supports import (
-    GuardedReduction,
     SupportSet,
-    guarded_reduction,
-    is_d_monotone_support,
-    is_positive_support,
-    is_signed_support,
     minimal_d_monotone_supports,
     minimal_positive_supports,
     minimal_signed_supports,
     satisfies,
-    satisfying_assignments,
-    signed_satisfies,
 )
 
 __all__ = [
@@ -161,10 +145,14 @@ __all__ = [
 __version__ = "0.1.0"
 
 
-def __getattr__(name: str):
-    """`entailment.entailment_supports_bounded`, imported on first use."""
-    if name == "entailment_supports_bounded":
-        from .entailment import entailment_supports_bounded
-
-        return entailment_supports_bounded
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+#: The names whose modules no command loads, imported on first use.
+__getattr__ = moved(__name__, {
+    "entailment_supports_bounded": "entailment",
+    **dict.fromkeys(("GuardedReduction", "QueryAnalysis", "analyze_query", "guarded_reduction"),
+                    "analysis"),
+    **dict.fromkeys((
+        "RelevanceVerdict", "impact_relevant", "is_d_monotone_support", "is_positive_support",
+        "is_signed_support", "ms_scores", "permutation_marginal_counts", "positive_relevant",
+        "relevance_report", "satisfying_assignments", "shapley_permutation", "shapley_subset",
+        "shapley_values", "signed_relevant", "signed_satisfies"), "reference"),
+})

@@ -23,7 +23,7 @@ from .core import Database, load_database, parse_fact, parse_signed_fact
 from .errors import CapExceededError, InputParseError, SemanticError
 from .output import (_block, _bool, _columns, _dumps, _emit, _json, _value_cell, _value_json,
                      _write_rows)
-from .query import Query, analyze_query, parse_query
+from .query import Query, parse_query
 from .relevance import report
 from .shapley import (
     DEFAULT_SUBSET_CAP,
@@ -62,16 +62,20 @@ def _count(text: str) -> int:
 
 
 @cache  # built once per process: argparse does not change a parser as it parses
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, and the arguments of ``command`` only,
+    or of every subcommand when it is ``None``: the others are never read."""
     parser = _Parser(
         prog="negshapley",
         description="Minimal supports and exact Shapley scores for database "
         "facts under queries with negation.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def common(p: argparse.ArgumentParser, db_required: bool = True) -> None:
-        p.add_argument("--db", required=db_required, help="path to a fact file")
+    for name, (text, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if command not in (None, name):
+            continue
+        p.add_argument("--db", required=name != "analyze", help="path to a fact file")
         p.add_argument("--query", required=True, help="path to a query file")
         p.add_argument("--format", choices=("json", "table"), default="table")
         p.add_argument(
@@ -81,35 +85,23 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="max size of the signed completion",
         )
-
-    p = sub.add_parser("supports", help="list supports of a query")
-    common(p)
-    p.add_argument("--kind", choices=_SUPPORT_KINDS, default="signed")
-    p.add_argument(
-        "--all",
-        action="store_true",
-        help="include non-minimal supports (exponential)",
-    )
-
-    p = sub.add_parser("score", help="score facts by a responsibility measure")
-    common(p)
-    p.add_argument("--measure", choices=_MEASURES, default="ms-signed")
-    p.add_argument("--weight", choices=sorted(WEIGHT_FUNCTIONS), default="reciprocal")
-    players = p.add_mutually_exclusive_group()
-    players.add_argument("--fact", help='score only this fact, e.g. "I(mm,fish)" or "-E(c,a)"')
-    players.add_argument("--all", action="store_true", help="score every player (the default)")
-    p.add_argument("--cap-subset", type=_count, default=DEFAULT_SUBSET_CAP, metavar="N")
-
-    p = sub.add_parser("relevance", help="relevance report for every fact")
-    common(p)
-
-    p = sub.add_parser("analyze", help="structural analysis of a query")
-    common(p, db_required=False)
-
-    p = sub.add_parser("compare", help="relevance and scores side by side")
-    common(p)
-    p.add_argument("--cap-subset", type=_count, default=DEFAULT_SUBSET_CAP, metavar="N")
-
+        if name == "supports":
+            p.add_argument("--kind", choices=_SUPPORT_KINDS, default="signed")
+            p.add_argument(
+                "--all",
+                action="store_true",
+                help="include non-minimal supports (exponential)",
+            )
+        elif name == "score":
+            p.add_argument("--measure", choices=_MEASURES, default="ms-signed")
+            p.add_argument("--weight", choices=sorted(WEIGHT_FUNCTIONS), default="reciprocal")
+            players = p.add_mutually_exclusive_group()
+            players.add_argument(
+                "--fact", help='score only this fact, e.g. "I(mm,fish)" or "-E(c,a)"')
+            players.add_argument(
+                "--all", action="store_true", help="score every player (the default)")
+        if name in ("score", "compare"):
+            p.add_argument("--cap-subset", type=_count, default=DEFAULT_SUBSET_CAP, metavar="N")
     return parser
 
 
@@ -209,6 +201,8 @@ _COMPARED = (WealthKind.MS_SIGNED.value, WealthKind.MPS_POSITIVE.value,
 
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
+    from .analysis import analyze_query  # here: no other command needs it
+
     q = _load_query(args.query)
     analysis = analyze_query(q)
     payload = {
@@ -276,12 +270,13 @@ def _cmd_report(args: argparse.Namespace) -> None:
 # ---------------------------------------------------------------------------
 
 
-_DISPATCH = {
-    "supports": _cmd_supports,
-    "score": _cmd_score,
-    "relevance": _cmd_report,
-    "analyze": _cmd_analyze,
-    "compare": _cmd_report,
+#: Each subcommand's help line and handler, in the order of the help.
+_COMMANDS = {
+    "supports": ("list supports of a query", _cmd_supports),
+    "score": ("score facts by a responsibility measure", _cmd_score),
+    "relevance": ("relevance report for every fact", _cmd_report),
+    "analyze": ("structural analysis of a query", _cmd_analyze),
+    "compare": ("relevance and scores side by side", _cmd_report),
 }
 
 
@@ -298,12 +293,11 @@ def _attach_fact_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = _attach_fact_values(sys.argv[1:] if argv is None else argv)
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(
-            _attach_fact_values(sys.argv[1:] if argv is None else argv)
-        )
-        _DISPATCH[args.command](args)
+        args = parser.parse_args(argv)
+        _COMMANDS[args.command][1](args)
         return 0
     except InputParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -406,3 +406,18 @@ def parse_signed_fact(text: str) -> SignedFact:
         sign = Sign.POSITIVE if stripped[0] == "+" else Sign.NEGATIVE
         stripped = stripped[1:]
     return SignedFact(sign, parse_fact(stripped))
+
+
+def moved(module: str, homes: dict[str, str]):
+    """A module ``__getattr__`` for the names that moved out of ``module``:
+    each name of ``homes`` is read from the sibling module it maps to,
+    imported on first use, so that the module need not load it to start."""
+
+    def __getattr__(name: str):
+        if name not in homes:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        from importlib import import_module
+
+        return getattr(import_module(f"{__package__}.{homes[name]}"), name)
+
+    return __getattr__

@@ -57,7 +57,12 @@ def _block(brackets: str, items: Iterable[str], depth: int) -> str:
 
 
 def _dumps(value: Any, **options: Any) -> str:
-    import json  # here: only ``--format json`` needs it
+    """``json.dumps(value, **options)``.  A printable ASCII string, as every
+    fact, query and cap message a command writes is, is quoted here, so that
+    no command but ``analyze --format json`` imports `json`."""
+    if isinstance(value, str) and not options and value.isascii() and value.isprintable():
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    import json
 
     return json.dumps(value, **options)
 
@@ -130,10 +135,8 @@ def _write_rows(args: argparse.Namespace, payload: dict, header: Sequence[str],
         negated, plus = (), [(str(players), players, players)]
         fact_width = lambda: len(str(players))
     if args.format == "json":
-        from json.encoder import encode_basestring_ascii as quote  # json.dumps of a str
-
         opening = '{\n      "fact": '
-        fact, tail = (lambda cell: opening + quote(cell)), (lambda data: json_tail(*data))
+        fact, tail = (lambda cell: opening + _dumps(cell)), (lambda data: json_tail(*data))
     else:
         widths = [max(len(h), w) for h, w in zip(header, [fact_width(), *widths()])]
         template = "".join(f"  {{:<{w}}}" for w in widths[1:-1]) + "  {}\n"
@@ -151,7 +154,7 @@ def _write_rows(args: argparse.Namespace, payload: dict, header: Sequence[str],
         tails = {a: sys.intern(tail(row(None, negative(Fact(rel, a))))) for a in own}
         other, head = tail(row(None, None)), f"-{rel.name}("
         if args.format == "json":  # `fact` written out: this runs once per row
-            return (opening + quote(head + ",".join(a) + ")") + tails.get(a, other)
+            return (opening + _dumps(head + ",".join(a) + ")") + tails.get(a, other)
                     for a in players.absent(rel))
         return ((head + ",".join(a) + ")").ljust(width) + tails.get(a, other)
                 for a in players.absent(rel))

@@ -19,19 +19,21 @@ same disjunct (safe negation).  Queries are Boolean: there are no free
 variables, and a disjunct's ``exists`` list must cover every variable it
 uses.
 
-Atoms, inequalities, conjuncts, queries and the analysis records are named
-tuples: each equals, and hashes like, the tuple of its fields.  Terms are
-not: a `Var` equals only a `Var` of the same name and a `Const` only a
-`Const` of the same value, so ``x != "x"`` compares two different terms.
+The structural analysis (`analyze_query` and its parts) is in
+`negshapley.analysis`; its names still resolve here, loading it on first use.
+
+Atoms, inequalities, conjuncts and queries are named tuples: each equals,
+and hashes like, the tuple of its fields.  Terms are not: a `Var` equals
+only a `Var` of the same name and a `Const` only a `Const` of the same
+value, so ``x != "x"`` compares two different terms.
 """
 from __future__ import annotations
 
-import itertools
 import re
 from functools import cached_property
 from typing import Iterable, NamedTuple, Union
 
-from .core import Database, Relation, SignedDatabase, _Record, signed_database
+from .core import Database, Relation, SignedDatabase, _Record, moved, signed_database
 from .errors import ArityError, QuerySyntaxError, SafetyError, SemanticError
 
 _RESERVED = {"exists"}
@@ -404,176 +406,7 @@ def signed_database_restricted(db: Database, q: Query, *, cap: int | None = None
     )
 
 
-# ---------------------------------------------------------------------------
-# Structural analysis
-# ---------------------------------------------------------------------------
-
-
-def mergeable_pairs(cq: Conjunct) -> frozenset[tuple[int, int]]:
-    """Index pairs (into ``cq.literals``) of positive atoms that can merge.
-
-    Two positive atoms over the same relation merge when, reading their
-    variables apart (a variable named ``x`` in one atom is unrelated to an
-    ``x`` in the other), the two term tuples unify position-wise with
-    constants rigid.  Equivalently: some database contains a fact that is a
-    homomorphic image of both atoms.
-    """
-    indexed = [
-        (i, lit)
-        for i, lit in enumerate(cq.literals)
-        if isinstance(lit, Atom) and not lit.negated
-    ]
-    pairs = set()
-    for (i, a), (j, b) in itertools.combinations(indexed, 2):
-        if a.relation == b.relation and _unify_apart(a, b):
-            pairs.add((i, j))
-    return frozenset(pairs)
-
-
-def _unify_apart(a: Atom, b: Atom) -> bool:
-    parent: dict[object, object] = {}
-
-    def find(node: object) -> object:
-        while parent.get(node, node) != node:
-            node = parent[node]
-        return node
-
-    def union(left: object, right: object) -> bool:
-        left, right = find(left), find(right)
-        if left == right:
-            return True
-        if isinstance(left, str) and isinstance(right, str):
-            return False  # two distinct constants
-        if isinstance(left, str):
-            left, right = right, left  # keep constants as class representatives
-        parent[left] = right
-        return True
-
-    def node_of(term: Term, side: int) -> object:
-        return term.value if isinstance(term, Const) else (side, term.name)
-
-    return all(
-        union(node_of(s, 0), node_of(t, 1)) for s, t in zip(a.terms, b.terms)
-    )
-
-
-def self_join_width(cq: Conjunct) -> int:
-    """Number of distinct terms appearing in atoms that belong to a mergeable pair."""
-    merged_indices = {i for pair in mergeable_pairs(cq) for i in pair}
-    terms = {
-        t for i in merged_indices for t in cq.literals[i].terms  # type: ignore[union-attr]
-    }
-    return len(terms)
-
-
-def is_guarded(cq: Conjunct) -> bool:
-    """True when each negated atom's variables fit inside one positive atom."""
-    return all(
-        any(neg.variables <= pos.variables for pos in cq.positive_atoms)
-        for neg in cq.negated_atoms
-    )
-
-
-def gaifman_graph(cq: Conjunct) -> dict[str, frozenset[str]]:
-    """Adjacency over the disjunct's variables.
-
-    Two variables are adjacent when they occur together in any literal,
-    including negated atoms and inequalities.
-    """
-    adjacency: dict[str, set[str]] = {v: set() for v in cq.used_variables}
-    for lit in cq.literals:
-        for u, v in itertools.combinations(sorted(lit.variables), 2):
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-    return {v: frozenset(nbrs) for v, nbrs in adjacency.items()}
-
-
-def has_non_hierarchical_neg_path(cq: Conjunct) -> bool:
-    """Detect the structural obstruction to tractable drastic scoring.
-
-    Holds when there are positive atoms ``ax``, ``ay`` whose relations never
-    appear negated in the disjunct, variables ``x`` in ``ax`` but not ``ay``
-    and ``y`` in ``ay`` but not ``ax``, and a path from ``x`` to ``y`` in the
-    variable co-occurrence graph after deleting every other variable of
-    ``ax`` and ``ay``.
-    """
-    graph = gaifman_graph(cq)
-    negated_names = {atom.relation.name for atom in cq.negated_atoms}
-    candidates = [
-        atom for atom in cq.positive_atoms if atom.relation.name not in negated_names
-    ]
-    for ax, ay in itertools.combinations(candidates, 2):
-        only_x = ax.variables - ay.variables
-        only_y = ay.variables - ax.variables
-        for x in only_x:
-            for y in only_y:
-                removed = (ax.variables | ay.variables) - {x, y}
-                if _connected(graph, x, y, removed):
-                    return True
-    return False
-
-
-def _connected(
-    graph: dict[str, frozenset[str]], start: str, goal: str, removed: frozenset[str]
-) -> bool:
-    frontier, seen = [start], {start}
-    while frontier:
-        node = frontier.pop()
-        if node == goal:
-            return True
-        for nbr in graph[node]:
-            if nbr not in seen and nbr not in removed:
-                seen.add(nbr)
-                frontier.append(nbr)
-    return False
-
-
-def negative_arity(q: Query) -> int:
-    """Largest arity among negated relations, or 0 for purely positive queries."""
-    return max((rel.arity for rel in neg_rels(q)), default=0)
-
-
-class DisjunctAnalysis(NamedTuple):
-    mergeable_pairs: tuple[tuple[int, int], ...]
-    self_join_width: int
-    self_join_free_positive: bool
-    self_join_free_all: bool
-    guarded: bool
-    has_non_hierarchical_neg_path: bool
-
-
-class QueryAnalysis(NamedTuple):
-    """Structural summary; the two self-join-freeness fields differ on whether
-    negated atoms count toward relation-name repetition."""
-
-    negative_arity: int
-    guarded: bool
-    self_join_free_positive: bool
-    self_join_free_all: bool
-    has_non_hierarchical_neg_path: bool
-    disjuncts: tuple[DisjunctAnalysis, ...]
-
-
-def analyze_disjunct(cq: Conjunct) -> DisjunctAnalysis:
-    positive_names = [a.relation.name for a in cq.positive_atoms]
-    all_names = positive_names + [a.relation.name for a in cq.negated_atoms]
-    return DisjunctAnalysis(
-        mergeable_pairs=tuple(sorted(mergeable_pairs(cq))),
-        self_join_width=self_join_width(cq),
-        self_join_free_positive=len(positive_names) == len(set(positive_names)),
-        self_join_free_all=len(all_names) == len(set(all_names)),
-        guarded=is_guarded(cq),
-        has_non_hierarchical_neg_path=has_non_hierarchical_neg_path(cq),
-    )
-
-
-def analyze_query(q: Query) -> QueryAnalysis:
-    parts = tuple(analyze_disjunct(cq) for cq in q.disjuncts)
-    return QueryAnalysis(
-        negative_arity=negative_arity(q),
-        guarded=all(p.guarded for p in parts),
-        self_join_free_positive=all(p.self_join_free_positive for p in parts),
-        self_join_free_all=all(p.self_join_free_all for p in parts),
-        has_non_hierarchical_neg_path=any(p.has_non_hierarchical_neg_path for p in parts),
-        disjuncts=parts,
-    )
+__getattr__ = moved(__name__, dict.fromkeys((
+    "DisjunctAnalysis", "QueryAnalysis", "_connected", "_unify_apart", "analyze_disjunct",
+    "analyze_query", "gaifman_graph", "has_non_hierarchical_neg_path", "is_guarded",
+    "mergeable_pairs", "negative_arity", "self_join_width"), "analysis"))

@@ -6,21 +6,19 @@ minimal positive support.  *Impact* is the counterfactual notion: a fact has
 impact when adding it to some subset of the remaining database flips the
 query's truth value, classified by the direction(s) of the flips observed.
 `report` gives the three notions, and ``compare``'s scores, as columns of
-`Scores` over the restricted signed completion; `relevance_report` reads
-them into `RelevanceVerdict`s, named tuples equal to their fields' tuples.
+`Scores` over the restricted signed completion.  The per-fact verdicts
+(`signed_relevant`, `positive_relevant`, `impact_relevant`) and
+`relevance_report`, which reads `report`'s columns into `RelevanceVerdict`s,
+are in `negshapley.reference`; their names still resolve here.
 """
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
 
-from .core import Database, Fact, Sign, SignedDatabase, SignedFact, positive
-from .errors import CapExceededError, SemanticError
+from .core import Database, Fact, SignedDatabase, moved
 from .query import Query, signed_database_restricted
 from .supports import (
     coalition_halves,
-    minimal_positive_supports,
-    minimal_signed_supports,
     satisfies,  # noqa: F401 - perfbench's tracer finds query evaluation by this name
     support_families,
 )
@@ -43,40 +41,6 @@ class ImpactKind(str, Enum):
     BOTH = "both"
 
 
-def signed_relevant(
-    subject: SignedFact | Fact, q: Query, db: Database, *, cap: int | None = None
-) -> bool:
-    """Whether the signed fact occurs in some minimal signed support.
-
-    A plain fact is taken with positive sign.
-    """
-    if isinstance(subject, Fact):
-        subject = positive(subject)
-    return any(
-        subject in s.elements for s in minimal_signed_supports(q, db, cap=cap)
-    )
-
-
-def positive_relevant(f: Fact, q: Query, db: Database) -> bool:
-    """Whether the fact occurs in some minimal positive support."""
-    return any(f in s.elements for s in minimal_positive_supports(q, db))
-
-
-def impact_relevant(
-    f: Fact, q: Query, db: Database, *, cap: int = DEFAULT_IMPACT_CAP
-) -> ImpactKind:
-    """Classify how adding ``f`` to subsets of the rest of the database can
-    change the query's truth value."""
-    if f not in db.facts:
-        raise SemanticError(f"{f} is not in the database")
-    if len(db.facts) > cap:
-        raise CapExceededError(
-            f"impact over {len(db.facts)} facts enumerates "
-            f"2^{len(db.facts) - 1} subsets (cap {cap})"
-        )
-    return _impacts(make_game(q, db, WealthKind.DRASTIC_DIRECT)).get(f, ImpactKind.NONE)
-
-
 def _impacts(drastic: Game) -> dict[Fact, ImpactKind]:
     """Each witness player's impact (a null player's is none), from the
     drastic game's table over them: it flips the query up on a subset that
@@ -88,45 +52,6 @@ def _impacts(drastic: Game) -> dict[Fact, ImpactKind]:
         f: kinds[bool(win_with & ~win_without) + 2 * bool(win_without & ~win_with)]
         for f, (win_with, win_without) in zip(players, halves)
     }
-
-
-class RelevanceVerdict(NamedTuple):
-    """One row of a relevance report.
-
-    ``positive_relevant`` and ``impact`` are ``None`` for negative facts,
-    where only the signed notion applies; ``impact`` is also ``None`` when
-    its computation was skipped (see ``impact_skipped``).
-    """
-
-    subject: SignedFact
-    signed_relevant: bool
-    positive_relevant: bool | None
-    impact: ImpactKind | None
-    impact_skipped: bool = False
-
-
-def relevance_report(
-    q: Query,
-    db: Database,
-    *,
-    impact_cap: int = DEFAULT_IMPACT_CAP,
-    signed_cap: int | None = None,
-) -> list[RelevanceVerdict]:
-    """Verdicts for every member of the restricted signed completion, from
-    `report`'s columns: positive facts get all three, negative facts only
-    the signed one.  Above ``impact_cap`` facts impact is skipped rather
-    than failing the whole report."""
-    completion, columns = report(q, db, impact_cap=impact_cap, signed_cap=signed_cap)
-    (signed, _), (plain, _), (impacts, _) = columns
-
-    def verdict(sf: SignedFact) -> RelevanceVerdict:
-        if sf.sign is Sign.NEGATIVE:
-            return RelevanceVerdict(sf, sf in signed.values, None, None)
-        impact = impacts.values.get(sf.fact, impacts.other)
-        return RelevanceVerdict(sf, sf in signed.values, sf.fact in plain.values, *(
-            (None, True) if impact == "skipped" else (ImpactKind(impact), False)))
-
-    return list(map(verdict, completion))
 
 
 def report(
@@ -160,3 +85,8 @@ def report(
             columns.append((Scores({p: r.score for p, r in values.items()}, other.score), keyed))
         columns.append((game_values(drastic, subset_cap), False))
     return completion, columns
+
+
+__getattr__ = moved(__name__, dict.fromkeys((
+    "RelevanceVerdict", "impact_relevant", "positive_relevant", "relevance_report",
+    "signed_relevant"), "reference"))

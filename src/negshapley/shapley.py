@@ -25,6 +25,10 @@ the general weighted-sum-of-minimal-supports scores.  The Boolean
 games take `game_values`, the subset formula over the coalition table of
 their witness players.  Both return the values of the support members or
 witness players and the one value every other player shares.
+`ms_shapley` scores one player by the closed form.  The other per-player
+routes (`shapley_values`, `shapley_subset`, `ms_scores`) and the
+permutation definition are in `negshapley.reference`, which no command
+loads; their names still resolve here.
 
 All arithmetic is over `fractions.Fraction`; nothing here rounds.  `Game`,
 `MsShapleyResult` and `Scores` are named tuples, equal to the tuples of
@@ -32,7 +36,6 @@ their fields.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from enum import Enum
@@ -40,7 +43,7 @@ from functools import cached_property
 from typing import (TYPE_CHECKING, Any, Callable, Collection, Iterable, Literal, Mapping,
                     NamedTuple, Union)
 
-from .core import Database, Fact, SignedDatabase, SignedFact
+from .core import Database, Fact, SignedDatabase, SignedFact, moved
 from .errors import CapExceededError, PlayerSetError, SemanticError
 from .query import Query, signed_database_restricted
 from .supports import (
@@ -62,8 +65,6 @@ if TYPE_CHECKING:
 
     WeightFunction = Callable[[int], Fraction]
 
-#: 8! = 40320 orderings; beyond this the permutation route is refused.
-DEFAULT_PERMUTATION_CAP = 8
 #: 2^20 coalitions; beyond this the subset route is refused.
 DEFAULT_SUBSET_CAP = 20
 
@@ -286,22 +287,8 @@ def game_values(game: Game, cap: int = DEFAULT_SUBSET_CAP) -> Scores:
     }, Fraction(0))
 
 
-def shapley_values(game: Game, *, cap: int = DEFAULT_SUBSET_CAP) -> dict[Player, Fraction]:
-    """`game_values` for every player, in player order; a refused table raises."""
-    values, other = game_values(game, cap)
-    if isinstance(other, str):
-        raise CapExceededError(other)
-    return {p: values.get(p, other) for p in game.players}
-
-
-def shapley_subset(game: Game, target: Player, *, cap: int = DEFAULT_SUBSET_CAP) -> Fraction:
-    """One player's entry of `shapley_values`."""
-    _require_player(game, target)
-    return shapley_values(game, cap=cap)[target]
-
-
 # ---------------------------------------------------------------------------
-# The closed form by support mode, and the permutation definition as a reference
+# The closed form by support mode
 # ---------------------------------------------------------------------------
 
 
@@ -311,18 +298,6 @@ def _counting(mode: SupportMode) -> WealthKind:
         if kind.support_mode == mode:
             return kind
     raise SemanticError(f"minimal supports are signed or positive, not {mode!r}")
-
-
-def ms_scores(q: Query, db: Database, *, weight: WeightFunction = reciprocal_weight,
-              mode: SupportMode = "signed", signed_cap: int | None = None
-              ) -> dict[Player, MsShapleyResult]:
-    """Every player's `scores` under the counting measure of ``mode``, in
-    player order: the restricted signed completion (signed mode) or the
-    database facts (positive mode); players in no minimal support score 0
-    with an empty size histogram."""
-    players, (values, other) = scores(q, db, _counting(mode), weight=weight,
-                                      signed_cap=signed_cap)
-    return {p: values.get(p, other) for p in players}
 
 
 def ms_shapley(q: Query, db: Database, target: Player, *,
@@ -335,37 +310,6 @@ def ms_shapley(q: Query, db: Database, target: Player, *,
     return found.values[target]
 
 
-def permutation_marginal_counts(
-    game: Game, target: Player, *, cap: int = DEFAULT_PERMUTATION_CAP
-) -> dict[Fraction, int]:
-    """How many of the n! orderings of the players give each marginal
-    contribution value of the target.  The value depends only on the order
-    of the witness players and the target among themselves, so each of the
-    k! orderings of those k players is walked once and counts n!/k! times."""
-    from fractions import Fraction
-
-    n = game.size
-    _require_player(game, target)
-    if n > cap:
-        raise CapExceededError(f"{n} players means {n}! orderings (cap {cap})")
-    players = game._compiled[0]
-    m = len(players)
-    worth = [game._worth(mask) for mask in range(1 << m)]
-    own = players.index(target) if target in players else m  # bit m: in no witness
-    bit, k, counts = 1 << own, max(m, own + 1), Counter()
-    for ordering in itertools.permutations([1 << i for i in range(k)]):
-        prefix = sum(itertools.takewhile(bit.__ne__, ordering))
-        counts[worth[(prefix | bit) & ~(1 << m)] - worth[prefix]] += 1
-    scale = math.factorial(n) // math.factorial(k)
-    return {Fraction(value): count * scale for value, count in counts.items()}
-
-
-def shapley_permutation(
-    game: Game, target: Player, *, cap: int = DEFAULT_PERMUTATION_CAP
-) -> Fraction:
-    """Average marginal contribution over every ordering of the players."""
-    from fractions import Fraction
-
-    counts = permutation_marginal_counts(game, target, cap=cap)
-    total = sum((value * count for value, count in counts.items()), Fraction(0))
-    return total / math.factorial(game.size)
+__getattr__ = moved(__name__, dict.fromkeys((
+    "DEFAULT_PERMUTATION_CAP", "ms_scores", "permutation_marginal_counts", "shapley_permutation",
+    "shapley_subset", "shapley_values"), "reference"))

@@ -14,11 +14,11 @@ context:
 * a *D-monotone support* is a set all of whose supersets within the database
   satisfy the query outright.
 
-The bounded entailment check (`negshapley.entailment`) runs the same search.
-
-The *guarded reduction* also reads its two databases off the search: the
-images of each positive atom alone, and of the atom with its guards.  No
-other code here matches atoms to facts.
+The bounded entailment check (`negshapley.entailment`), the guarded
+reduction (`negshapley.analysis`) and the per-set support tests
+(`negshapley.reference`) run the same search; no command reaches them, so
+they live in modules loaded on first use, and their old names here still
+resolve.
 
 The search matches a disjunct's positive atoms in order, depth first.  Which
 positions of an atom are already fixed when it is reached (constants, and
@@ -34,28 +34,17 @@ the image of one of its own satisfying assignments, and every image is itself
 a support.  `compile_witnesses` compiles the drastic game off the assignments;
 `witness_masks` turns any game's witnesses into masks over the players they name.
 
-`SupportSet` and `GuardedReduction` are named tuples, equal to the tuples
-of their fields.
+`SupportSet` is a named tuple, equal to the tuple of its fields.
 """
 from __future__ import annotations
 
 import itertools
 from typing import Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence, Union
 
-from .core import (
-    Database,
-    Fact,
-    Relation,
-    Sign,
-    SignedFact,
-    database,
-    group_facts,
-    negative,
-    positive,
-)
+from .core import (Database, Fact, Relation, SignedFact, group_facts, moved, negative,
+                   positive)
 from .errors import ArityError, CapExceededError, SemanticError
-from .query import Atom, Conjunct, Const, Inequality, Query
-from .query import sign_transform, signed_database_restricted
+from .query import Atom, Conjunct, Const, Inequality, Query, signed_database_restricted
 
 #: Exhaustively checking D-monotonicity enumerates ``2^|db \ S|`` supersets.
 DEFAULT_DMONOTONE_CAP = 20
@@ -91,10 +80,11 @@ def _support_order(s: SupportSet) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# An explicit set of signed facts (`signed_satisfies`) is searched with the
-# plain-fact machinery by folding the sign into the relation name: +R(a,b) is
-# a fact of a relation named "+R", as `sign_transform` names the atoms.  Query
-# relation names cannot start with '+' or '-', so no collision is possible.
+# An explicit set of signed facts (`reference.signed_satisfies`) is searched
+# with the plain-fact machinery by folding the sign into the relation name:
+# +R(a,b) is a fact of a relation named "+R", as `sign_transform` names the
+# atoms.  Query relation names cannot start with '+' or '-', so no collision
+# is possible.
 # ---------------------------------------------------------------------------
 
 
@@ -283,26 +273,6 @@ def _search(
             yield idx, binding, image
 
 
-def satisfying_assignments(
-    q: Query,
-    facts: Iterable[FactLike],
-    context: Iterable[Fact] | Database | None = None,
-) -> list[tuple[int, dict[str, str]]]:
-    """All (disjunct index, assignment) pairs making the query true.
-
-    ``facts`` is where positive atoms must land.  With plain facts, negated
-    atoms are checked for absence from ``context`` (required only if the
-    query has any); with signed facts the query must already be
-    sign-transformed and ``context`` is ignored.  Assignments bind exactly
-    the variables that occur in the disjunct's literals.
-    """
-    results = {
-        (idx, tuple(sorted(binding.items())))
-        for idx, binding, _ in _iter_assignments(q, facts, context)
-    }
-    return [(idx, dict(items)) for idx, items in sorted(results)]
-
-
 def _has_assignment(q, facts, context) -> bool:
     return next(_iter_assignments(q, facts, context), None) is not None
 
@@ -316,38 +286,9 @@ def satisfies(q: Query, facts: Iterable[Fact] | Database) -> bool:
     return _has_assignment(q, facts, facts)
 
 
-def signed_satisfies(q_signed: Query, signed_facts: Iterable[SignedFact]) -> bool:
-    """Truth of an already sign-transformed query on a set of signed facts."""
-    return _has_assignment(q_signed, signed_facts, None)
-
-
 # ---------------------------------------------------------------------------
 # Signed supports
 # ---------------------------------------------------------------------------
-
-
-def _validate_signed_subset(S: Iterable[SignedFact], q: Query, db: Database) -> None:
-    arities = {rel.name: rel.arity for rel in (*q.relations, *db.schema)}  # data wins
-    for sf in S:
-        rel, stored = sf.fact.relation, sf.fact in db.facts
-        if arities.get(rel.name) != rel.arity:
-            raise SemanticError(f"{sf} is not over the database/query schema")
-        if sf.sign is Sign.POSITIVE and not stored:
-            raise SemanticError(f"{sf} is not in the signed completion: fact absent")
-        if sf.sign is Sign.NEGATIVE and stored:
-            raise SemanticError(f"{sf} is not in the signed completion: fact present")
-        if sf.sign is Sign.NEGATIVE and not db.active_domain.issuperset(sf.fact.args):
-            raise SemanticError(
-                f"{sf} is not in the signed completion: constants outside the active domain"
-            )
-
-
-def is_signed_support(S: Iterable[SignedFact], q: Query, db: Database) -> bool:
-    """Whether ``S`` (a subset of the signed completion) satisfies the
-    sign-transformed query on its own."""
-    S = frozenset(S)
-    _validate_signed_subset(S, q, db)
-    return signed_satisfies(sign_transform(q), S)
 
 
 def minimal_signed_supports(
@@ -404,15 +345,6 @@ def _minimal_sets(kind: SupportKind, family: set[frozenset]) -> list[SupportSet]
 # ---------------------------------------------------------------------------
 # Positive supports
 # ---------------------------------------------------------------------------
-
-
-def is_positive_support(S: Iterable[Fact], q: Query, db: Database) -> bool:
-    """Whether the positive atoms can embed into ``S`` with negation checked
-    against the full database."""
-    S = frozenset(S)
-    if not S <= db.facts:
-        raise SemanticError("a positive support must be a subset of the database")
-    return _has_assignment(q, S, db)
 
 
 def minimal_positive_supports(q: Query, db: Database) -> list[SupportSet]:
@@ -504,24 +436,6 @@ def _indices(table: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def is_d_monotone_support(
-    S: Iterable[Fact], q: Query, db: Database, *, cap: int = DEFAULT_DMONOTONE_CAP
-) -> bool:
-    """Whether every superset of ``S`` within the database satisfies the query.
-
-    A drastic witness that forbids a member of ``S`` fits no superset; the
-    others, less ``S``, must cover every subset of their players.
-    """
-    S = frozenset(S)
-    if not S <= db.facts:
-        raise SemanticError("a D-monotone support must be a subset of the database")
-    rest = len(db.facts) - len(S)
-    if rest > cap:
-        raise CapExceededError(f"D-monotonicity would check 2^{rest} supersets (cap {cap})")
-    players, witnesses = witness_masks((r - S, f) for r, f in compile_witnesses(q, db) if not f & S)
-    return coalition_table(len(players), witnesses) == (1 << (1 << len(players))) - 1
-
-
 def _d_monotone_table(q: Query, db: Database, cap: int) -> tuple[tuple[Fact, ...], int]:
     """The drastic game's witness players, and which subsets of them have
     every superset within the database satisfy the query, as a coalition
@@ -566,70 +480,6 @@ def minimal_d_monotone_supports(
 
 
 # ---------------------------------------------------------------------------
-# The guarded reduction
-# ---------------------------------------------------------------------------
-
-
-class GuardedReduction(NamedTuple):
-    """Outcome of rewriting a guarded single-disjunct query over a database.
-
-    ``q_plus`` keeps only the positive atoms.  ``d_prime`` keeps the facts
-    matched by some positive atom.  ``d_double_prime`` further drops every
-    fact whose (unique) matching atom has an attached negated atom or
-    inequality that fails under the match.  Minimal positive supports of the
-    original query coincide with minimal supports of ``q_plus`` over
-    ``d_double_prime``.
-    """
-
-    q_plus: Query
-    d_prime: Database
-    d_double_prime: Database
-
-
-def guarded_reduction(q: Query | Conjunct, db: Database) -> GuardedReduction:
-    """Rewrite a guarded, merge-free disjunct to a negation-free instance.
-
-    Preconditions: a single disjunct; no mergeable positive-atom pair (so
-    each fact is matched by at most one atom); every negated atom's and
-    every inequality's variables fit inside a single positive atom.  The
-    inequality requirement keeps per-fact checks faithful: an inequality
-    spanning two atoms cannot be decided fact-by-fact.
-    """
-    from .query import is_guarded, mergeable_pairs  # local: avoids a cycle at import
-
-    if isinstance(q, Query) and len(q.disjuncts) != 1:
-        raise SemanticError("the reduction applies to single-disjunct queries")
-    cq = q if isinstance(q, Conjunct) else q.disjuncts[0]
-    if mergeable_pairs(cq):
-        raise SemanticError("the reduction requires a disjunct with no mergeable atoms")
-    if not is_guarded(cq):
-        raise SemanticError("the reduction requires guarded negated atoms")
-
-    atoms = cq.positive_atoms
-    guards: list[list] = [[] for _ in atoms]
-    for lit in (*cq.negated_atoms, *cq.inequalities):
-        guarding = [g for g, atom in zip(guards, atoms) if lit.variables <= atom.variables]
-        if not guarding:
-            raise SemanticError(
-                f"the reduction requires {lit} to be guarded by one positive atom"
-            )
-        guarding[0].append(lit)
-
-    def images(literals: Iterable[tuple]) -> set[Fact]:
-        disjuncts = [Conjunct(cq.variables, lits) for lits in literals]
-        return {f for _, _, image in _search(disjuncts, db.by_relation, db.facts, db.facts)
-                for f in image}
-
-    return GuardedReduction(
-        q_plus=Query((Conjunct(cq.variables, atoms),)),
-        d_prime=database(images((atom,) for atom in atoms), db.schema),
-        d_double_prime=database(
-            images((atom, *guard) for atom, guard in zip(atoms, guards)), db.schema
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Exhaustive (non-minimal) listings, used by the command line tool
 # ---------------------------------------------------------------------------
 
@@ -664,3 +514,11 @@ def all_supports(
         (SupportSet(kind, _members(players, S), S in minimal) for S in _indices(table)),
         key=_support_order,
     )
+
+
+__getattr__ = moved(__name__, {
+    **dict.fromkeys(("GuardedReduction", "guarded_reduction"), "analysis"),
+    **dict.fromkeys(("_validate_signed_subset", "is_d_monotone_support", "is_positive_support",
+                     "is_signed_support", "satisfying_assignments", "signed_satisfies"),
+                    "reference"),
+})

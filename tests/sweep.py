@@ -9,9 +9,13 @@ the first three players of the restricted completion (signed measures,
 also at ``--cap-subset 3``).  It prints the number of
 calls and one sha256 over every call's (argv, exit code, stdout, stderr),
 with the instance's file paths replaced by fixed names, so two versions of
-the code can be compared by their digests:
+the code can be compared by their digests, and its run time on stderr:
 
     PYTHONHASHSEED=0 PYTHONPATH=src python3 tests/sweep.py
+
+`tests/sweep.digest` records what it prints under Python 3.11, and CI
+checks it there.  A change that means to change the command line's output
+records the new line in the same change.
 
 pytest does not collect this file; it is a tool, not a test.
 """
@@ -76,4 +80,5 @@ def sweep() -> tuple[int, str]:
 if __name__ == "__main__":
     start = time.perf_counter()
     calls, hexdigest = sweep()
-    print(calls, hexdigest, f"({time.perf_counter() - start:.1f} s)")
+    print(calls, hexdigest)
+    print(f"{time.perf_counter() - start:.1f} s", file=sys.stderr)

@@ -914,6 +914,104 @@ def test_json_output_is_what_json_dumps_writes(capsys, tmp_path):
                 assert out == json.dumps(json.loads(out), indent=2) + "\n", (str(inst), command)
 
 
+
+def _strings() -> list[str]:
+    """Seeded random strings of quotes, backslashes, control characters,
+    DEL, printable ASCII, and characters past ASCII and past the BMP."""
+    import random
+
+    rng = random.Random(23)
+    pools = ['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\x80", " ", "\ud800",
+             "\U0001f600", "\U0010ffff", "a", " ", "/", "(", ","]
+    return ["".join(rng.choice(pools) for _ in range(rng.randrange(12))) for _ in range(3000)]
+
+
+def test_dumps_is_json_dumps_for_every_code_point_and_mixed_strings():
+    """`output._dumps` quotes printable ASCII itself and hands everything
+    else to `json`; the two must agree on every string."""
+    from negshapley.output import _dumps
+
+    differ = [hex(c) for c in range(0x110000) if _dumps(chr(c)) != json.dumps(chr(c))]
+    assert differ == []
+    assert [s for s in _strings() if _dumps(s) != json.dumps(s)] == []
+    assert _dumps("a", indent=2) == json.dumps("a", indent=2)
+    assert _dumps({"a": ["\x7f"]}, indent=2) == json.dumps({"a": ["\x7f"]}, indent=2)
+
+
+def test_row_writer_quotes_facts_as_json_dumps(capsys):
+    """The row writer's ``fact`` cell is ``json.dumps`` of the fact, on a
+    fact of every code point of the BMP, of every 257th above it, and of
+    every mixed string.  (`_dumps` itself is checked on every code point
+    above; the rest of the document is held to ``json.dumps`` by
+    `test_json_output_is_what_json_dumps_writes`.)"""
+    from argparse import Namespace
+
+    from negshapley.core import Fact, Relation, database
+    from negshapley.output import _write_rows
+
+    arg = lambda s: Fact(Relation("R", 1), (s,))
+    code_points = [*range(0x10000), *range(0x10000, 0x110000, 257), 0x10FFFF]
+    for strings in [list(map(chr, code_points)), _strings()]:
+        db = database(map(arg, strings))
+        _write_rows(Namespace(format="json"), {"command": "x"}, ("fact",), list,
+                    lambda: "\n    }", tuple, db, [])
+        records = ('{\n      "fact": ' + json.dumps(str(f)) + "\n    }" for f in db.sorted_facts)
+        assert capsys.readouterr().out == (
+            '{\n  "command": "x",\n  "records": [\n    ' + ",\n    ".join(records) + "\n  ]\n}\n")
+
+
+def _parser_cases(paths) -> list[list[str]]:
+    files = ["--db", paths["db"], "--query", paths["q"]]
+    return [
+        ["--help"], ["-h"], [],
+        *([name, "--help"] for name in ("supports", "score", "relevance", "analyze", "compare")),
+        ["nosuch", *files], ["scor", *files], ["supports", "--query", paths["q"]],
+        ["score", "--query", paths["q"]], ["score", *files, "--measure", "nosuch"],
+        ["score", *files, "--cap-subset", "-1"], ["compare", *files, "--cap-subset", "-1"],
+        ["score", *files, "--measure", "ms-signed", "--fact", "-I(mm,meat)"],
+        ["score", *files, "--measure", "ms-signed", "--fact", "-I(mm,nosuch)"],
+        ["score", *files, "--fact", "-I(mm,meat)", "--all"],
+        ["supports", *files, "--measure", "mps"], ["analyze", "--query", paths["q"], "--all"],
+    ]
+
+
+def test_each_subcommand_parser_is_the_full_parsers():
+    """`_build_parser(command)` adds the arguments of ``command`` only; its
+    help, and the help of that subcommand, are the full parser's."""
+    from negshapley.cli import _COMMANDS, _build_parser
+
+    def helps(parser) -> dict:
+        (action,) = parser._subparsers._group_actions
+        return {None: parser.format_help(),
+                **{name: p.format_help() for name, p in action.choices.items()}}
+
+    full = helps(_build_parser(None))
+    for name in _COMMANDS:
+        assert _build_parser(name) is _build_parser(name)
+        own = helps(_build_parser(name))
+        assert (own[None], own[name]) == (full[None], full[name])
+
+
+def test_main_answers_as_with_the_full_parser(capsys, paths, monkeypatch):
+    """Help, usage errors and runs give the same stdout, stderr and exit
+    code whether `main` builds one subcommand's arguments or all of them."""
+    import negshapley.cli as cli
+
+    def outcome(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    lazy = [outcome(argv) for argv in _parser_cases(paths)]
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: build(None))
+    assert lazy == [outcome(argv) for argv in _parser_cases(paths)]
+    assert [code for code, _, _ in lazy] == [0, 0, 1, *[0] * 5, 1, 1, 1, 1, 1, 1, 1, 0, 2, 1, 1, 1]
+
+
 _HASH_SEED_SCRIPT = """
 import json, sys
 from negshapley.cli import main

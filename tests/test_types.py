@@ -194,8 +194,11 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
 
 
 #: Loaded only where a score is built (`fractions` brings the other two),
-#: and by the bounded-entailment check's first caller.
-_DEFERRED = ("decimal", "fractions", "negshapley.entailment", "numbers")
+#: by ``analyze`` (`json` only with ``--format json``), and by the first
+#: caller of the bounded-entailment check or of the library-only API.
+_DEFERRED = ("decimal", "fractions", "json", "negshapley.analysis", "negshapley.entailment",
+             "negshapley.reference", "numbers")
+_FRACTIONS = ["decimal", "fractions", "numbers"]
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -205,15 +208,20 @@ _DEFERRED = ("decimal", "fractions", "negshapley.entailment", "numbers")
     (("supports", "--kind", "dmonotone"), []),
     (("relevance",), []),
     (("relevance", "--format", "json"), []),
-    (("analyze",), []),
-    (("score",), ["decimal", "fractions", "numbers"]),
-    (("compare",), ["decimal", "fractions", "numbers"]),
+    (("analyze",), ["negshapley.analysis"]),
+    (("score",), _FRACTIONS),
+    (("compare",), _FRACTIONS),
+    (("analyze", "--format", "json"), ["json", "negshapley.analysis"]),
+    (("supports", "--kind", "signed", "--all", "--format", "json"), []),
+    (("score", "--measure", "drastic", "--format", "json"), _FRACTIONS),
+    (("compare", "--format", "json"), _FRACTIONS),
 ])
 def test_only_scoring_commands_load_fractions(tmp_path, argv, loaded):
     """A fresh ``python -S`` child imports the command line, runs one
     command on a small instance, and lists the deferred modules it loaded:
-    only ``score`` and ``compare`` build scores, and no command reaches the
-    bounded-entailment check."""
+    only ``score`` and ``compare`` build scores, only ``analyze`` loads the
+    query analysis, and only its JSON document `json`; no command reaches
+    the bounded-entailment check or the library-only API."""
     (tmp_path / "i.facts").write_text("R(a,b)\nR(b,c)\nS(c)\n")
     (tmp_path / "i.query").write_text("exists x, y. R(x,y), !S(y)\n")
     code = (
