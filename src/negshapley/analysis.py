@@ -244,7 +244,7 @@ def guarded_reduction(q: Query | Conjunct, db: Database) -> GuardedReduction:
 
     def images(literals: Iterable[tuple]) -> set[Fact]:
         disjuncts = [Conjunct(cq.variables, lits) for lits in literals]
-        return {f for _, _, image in _search(disjuncts, db.by_relation, db.facts, db.facts)
+        return {f for _, _, image in _search(disjuncts, db.by_relation, db.facts)
                 for f in image}
 
     return GuardedReduction(

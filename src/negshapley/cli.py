@@ -121,9 +121,7 @@ def _load_db(path: str) -> Database:
         raise InputParseError(f"cannot read fact file: {exc}") from exc
 
 
-# ---------------------------------------------------------------------------
-# supports
-# ---------------------------------------------------------------------------
+# -- supports --
 
 
 def _cmd_supports(args: argparse.Namespace) -> None:
@@ -150,9 +148,7 @@ def _cmd_supports(args: argparse.Namespace) -> None:
     _emit(args, document, lambda: _columns(rows() if sets else []))
 
 
-# ---------------------------------------------------------------------------
-# score
-# ---------------------------------------------------------------------------
+# -- score --
 
 
 def _cmd_score(args: argparse.Namespace) -> None:
@@ -190,9 +186,7 @@ def _cmd_score(args: argparse.Namespace) -> None:
                 record, cells, players if target is None else target, [(found, signed)])
 
 
-# ---------------------------------------------------------------------------
-# relevance / analyze / compare
-# ---------------------------------------------------------------------------
+# -- relevance / analyze / compare --
 
 
 _VERDICT_COLUMNS = ("fact", "signedRelevant", "positiveRelevant", "impact")
@@ -267,7 +261,7 @@ def _cmd_report(args: argparse.Namespace) -> None:
                 widths, record, cells, completion, columns)
 
 
-# ---------------------------------------------------------------------------
+# -- Entry point --
 
 
 #: Each subcommand's help line and handler, in the order of the help.

@@ -21,7 +21,7 @@ import os
 import re
 from enum import IntEnum
 from functools import cached_property
-from itertools import chain, filterfalse, groupby, product, repeat
+from itertools import chain, filterfalse, product, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ArityError, CapExceededError, FactSyntaxError
@@ -162,13 +162,17 @@ class Database(_Record):
 
     @cached_property
     def by_relation(self) -> dict[Relation, list[Fact]]:
-        """Each relation's facts in canonical order, by relation in order; a
-        relation with no facts has no entry.  Do not mutate."""
-        return group_facts(self.facts)
+        """Each relation's facts in no fixed order (only what is written is
+        sorted), by relation in order; a relation with no facts has no
+        entry.  Do not mutate."""
+        groups: dict[Relation, list[Fact]] = {}
+        for f in self.facts:
+            groups.setdefault(f[0], []).append(f)
+        return {rel: groups[rel] for rel in sorted(groups)}
 
     @cached_property
     def sorted_facts(self) -> tuple[Fact, ...]:
-        return tuple(chain.from_iterable(self.by_relation.values()))
+        return tuple(sorted(self.facts))
 
     @cached_property
     def active_domain(self) -> frozenset[str]:
@@ -183,11 +187,6 @@ class Database(_Record):
 
     def __len__(self) -> int:
         return len(self.facts)
-
-
-def group_facts(facts: Iterable[Fact]) -> dict[Relation, list[Fact]]:
-    """The facts grouped by relation, in canonical order (see `Database.by_relation`)."""
-    return {rel: list(group) for rel, group in groupby(sorted(facts), lambda f: f.relation)}
 
 
 def database(facts: Iterable[Fact] = (), schema: Iterable[Relation] = ()) -> Database:
@@ -306,19 +305,20 @@ def signed_database(
     return completion
 
 
-# ---------------------------------------------------------------------------
-# Facts file ingestion.
-#
+# -- Facts file ingestion --
 # Format: UTF-8 text; `#` starts a comment; optional `@relation Name/arity`
 # header lines declare relations (useful for relations with no facts, which
 # otherwise could not contribute a negative side); fact lines hold one or
 # more `Rel(c1,c2,...)` entries with bare-identifier constants.
-# ---------------------------------------------------------------------------
 
-_HEADER_RE = re.compile(r"@relation\s+([A-Za-z][A-Za-z0-9_]*)\s*/\s*(\d+)\s*$")
-_FACT_RE = re.compile(
-    r"\s*([A-Za-z][A-Za-z0-9_]*)\s*\(\s*([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)\s*\)\s*"
-)
+# The patterns are compiled on first use (`re` caches them): starting up
+# compiles none, and a file of plain lines needs only `_LINE`.
+_HEADER = r"@relation\s+([A-Za-z][A-Za-z0-9_]*)\s*/\s*(\d+)\s*$"
+_FACT = r"\s*([A-Za-z][A-Za-z0-9_]*)\s*\(\s*([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)\s*\)\s*"
+#: A line: one fact and no spaces (groups 1 and 2), or any other (group 3).
+_LINE = r"^(?:([A-Za-z][A-Za-z0-9_]*)\(([A-Za-z0-9_]+(?:,[A-Za-z0-9_]+)*)\)|(.*))$"
+#: The line breaks of `str.splitlines` besides "\n".
+_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def _parse_fact_line(
@@ -329,7 +329,7 @@ def _parse_fact_line(
     while pos < len(line):
         if line[pos:].strip() == "":
             break
-        match = _FACT_RE.match(line, pos)
+        match = re.compile(_FACT).match(line, pos)
         if match is None:
             raise FactSyntaxError(f"cannot parse fact near {line[pos:].strip()!r}", lineno)
         name, body = match.group(1), match.group(2)
@@ -351,25 +351,28 @@ def load_database(path: str | os.PathLike) -> Database:
     """Read a facts file into a :class:`Database` (see module docstring)."""
     with open(path, encoding="utf-8-sig") as stream:
         text = stream.read()
+    if any(map(text.__contains__, _BREAKS)):  # one match a line, as `splitlines` counts
+        text = "\n".join(text.splitlines())
     arities: dict[str, int] = {}
     relations: dict[str, Relation] = {}
     facts: set[Fact] = set()
-    plain, new = _FACT_RE.fullmatch, tuple.__new__
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    new, lines = tuple.__new__, map(re.Match.groups, re.finditer(_LINE, text, re.M))
+    for lineno, (name, body, raw) in enumerate(lines, 1):
         # A line of one fact and nothing else skips `Fact.__new__` once its
         # arity checks; any other line, and every error, takes `_parse_fact_line`.
-        if match := plain(raw):
-            name, args = match[1], tuple(map(str.strip, match[2].split(",")))
+        if name:
+            args = tuple(body.split(","))
             if name not in relations:
                 relations[name] = Relation(name, arities.setdefault(name, len(args)))
             if relations[name].arity == len(args):
                 facts.add(new(Fact, (relations[name], args)))
                 continue
+            raw = f"{name}({body})"
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("@"):
-            header = _HEADER_RE.match(line)
+            header = re.match(_HEADER, line)
             if header is None:
                 raise FactSyntaxError(f"malformed header {line!r}", lineno)
             try:

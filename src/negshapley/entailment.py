@@ -11,10 +11,13 @@ from typing import Iterable
 from .core import Fact, Relation, Sign, SignedFact
 from .errors import ArityError, CapExceededError, SemanticError
 from .query import Query
-from .supports import _ground, _iter_assignments
+from .supports import _iter_assignments, _negated
 
 #: The bounded entailment check reasons over all facts expressible in the domain.
 DEFAULT_ENTAILMENT_CAP = 24
+#: It holds one clause per assignment, which the cap above does not bound:
+#: a fixed limit, not a flag, checked as each clause is added.
+MAX_CLAUSES = 2**16
 
 
 def entailment_supports_bounded(
@@ -32,7 +35,8 @@ def entailment_supports_bounded(
     space: it turns each assignment the search finds over the facts not
     forced absent into a clause over the undetermined facts and decides the
     resulting formula, rather than materializing all ``2^k`` candidate
-    databases.
+    databases.  Raises :class:`CapExceededError` above ``cap`` candidate
+    facts, or once a clause past `MAX_CLAUSES` is found.
     """
     S = frozenset(S)
     domain = sorted(set(domain))
@@ -72,14 +76,20 @@ def entailment_supports_bounded(
     # negation checked against the facts forced present: "this assignment
     # does not fire".  Literal -(i+1) says fact i is absent, i+1 present.
     clauses: list[frozenset[int]] = []
+    negated = _negated(q)
     for idx, binding, image in _iter_assignments(q, index.keys() - neg, pos):
-        absent = (_ground(a, binding) for a in q.disjuncts[idx].negated_atoms)
+        absent = ((rel, ground(binding)) for rel, ground in negated[idx])
         clause = frozenset(
             [-index[f] - 1 for f in image - pos]
             + [index[f] + 1 for f in absent if f in index and f not in neg]
         )
         if not clause:
             return True  # witnessed by the forced facts alone
+        if len(clauses) == MAX_CLAUSES:
+            raise CapExceededError(
+                f"bounded entailment needs more than {MAX_CLAUSES} clauses, one per "
+                f"assignment (limit {MAX_CLAUSES})"
+            )
         clauses.append(clause)
 
     return not _satisfiable(clauses)

@@ -13,7 +13,7 @@ import itertools
 import sys
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
-from .core import Database, Fact, Sign, SignedDatabase, SignedFact, negative, positive
+from .core import Database, Fact, Sign, SignedDatabase, SignedFact, positive
 
 if TYPE_CHECKING:
     import argparse
@@ -29,21 +29,21 @@ def _emit(args: argparse.Namespace, document: Callable, table: Callable) -> None
     sys.stdout.flush()
 
 
-#: Characters per write, besides the piece that passes the mark: output is
-#: held a chunk at a time, so this bounds its memory whatever a record's size.
+#: Characters per write, unless one record is longer: output is held a chunk
+#: at a time, so this bounds its memory whatever the number of records.
 _CHUNK = 8192
 
 
 def _chunks(pieces: Iterable[str], separator: str = "") -> Iterator[str]:
-    """The pieces joined by ``separator``, each chunk ending with the piece
-    that takes it to `_CHUNK` characters."""
+    """The pieces joined by ``separator``, each chunk as many pieces as fit
+    in `_CHUNK` characters, or one piece that does not."""
     chunk, size = [], 0
     for piece in pieces:
-        chunk.append(piece)
         size += len(piece) + len(separator)
-        if size >= _CHUNK:
+        if size > _CHUNK and chunk:
             yield separator.join(chunk)
-            chunk, size = [], 0
+            chunk, size = [], len(piece) + len(separator)
+        chunk.append(piece)
     if chunk:
         yield separator.join(chunk)
 
@@ -122,8 +122,8 @@ def _write_rows(args: argparse.Namespace, payload: dict, header: Sequence[str],
     negated relation's ``-`` facts.  Its data is its player's value in each
     of ``columns``, (`shapley.Scores`, keyed by signed facts) pairs:
     ``values.get(key, other)``, and ``None`` in a plain column for a ``-``
-    fact.  So a relation's ``-`` tails are few: one interned per fact that
-    some signed column holds, and one shared."""
+    fact.  So a relation's ``-`` tails are few: one per fact that some
+    signed column holds, and one shared by runs of rows."""
     if isinstance(players, SignedDatabase):
         negated = players.negated
         plus = ((f"+{f}", f, positive(f)) for f in players.db.sorted_facts)
@@ -135,12 +135,12 @@ def _write_rows(args: argparse.Namespace, payload: dict, header: Sequence[str],
         negated, plus = (), [(str(players), players, players)]
         fact_width = lambda: len(str(players))
     if args.format == "json":
-        opening = '{\n      "fact": '
+        opening, separator = '{\n      "fact": ', ",\n    "
         fact, tail = (lambda cell: opening + _dumps(cell)), (lambda data: json_tail(*data))
     else:
         widths = [max(len(h), w) for h, w in zip(header, [fact_width(), *widths()])]
         template = "".join(f"  {{:<{w}}}" for w in widths[1:-1]) + "  {}\n"
-        width = widths[0]
+        width, separator = widths[0], ""
         fact, tail = (lambda cell: cell.ljust(width)), (lambda data: template.format(*cells(*data)))
 
     def row(key: Any, signed_key: Any) -> tuple:  # a - fact has no key: None in a plain column
@@ -148,16 +148,42 @@ def _write_rows(args: argparse.Namespace, payload: dict, header: Sequence[str],
                      None if key is None else values.get(key, other)
                      for (values, other), signed in columns)
 
+    domain = sorted(players.db.active_domain) if negated else []
+    position = {c: i for i, c in enumerate(domain)}
+    lasts: dict[int, tuple] = {}  # per pad: each last constant and ")", and the longest
+
+    def cells_at(pad: int) -> tuple[list[str], int]:
+        if pad not in lasts:
+            cells = ([_dumps(c + ")")[1:] for c in domain] if args.format == "json"
+                     else [(c + ")").ljust(pad) for c in domain])
+            lasts[pad] = cells, max(map(len, cells), default=0)
+        return lasts[pad]
+
     def minus_rows(rel) -> Iterator[str]:
-        own = {sf.fact.args for (values, _), signed in columns if signed
-               for sf in values if sf.sign is Sign.NEGATIVE and sf.fact.relation == rel}
-        tails = {a: sys.intern(tail(row(None, negative(Fact(rel, a))))) for a in own}
-        other, head = tail(row(None, None)), f"-{rel.name}("
-        if args.format == "json":  # `fact` written out: this runs once per row
-            return (opening + _dumps(head + ",".join(a) + ")") + tails.get(a, other)
-                    for a in players.absent(rel))
-        return ((head + ",".join(a) + ")").ljust(width) + tails.get(a, other)
-                for a in players.absent(rel))
+        """The rows of `SignedDatabase.absent`, a prefix (all arguments but the
+        last) at a time: a stored tuple splits the shared tail's run of rows,
+        each one join of at most `_CHUNK` characters, and writes nothing."""
+        marks: dict[tuple, dict[int, str | None]] = {}  # own tail, or None if stored
+        for (values, _), signed in columns:
+            for sf in values if signed else ():
+                (sign, (relation, a)) = sf
+                if sign is Sign.NEGATIVE and relation == rel and a[-1] in position:
+                    marks.setdefault(a[:-1], {})[position[a[-1]]] = tail(row(None, sf))
+        for f in players.db.by_relation.get(rel, ()):
+            marks.setdefault(f[1][:-1], {})[position[f[1][-1]]] = None
+        other = tail(row(None, None))
+        for prefix in itertools.product(domain, repeat=rel.arity - 1):
+            name = f"-{rel.name}(" + "".join(c + "," for c in prefix)
+            head = opening + _dumps(name)[:-1] if args.format == "json" else name
+            cells, longest = cells_at(0 if args.format == "json" else width - len(name))
+            joiner, start, marked = other + separator + head, 0, marks.get(prefix, {})
+            step = max(1, _CHUNK // (len(joiner) + longest))
+            for i in [*sorted(marked), len(cells)]:
+                for j in range(start, i, step):
+                    yield head + joiner.join(cells[j:min(j + step, i)]) + other
+                if marked.get(i) is not None:
+                    yield head + cells[i] + marked[i]
+                start = i + 1
 
     rows = itertools.chain((fact(cell) + tail(row(key, signed_key)) for cell, key, signed_key
                             in plus), *map(minus_rows, negated))

@@ -230,9 +230,7 @@ class Query(_QueryFields):
         return " | ".join(str(cq) for cq in self.disjuncts)
 
 
-# ---------------------------------------------------------------------------
-# Parsing
-# ---------------------------------------------------------------------------
+# -- Parsing --
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
@@ -359,9 +357,7 @@ def parse_query(text: str) -> Query:
     return Query(tuple(disjuncts))
 
 
-# ---------------------------------------------------------------------------
-# The sign transform and the negated-relation set
-# ---------------------------------------------------------------------------
+# -- The sign transform and the negated-relation set --
 
 
 def neg_rels(q: Query) -> frozenset[Relation]:

@@ -233,9 +233,7 @@ def _too_many(n: int, cap: int) -> str:
     return f"{n} players means 2^{n - 1} coalitions (cap {cap})"
 
 
-# ---------------------------------------------------------------------------
-# The two kernels: one pass over the minimal supports, one coalition table
-# ---------------------------------------------------------------------------
+# -- The two kernels: one pass over the minimal supports, one coalition table --
 
 
 def support_values(supports: Iterable[SupportSet],
@@ -287,9 +285,7 @@ def game_values(game: Game, cap: int = DEFAULT_SUBSET_CAP) -> Scores:
     }, Fraction(0))
 
 
-# ---------------------------------------------------------------------------
-# The closed form by support mode
-# ---------------------------------------------------------------------------
+# -- The closed form by support mode --
 
 
 def _counting(mode: SupportMode) -> WealthKind:

@@ -14,19 +14,16 @@ context:
 * a *D-monotone support* is a set all of whose supersets within the database
   satisfy the query outright.
 
-The bounded entailment check (`negshapley.entailment`), the guarded
-reduction (`negshapley.analysis`) and the per-set support tests
-(`negshapley.reference`) run the same search; no command reaches them, so
-they live in modules loaded on first use, and their old names here still
-resolve.
+The bounded entailment check, the guarded reduction and the per-set
+support tests run the same search from modules no command loads
+(`entailment`, `analysis`, `reference`); their old names here resolve.
 
-The search matches a disjunct's positive atoms in order, depth first.  Which
-positions of an atom are already fixed when it is reached (constants, and
-variables bound by earlier atoms) follows from the plan alone, so before the
-search starts each atom's facts are bucketed by their values there: a match
-is one dictionary lookup, not a scan of the relation, and an atom fixed at
-every position is one membership test in the fact set.  Buckets keep fact
-order, so assignments come out in the order a scan would give.
+The search matches a disjunct's positive atoms in order, depth first.
+Before it starts, each atom's facts are kept to those with its constants
+and bucketed by their values where earlier atoms bind variables, so a match
+is one dictionary lookup; negated atoms and inequalities are grounded by
+`operator.itemgetter` and tested as tuples, building no fact.  Buckets keep
+the order of the index: canonical for a fact set, none for a `Database`.
 
 `support_families` alone makes the minimal signed and positive supports, as
 the minimal elements of the set of assignment images: every support contains
@@ -39,12 +36,12 @@ a support.  `compile_witnesses` compiles the drastic game off the assignments;
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence, Union
+import operator
+from typing import Callable, Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence, Union
 
-from .core import (Database, Fact, Relation, SignedFact, group_facts, moved, negative,
-                   positive)
+from .core import Database, Fact, Relation, Sign, SignedFact, moved
 from .errors import ArityError, CapExceededError, SemanticError
-from .query import Atom, Conjunct, Const, Inequality, Query, signed_database_restricted
+from .query import Atom, Conjunct, Const, Query, Var, signed_database_restricted
 
 #: Exhaustively checking D-monotonicity enumerates ``2^|db \ S|`` supersets.
 DEFAULT_DMONOTONE_CAP = 20
@@ -79,13 +76,12 @@ def _support_order(s: SupportSet) -> tuple:
     return (len(s.elements), s.sorted_elements)
 
 
-# ---------------------------------------------------------------------------
+# -- Signed fact sets --
 # An explicit set of signed facts (`reference.signed_satisfies`) is searched
 # with the plain-fact machinery by folding the sign into the relation name:
 # +R(a,b) is a fact of a relation named "+R", as `sign_transform` names the
 # atoms.  Query relation names cannot start with '+' or '-', so no collision
 # is possible.
-# ---------------------------------------------------------------------------
 
 
 def _as_plain_facts(facts: Iterable[FactLike]) -> tuple[frozenset[Fact], bool]:
@@ -113,91 +109,71 @@ def _check_arity_compatible(q: Query, relations: Iterable[Relation]) -> None:
             )
 
 
-# ---------------------------------------------------------------------------
-# Assignment search
-# ---------------------------------------------------------------------------
+# -- Assignment search --
 
 
-def _resolve(term, binding: dict[str, str]) -> str | None:
-    if isinstance(term, Const):
-        return term.value
-    return binding.get(term.name)
+def _grounder(terms: Sequence) -> Callable[[dict], tuple[str, ...]]:
+    """A function giving the terms' values in a binding, as a tuple."""
+    if all(isinstance(t, Var) for t in terms):
+        get = operator.itemgetter(*[t.name for t in terms])
+        return get if len(terms) > 1 else lambda binding: (get(binding),)
+    return lambda binding: tuple([t.value if isinstance(t, Const) else binding[t.name]
+                                  for t in terms])
 
 
-def _ground(atom: Atom, binding: dict[str, str]) -> Fact:
-    return Fact(atom.relation, tuple(_resolve(t, binding) for t in atom.terms))
+def _negated(q: Query) -> list[list[tuple[Relation, Callable]]]:
+    """Each disjunct's negated atoms as (relation, `_grounder` of the terms):
+    ``(relation, grounder(binding))`` equals the atom's fact."""
+    return [[(a.relation, _grounder(a.terms)) for a in cq.negated_atoms] for cq in q.disjuncts]
 
 
-def _check(lit, binding: dict[str, str], context: frozenset[Fact]) -> bool:
-    if isinstance(lit, Inequality):
-        return _resolve(lit.left, binding) != _resolve(lit.right, binding)
-    return _ground(lit, binding) not in context
-
-
-class _Step(NamedTuple):
-    """One positive atom of a match plan with the lookup that serves it.
-
-    ``key`` lists the atom's fixed positions (constants, and variables bound
-    by earlier atoms) as ``(is_variable, name or value)``.  ``binds`` names
-    the variables the atom binds, at their first position, and ``repeats``
-    pairs every later position of such a variable with that first one.
-    With nothing to bind, ``facts`` is the whole fact set and a match is one
-    membership test; with some positions fixed, it maps their values to the
-    matching facts; with none, it is the relation's facts.
-    """
-
-    relation: Relation
-    key: tuple[tuple[bool, str], ...]
-    facts: Union[frozenset[Fact], dict[tuple[str, ...], list[Fact]], list[Fact]]
-    binds: tuple[tuple[int, str], ...]
-    repeats: tuple[tuple[int, int], ...]
-    checks: tuple[Union[Atom, Inequality], ...]
-
-
-def _search_steps(
-    cq: Conjunct, index: dict[Relation, list[Fact]], facts: frozenset[Fact]
-) -> list[_Step]:
-    """The disjunct's match plan with each atom's facts bucketed by the
-    values at its fixed positions, keeping their order inside a bucket.
-
-    Each negated atom and inequality is checked at the first atom that
-    grounds it; safety guarantees there is one.
-    """
+def _search_steps(cq: Conjunct, index: dict[Relation, list[Fact]]) -> list[tuple]:
+    """The disjunct's match plan: per positive atom, ``(key, facts, binds,
+    repeats, checks)``.  ``facts`` are the relation's facts with the atom's
+    constants, bucketed by the values that ``key`` reads from the binding
+    (``None`` when no variable is bound yet).  ``binds`` names the variables
+    the atom binds, at their first position; ``repeats`` pairs every later
+    position of one with that first.  ``checks`` are the negated atoms and
+    inequalities it grounds first (safety guarantees one does), as
+    (relation or ``None``, `_grounder`)."""
     steps = []
     bound: set[str] = set()
     pending = [*cq.negated_atoms, *cq.inequalities]
     for atom in cq.positive_atoms:
-        key, fixed, binds, repeats, first = [], [], [], [], {}
+        consts, fixed, names, binds, repeats, first = {}, [], [], [], [], {}
         for i, term in enumerate(atom.terms):
-            if isinstance(term, Const) or term.name in bound:
+            if isinstance(term, Const):
+                consts[i] = term.value
+            elif term.name in bound:
                 fixed.append(i)
-                key.append(
-                    (False, term.value) if isinstance(term, Const) else (True, term.name)
-                )
+                names.append(term.name)
             elif term.name in first:
                 repeats.append((i, first[term.name]))
             else:
                 first[term.name] = i
                 binds.append((i, term.name))
-        relation_facts = index.get(atom.relation, [])
-        if not binds:
-            lookup: Union[frozenset, dict, list] = facts
-        elif key:
-            lookup = {}
-            for f in relation_facts:
-                lookup.setdefault(tuple([f.args[i] for i in fixed]), []).append(f)
-        else:
-            lookup = relation_facts
+        facts: Union[dict, list] = index.get(atom.relation, [])
+        # An `itemgetter` gives one item bare, more as a tuple: both sides agree.
+        if consts:
+            at, values = operator.itemgetter(*consts), operator.itemgetter(*consts)(consts)
+            facts = [f for f in facts if at(f[1]) == values]
+        if names:
+            buckets, at = {}, operator.itemgetter(*fixed)
+            for f in facts:
+                buckets.setdefault(at(f[1]), []).append(f)
+            facts = buckets
         bound |= atom.variables
-        checks = tuple(lit for lit in pending if lit.variables <= bound)
+        checks = [(lit.relation if isinstance(lit, Atom) else None,
+                   _grounder(lit.terms if isinstance(lit, Atom) else lit))
+                  for lit in pending if lit.variables <= bound]
         pending = [lit for lit in pending if not lit.variables <= bound]
-        steps.append(_Step(atom.relation, tuple(key), lookup,
-                           tuple(binds), tuple(repeats), checks))
+        steps.append((operator.itemgetter(*names) if names else None, facts, binds, repeats,
+                      checks))
     return steps
 
 
 def _extend(
-    steps: list[_Step],
+    steps: list[tuple],
     depth: int,
     binding: dict[str, str],
     image: tuple[Fact, ...],
@@ -205,29 +181,25 @@ def _extend(
 ) -> Iterator[tuple[dict[str, str], frozenset[Fact]]]:
     # A module-level function rather than a closure over the steps: a
     # closure that calls itself is a reference cycle, which would keep the
-    # steps' buckets alive until the next cyclic collection.
-    if depth == len(steps):
-        yield dict(binding), frozenset(image)
-        return
-    step = steps[depth]
-    key = tuple([binding[v] if is_var else v for is_var, v in step.key])
-    if not step.binds:
-        f = Fact(step.relation, key)
-        candidates = (f,) if f in step.facts else ()
-    elif key:
-        candidates = step.facts.get(key, ())
-    else:
-        candidates = step.facts
-    for f in candidates:
-        args = f.args
-        if any(args[i] != args[j] for i, j in step.repeats):
+    # steps' buckets alive until the next cyclic collection.  A name bound
+    # here stays bound: every path rebinds it before it is read.  A fact is
+    # tested as the tuple ``(relation, args)``, which it equals and hashes as.
+    (key, facts, binds, repeats, checks), last = steps[depth], depth + 1 == len(steps)
+    for f in facts.get(key(binding), ()) if key else facts:
+        args = f[1]
+        if repeats and any(args[i] != args[j] for i, j in repeats):
             continue
-        for i, name in step.binds:
+        for i, name in binds:
             binding[name] = args[i]
-        if all(_check(lit, binding, context) for lit in step.checks):
-            yield from _extend(steps, depth + 1, binding, image + (f,), context)
-        for _, name in step.binds:
-            del binding[name]
+        for relation, ground in checks:
+            values = ground(binding)
+            if (relation, values) in context if relation else values[0] == values[1]:
+                break
+        else:
+            if last:
+                yield dict(binding), frozenset(image + (f,))
+            else:
+                yield from _extend(steps, depth + 1, binding, image + (f,), context)
 
 
 def _iter_assignments(
@@ -240,7 +212,8 @@ def _iter_assignments(
             if signed
             else "a context database is required to check negated atoms against plain facts"
         )
-    index = facts.by_relation if isinstance(facts, Database) else group_facts(plain)
+    index = facts.by_relation if isinstance(facts, Database) else {
+        rel: list(group) for rel, group in itertools.groupby(sorted(plain), operator.itemgetter(0))}
     context = frozenset() if signed or context is None else context
     _check_arity_compatible(q, index)
     if isinstance(context, Database):
@@ -256,20 +229,18 @@ def _iter_assignments(
             f"assignment search allows (limit {MAX_POSITIVE_ATOMS})"
         )
 
-    yield from _search(q.disjuncts, index, plain, context)
+    yield from _search(q.disjuncts, index, context)
 
 
 def _search(
-    disjuncts: Sequence[Conjunct], index: dict[Relation, list[Fact]], facts: frozenset[Fact],
-    context: frozenset[Fact],
+    disjuncts: Sequence[Conjunct], index: dict[Relation, list[Fact]], context: frozenset[Fact],
 ) -> Iterator[tuple[int, dict[str, str], frozenset[Fact]]]:
-    """Yield (disjunct index, binding, image of the positive atoms), in
-    deterministic order: disjunct by disjunct, each atom's matches in fact
-    order, depth first.  ``index`` groups ``facts`` as `core.group_facts`
-    does.  Nothing is checked here: an atom over a relation that ``facts``
-    holds with another arity matches nothing."""
+    """Yield (disjunct index, binding, image of the positive atoms),
+    disjunct by disjunct, each atom's matches in the order of ``index``,
+    depth first.  Nothing is checked here: an atom over a relation that
+    ``index`` holds with another arity matches nothing."""
     for idx, cq in enumerate(disjuncts):
-        for binding, image in _extend(_search_steps(cq, index, facts), 0, {}, (), context):
+        for binding, image in _extend(_search_steps(cq, index), 0, {}, (), context):
             yield idx, binding, image
 
 
@@ -286,9 +257,7 @@ def satisfies(q: Query, facts: Iterable[Fact] | Database) -> bool:
     return _has_assignment(q, facts, facts)
 
 
-# ---------------------------------------------------------------------------
-# Signed supports
-# ---------------------------------------------------------------------------
+# -- Minimal signed and positive supports --
 
 
 def minimal_signed_supports(
@@ -300,61 +269,59 @@ def minimal_signed_supports(
     players of these supports, although they are found without building it.
     """
     signed_database_restricted(db, q, cap=cap)
-    return support_families(q, db, "signed")[0]
+    return sorted(support_families(q, db, "signed")[0], key=_support_order)
+
+
+def minimal_positive_supports(q: Query, db: Database) -> list[SupportSet]:
+    """All subset-minimal positive supports, in canonical order."""
+    return sorted(support_families(q, db, "positive")[0], key=_support_order)
 
 
 def support_families(q: Query, db: Database, *kinds: SupportKind) -> tuple[list[SupportSet], ...]:
     """The minimal supports of each kind named, ``signed`` or ``positive``
-    (both when none is), in that order, from one assignment search over the
-    database with negation checked against it: by safety, the assignments of
-    the sign-transformed query over the completion.  A signed image adds the
-    grounded negated atoms as ``-`` facts, and is dropped when one of them
-    leaves the active domain, and so the completion.  Only the families
+    (both when none is), in that order, each by size alone, from one search
+    over the database with negation checked against it: by safety, the
+    assignments of the sign-transformed query over the completion.  A signed
+    image adds the grounded negated atoms as ``-`` facts, and is dropped when
+    one leaves the active domain, and so the completion.  Only the families
     named are built."""
     kinds = kinds or ("signed", "positive")
     if not set(kinds) <= {"signed", "positive"}:
         raise SemanticError(f"minimal supports are signed or positive, not {kinds}")
     signed: set[frozenset] = set()
     plain: set[frozenset] = set()
+    want_signed, want_plain = "signed" in kinds, "positive" in kinds
+    negated, in_domain, new = _negated(q), db.active_domain.issuperset, tuple.__new__
     for idx, binding, image in _iter_assignments(q, db, db):
-        if "positive" in kinds:
+        if want_plain:
             plain.add(image)
-        if "signed" in kinds:
-            absent = [_ground(a, binding) for a in q.disjuncts[idx].negated_atoms]
-            if all(db.active_domain.issuperset(f.args) for f in absent):
-                signed.add(frozenset([*map(positive, image), *map(negative, absent)]))
+        if want_signed:  # as `core.positive` and `core.negative` build them
+            members = [new(SignedFact, (Sign.POSITIVE, f)) for f in image]
+            for rel, ground in negated[idx]:
+                args = ground(binding)
+                if not in_domain(args):
+                    break
+                members.append(new(SignedFact, (Sign.NEGATIVE, new(Fact, (rel, args)))))
+            else:
+                signed.add(frozenset(members))
     return tuple(_minimal_sets(kind, signed if kind == "signed" else plain) for kind in kinds)
 
 
 def _minimal_sets(kind: SupportKind, family: set[frozenset]) -> list[SupportSet]:
-    """The minimal members as supports, ordered by size and then by their
-    sorted elements.
+    """The minimal members as supports, ordered by size alone.
 
     Two distinct sets of one size never contain each other, so each set is
     tested only against the kept sets that are strictly smaller.
     """
-    by_size = sorted(family, key=lambda s: (len(s), sorted(s)))
     kept: list[frozenset] = []
-    for _, same_size in itertools.groupby(by_size, key=len):
+    for _, same_size in itertools.groupby(sorted(family, key=len), key=len):
         # The list is complete before it joins `kept`, which so far holds
         # only smaller sets.
-        kept += [s for s in same_size if not any(k <= s for k in kept)]
+        kept += [s for s in same_size if not any(k <= s for k in kept)] if kept else same_size
     return [SupportSet(kind, s, True) for s in kept]
 
 
-# ---------------------------------------------------------------------------
-# Positive supports
-# ---------------------------------------------------------------------------
-
-
-def minimal_positive_supports(q: Query, db: Database) -> list[SupportSet]:
-    """All subset-minimal positive supports, in canonical order."""
-    return support_families(q, db, "positive")[0]
-
-
-# ---------------------------------------------------------------------------
-# Compiled games: players as bits, semantics as (required, forbidden) masks
-# ---------------------------------------------------------------------------
+# -- Compiled games: players as bits, semantics as (required, forbidden) masks --
 
 #: ``(required, forbidden)`` bit masks over a player tuple: a coalition
 #: fits the witness when it holds every required player and no forbidden one.
@@ -367,8 +334,10 @@ def compile_witnesses(q: Query, db: Database) -> set[tuple[frozenset[Fact], froz
     the coalition: one per assignment, requiring its image and forbidding
     its grounded negated atoms that are stored.  The other games' witnesses
     are their minimal supports, with nothing forbidden."""
+    negated, new = _negated(q), tuple.__new__
     return {
-        (image, db.facts.intersection(_ground(a, binding) for a in q.disjuncts[idx].negated_atoms))
+        (image, db.facts.intersection([new(Fact, (rel, ground(binding)))
+                                       for rel, ground in negated[idx]]))
         for idx, binding, image in _iter_assignments(q, db, frozenset())
     }
 
@@ -431,9 +400,7 @@ def _indices(table: int) -> list[int]:
     return [i for i, bit in enumerate(bin(table)[:1:-1]) if bit == "1"]
 
 
-# ---------------------------------------------------------------------------
-# D-monotone supports
-# ---------------------------------------------------------------------------
+# -- D-monotone supports --
 
 
 def _d_monotone_table(q: Query, db: Database, cap: int) -> tuple[tuple[Fact, ...], int]:
@@ -479,9 +446,7 @@ def minimal_d_monotone_supports(
     )
 
 
-# ---------------------------------------------------------------------------
-# Exhaustive (non-minimal) listings, used by the command line tool
-# ---------------------------------------------------------------------------
+# -- Exhaustive (non-minimal) listings, used by the command line tool --
 
 
 def all_supports(

@@ -6,9 +6,11 @@ variable binding over the active domain, supports by enumerating subsets
 in size order, Shapley values by averaging marginal contributions over
 every permutation, the order of the engine's assignments by scanning
 whole relations, the order of its minimal signed supports by scanning
-the signed completion, the guarded reduction by matching fact by fact, and
+the signed completion, the guarded reduction by matching fact by fact,
 the relevance, compare and score outputs by rendering the materialized
-completion whole.  Only data types are imported from the package --
+completion whole, and the row writer and the fact-file reader one row and
+one line at a time.  Only data types, and the helpers that join, quote and
+parse what those two write and read, are imported from the package --
 none of its evaluation code.  Keep it that way.
 """
 
@@ -702,7 +704,9 @@ def reference_load_database(path) -> Database:
     """`core.load_database` as it read every line before plain lines took a
     fast path: comments stripped, headers checked, and each line's facts
     parsed by `core._parse_fact_line`, which gives every error message."""
-    from negshapley.core import _HEADER_RE, _parse_fact_line
+    import re
+
+    from negshapley.core import _HEADER, _parse_fact_line
     from negshapley.errors import ArityError, FactSyntaxError
 
     with open(path, encoding="utf-8-sig") as stream:
@@ -714,7 +718,7 @@ def reference_load_database(path) -> Database:
         if not line:
             continue
         if line.startswith("@"):
-            header = _HEADER_RE.match(line)
+            header = re.match(_HEADER, line)
             if header is None:
                 raise FactSyntaxError(f"malformed header {line!r}", lineno)
             try:
@@ -733,3 +737,60 @@ def reference_load_database(path) -> Database:
         facts.update(_parse_fact_line(line, lineno, arities))
     schema = {Relation(name, arity) for name, arity in arities.items()}
     return Database(frozenset(schema), frozenset(facts))
+
+
+# ---------------------------------------------------------------------------
+# Per-fact rows, written one row at a time
+# ---------------------------------------------------------------------------
+
+
+def reference_write_rows(args, payload: dict, header: Sequence[str], widths: Callable,
+                         json_tail: Callable, cells: Callable, players,
+                         columns: Sequence[tuple]) -> None:
+    """`output._write_rows` as it wrote every ``-`` row on its own: the fact's
+    cell built, quoted or padded, and its tail looked up, row by row.  Only
+    the helpers that join and write the rows are the package's."""
+    import sys
+
+    from negshapley.core import SignedDatabase
+    from negshapley.output import _chunks, _dumps, _emit, _fact_width, _json
+
+    if isinstance(players, SignedDatabase):
+        negated = players.negated
+        plus = ((f"+{f}", f, positive(f)) for f in players.db.sorted_facts)
+        fact_width = lambda: _fact_width(players.db, negated) + 1
+    elif isinstance(players, Database):
+        negated, plus = (), ((str(f), f, f) for f in players.sorted_facts)
+        fact_width = lambda: _fact_width(players, ())
+    else:
+        negated, plus = (), [(str(players), players, players)]
+        fact_width = lambda: len(str(players))
+    if args.format == "json":
+        opening = '{\n      "fact": '
+        fact, tail = (lambda cell: opening + _dumps(cell)), (lambda data: json_tail(*data))
+    else:
+        widths = [max(len(h), w) for h, w in zip(header, [fact_width(), *widths()])]
+        template = "".join(f"  {{:<{w}}}" for w in widths[1:-1]) + "  {}\n"
+        width = widths[0]
+        fact, tail = (lambda cell: cell.ljust(width)), (lambda data: template.format(*cells(*data)))
+
+    def row(key, signed_key) -> tuple:
+        return tuple(values.get(signed_key, other) if signed else
+                     None if key is None else values.get(key, other)
+                     for (values, other), signed in columns)
+
+    def minus_rows(rel) -> Iterator[str]:
+        own = {sf.fact.args for (values, _), signed in columns if signed
+               for sf in values if sf.sign is Sign.NEGATIVE and sf.fact.relation == rel}
+        tails = {a: sys.intern(tail(row(None, negative(Fact(rel, a))))) for a in own}
+        other, head = tail(row(None, None)), f"-{rel.name}("
+        if args.format == "json":
+            return (opening + _dumps(head + ",".join(a) + ")") + tails.get(a, other)
+                    for a in players.absent(rel))
+        return ((head + ",".join(a) + ")").ljust(width) + tails.get(a, other)
+                for a in players.absent(rel))
+
+    rows = itertools.chain((fact(cell) + tail(row(key, signed_key)) for cell, key, signed_key
+                            in plus), *map(minus_rows, negated))
+    _emit(args, lambda: _json({**payload, "records": rows}),
+          lambda: _chunks(itertools.chain([fact(header[0]) + template.format(*header[1:])], rows)))

@@ -1024,20 +1024,26 @@ for argv in json.loads(sys.argv[1]):
 
 def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     """Sets and dicts keyed by strings iterate in an order that moves with
-    ``PYTHONHASHSEED``; no output may follow it."""
+    ``PYTHONHASHSEED``, and so does `Database.by_relation`; no output may
+    follow it, in either format."""
     import random
 
     rng = random.Random(7)
     names = [f"c{i}" for i in range(12)]
     facts = {f"R({rng.choice(names)},{rng.choice(names)})" for _ in range(30)}
     facts |= {f"S({name})" for name in rng.sample(names, 5)}
+    facts |= {f"U({rng.choice(names)},{rng.choice(names)},{rng.choice(names)})" for _ in range(40)}
     (tmp_path / "g.facts").write_text("".join(f"{f}\n" for f in sorted(facts)))
     (tmp_path / "g.query").write_text(
         "exists x, y. R(x,y), !S(y), !R(y,x) | exists x. S(x), !T(x,x)\n"
     )
+    (tmp_path / "u.query").write_text("exists x, y, z. R(x,y), R(y,z), !U(x,y,z), x != z\n")
     io = ["--db", str(tmp_path / "g.facts"), "--query", str(tmp_path / "g.query")]
+    io3 = [*io[:3], str(tmp_path / "u.query")]  # a ternary relation negated
     argv = [["relevance", *io], ["compare", *io], ["supports", *io, "--kind", "signed"],
-            ["score", *io, "--all"], ["score", *io, "--all", "--measure", "mps"]]
+            ["supports", *io, "--kind", "positive"], ["score", *io, "--all"],
+            ["score", *io, "--all", "--measure", "mps"], ["relevance", *io3], ["compare", *io3],
+            ["supports", *io3], ["score", *io3, "--all"]]
     outputs = {
         seed: subprocess.run(
             [sys.executable, "-c", _HASH_SEED_SCRIPT, json.dumps(argv)], capture_output=True,
@@ -1339,7 +1345,7 @@ def test_score_all_streams_in_bounded_memory(tmp_path, monkeypatch):
 
 
 def test_every_write_is_bounded_by_size(tmp_path, monkeypatch):
-    """A write ends with the line or record that takes it to `output._CHUNK`
+    """A write holds the lines or records that fit in `output._CHUNK`
     characters, however many records that is: on 3,600 rows of a few hundred
     characters at most, no write holds more than `_CHUNK` and one record."""
     from negshapley.output import _CHUNK

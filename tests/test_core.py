@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from negshapley.core import (
@@ -329,11 +329,18 @@ _LOAD_LINES = [
 ]
 
 
-@given(st.lists(st.sampled_from(_LOAD_LINES), max_size=12), st.sampled_from(["\n", "\r\n"]))
+#: Every line break of `str.splitlines`, and "\r\n".
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@given(st.lists(st.sampled_from(_LOAD_LINES), max_size=12), st.sampled_from(_LINE_BREAKS),
+       st.sampled_from(["", "\ufeff"]))
+@example(["R(a,b)", "R(b,a)", "R(a)"], "\n", "")  # an arity clash on the last line
+@example(["@relation U/1", "S(a)", "U(a,b)"], "\r\n", "\ufeff")
 @settings(max_examples=300, deadline=None)
-def test_load_database_matches_the_line_parser(tmp_path_factory, lines, newline):
+def test_load_database_matches_the_line_parser(tmp_path_factory, lines, newline, bom):
     path = tmp_path_factory.mktemp("load") / "fuzz.facts"
-    _assert_loads_as_the_line_parser(path, newline.join(lines))
+    _assert_loads_as_the_line_parser(path, bom + newline.join(lines))
 
 
 def test_database_is_hashable_value_type():
@@ -344,9 +351,9 @@ def test_database_is_hashable_value_type():
 
 
 def test_the_per_relation_index_orders_and_counts_the_completion_on_corpus():
-    """`Database.by_relation` gives the canonical order, and the count of the
-    completion restricted to the query's negated relations, read from it,
-    is the oracle's."""
+    """`Database.sorted_facts` gives the canonical order, `Database.by_relation`
+    its relations in order, and the count of the completion restricted to
+    the query's negated relations, read from it, is the oracle's."""
     for inst in corpus(500):
         db, q = inst.db, inst.q
         assert db.sorted_facts == tuple(sorted(db.facts)), str(inst)

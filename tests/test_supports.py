@@ -8,6 +8,7 @@ brute-force oracles on the random corpus.
 import gc
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ import negshapley
 from negshapley.core import Fact, database, fact, negative, positive
 from negshapley.entailment import DEFAULT_ENTAILMENT_CAP, entailment_supports_bounded
 from negshapley.errors import ArityError, CapExceededError, SemanticError
-from negshapley.query import parse_query, sign_transform, signed_database_restricted
+from negshapley.query import Query, parse_query, sign_transform, signed_database_restricted
 from negshapley.supports import (
     MAX_POSITIVE_ATOMS,
     _iter_assignments,
@@ -357,6 +358,33 @@ def test_entailment_cap():
         entailment_supports_bounded(support, Q_CHAIN, domain)
 
 
+def _entailment_path(n: int) -> Query:
+    """``A(x0), E(x0,x1), ..., E(x{n-2},x{n-1}), !E(x{n-1},x0), !B(x{n-1})``:
+    over 4 constants, 24 candidate facts and 4^n assignments."""
+    xs = [f"x{i}" for i in range(n)]
+    edges = "".join(f"E({a},{b}), " for a, b in zip(xs, xs[1:]))
+    return parse_query(f"exists {', '.join(xs)}. A(x0), {edges}!E({xs[-1]},x0), !B({xs[-1]})")
+
+
+def test_entailment_clause_limit(monkeypatch):
+    """The clause list is bounded as it grows, whatever the candidate cap
+    allows: the 9-variable path, 4^9 assignments within the 24-fact cap,
+    is refused at the limit's first excess clause, inside a time budget
+    fixed before the first run; a lowered limit admits 4^3 clauses and
+    refuses 4^4."""
+    from negshapley import entailment
+
+    domain = ["a", "b", "c", "d"]
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match=f"limit {entailment.MAX_CLAUSES}"):
+        entailment_supports_bounded(set(), _entailment_path(9), domain)
+    assert time.perf_counter() - start < 2.0
+    monkeypatch.setattr(entailment, "MAX_CLAUSES", 4**3)
+    assert not entailment_supports_bounded(set(), _entailment_path(3), domain)
+    with pytest.raises(CapExceededError, match="more than 64 clauses"):
+        entailment_supports_bounded(set(), _entailment_path(4), domain)
+
+
 def test_entailment_shares_the_search_depth_limit():
     """Entailment runs the assignment search, so a disjunct deeper than it
     allows is refused before any clause is built; one at the limit is not."""
@@ -524,13 +552,18 @@ def test_minimal_signed_supports_match_oracle(small_corpus):
 def test_signed_supports_match_the_completion_search():
     """Searching the database itself gives the supports that searching the
     restricted completion with the sign-transformed query gives, in the
-    same order, and the shared search gives both families unchanged."""
+    same order, and the shared search gives both families with the same
+    members, ordered by size alone."""
     for inst in corpus(500):
         signed = minimal_signed_supports(inst.q, inst.db)
         want = oracles.reference_signed_supports(inst.q, inst.db)
         assert [s.elements for s in signed] == want, str(inst)
         positive = minimal_positive_supports(inst.q, inst.db)
-        assert support_families(inst.q, inst.db) == (signed, positive), str(inst)
+        families = support_families(inst.q, inst.db)
+        order = lambda s: (len(s.elements), s.sorted_elements)
+        assert [sorted(family, key=order) for family in families] == [signed, positive], str(inst)
+        assert all([len(s.elements) for s in family] == sorted(len(s.elements) for s in family)
+                   for family in families), str(inst)
 
 
 def test_signed_image_outside_the_active_domain_is_dropped():
