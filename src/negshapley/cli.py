@@ -6,18 +6,27 @@ comments, optional ``@relation R/2`` headers); queries are expression files
 (``#`` comments allowed).  Output is a table by default or JSON with
 ``--format json``; identical inputs always produce byte-identical output.
 
+A command line is read from `_FLAGS`, the one description of each
+subcommand's flags.  One written in its plain form (the subcommand, then
+each flag in full, once, with a valid value) is read straight into the
+namespace argparse would make, without importing argparse; argparse,
+with its parser built from the same table, reads any other.  So every
+spelling argparse accepts still works (abbreviated flags, repeats), and
+help, usage errors and their messages are argparse's own: the plain form
+is only the fast route.
+
 Exit codes: 0 success, 1 usage or parse error, 2 semantic error (unsafe
 query, arity clash, bad player), 3 cap exceeded, 4 standard output closed
 or its reader gone, or a write to it failed (nothing more is written).
 """
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
 from functools import cache
-from typing import Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Sequence
 
 from .core import Database, load_database, parse_fact, parse_signed_fact
 from .errors import CapExceededError, InputParseError, SemanticError
@@ -39,70 +48,8 @@ from .supports import (
     minimal_signed_supports,
 )
 
-_MEASURES = tuple(kind.value for kind in WealthKind)
-_SUPPORT_KINDS = ("signed", "positive", "dmonotone")
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse that signals usage errors instead of exiting with code 2."""
-
-    def error(self, message: str) -> None:  # noqa: D401 - argparse hook
-        raise InputParseError(message)
-
-
-def _count(text: str) -> int:
-    """argparse type of the caps: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
-
-
-@cache  # built once per process: argparse does not change a parser as it parses
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, and the arguments of ``command`` only,
-    or of every subcommand when it is ``None``: the others are never read."""
-    parser = _Parser(
-        prog="negshapley",
-        description="Minimal supports and exact Shapley scores for database "
-        "facts under queries with negation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (text, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text)
-        if command not in (None, name):
-            continue
-        p.add_argument("--db", required=name != "analyze", help="path to a fact file")
-        p.add_argument("--query", required=True, help="path to a query file")
-        p.add_argument("--format", choices=("json", "table"), default="table")
-        p.add_argument(
-            "--cap-signed",
-            type=_count,
-            default=None,
-            metavar="N",
-            help="max size of the signed completion",
-        )
-        if name == "supports":
-            p.add_argument("--kind", choices=_SUPPORT_KINDS, default="signed")
-            p.add_argument(
-                "--all",
-                action="store_true",
-                help="include non-minimal supports (exponential)",
-            )
-        elif name == "score":
-            p.add_argument("--measure", choices=_MEASURES, default="ms-signed")
-            p.add_argument("--weight", choices=sorted(WEIGHT_FUNCTIONS), default="reciprocal")
-            players = p.add_mutually_exclusive_group()
-            players.add_argument(
-                "--fact", help='score only this fact, e.g. "I(mm,fish)" or "-E(c,a)"')
-            players.add_argument(
-                "--all", action="store_true", help="score every player (the default)")
-        if name in ("score", "compare"):
-            p.add_argument("--cap-subset", type=_count, default=DEFAULT_SUBSET_CAP, metavar="N")
-    return parser
+if TYPE_CHECKING:
+    import argparse
 
 
 def _load_query(path: str) -> Query:
@@ -136,14 +83,16 @@ def _cmd_supports(args: argparse.Namespace) -> None:
         sets = minimal_positive_supports(q, db)
     else:
         sets = minimal_d_monotone_supports(q, db)
+    listed = lambda: zip(sets.sorted_elements, sets)  # each support's elements, sorted once
     document = lambda: _json({"command": "supports", "query": str(q), "kind": args.kind,
                               "supports": (_block("{}", (
-        '"elements": ' + _block("[]", (_dumps(str(e)) for e in s.sorted_elements), 3),
-        f'"size": {len(s.elements)}',
+        '"elements": ' + _block("[]", (_dumps(str(e)) for e in elements), 3),
+        f'"size": {len(elements)}',
         f'"minimal": {_bool(s.minimal)}',
-    ), 2) for s in sets)})
+    ), 2) for elements, s in listed())})
     rows = lambda: [["support", "size", "minimal"]] + [
-        [str(s), str(len(s.elements)), _bool(s.minimal)] for s in sets
+        ["{" + ", ".join(map(str, elements)) + "}", str(len(elements)), _bool(s.minimal)]
+        for elements, s in listed()
     ]
     _emit(args, document, lambda: _columns(rows() if sets else []))
 
@@ -286,11 +235,136 @@ def _attach_fact_values(argv: Sequence[str]) -> list[str]:
     return joined
 
 
+#: Every flag of the subcommands, in the order of their help: its name, the
+#: subcommands that take it, its value (``str``, a tuple of choices, ``int``
+#: for a cap, a non-negative integer, or ``None`` for a switch, ``True`` when
+#: given), its default, whether it is required, whether it is in the
+#: subcommand's one group of exclusive flags, and its help.
+_FLAGS = (
+    ("--db", ("supports", "score", "relevance", "compare"), str, None, True, False,
+     "path to a fact file"),
+    ("--db", ("analyze",), str, None, False, False, "path to a fact file"),
+    ("--query", tuple(_COMMANDS), str, None, True, False, "path to a query file"),
+    ("--format", tuple(_COMMANDS), ("json", "table"), "table", False, False, None),
+    ("--cap-signed", tuple(_COMMANDS), int, None, False, False,
+     "max size of the signed completion"),
+    ("--kind", ("supports",), ("signed", "positive", "dmonotone"), "signed", False, False, None),
+    ("--all", ("supports",), None, False, False, False,
+     "include non-minimal supports (exponential)"),
+    ("--measure", ("score",), tuple(kind.value for kind in WealthKind), "ms-signed", False,
+     False, None),
+    ("--weight", ("score",), tuple(sorted(WEIGHT_FUNCTIONS)), "reciprocal", False, False, None),
+    ("--fact", ("score",), str, None, False, True,
+     'score only this fact, e.g. "I(mm,fish)" or "-E(c,a)"'),
+    ("--all", ("score",), None, False, False, True, "score every player (the default)"),
+    ("--cap-subset", ("score", "compare"), int, DEFAULT_SUBSET_CAP, False, False, None),
+)
+
+
+def _read_plain(argv: Sequence[str]) -> SimpleNamespace | None:
+    """What argparse makes of ``argv`` if it is written in the plain form, or
+    ``None``: the subcommand, then its flags of `_FLAGS` in full, each once
+    at most (a switch alone, any other as ``--flag value``, with no value
+    starting with ``-``, or as ``--flag=value``), with non-empty values
+    within their choices and caps of ASCII digits, the required flags given
+    and no two exclusive ones.  argparse reads every other argv, and writes
+    help and usage errors."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, tokens = argv[0], iter(argv[1:])
+    flags = {name: (value, default, required, exclusive)
+             for name, commands, value, default, required, exclusive, _ in _FLAGS
+             if command in commands}
+    given: dict[str, object] = {}
+    for token in tokens:
+        name, equals, text = token.partition("=")
+        if name not in flags or name in given:
+            return None
+        value = flags[name][0]
+        if value is None:  # a switch
+            if equals:
+                return None
+            given[name] = True
+            continue
+        if not equals:
+            text = next(tokens, "-")
+            if text.startswith("-"):
+                return None
+        if value is int:  # a cap
+            if not (text.isascii() and text.isdigit()):
+                return None
+            try:
+                text = int(text)
+            except ValueError:  # more digits than `int` converts
+                return None
+        elif not text or value is not str and text not in value:
+            return None
+        given[name] = text
+    if any(required and name not in given for name, (_, _, required, _) in flags.items()):
+        return None
+    if sum(flags[name][3] for name in given) > 1:  # exclusive flags
+        return None
+    return SimpleNamespace(command=command, **{
+        name[2:].replace("-", "_"): given.get(name, default)
+        for name, (_, default, _, _) in flags.items()})
+
+
+@cache  # built once per process: argparse does not change a parser as it parses
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, and the arguments of ``command`` only,
+    or of every subcommand when it is ``None``: the others are never read.
+    Its arguments are `_FLAGS`, in their order."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse that signals usage errors instead of exiting with code 2."""
+
+        def error(self, message: str) -> None:  # noqa: D401 - argparse hook
+            raise InputParseError(message)
+
+    def count(text: str) -> int:
+        """The type of the caps: a non-negative integer."""
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+        return value
+
+    parser = _Parser(
+        prog="negshapley",
+        description="Minimal supports and exact Shapley scores for database "
+        "facts under queries with negation.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (text, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        group = None
+        for flag, commands, value, default, required, exclusive, help in _FLAGS:
+            if command not in (None, name) or name not in commands:
+                continue
+            if value is None:  # a switch
+                options = {"action": "store_true"}
+            else:
+                options = {"default": default, "required": required}
+                if value is int:
+                    options.update(type=count, metavar="N")
+                elif value is not str:
+                    options["choices"] = value
+            if exclusive:
+                group = group or p.add_mutually_exclusive_group()
+            (group if exclusive else p).add_argument(flag, help=help, **options)
+    return parser
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = _attach_fact_values(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = _read_plain(argv)
+        if args is None:  # help, abbreviations and usage errors are argparse's
+            command = argv[0] if argv and argv[0] in _COMMANDS else None
+            args = _build_parser(command).parse_args(argv)
         _COMMANDS[args.command][1](args)
         return 0
     except InputParseError as exc:

@@ -103,11 +103,15 @@ def _columns(rows: list[Sequence[str]]) -> Iterable[str]:
 
 def _fact_width(db: Database, negated: Iterable) -> int:
     """The widest of ``db``'s facts and the ``negated`` relations' facts over
-    its active domain, unsigned, with no row listed: each negated relation's
-    tuple of the longest constant is a ``-`` fact or a stored one."""
+    its active domain, unsigned, with no row listed and no fact written: a
+    fact ``R(a,b)`` is its name, its constants, a comma after each but the
+    last and two brackets, and each negated relation's tuple of the longest
+    constant is a ``-`` fact or a stored one."""
     longest = max(map(len, db.active_domain), default=0)
-    minus = [len(r.name) + 1 + r.arity * (longest + 1) for r in negated] if longest else []
-    return max([len(str(f)) for f in db.facts] + minus, default=0)
+    widths = [len(r.name) + 1 + max(1, r.arity + max(sum(map(len, a)) for _, a in facts))
+              for r, facts in db.by_relation.items()]
+    widths += [len(r.name) + 1 + r.arity * (longest + 1) for r in negated] if longest else []
+    return max(widths, default=0)
 
 
 def _write_rows(args: argparse.Namespace, payload: dict, header: Sequence[str],
@@ -136,12 +140,23 @@ def _write_rows(args: argparse.Namespace, payload: dict, header: Sequence[str],
         fact_width = lambda: len(str(players))
     if args.format == "json":
         opening, separator = '{\n      "fact": ', ",\n    "
-        fact, tail = (lambda cell: opening + _dumps(cell)), (lambda data: json_tail(*data))
+        fact, render = (lambda cell: opening + _dumps(cell)), (lambda data: json_tail(*data))
     else:
         widths = [max(len(h), w) for h, w in zip(header, [fact_width(), *widths()])]
         template = "".join(f"  {{:<{w}}}" for w in widths[1:-1]) + "  {}\n"
         width, separator = widths[0], ""
-        fact, tail = (lambda cell: cell.ljust(width)), (lambda data: template.format(*cells(*data)))
+        fact = lambda cell: cell.ljust(width)
+        render = lambda data: template.format(*cells(*data))
+    tails: dict[tuple, str] = {}  # by the identity of the data's objects, which `columns` hold
+
+    def tail(data: tuple) -> str:
+        """The rest of a row, rendered once for each distinct data: every
+        player that no column names shares its columns' ``other`` objects."""
+        key = tuple(map(id, data))
+        text = tails.get(key)
+        if text is None:
+            text = tails[key] = render(data)
+        return text
 
     def row(key: Any, signed_key: Any) -> tuple:  # a - fact has no key: None in a plain column
         return tuple(values.get(signed_key, other) if signed else

@@ -72,8 +72,20 @@ class SupportSet(NamedTuple):
         return "{" + inner + "}"
 
 
-def _support_order(s: SupportSet) -> tuple:
-    return (len(s.elements), s.sorted_elements)
+class Listing(list):
+    """Supports in canonical order, by size and then by their sorted
+    elements, which ``sorted_elements`` holds in the same order: each
+    support's elements are sorted once, for the order and for printing."""
+
+    sorted_elements: list[tuple]
+
+
+def _in_order(sets: Iterable[SupportSet]) -> Listing:
+    keyed = sorted(((tuple(sorted(s.elements)), s) for s in sets),
+                   key=lambda pair: (len(pair[0]), pair[0]))
+    listing = Listing(s for _, s in keyed)
+    listing.sorted_elements = [elements for elements, _ in keyed]
+    return listing
 
 
 # -- Signed fact sets --
@@ -262,19 +274,19 @@ def satisfies(q: Query, facts: Iterable[Fact] | Database) -> bool:
 
 def minimal_signed_supports(
     q: Query, db: Database, *, cap: int | None = None
-) -> list[SupportSet]:
+) -> Listing:
     """All subset-minimal signed supports, in canonical order.
 
     ``cap`` bounds the completion restricted to the negated relations, the
     players of these supports, although they are found without building it.
     """
     signed_database_restricted(db, q, cap=cap)
-    return sorted(support_families(q, db, "signed")[0], key=_support_order)
+    return _in_order(support_families(q, db, "signed")[0])
 
 
-def minimal_positive_supports(q: Query, db: Database) -> list[SupportSet]:
+def minimal_positive_supports(q: Query, db: Database) -> Listing:
     """All subset-minimal positive supports, in canonical order."""
-    return sorted(support_families(q, db, "positive")[0], key=_support_order)
+    return _in_order(support_families(q, db, "positive")[0])
 
 
 def support_families(q: Query, db: Database, *kinds: SupportKind) -> tuple[list[SupportSet], ...]:
@@ -434,16 +446,11 @@ def _members(players: Sequence, mask: int) -> frozenset:
 
 def minimal_d_monotone_supports(
     q: Query, db: Database, *, cap: int = DEFAULT_DMONOTONE_CAP
-) -> list[SupportSet]:
+) -> Listing:
     """All subset-minimal D-monotone supports, in canonical order."""
     players, table = _d_monotone_table(q, db, cap)
-    return sorted(
-        (
-            SupportSet("dMonotone", _members(players, S), True)
-            for S in _minimal_masks(table, len(players))
-        ),
-        key=_support_order,
-    )
+    return _in_order(SupportSet("dMonotone", _members(players, S), True)
+                     for S in _minimal_masks(table, len(players)))
 
 
 # -- Exhaustive (non-minimal) listings, used by the command line tool --
@@ -452,7 +459,7 @@ def minimal_d_monotone_supports(
 def all_supports(
     q: Query, db: Database, kind: SupportKind, *, cap: int = DEFAULT_DMONOTONE_CAP,
     signed_cap: int | None = None,
-) -> list[SupportSet]:
+) -> Listing:
     """Every support of the given kind, minimal or not (exponential); the
     players are counted against ``signed_cap``, then ``cap``, before any is built."""
     if kind == "dMonotone":
@@ -475,10 +482,7 @@ def all_supports(
     for i in range(len(named), len(players)):
         table |= table << (1 << i)
     minimal = set(_minimal_masks(table, len(players)))
-    return sorted(
-        (SupportSet(kind, _members(players, S), S in minimal) for S in _indices(table)),
-        key=_support_order,
-    )
+    return _in_order(SupportSet(kind, _members(players, S), S in minimal) for S in _indices(table))
 
 
 __getattr__ = moved(__name__, {

@@ -1,6 +1,9 @@
 """Command-line front end: golden outputs, exit codes, determinism."""
 
+import contextlib
 import importlib
+import importlib.util
+import io
 import json
 import os
 import re
@@ -8,8 +11,11 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negshapley.cli import main
 
@@ -1010,6 +1016,131 @@ def test_main_answers_as_with_the_full_parser(capsys, paths, monkeypatch):
     monkeypatch.setattr(cli, "_build_parser", lambda command=None: build(None))
     assert lazy == [outcome(argv) for argv in _parser_cases(paths)]
     assert [code for code, _, _ in lazy] == [0, 0, 1, *[0] * 5, 1, 1, 1, 1, 1, 1, 1, 0, 2, 1, 1, 1]
+
+
+def _outcome(argv) -> tuple:
+    """`main`'s (exit code, stdout, stderr) on ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_plain_reader(argv) -> None:
+    """`cli._read_plain` gives up on ``argv``, or argparse accepts it and
+    makes the same namespace, with every subcommand's arguments or with
+    those of the one named; and `main` answers as with the reader off."""
+    import negshapley.cli as cli
+
+    attached = cli._attach_fact_values(argv)
+    plain = cli._read_plain(attached)
+    if plain is not None:
+        for command in (None, attached[0]):
+            assert vars(plain) == vars(cli._build_parser(command).parse_args(attached)), argv
+    read = _outcome(argv)
+    with mock.patch.object(cli, "_read_plain", lambda argv: None):
+        assert read == _outcome(argv), argv
+
+
+def _workload_argvs(directory: Path) -> list[list[str]]:
+    """Each benchmark workload's calls, on its smoke-sized inputs written
+    to ``directory``."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+        argvs = []
+        for name in workloads.WORKLOADS:
+            workload = workloads.build(name, 0, "smoke")
+            workload.write(directory)
+            argvs += [[str(directory / a) if a.endswith((".facts", ".q")) else a
+                       for a in call.argv] for call in workload.invocations]
+    finally:
+        del sys.modules[spec.name]
+    return argvs
+
+
+def test_plain_reader_reads_as_argparse_on_every_known_call(paths):
+    """The argvs of `_parser_cases`, of every benchmark workload and of the
+    byte-identity sweep (tests/sweep.py) on a few corpus instances, and a
+    few abbreviated and repeated flags; every workload call and sweep call
+    is read without argparse, and no abbreviation or repeat is."""
+    import negshapley.cli as cli
+    from sweep import _argvs
+
+    known = _workload_argvs(paths["dir"] / "workloads")
+    db, q = paths["dir"] / "i.facts", paths["dir"] / "i.query"
+    for inst in corpus(500)[:6]:
+        db.write_text("".join(f"{f}\n" for f in inst.db.sorted_facts))
+        q.write_text(f"{inst.q}\n")
+        for argv in [*known, *([*a, "--db", str(db), "--query", str(q)] for a in _argvs(inst))]:
+            assert cli._read_plain(cli._attach_fact_values(argv)) is not None, argv
+            _check_plain_reader(argv)
+        known = []
+    for argv in _parser_cases(paths):
+        _check_plain_reader(argv)
+    files = ["--db", paths["db"], "--query", paths["q"]]
+    for argv in (["score", *files, "--meas", "mps"], ["score", *files, "--f", "json"],
+                 ["score", *files, "--cap-s", "3"],
+                 ["supports", *files, "--format", "json", "--format", "table"]):
+        assert cli._read_plain(argv) is None, argv  # abbreviations and repeats are argparse's
+        _check_plain_reader(argv)
+
+
+_DB_TOKEN, _QUERY_TOKEN = "<db>", "<query>"
+_VALUES = ["json", "table", "xml", "signed", "positive", "dmonotone", "mps", "drastic",
+           "signed-drastic", "ms-signed", "nosuch", "constant", "reciprocal", "0", "3", "007",
+           "20", "-1", "+3", " 3", "\u0663", "9" * 5000, "", "-", "--", "-h", "I(mm,fish)",
+           "-I(mm,meat)", "+I(mm,fish)", "-I(mm,nosuch)", "a=b", _DB_TOKEN, _QUERY_TOKEN]
+_FLAGS = ["--db", "--query", "--format", "--cap-signed", "--cap-subset", "--kind", "--all",
+          "--measure", "--weight", "--fact", "--meas", "--fo", "--cap-s", "--al", "--d", "--q",
+          "--bogus", "-h", "--help", "--", "-x"]
+_pair = st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES), st.booleans()).map(
+    lambda p: [f"{p[0]}={p[1]}"] if p[2] else [p[0], p[1]])
+_token = st.one_of(st.sampled_from(_FLAGS), st.sampled_from(_VALUES)).map(lambda t: [t])
+_format, _cap_signed = [["--format", "json"], ["--format=table"]], [["--cap-signed", "30"]]
+_PLAIN = {  # flags written in full, with values each subcommand takes
+    "supports": [*_format, *_cap_signed, ["--kind", "positive"], ["--kind=dmonotone"], ["--all"]],
+    "score": [*_format, *_cap_signed, ["--measure", "mps"], ["--measure=drastic"],
+              ["--weight", "constant"], ["--cap-subset", "3"], ["--cap-subset=007"],
+              ["--fact", "I(mm,fish)"], ["--fact", "-I(mm,meat)"], ["--fact=+I(mm,fish)"],
+              ["--all"], ["--all", "--fact=I(mm,fish)"]],  # the last is exclusive
+    "relevance": [*_format, *_cap_signed],
+    "analyze": [*_format, *_cap_signed],
+    "compare": [*_format, *_cap_signed, ["--cap-subset", "3"]],
+}
+_ABBREVIATED = [["--meas", "mps"], ["--f", "json"], ["--cap-s", "3"], ["--cap-su=3"], ["--al"]]
+_plain = st.sampled_from(sum(_PLAIN.values(), []))
+_files = st.sampled_from([[], ["--query", _QUERY_TOKEN], ["--db", _DB_TOKEN, "--query", _QUERY_TOKEN],
+                          [f"--query={_QUERY_TOKEN}", f"--db={_DB_TOKEN}"]])
+_argv = st.one_of(
+    st.tuples(st.sampled_from([*_PLAIN, "scor", "-h", "--help", "--db"]),
+              st.lists(st.one_of(_plain, _pair, _token), max_size=4), _files, st.booleans()),
+    st.sampled_from(list(_PLAIN)).flatmap(lambda command: st.tuples(
+        st.just(command),
+        st.lists(st.sampled_from([*_PLAIN[command], *_ABBREVIATED]), max_size=3,
+                 unique_by=lambda f: f[0].partition("=")[0]),
+        st.just(["--db", _DB_TOKEN, "--query", _QUERY_TOKEN]), st.booleans())),
+).map(lambda t: [t[0], *sum(t[1], []), *t[2]] if t[3] else [t[0], *t[2], *sum(t[1], [])])
+
+
+@given(_argv)
+@settings(max_examples=400, deadline=None)
+def test_plain_reader_gives_up_or_reads_as_argparse(argv):
+    """Fuzzed command lines of full and abbreviated flags, ``=`` forms,
+    repeats, help, ``--``, empty values, signed numbers, zero-padded and
+    non-ASCII digits, bad choices, signed facts and junk."""
+    with tempfile.TemporaryDirectory() as here:
+        db, q = Path(here) / "i.facts", Path(here) / "i.query"
+        db.write_text(RECIPE)
+        q.write_text(Q_FISH_TEXT)
+        _check_plain_reader([a.replace(_DB_TOKEN, str(db)).replace(_QUERY_TOKEN, str(q))
+                             for a in argv])
 
 
 _HASH_SEED_SCRIPT = """

@@ -5,6 +5,7 @@ writer writes, byte for byte, in both formats."""
 import pytest
 
 import oracles
+from corpus import corpus
 from negshapley import cli
 from negshapley.core import database, fact
 from negshapley.query import parse_query, signed_database_restricted
@@ -86,3 +87,38 @@ def test_minus_rows_quote_constants_as_the_row_at_a_time_writer(capsys, monkeypa
     got = _outputs(capsys, monkeypatch, cli._write_rows, tail, db)
     assert got == _outputs(capsys, monkeypatch, oracles.reference_write_rows, tail, db)
     assert '"-M(q\\"x,\\u00e9)"' in got[("relevance",), "json"]
+
+
+def test_fact_width_is_the_widest_fact_written():
+    """`_fact_width` measures facts from their names and constants without
+    writing them: a nullary fact is ``R()``, and constants may be empty."""
+    from negshapley.output import _fact_width
+
+    for facts in (FACTS, [fact("Z")], [fact("R", "", "")], [fact("LONGNAME", "a"), fact("B")],
+                  *(inst.db.facts for inst in corpus(60))):
+        db = database(facts)
+        assert _fact_width(db, ()) == max(map(len, map(str, db.facts)), default=0), facts
+
+
+def test_plus_rows_render_each_distinct_tail_once(capsys):
+    """Every row whose data are the same objects shares one rendered tail:
+    on 300 facts, 297 of them the column's ``other``, the tail is rendered
+    four times in each format."""
+    from argparse import Namespace
+
+    from negshapley.output import _write_rows
+    from negshapley.shapley import Scores
+
+    db = database(fact("R", f"c{i}") for i in range(300))
+    named = dict(zip(db.sorted_facts[::100], ("x", "y", "z")))
+    for fmt in ("json", "table"):
+        rendered = []
+
+        def cells(value):
+            rendered.append(value)
+            return (value,)
+
+        _write_rows(Namespace(format=fmt), {"command": "x"}, ("fact", "value"), lambda: [1],
+                    lambda value: cells(value)[0], cells, db, [(Scores(named, "other"), False)])
+        assert sorted(rendered) == ["other", "x", "y", "z"], fmt
+        assert capsys.readouterr().out.count("other") == 297, fmt

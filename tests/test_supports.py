@@ -520,11 +520,18 @@ def test_all_supports_positive_listing():
 
 def test_all_supports_match_the_oracle_listing_on_corpus():
     """Every listing, each support's minimality flag included, against the
-    oracle's test of every subset of the players, on the whole corpus."""
+    oracle's test of every subset of the players, on the whole corpus; and
+    each listing's sorted elements, minimal ones too, are its supports'."""
     for inst in corpus(500):
         for kind in ("signed", "positive", "dMonotone"):
-            got = [(s.elements, s.minimal) for s in all_supports(inst.q, inst.db, kind)]
+            listing = all_supports(inst.q, inst.db, kind)
+            got = [(s.elements, s.minimal) for s in listing]
             assert got == oracles.oracle_all_supports(inst.q, inst.db, kind), (str(inst), kind)
+            assert listing.sorted_elements == [s.sorted_elements for s in listing]
+        for listing in (minimal_signed_supports(inst.q, inst.db),
+                        minimal_positive_supports(inst.q, inst.db),
+                        minimal_d_monotone_supports(inst.q, inst.db)):
+            assert listing.sorted_elements == [s.sorted_elements for s in listing]
 
 
 def test_all_supports_caps_on_large_universes():

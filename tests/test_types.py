@@ -194,37 +194,42 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
 
 
 #: Loaded only where a score is built (`fractions` brings the other two),
-#: by ``analyze`` (`json` only with ``--format json``), and by the first
-#: caller of the bounded-entailment check or of the library-only API.
-_DEFERRED = ("decimal", "fractions", "json", "negshapley.analysis", "negshapley.entailment",
-             "negshapley.reference", "numbers")
+#: by ``analyze`` (`json` only with ``--format json``), by the first caller
+#: of the bounded-entailment check or of the library-only API, and, with
+#: `gettext`, by a command line that argparse reads: help, an abbreviated
+#: flag or a usage error.
+_DEFERRED = ("argparse", "decimal", "fractions", "gettext", "json", "negshapley.analysis",
+             "negshapley.entailment", "negshapley.reference", "numbers")
 _FRACTIONS = ["decimal", "fractions", "numbers"]
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    ((), []),
-    (("supports", "--kind", "signed"), []),
-    (("supports", "--kind", "positive"), []),
-    (("supports", "--kind", "dmonotone"), []),
-    (("relevance",), []),
-    (("relevance", "--format", "json"), []),
-    (("analyze",), ["negshapley.analysis"]),
-    (("score",), _FRACTIONS),
-    (("compare",), _FRACTIONS),
-    (("analyze", "--format", "json"), ["json", "negshapley.analysis"]),
-    (("supports", "--kind", "signed", "--all", "--format", "json"), []),
-    (("score", "--measure", "drastic", "--format", "json"), _FRACTIONS),
-    (("compare", "--format", "json"), _FRACTIONS),
+@pytest.mark.parametrize("argv, code, loaded", [
+    ((), 0, []),
+    (("supports", "--kind", "signed"), 0, []),
+    (("supports", "--kind", "positive"), 0, []),
+    (("supports", "--kind", "dmonotone"), 0, []),
+    (("relevance",), 0, []),
+    (("relevance", "--format", "json"), 0, []),
+    (("analyze",), 0, ["negshapley.analysis"]),
+    (("score",), 0, _FRACTIONS),
+    (("compare",), 0, _FRACTIONS),
+    (("analyze", "--format", "json"), 0, ["json", "negshapley.analysis"]),
+    (("supports", "--kind", "signed", "--all", "--format", "json"), 0, []),
+    (("score", "--measure", "drastic", "--format", "json"), 0, _FRACTIONS),
+    (("compare", "--format", "json"), 0, _FRACTIONS),
+    (("score", "--measure", "nosuch"), 1, ["argparse", "gettext"]),
+    (("score", "--meas", "mps"), 0, ["argparse", "decimal", "fractions", "gettext", "numbers"]),
 ])
-def test_only_scoring_commands_load_fractions(tmp_path, argv, loaded):
+def test_only_scoring_commands_load_fractions(tmp_path, argv, code, loaded):
     """A fresh ``python -S`` child imports the command line, runs one
     command on a small instance, and lists the deferred modules it loaded:
     only ``score`` and ``compare`` build scores, only ``analyze`` loads the
     query analysis, and only its JSON document `json`; no command reaches
-    the bounded-entailment check or the library-only API."""
+    the bounded-entailment check or the library-only API, and only a
+    command line not written in full, or wrong, loads `argparse`."""
     (tmp_path / "i.facts").write_text("R(a,b)\nR(b,c)\nS(c)\n")
     (tmp_path / "i.query").write_text("exists x, y. R(x,y), !S(y)\n")
-    code = (
+    script = (
         "import sys\n"
         "from negshapley.cli import main\n"
         "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
@@ -233,7 +238,7 @@ def test_only_scoring_commands_load_fractions(tmp_path, argv, loaded):
     files = ("--db", "i.facts", "--query", "i.query") if argv else ()
     env = dict(os.environ, PYTHONPATH=str(SRC))
     result = subprocess.run(
-        [sys.executable, "-S", "-c", code, *argv, *files], env=env, cwd=tmp_path,
+        [sys.executable, "-S", "-c", script, *argv, *files], env=env, cwd=tmp_path,
         capture_output=True, text=True, check=True,
     )
-    assert result.stdout.splitlines()[-1] == f"0 {loaded}"
+    assert result.stdout.splitlines()[-1] == f"{code} {loaded}"
