@@ -21,6 +21,7 @@ or its reader gone, or a write to it failed (nothing more is written).
 """
 from __future__ import annotations
 
+import atexit
 import os
 import re
 import sys
@@ -378,7 +379,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except OSError as exc:  # a failed read is an `InputParseError` by now: this is a write
         # Said by no message if stdout is closed or its reader gone; what it
-        # still buffers goes to /dev/null, so that the flush at exit passes.
+        # still buffers goes to /dev/null, so that every later flush passes.
         if not isinstance(exc, BrokenPipeError):
             print(f"error: cannot write output: {exc}", file=sys.stderr)
         if sys.stdout is not None:
@@ -386,5 +387,24 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 4
 
 
+def _end(code: int) -> None:
+    """`sys.exit(code)` less the interpreter's teardown: the `atexit` callbacks,
+    a flush of the standard streams, then `os._exit`.  A failed flush, ``-i``,
+    and a tracer or profiler (``-m cProfile`` writes after the module returns)
+    take `sys.exit`.  `main` only returns the code, for in-process callers."""
+    monitoring = getattr(sys, "monitoring", None)  # cProfile's hook from Python 3.12
+    if not (sys.flags.inspect or (sys.gettrace(), sys.getprofile()) != (None, None)
+            or monitoring and any(map(monitoring.get_tool, range(6)))):
+        atexit._run_exitfuncs()  # prints and ignores a failing callback, as an exit does
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:
+                    stream.flush()
+            os._exit(code)
+        except OSError:  # reported by the interpreter's own flush
+            pass
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _end(main())

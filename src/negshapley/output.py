@@ -126,17 +126,17 @@ def _write_rows(args: argparse.Namespace, payload: dict, header: Sequence[str],
     negated relation's ``-`` facts.  Its data is its player's value in each
     of ``columns``, (`shapley.Scores`, keyed by signed facts) pairs:
     ``values.get(key, other)``, and ``None`` in a plain column for a ``-``
-    fact.  So a relation's ``-`` tails are few: one per fact that some
-    signed column holds, and one shared by runs of rows."""
+    fact.  A ``+`` row that no column names shares one tail, its data never
+    built, and a relation's ``-`` rows a few: one per fact that some signed
+    column holds, and one shared by runs of rows."""
     if isinstance(players, SignedDatabase):
-        negated = players.negated
-        plus = ((f"+{f}", f, positive(f)) for f in players.db.sorted_facts)
+        negated, facts, mark, sign = players.negated, players.db.sorted_facts, "+", positive
         fact_width = lambda: _fact_width(players.db, negated) + 1
     elif isinstance(players, Database):
-        negated, plus = (), ((str(f), f, f) for f in players.sorted_facts)
+        negated, facts, mark, sign = (), players.sorted_facts, "", lambda f: f
         fact_width = lambda: _fact_width(players, ())
     else:  # the one target, keyed as it is in every column
-        negated, plus = (), [(str(players), players, players)]
+        negated, facts, mark, sign = (), [players], "", lambda f: f
         fact_width = lambda: len(str(players))
     if args.format == "json":
         opening, separator = '{\n      "fact": ', ",\n    "
@@ -147,16 +147,14 @@ def _write_rows(args: argparse.Namespace, payload: dict, header: Sequence[str],
         width, separator = widths[0], ""
         fact = lambda cell: cell.ljust(width)
         render = lambda data: template.format(*cells(*data))
-    tails: dict[tuple, str] = {}  # by the identity of the data's objects, which `columns` hold
+    tails: dict[tuple, str] = {}  # `columns` hold the data's objects
 
     def tail(data: tuple) -> str:
-        """The rest of a row, rendered once for each distinct data: every
-        player that no column names shares its columns' ``other`` objects."""
+        """The rest of a row, rendered once for each distinct data (by identity)."""
         key = tuple(map(id, data))
-        text = tails.get(key)
-        if text is None:
-            text = tails[key] = render(data)
-        return text
+        if key not in tails:
+            tails[key] = render(data)
+        return tails[key]
 
     def row(key: Any, signed_key: Any) -> tuple:  # a - fact has no key: None in a plain column
         return tuple(values.get(signed_key, other) if signed else
@@ -200,7 +198,9 @@ def _write_rows(args: argparse.Namespace, payload: dict, header: Sequence[str],
                     yield head + cells[i] + marked[i]
                 start = i + 1
 
-    rows = itertools.chain((fact(cell) + tail(row(key, signed_key)) for cell, key, signed_key
-                            in plus), *map(minus_rows, negated))
+    named = {k[1] if signed and mark else k for (values, _), signed in columns for k in values}
+    shared = tail(tuple(other for (_, other), _ in columns))  # for the facts no column names
+    rows = itertools.chain((fact(f"{mark}{f}") + (tail(row(f, sign(f))) if f in named else shared)
+                            for f in facts), *map(minus_rows, negated))
     _emit(args, lambda: _json({**payload, "records": rows}),
           lambda: _chunks(itertools.chain([fact(header[0]) + template.format(*header[1:])], rows)))

@@ -5,6 +5,8 @@ and peak RSS of N fresh children of each kind, run in turn so that a burst
 of load on the host falls on every row alike:
 
 * ``python3 -c pass``, the interpreter's floor;
+* ``python3 -c "import os; os._exit(0)"``, the floor less the teardown at
+  exit, which ``python3 -m negshapley.cli`` skips too (`cli._end`);
 * ``python3 -c "import negshapley.cli"``, with the median cumulative import
   time of ``negshapley.cli`` that ``python3 -X importtime`` reports (from
   children of its own, so that its output costs the timed ones nothing);
@@ -102,6 +104,8 @@ def main() -> None:
                         ignore=shutil.ignore_patterns("__pycache__"))
         env = dict(os.environ, PYTHONPATH=str(here / "src"), PYTHONDONTWRITEBYTECODE="1")
         rows = [("`python3 -c pass`", [python, "-c", "pass"], here),
+                ('`python3 -c "import os; os._exit(0)"`', [python, "-c", "import os; os._exit(0)"],
+                 here),
                 ('`python3 -c "import negshapley.cli"`', [python, "-c", "import negshapley.cli"],
                  here)]
         for name, (command, instance, *flags) in CALLS.items():

@@ -841,7 +841,8 @@ def test_console_script_entry_point(paths):
         capture_output=True,
         text=True,
     )
-    # module execution mirrors the installed `negshapley` script
+    # the installed `negshapley` script runs the same `main`, but exits through
+    # `sys.exit` and so tears the interpreter down, where `cli._end` does not
     assert proc.returncode == 0
     assert "guarded = true" in proc.stdout
 
@@ -897,6 +898,124 @@ def test_closed_stdout_exits_4_without_a_traceback(paths):
         stderr=subprocess.PIPE, text=True,
     )
     assert (proc.returncode, proc.stderr) == (4, "")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_child_writes_and_exits_as_main_does_in_process(paths, tmp_path, unbuffered):
+    """``python -m negshapley.cli`` ends without the interpreter's teardown
+    (`cli._end`): for each subcommand in both formats, and for exits 1, 2 and
+    3, a child writes the bytes and exits with the code that `main` gives in
+    process, with ``PYTHONUNBUFFERED`` unset or set."""
+    (tmp_path / "unsafe.query").write_text("exists x, y, z. I(x,y), !R(y,z)\n")
+    io = ["--db", paths["db"], "--query", paths["q"]]
+    argvs = [[command, *io] for command in ("supports", "score", "relevance", "analyze", "compare")]
+    argvs += [["supports", "--db", paths["db"], "--query", str(tmp_path / "missing.query")],
+              ["supports", "--db", paths["db"], "--query", str(tmp_path / "unsafe.query")],
+              ["relevance", *io, "--cap-signed", "3"]]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    codes = set()
+    for argv in argvs:
+        for fmt in ("table", "json"):
+            code, out, err = _outcome([*argv, "--format", fmt])
+            proc = subprocess.run(_cli(*argv, "--format", fmt), capture_output=True, env=env)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                code, out.encode(), err.encode()), (argv, fmt)
+            codes.add(code)
+    assert codes == {0, 1, 2, 3}
+
+
+#: Runs the command line as ``python -m negshapley.cli`` runs it, after
+#: registering two `atexit` callbacks (one fails) and setting ``sys.argv[1]``'s
+#: hook; or, when that is ``main``, calls `main` and exits through `sys.exit`.
+#: It says whether the module ended in `sys.exit`.
+_EXIT_SCRIPT = """
+import atexit, runpy, sys
+def fail():
+    raise RuntimeError("a callback failed")
+atexit.register(print, "a callback ran", file=sys.stderr)
+atexit.register(fail)
+hook, sys.argv[1:] = sys.argv[1], sys.argv[2:]
+if hook == "main":
+    from negshapley.cli import main
+    sys.exit(main())
+if hook != "none":
+    getattr(sys, hook)(lambda *args: None)
+try:
+    runpy.run_module("negshapley.cli", run_name="__main__")
+except SystemExit as exc:
+    sys.settrace(None), sys.setprofile(None)
+    print("sys.exit", exc.code, file=sys.stderr)
+    raise
+"""
+
+
+def _exit_script(hook: str, *argv: str) -> tuple:
+    proc = subprocess.run([sys.executable, "-c", _EXIT_SCRIPT, hook, *argv], capture_output=True,
+                          text=True)
+    # a failing callback is named with its address, which differs run to run
+    return proc.returncode, proc.stdout, re.sub(r"0x[0-9a-f]+", "0x", proc.stderr)
+
+
+@pytest.mark.parametrize("argv", [("relevance",), ("score", "--format", "json"),
+                                  ("supports", "--cap-signed", "3")])
+def test_a_child_runs_the_atexit_callbacks_as_sys_exit_does(paths, argv):
+    """The callbacks registered before the module runs still run, a failing
+    one reported and passed over, and the child then writes and exits as
+    one that ends in `sys.exit`: `cli._end` skips the teardown only."""
+    argv = (*argv, "--db", paths["db"], "--query", paths["q"])
+    code, out, err = _exit_script("none", *argv)
+    assert (code, out, err) == _exit_script("main", *argv)
+    assert (code, out) == _outcome(argv)[:2]
+    assert "a callback ran\n" in err and "RuntimeError: a callback failed" in err
+    assert "sys.exit" not in err
+
+
+@pytest.mark.parametrize("hook", ["settrace", "setprofile"])
+def test_a_traced_or_profiled_child_ends_in_sys_exit(paths, hook):
+    """A tracer or profiler may write after the module returns, so under
+    either hook `cli._end` leaves through `sys.exit`, at exit running the
+    callbacks once."""
+    argv = ("supports", "--db", paths["db"], "--query", paths["q"])
+    code, out, err = _exit_script(hook, *argv)
+    assert (code, out) == _outcome(argv)[:2] and code == 0
+    assert err.startswith("sys.exit 0\n") and err.count("a callback ran") == 1
+
+
+@pytest.mark.parametrize("attribute, value", [
+    ("monitoring", mock.Mock(get_tool={2: "cProfile"}.get)),
+    ("flags", mock.Mock(inspect=1)),
+])
+def test_a_monitoring_tool_or_python_i_takes_sys_exit(monkeypatch, attribute, value):
+    """From Python 3.12 cProfile hooks in through `sys.monitoring`, not
+    `sys.setprofile`, and ``python -i`` goes on to its prompt after the
+    module: a registered tool, or ``-i``, also takes `sys.exit`, before any
+    callback runs."""
+    import negshapley.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("the route without teardown was taken")
+
+    monkeypatch.setattr(sys, attribute, value, raising=False)
+    monkeypatch.setattr(cli.atexit, "_run_exitfuncs", refuse)
+    monkeypatch.setattr(cli.os, "_exit", refuse)
+    with pytest.raises(SystemExit) as raised:
+        cli._end(3)
+    assert raised.value.code == 3
+
+
+def test_a_profiled_child_writes_its_profile(paths, tmp_path):
+    """``python -m cProfile -o FILE -m negshapley.cli`` writes FILE after the
+    module returns: `cli._end` leaves it the interpreter's own exit."""
+    import pstats
+
+    profile = tmp_path / "cli.prof"
+    argv = ("supports", "--db", paths["db"], "--query", paths["q"], "--kind", "positive")
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-o", str(profile),
+                           "-m", "negshapley.cli", *argv], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == _outcome(argv)
+    assert "main" in {name for _, _, name in pstats.Stats(str(profile)).stats}
 
 
 def test_json_output_is_what_json_dumps_writes(capsys, tmp_path):
