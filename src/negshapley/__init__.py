@@ -6,13 +6,12 @@ The pieces: `core` holds facts, databases, and signed completions; `query`
 the query model, parser and sign transform; `supports` the
 satisfying-assignment search and the support semantics; `relevance` the
 qualitative verdicts; `shapley` the exact scores; `cli` the command line,
-and `output` the writers of its tables and JSON documents.  Three modules
-are loaded on first use, not at start-up: `analysis`, the structural
-analysis and the guarded reduction, which only ``analyze`` imports;
-`reference`, the per-set support tests, per-fact verdicts and per-player
-Shapley routes that no command calls; and `entailment`, the bounded
-entailment check.  Their names still resolve from the package and from the
-modules they left.
+and `output` the writers of its tables and JSON documents.  Two modules are
+loaded on first use, not at start-up: `analysis`, the structural analysis
+and the guarded reduction, which only ``analyze`` imports; and `reference`,
+the per-set support tests, per-fact verdicts, per-player Shapley routes and
+bounded entailment check that no command calls.  Their names still resolve
+from the package and from the modules they left.
 """
 from .core import (
     Database,
@@ -147,12 +146,12 @@ __version__ = "0.1.0"
 
 #: The names whose modules no command loads, imported on first use.
 __getattr__ = moved(__name__, {
-    "entailment_supports_bounded": "entailment",
     **dict.fromkeys(("GuardedReduction", "QueryAnalysis", "analyze_query", "guarded_reduction"),
                     "analysis"),
     **dict.fromkeys((
-        "RelevanceVerdict", "impact_relevant", "is_d_monotone_support", "is_positive_support",
-        "is_signed_support", "ms_scores", "permutation_marginal_counts", "positive_relevant",
-        "relevance_report", "satisfying_assignments", "shapley_permutation", "shapley_subset",
-        "shapley_values", "signed_relevant", "signed_satisfies"), "reference"),
+        "RelevanceVerdict", "entailment_supports_bounded", "impact_relevant",
+        "is_d_monotone_support", "is_positive_support", "is_signed_support", "ms_scores",
+        "permutation_marginal_counts", "positive_relevant", "relevance_report",
+        "satisfying_assignments", "shapley_permutation", "shapley_subset", "shapley_values",
+        "signed_relevant", "signed_satisfies"), "reference"),
 })

@@ -148,6 +148,8 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
     from .analysis import analyze_query  # here: no other command needs it
 
     q = _load_query(args.query)
+    if args.db is not None:  # read, so that a bad file fails as in every command
+        _load_db(args.db)
     analysis = analyze_query(q)
     payload = {
         "command": "analyze",
@@ -311,10 +313,9 @@ def _read_plain(argv: Sequence[str]) -> SimpleNamespace | None:
 
 
 @cache  # built once per process: argparse does not change a parser as it parses
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, and the arguments of ``command`` only,
-    or of every subcommand when it is ``None``: the others are never read.
-    Its arguments are `_FLAGS`, in their order."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser with every subcommand; their arguments are `_FLAGS`, in
+    their order."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -343,7 +344,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         group = None
         for flag, commands, value, default, required, exclusive, help in _FLAGS:
-            if command not in (None, name) or name not in commands:
+            if name not in commands:
                 continue
             if value is None:  # a switch
                 options = {"action": "store_true"}
@@ -364,8 +365,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _read_plain(argv)
         if args is None:  # help, abbreviations and usage errors are argparse's
-            command = argv[0] if argv and argv[0] in _COMMANDS else None
-            args = _build_parser(command).parse_args(argv)
+            args = _build_parser().parse_args(argv)
         _COMMANDS[args.command][1](args)
         return 0
     except InputParseError as exc:

@@ -403,6 +403,6 @@ def signed_database_restricted(db: Database, q: Query, *, cap: int | None = None
 
 
 __getattr__ = moved(__name__, dict.fromkeys((
-    "DisjunctAnalysis", "QueryAnalysis", "_connected", "_unify_apart", "analyze_disjunct",
-    "analyze_query", "gaifman_graph", "has_non_hierarchical_neg_path", "is_guarded",
-    "mergeable_pairs", "negative_arity", "self_join_width"), "analysis"))
+    "DisjunctAnalysis", "QueryAnalysis", "analyze_disjunct", "analyze_query", "gaifman_graph",
+    "has_non_hierarchical_neg_path", "is_guarded", "mergeable_pairs", "negative_arity",
+    "self_join_width"), "analysis"))

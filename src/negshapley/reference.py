@@ -1,19 +1,21 @@
 """The library-only API: per-set support tests, per-fact relevance
-verdicts and the per-player Shapley routes.  Every command answers through
-`supports.support_families`, `relevance.report` and `shapley.scores`
-instead, so starting the command line does not compile this module; the
-old names (``supports.is_signed_support``, ``relevance.relevance_report``,
-``shapley.shapley_values`` and the rest) import it on first use.
+verdicts, per-player Shapley routes and bounded entailment.  Every
+command answers through `supports.support_families`, `relevance.report`
+and `shapley.scores` instead, so starting the command line does not
+compile this module; the old names (``supports.is_signed_support``,
+``relevance.relevance_report``, ``shapley.shapley_values`` and the rest)
+import it on first use.
 
 * `satisfying_assignments` lists a query's assignments; `signed_satisfies`
   and the ``is_*_support`` tests decide one set.
 * `signed_relevant`, `positive_relevant` and `impact_relevant` decide one
   fact; `relevance_report` reads every fact's `RelevanceVerdict` off
   `relevance.report`'s columns.
-* `shapley_values` and `shapley_subset` read `shapley.game_values`;
-  `ms_scores` reads `shapley.scores`; `shapley_permutation` and
-  `permutation_marginal_counts` walk the permutation definition, the
+* `shapley_values` and `shapley_subset` read `shapley.support_values` or
+  `shapley.game_values`, `ms_scores` `shapley.scores`; `shapley_permutation`
+  and `permutation_marginal_counts` walk the permutation definition, the
   reference the subset formula is checked against.
+* `entailment_supports_bounded` decides entailment over a finite domain.
 
 `RelevanceVerdict` is a named tuple, equal to the tuple of its fields.
 """
@@ -26,14 +28,14 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .core import Database, Fact, Sign, SignedFact, positive
-from .errors import CapExceededError, SemanticError
+from .errors import ArityError, CapExceededError, SemanticError
 from .query import Query, sign_transform
 from .relevance import DEFAULT_IMPACT_CAP, ImpactKind, _impacts, report
 from .shapley import (DEFAULT_SUBSET_CAP, Game, MsShapleyResult, Player, SupportMode, WealthKind,
                       _counting, _require_player, game_values, make_game, reciprocal_weight,
-                      scores)
+                      scores, support_values)
 from .supports import (DEFAULT_DMONOTONE_CAP, FactLike, _has_assignment, _iter_assignments,
-                       coalition_table, compile_witnesses, minimal_positive_supports,
+                       _negated, coalition_table, compile_witnesses, minimal_positive_supports,
                        minimal_signed_supports, witness_masks)
 
 if TYPE_CHECKING:
@@ -208,7 +210,12 @@ DEFAULT_PERMUTATION_CAP = 8
 
 
 def shapley_values(game: Game, *, cap: int = DEFAULT_SUBSET_CAP) -> dict[Player, Fraction]:
-    """`game_values` for every player, in player order; a refused table raises."""
+    """Every player's Shapley value, in player order: `game_values` for a
+    Boolean game, whose table ``cap`` may refuse, raising; `support_values`,
+    which builds no table, for a counting game."""
+    if game.kind.support_mode is not None:
+        values, other = support_values(game._supports)
+        return {p: values.get(p, other).score for p in game.players}
     values, other = game_values(game, cap)
     if isinstance(other, str):
         raise CapExceededError(other)
@@ -263,3 +270,120 @@ def shapley_permutation(
     counts = permutation_marginal_counts(game, target, cap=cap)
     total = sum((value * count for value, count in counts.items()), Fraction(0))
     return total / math.factorial(game.size)
+
+
+# ---------------------------------------------------------------------------
+# Bounded entailment
+# ---------------------------------------------------------------------------
+
+#: The bounded entailment check reasons over all facts expressible in the domain.
+DEFAULT_ENTAILMENT_CAP = 24
+#: It holds one clause per assignment, which the cap above does not bound:
+#: a fixed limit, not a flag, checked as each clause is added.
+MAX_CLAUSES = 2**16
+
+
+def entailment_supports_bounded(
+    S: Iterable[SignedFact],
+    q: Query,
+    domain: Iterable[str],
+    *,
+    cap: int = DEFAULT_ENTAILMENT_CAP,
+) -> bool:
+    """Whether every database over ``domain`` that contains the positive part
+    of ``S`` and avoids its negative part satisfies the query.
+
+    Unlike true (unbounded) entailment, candidate databases draw their facts
+    from the given finite domain only.  The check is complete over that
+    space: it turns each assignment the search finds over the facts not
+    forced absent into a clause over the undetermined facts and decides the
+    resulting formula, rather than materializing all ``2^k`` candidate
+    databases.  Raises :class:`CapExceededError` above ``cap`` candidate
+    facts, or once a clause past `MAX_CLAUSES` is found.
+    """
+    S = frozenset(S)
+    domain = sorted(set(domain))
+    pos = {sf.fact for sf in S if sf.sign is Sign.POSITIVE}
+    neg = {sf.fact for sf in S if sf.sign is Sign.NEGATIVE}
+    if pos & neg:
+        return True  # no database is compatible with both signs of one fact
+    relations = sorted({*q.relations, *(f.relation for f in pos | neg)})
+    for rel, after in zip(relations, relations[1:]):  # one name sorts its arities together
+        if rel.name == after.name:
+            raise ArityError(
+                f"relation {rel.name} appears with two arities in the query and the signed set")
+    domain_set = set(domain)
+    for f in pos | neg:
+        if not set(f.args) <= domain_set:
+            raise SemanticError(f"{f} uses constants outside the given domain")
+
+    total = sum(len(domain) ** rel.arity for rel in relations)
+    if total > cap:
+        raise CapExceededError(
+            f"domain admits {total} possible facts (cap {cap})"
+        )
+
+    universe = [
+        Fact(rel, combo)
+        for rel in relations
+        for combo in itertools.product(domain, repeat=rel.arity)
+    ]
+    index = {f: i for i, f in enumerate(universe)}
+
+    # One clause per assignment over the facts not forced absent, with
+    # negation checked against the facts forced present: "this assignment
+    # does not fire".  Literal -(i+1) says fact i is absent, i+1 present.
+    clauses: list[frozenset[int]] = []
+    negated = _negated(q)
+    for idx, binding, image in _iter_assignments(q, index.keys() - neg, pos):
+        absent = ((rel, ground(binding)) for rel, ground in negated[idx])
+        clause = frozenset(
+            [-index[f] - 1 for f in image - pos]
+            + [index[f] + 1 for f in absent if f in index and f not in neg]
+        )
+        if not clause:
+            return True  # witnessed by the forced facts alone
+        if len(clauses) == MAX_CLAUSES:
+            raise CapExceededError(
+                f"bounded entailment needs more than {MAX_CLAUSES} clauses, one per "
+                f"assignment (limit {MAX_CLAUSES})"
+            )
+        clauses.append(clause)
+
+    return not _satisfiable(clauses)
+
+
+def _satisfiable(clauses: list[frozenset[int]]) -> bool:
+    """Plain DPLL with unit propagation over integer literals."""
+    clauses = sorted(set(clauses), key=lambda c: (len(c), sorted(c)))
+
+    def solve(clauses: list[frozenset[int]]) -> bool:
+        while True:
+            unit = next((c for c in clauses if len(c) == 1), None)
+            if unit is None:
+                break
+            clauses = _assign(clauses, next(iter(unit)))
+            if clauses is None:
+                return False
+        if not clauses:
+            return True
+        literal = next(iter(min(clauses, key=len)))
+        for choice in (literal, -literal):
+            reduced = _assign(clauses, choice)
+            if reduced is not None and solve(reduced):
+                return True
+        return False
+
+    def _assign(clauses: list[frozenset[int]], lit: int):
+        out = []
+        for c in clauses:
+            if lit in c:
+                continue
+            if -lit in c:
+                c = c - {-lit}
+                if not c:
+                    return None
+            out.append(c)
+        return out
+
+    return solve(list(clauses))

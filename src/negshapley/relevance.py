@@ -17,16 +17,12 @@ from enum import Enum
 
 from .core import Database, Fact, SignedDatabase, moved
 from .query import Query, signed_database_restricted
+from .shapley import Game, Scores, WealthKind, game_values, make_game, support_values
 from .supports import (
     coalition_halves,
     satisfies,  # noqa: F401 - perfbench's tracer finds query evaluation by this name
     support_families,
 )
-
-# Imported after `.supports`, which `.shapley` imports too: where no bytecode
-# cache is written, the larger `supports` then compiles while `shapley` is not
-# yet resident, which keeps peak memory at start-up down.
-from .shapley import Game, Scores, WealthKind, game_values, make_game, support_values
 
 #: Impact classification enumerates ``2^(|db|-1)`` subsets per fact.
 DEFAULT_IMPACT_CAP = 20

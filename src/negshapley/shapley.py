@@ -260,15 +260,11 @@ def game_values(game: Game, cap: int = DEFAULT_SUBSET_CAP) -> Scores:
     """Each of the m witness players' Shapley value by the subset formula: Σ
     over the coalitions S of the other witness players of |S|!(m-1-|S|)!/m!
     times the player's marginal contribution to S, counted per size of S in
-    the coalition table, in integer numerators over m!; ``other`` is a null
-    player's 0.  A counting game takes `support_values`, which builds no
-    table, so ``cap`` (on all players) refuses Boolean games only: with no
-    values, and its message as ``other``."""
+    the coalition table of a Boolean game, in integer numerators over m!;
+    ``other`` is a null player's 0.  ``cap`` (on all players) refuses the
+    table: with no values, and its message as ``other``."""
     from fractions import Fraction
 
-    if game.kind.support_mode is not None:
-        values, other = support_values(game._supports)
-        return Scores({p: r.score for p, r in values.items()}, other.score)
     try:  # a query too deep to search is refused here too
         if game.size > cap:
             raise CapExceededError(_too_many(game.size, cap))

@@ -14,9 +14,9 @@ context:
 * a *D-monotone support* is a set all of whose supersets within the database
   satisfy the query outright.
 
-The bounded entailment check, the guarded reduction and the per-set
-support tests run the same search from modules no command loads
-(`entailment`, `analysis`, `reference`); their old names here resolve.
+The guarded reduction, the per-set support tests and the bounded
+entailment check run the same search from modules no command loads
+(`analysis`, `reference`); their old names here resolve.
 
 The search matches a disjunct's positive atoms in order, depth first.
 Before it starts, each atom's facts are kept to those with its constants
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Callable, Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Sequence, Union
 
 from .core import Database, Fact, Relation, Sign, SignedFact, moved
 from .errors import ArityError, CapExceededError, SemanticError
@@ -50,8 +50,6 @@ DEFAULT_DMONOTONE_CAP = 20
 MAX_POSITIVE_ATOMS = 256
 
 SupportKind = Literal["signed", "positive", "dMonotone"]
-
-Assignment = Mapping[str, str]
 
 FactLike = Union[Fact, SignedFact]
 
@@ -487,7 +485,6 @@ def all_supports(
 
 __getattr__ = moved(__name__, {
     **dict.fromkeys(("GuardedReduction", "guarded_reduction"), "analysis"),
-    **dict.fromkeys(("_validate_signed_subset", "is_d_monotone_support", "is_positive_support",
-                     "is_signed_support", "satisfying_assignments", "signed_satisfies"),
-                    "reference"),
+    **dict.fromkeys(("is_d_monotone_support", "is_positive_support", "is_signed_support",
+                     "satisfying_assignments", "signed_satisfies"), "reference"),
 })

@@ -26,9 +26,9 @@ import time
 from fractions import Fraction
 
 from negshapley.core import database, fact, negative, positive
-from negshapley.entailment import entailment_supports_bounded
 from negshapley.errors import SemanticError
 from negshapley.query import mergeable_pairs, sign_transform
+from negshapley.reference import entailment_supports_bounded
 from negshapley.relevance import (
     ImpactKind,
     impact_relevant,

@@ -577,6 +577,21 @@ def test_analyze_golden(capsys, paths):
     )
 
 
+def test_analyze_reads_its_db(capsys, paths, tmp_path):
+    """``--db`` is read after the query: a readable file leaves the report
+    as it is, and a missing, malformed or arity-clashing one fails as in
+    every other command."""
+    plain = run(capsys, "analyze", "--query", paths["q"])
+    assert run(capsys, "analyze", "--query", paths["q"], "--db", paths["db"]) == plain
+    (tmp_path / "bad.facts").write_text("I(a,b\n")
+    (tmp_path / "clash.facts").write_text("I(a,b)\nI(a)\n")
+    for name, code, message in (("nosuch", 1, "cannot read fact file"),
+                                ("bad", 1, "line 1: cannot parse fact"),
+                                ("clash", 2, "line 2: relation I used with arity 1")):
+        got = run(capsys, "analyze", "--query", paths["q"], "--db", str(tmp_path / f"{name}.facts"))
+        assert got[:2] == (code, "") and got[2].startswith(f"error: {message}"), name
+
+
 def test_compare_matrix(capsys, paths):
     code, out, _ = run(capsys, "compare", "--db", paths["db"], "--query", paths["q"])
     assert code == 0
@@ -1100,43 +1115,6 @@ def _parser_cases(paths) -> list[list[str]]:
     ]
 
 
-def test_each_subcommand_parser_is_the_full_parsers():
-    """`_build_parser(command)` adds the arguments of ``command`` only; its
-    help, and the help of that subcommand, are the full parser's."""
-    from negshapley.cli import _COMMANDS, _build_parser
-
-    def helps(parser) -> dict:
-        (action,) = parser._subparsers._group_actions
-        return {None: parser.format_help(),
-                **{name: p.format_help() for name, p in action.choices.items()}}
-
-    full = helps(_build_parser(None))
-    for name in _COMMANDS:
-        assert _build_parser(name) is _build_parser(name)
-        own = helps(_build_parser(name))
-        assert (own[None], own[name]) == (full[None], full[name])
-
-
-def test_main_answers_as_with_the_full_parser(capsys, paths, monkeypatch):
-    """Help, usage errors and runs give the same stdout, stderr and exit
-    code whether `main` builds one subcommand's arguments or all of them."""
-    import negshapley.cli as cli
-
-    def outcome(argv):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # --help
-            code = exc.code
-        out = capsys.readouterr()
-        return code, out.out, out.err
-
-    lazy = [outcome(argv) for argv in _parser_cases(paths)]
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda command=None: build(None))
-    assert lazy == [outcome(argv) for argv in _parser_cases(paths)]
-    assert [code for code, _, _ in lazy] == [0, 0, 1, *[0] * 5, 1, 1, 1, 1, 1, 1, 1, 0, 2, 1, 1, 1]
-
-
 def _outcome(argv) -> tuple:
     """`main`'s (exit code, stdout, stderr) on ``argv``."""
     out, err = io.StringIO(), io.StringIO()
@@ -1150,15 +1128,13 @@ def _outcome(argv) -> tuple:
 
 def _check_plain_reader(argv) -> None:
     """`cli._read_plain` gives up on ``argv``, or argparse accepts it and
-    makes the same namespace, with every subcommand's arguments or with
-    those of the one named; and `main` answers as with the reader off."""
+    makes the same namespace; and `main` answers as with the reader off."""
     import negshapley.cli as cli
 
     attached = cli._attach_fact_values(argv)
     plain = cli._read_plain(attached)
     if plain is not None:
-        for command in (None, attached[0]):
-            assert vars(plain) == vars(cli._build_parser(command).parse_args(attached)), argv
+        assert vars(plain) == vars(cli._build_parser().parse_args(attached)), argv
     read = _outcome(argv)
     with mock.patch.object(cli, "_read_plain", lambda argv: None):
         assert read == _outcome(argv), argv

@@ -75,13 +75,13 @@ def test_no_module_imports_a_name_it_never_uses():
 #: Where each name that left a command's path lives now, by the module it left.
 _MOVED = {
     ("query", "analysis"): (
-        "DisjunctAnalysis", "QueryAnalysis", "_connected", "_unify_apart", "analyze_disjunct",
-        "analyze_query", "gaifman_graph", "has_non_hierarchical_neg_path", "is_guarded",
-        "mergeable_pairs", "negative_arity", "self_join_width"),
+        "DisjunctAnalysis", "QueryAnalysis", "analyze_disjunct", "analyze_query",
+        "gaifman_graph", "has_non_hierarchical_neg_path", "is_guarded", "mergeable_pairs",
+        "negative_arity", "self_join_width"),
     ("supports", "analysis"): ("GuardedReduction", "guarded_reduction"),
     ("supports", "reference"): (
-        "_validate_signed_subset", "is_d_monotone_support", "is_positive_support",
-        "is_signed_support", "satisfying_assignments", "signed_satisfies"),
+        "is_d_monotone_support", "is_positive_support", "is_signed_support",
+        "satisfying_assignments", "signed_satisfies"),
     ("relevance", "reference"): (
         "RelevanceVerdict", "impact_relevant", "positive_relevant", "relevance_report",
         "signed_relevant"),

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 import negshapley
 from negshapley.core import Fact, database, fact, negative, positive
-from negshapley.entailment import DEFAULT_ENTAILMENT_CAP, entailment_supports_bounded
 from negshapley.errors import ArityError, CapExceededError, SemanticError
 from negshapley.query import Query, parse_query, sign_transform, signed_database_restricted
+from negshapley.reference import DEFAULT_ENTAILMENT_CAP, entailment_supports_bounded
 from negshapley.supports import (
     MAX_POSITIVE_ATOMS,
     _iter_assignments,
@@ -302,7 +302,7 @@ def test_monotone_chain_has_minimal_support_of_size_n_plus_2(n):
 
 
 def test_the_package_name_is_the_entailment_modules_function():
-    """The package loads `negshapley.entailment` on first use of the name,
+    """The package loads `negshapley.reference` on first use of the name,
     and still exports it."""
     assert negshapley.entailment_supports_bounded is entailment_supports_bounded
     assert "entailment_supports_bounded" in negshapley.__all__
@@ -372,14 +372,14 @@ def test_entailment_clause_limit(monkeypatch):
     is refused at the limit's first excess clause, inside a time budget
     fixed before the first run; a lowered limit admits 4^3 clauses and
     refuses 4^4."""
-    from negshapley import entailment
+    from negshapley import reference
 
     domain = ["a", "b", "c", "d"]
     start = time.perf_counter()
-    with pytest.raises(CapExceededError, match=f"limit {entailment.MAX_CLAUSES}"):
+    with pytest.raises(CapExceededError, match=f"limit {reference.MAX_CLAUSES}"):
         entailment_supports_bounded(set(), _entailment_path(9), domain)
     assert time.perf_counter() - start < 2.0
-    monkeypatch.setattr(entailment, "MAX_CLAUSES", 4**3)
+    monkeypatch.setattr(reference, "MAX_CLAUSES", 4**3)
     assert not entailment_supports_bounded(set(), _entailment_path(3), domain)
     with pytest.raises(CapExceededError, match="more than 64 clauses"):
         entailment_supports_bounded(set(), _entailment_path(4), domain)

@@ -193,13 +193,26 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert result.stdout == "[]\n"
 
 
+def test_cli_import_loads_exactly_the_command_layers():
+    """A fresh ``python -S`` import of the command line loads these package
+    modules and no other, so a module newly loaded at start-up fails here."""
+    code = ("import sys, negshapley.cli; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'negshapley'))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert result.stdout.split() == ["negshapley", *(f"negshapley.{name}" for name in (
+        "cli", "core", "errors", "output", "query", "relevance", "shapley", "supports"))]
+
+
 #: Loaded only where a score is built (`fractions` brings the other two),
 #: by ``analyze`` (`json` only with ``--format json``), by the first caller
-#: of the bounded-entailment check or of the library-only API, and, with
-#: `gettext`, by a command line that argparse reads: help, an abbreviated
-#: flag or a usage error.
+#: of the library-only API, and, with `gettext`, by a command line that
+#: argparse reads: help, an abbreviated flag or a usage error.
 _DEFERRED = ("argparse", "decimal", "fractions", "gettext", "json", "negshapley.analysis",
-             "negshapley.entailment", "negshapley.reference", "numbers")
+             "negshapley.reference", "numbers")
 _FRACTIONS = ["decimal", "fractions", "numbers"]
 
 
@@ -225,8 +238,8 @@ def test_only_scoring_commands_load_fractions(tmp_path, argv, code, loaded):
     command on a small instance, and lists the deferred modules it loaded:
     only ``score`` and ``compare`` build scores, only ``analyze`` loads the
     query analysis, and only its JSON document `json`; no command reaches
-    the bounded-entailment check or the library-only API, and only a
-    command line not written in full, or wrong, loads `argparse`."""
+    the library-only API, and only a command line not written in full, or
+    wrong, loads `argparse`."""
     (tmp_path / "i.facts").write_text("R(a,b)\nR(b,c)\nS(c)\n")
     (tmp_path / "i.query").write_text("exists x, y. R(x,y), !S(y)\n")
     script = (
