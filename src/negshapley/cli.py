@@ -29,7 +29,7 @@ from functools import cache
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
-from .core import Database, load_database, parse_fact, parse_signed_fact
+from .core import LINE_BREAKS, Database, load_database, parse_fact, parse_signed_fact
 from .errors import CapExceededError, InputParseError, SemanticError
 from .output import (_block, _bool, _columns, _dumps, _emit, _json, _value_cell, _value_json,
                      _write_rows)
@@ -59,7 +59,7 @@ def _load_query(path: str) -> Query:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputParseError(f"cannot read query file: {exc}") from exc
-    return parse_query(re.sub(r"#[^\n]*", "", text))
+    return parse_query(re.sub(f"#[^\n{LINE_BREAKS}]*", "", text))
 
 
 def _load_db(path: str) -> Database:

@@ -317,33 +317,31 @@ _HEADER = r"@relation\s+([A-Za-z][A-Za-z0-9_]*)\s*/\s*(\d+)\s*$"
 _FACT = r"\s*([A-Za-z][A-Za-z0-9_]*)\s*\(\s*([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)\s*\)\s*"
 #: A line: one fact and no spaces (groups 1 and 2), or any other (group 3).
 _LINE = r"^(?:([A-Za-z][A-Za-z0-9_]*)\(([A-Za-z0-9_]+(?:,[A-Za-z0-9_]+)*)\)|(.*))$"
-#: The line breaks of `str.splitlines` besides "\n".
-_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+#: The line breaks of `str.splitlines` besides "\n"; each ends a comment.
+LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
-def _parse_fact_line(
-    line: str, lineno: int | None, arities: dict[str, int]
-) -> list[Fact]:
-    facts = []
+def _facts_in(line: str, lineno: int | None) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """Each fact's relation name and arguments, in the order of the line."""
     pos = 0
-    while pos < len(line):
-        if line[pos:].strip() == "":
-            break
+    while line[pos:].strip():
         match = re.compile(_FACT).match(line, pos)
         if match is None:
             raise FactSyntaxError(f"cannot parse fact near {line[pos:].strip()!r}", lineno)
-        name, body = match.group(1), match.group(2)
-        args = tuple(part.strip() for part in body.split(","))
+        yield match.group(1), tuple(part.strip() for part in match.group(2).split(","))
+        pos = match.end()
+
+
+def _parse_fact_line(line: str, lineno: int, arities: dict[str, int]) -> list[Fact]:
+    facts = []
+    for name, args in _facts_in(line, lineno):
         declared = arities.setdefault(name, len(args))
         if declared != len(args):
             raise ArityError(
                 f"line {lineno}: relation {name} used with arity {len(args)} "
                 f"but previously declared with arity {declared}"
-                if lineno is not None
-                else f"relation {name} used with arities {declared} and {len(args)}"
             )
         facts.append(Fact(Relation(name, len(args)), args))
-        pos = match.end()
     return facts
 
 
@@ -351,7 +349,7 @@ def load_database(path: str | os.PathLike) -> Database:
     """Read a facts file into a :class:`Database` (see module docstring)."""
     with open(path, encoding="utf-8-sig") as stream:
         text = stream.read()
-    if any(map(text.__contains__, _BREAKS)):  # one match a line, as `splitlines` counts
+    if any(map(text.__contains__, LINE_BREAKS)):  # one match a line, as `splitlines` counts
         text = "\n".join(text.splitlines())
     arities: dict[str, int] = {}
     relations: dict[str, Relation] = {}
@@ -395,10 +393,11 @@ def load_database(path: str | os.PathLike) -> Database:
 
 def parse_fact(text: str) -> Fact:
     """Parse a single ``Rel(c1,...)`` string, e.g. from a command-line flag."""
-    facts = _parse_fact_line(text, None, {})
+    facts = list(_facts_in(text, None))
     if len(facts) != 1:
         raise FactSyntaxError(f"expected exactly one fact in {text!r}")
-    return facts[0]
+    ((name, args),) = facts
+    return Fact(Relation(name, len(args)), args)
 
 
 def parse_signed_fact(text: str) -> SignedFact:

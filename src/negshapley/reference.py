@@ -35,7 +35,7 @@ from .shapley import (DEFAULT_SUBSET_CAP, Game, MsShapleyResult, Player, Support
                       _counting, _require_player, game_values, make_game, reciprocal_weight,
                       scores, support_values)
 from .supports import (DEFAULT_DMONOTONE_CAP, FactLike, _has_assignment, _iter_assignments,
-                       _negated, coalition_table, compile_witnesses, minimal_positive_supports,
+                       coalition_table, compile_witnesses, minimal_positive_supports,
                        minimal_signed_supports, witness_masks)
 
 if TYPE_CHECKING:
@@ -62,7 +62,7 @@ def satisfying_assignments(
     """
     results = {
         (idx, tuple(sorted(binding.items())))
-        for idx, binding, _ in _iter_assignments(q, facts, context)
+        for idx, binding, _, _ in _iter_assignments(q, facts, context)
     }
     return [(idx, dict(items)) for idx, items in sorted(results)]
 
@@ -334,9 +334,7 @@ def entailment_supports_bounded(
     # negation checked against the facts forced present: "this assignment
     # does not fire".  Literal -(i+1) says fact i is absent, i+1 present.
     clauses: list[frozenset[int]] = []
-    negated = _negated(q)
-    for idx, binding, image in _iter_assignments(q, index.keys() - neg, pos):
-        absent = ((rel, ground(binding)) for rel, ground in negated[idx])
+    for _, _, image, absent in _iter_assignments(q, index.keys() - neg, pos):
         clause = frozenset(
             [-index[f] - 1 for f in image - pos]
             + [index[f] + 1 for f in absent if f in index and f not in neg]

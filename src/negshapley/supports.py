@@ -22,8 +22,9 @@ The search matches a disjunct's positive atoms in order, depth first.
 Before it starts, each atom's facts are kept to those with its constants
 and bucketed by their values where earlier atoms bind variables, so a match
 is one dictionary lookup; negated atoms and inequalities are grounded by
-`operator.itemgetter` and tested as tuples, building no fact.  Buckets keep
-the order of the index: canonical for a fact set, none for a `Database`.
+`operator.itemgetter` and tested as tuples, building no fact, and the
+search yields the negated ones with each assignment.  Buckets keep the
+order of the index: canonical for a fact set, none for a `Database`.
 
 `support_families` alone makes the minimal signed and positive supports, as
 the minimal elements of the set of assignment images: every support contains
@@ -131,12 +132,6 @@ def _grounder(terms: Sequence) -> Callable[[dict], tuple[str, ...]]:
                                   for t in terms])
 
 
-def _negated(q: Query) -> list[list[tuple[Relation, Callable]]]:
-    """Each disjunct's negated atoms as (relation, `_grounder` of the terms):
-    ``(relation, grounder(binding))`` equals the atom's fact."""
-    return [[(a.relation, _grounder(a.terms)) for a in cq.negated_atoms] for cq in q.disjuncts]
-
-
 def _search_steps(cq: Conjunct, index: dict[Relation, list[Fact]]) -> list[tuple]:
     """The disjunct's match plan: per positive atom, ``(key, facts, binds,
     repeats, checks)``.  ``facts`` are the relation's facts with the atom's
@@ -187,13 +182,14 @@ def _extend(
     depth: int,
     binding: dict[str, str],
     image: tuple[Fact, ...],
+    absent: tuple[tuple, ...],
     context: frozenset[Fact],
-) -> Iterator[tuple[dict[str, str], frozenset[Fact]]]:
+) -> Iterator[tuple[dict[str, str], frozenset[Fact], tuple[tuple, ...]]]:
     # A module-level function rather than a closure over the steps: a
     # closure that calls itself is a reference cycle, which would keep the
     # steps' buckets alive until the next cyclic collection.  A name bound
     # here stays bound: every path rebinds it before it is read.  A fact is
-    # tested as the tuple ``(relation, args)``, which it equals and hashes as.
+    # tested and kept as the tuple ``(relation, args)``, which it equals.
     (key, facts, binds, repeats, checks), last = steps[depth], depth + 1 == len(steps)
     for f in facts.get(key(binding), ()) if key else facts:
         args = f[1]
@@ -201,20 +197,22 @@ def _extend(
             continue
         for i, name in binds:
             binding[name] = args[i]
+        grounded = absent
         for relation, ground in checks:
             values = ground(binding)
             if (relation, values) in context if relation else values[0] == values[1]:
                 break
+            grounded += ((relation, values),) if relation else ()
         else:
             if last:
-                yield dict(binding), frozenset(image + (f,))
+                yield dict(binding), frozenset(image + (f,)), grounded
             else:
-                yield from _extend(steps, depth + 1, binding, image + (f,), context)
+                yield from _extend(steps, depth + 1, binding, image + (f,), grounded, context)
 
 
 def _iter_assignments(
     q: Query, facts: Iterable[FactLike], context: Iterable[Fact] | Database | None
-) -> Iterator[tuple[int, dict[str, str], frozenset[Fact]]]:
+) -> Iterator[tuple[int, dict[str, str], frozenset[Fact], tuple[tuple, ...]]]:
     plain, signed = _as_plain_facts(facts)
     if (signed or context is None) and any(cq.negated_atoms for cq in q.disjuncts):
         raise SemanticError(
@@ -244,14 +242,15 @@ def _iter_assignments(
 
 def _search(
     disjuncts: Sequence[Conjunct], index: dict[Relation, list[Fact]], context: frozenset[Fact],
-) -> Iterator[tuple[int, dict[str, str], frozenset[Fact]]]:
-    """Yield (disjunct index, binding, image of the positive atoms),
-    disjunct by disjunct, each atom's matches in the order of ``index``,
-    depth first.  Nothing is checked here: an atom over a relation that
-    ``index`` holds with another arity matches nothing."""
+) -> Iterator[tuple[int, dict[str, str], frozenset[Fact], tuple[tuple, ...]]]:
+    """Yield (disjunct index, binding, image of the positive atoms, negated
+    atoms as tested), disjunct by disjunct, each atom's matches in the order
+    of ``index``, depth first; the negated atoms as ``(relation, args)``, in
+    the order `_search_steps` grounds them.  Nothing is checked here: an
+    atom over a relation that ``index`` holds with another arity matches nothing."""
     for idx, cq in enumerate(disjuncts):
-        for binding, image in _extend(_search_steps(cq, index), 0, {}, (), context):
-            yield idx, binding, image
+        for binding, image, absent in _extend(_search_steps(cq, index), 0, {}, (), (), context):
+            yield idx, binding, image, absent
 
 
 def _has_assignment(q, facts, context) -> bool:
@@ -301,17 +300,16 @@ def support_families(q: Query, db: Database, *kinds: SupportKind) -> tuple[list[
     signed: set[frozenset] = set()
     plain: set[frozenset] = set()
     want_signed, want_plain = "signed" in kinds, "positive" in kinds
-    negated, in_domain, new = _negated(q), db.active_domain.issuperset, tuple.__new__
-    for idx, binding, image in _iter_assignments(q, db, db):
+    in_domain, new = db.active_domain.issuperset, tuple.__new__
+    for _, _, image, absent in _iter_assignments(q, db, db):
         if want_plain:
             plain.add(image)
         if want_signed:  # as `core.positive` and `core.negative` build them
             members = [new(SignedFact, (Sign.POSITIVE, f)) for f in image]
-            for rel, ground in negated[idx]:
-                args = ground(binding)
-                if not in_domain(args):
+            for negated in absent:
+                if not in_domain(negated[1]):
                     break
-                members.append(new(SignedFact, (Sign.NEGATIVE, new(Fact, (rel, args)))))
+                members.append(new(SignedFact, (Sign.NEGATIVE, new(Fact, negated))))
             else:
                 signed.add(frozenset(members))
     return tuple(_minimal_sets(kind, signed if kind == "signed" else plain) for kind in kinds)
@@ -344,12 +342,8 @@ def compile_witnesses(q: Query, db: Database) -> set[tuple[frozenset[Fact], froz
     the coalition: one per assignment, requiring its image and forbidding
     its grounded negated atoms that are stored.  The other games' witnesses
     are their minimal supports, with nothing forbidden."""
-    negated, new = _negated(q), tuple.__new__
-    return {
-        (image, db.facts.intersection([new(Fact, (rel, ground(binding)))
-                                       for rel, ground in negated[idx]]))
-        for idx, binding, image in _iter_assignments(q, db, frozenset())
-    }
+    return {(image, db.facts.intersection(map(Fact._make, absent)))
+            for _, _, image, absent in _iter_assignments(q, db, frozenset())}
 
 
 def witness_masks(

@@ -163,19 +163,28 @@ def signed_as_plain(signed: Iterable[SignedFact]) -> frozenset[Fact]:
 
 def reference_assignments(
     q: Query, facts: Iterable[Fact], context: Iterable[Fact] = ()
-) -> list[tuple[int, dict[str, str], frozenset[Fact]]]:
-    """Every (disjunct index, binding, image of the positive atoms) by the
-    full-relation scan, in the order the engine's search must reproduce.
+) -> list[tuple[int, dict[str, str], frozenset[Fact], tuple[Fact, ...]]]:
+    """Every (disjunct index, binding, image of the positive atoms, grounded
+    negated atoms) by the full-relation scan, in the order the engine's
+    search must reproduce.
 
     Disjunct by disjunct, each positive atom in turn is tried against every
     fact in sorted order, depth first.  Negated atoms (absent from
     ``context``) and inequalities are checked once every atom has matched.
+    The negated atoms are grounded from the binding, ordered by the first
+    positive atom after which all their variables are bound, and in written
+    order among those.
     """
     ordered = sorted(set(facts))
     absent_from = frozenset(context)
-    out: list[tuple[int, dict[str, str], frozenset[Fact]]] = []
+    out: list[tuple[int, dict[str, str], frozenset[Fact], tuple[Fact, ...]]] = []
     for idx, cq in enumerate(q.disjuncts):
         atoms = [lit for lit in cq.literals if isinstance(lit, Atom) and not lit.negated]
+        prefixes = [set().union(*(a.variables for a in atoms[: i + 1])) for i in range(len(atoms))]
+        negated = sorted(
+            (lit for lit in cq.literals if isinstance(lit, Atom) and lit.negated),
+            key=lambda lit: next(i for i, bound in enumerate(prefixes) if lit.variables <= bound),
+        )
 
         def holds(binding: dict[str, str]) -> bool:
             for lit in cq.literals:
@@ -189,7 +198,8 @@ def reference_assignments(
         def extend(step: int, binding: dict[str, str], image: tuple[Fact, ...]) -> None:
             if step == len(atoms):
                 if holds(binding):
-                    out.append((idx, binding, frozenset(image)))
+                    grounded = tuple(_ground(lit, binding) for lit in negated)
+                    out.append((idx, binding, frozenset(image), grounded))
                 return
             atom = atoms[step]
             for f in ordered:
@@ -228,7 +238,7 @@ def reference_signed_supports(q: Query, db: Database) -> list[frozenset[SignedFa
         for cq in q.disjuncts
     ))
     completion = signed_as_plain(oracle_signed_completion(db, q))
-    images = {image for _, _, image in reference_assignments(transformed, completion)}
+    images = {image for _, _, image, _ in reference_assignments(transformed, completion)}
     return minimal_among(
         frozenset(
             SignedFact(
@@ -598,7 +608,7 @@ def reference_reports(
     command line's per-fact subset-cap error above ``subset_cap`` facts.
     """
     signed = reference_signed_supports(q, db)
-    plain = minimal_among(image for _, _, image in reference_assignments(q, db.facts, db.facts))
+    plain = minimal_among(image for _, _, image, _ in reference_assignments(q, db.facts, db.facts))
     facts = sorted(db.facts)
     if len(facts) > impact_cap:
         impacts = dict.fromkeys(facts, "skipped")

@@ -143,6 +143,20 @@ def test_supports_all_refuses_before_compiling(capsys, paths, monkeypatch):
     assert err == "error: listing all supports over 25 facts needs 2^25 checks (cap 20)\n"
 
 
+@pytest.mark.parametrize("listing", [(), ("--all",)])
+def test_supports_dmonotone_refuses_above_its_cap(capsys, paths, monkeypatch, listing):
+    """The D-monotone supports, minimal or all, are refused on 21 facts,
+    one past the cap, before any assignment search."""
+    db = paths["dir"] / "wide.facts"
+    db.write_text("".join(f"I(m{i},fish)\n" for i in range(21)))
+    searches = _count_searches(monkeypatch)
+    code, out, err = run(capsys, "supports", "--db", str(db), "--query", paths["q"],
+                         "--kind", "dmonotone", *listing)
+    assert (code, out, searches) == (3, "", [])
+    assert err == ("error: enumerating D-monotone supports over 21 facts needs "
+                   "2^21 evaluations (cap 20)\n")
+
+
 def test_supports_empty_for_unsatisfied_query(capsys, paths, tmp_path):
     q = tmp_path / "none.query"
     q.write_text('exists x. I(x,"caviar")\n')
@@ -267,6 +281,27 @@ def test_negative_fact_value_needs_no_equals_sign(capsys, paths):
 
     code, out, err = run(capsys, *base, "--fact")
     assert code == 1 and out == "" and "--fact" in err
+
+
+@pytest.mark.parametrize("text", ["I(mm,fish) I(mm)", "I(mm,fish) J(x)", "I(mm,fish) I(mp,wine)"])
+def test_fact_flag_holding_several_facts_does_not_parse(capsys, paths, text):
+    """More than one fact in a ``--fact`` value is input that does not
+    parse (exit 1), whatever the arities of their relations."""
+    code, out, err = run(
+        capsys, "score", "--db", paths["db"], "--query", paths["q"], "--fact", text)
+    assert (code, out, err) == (1, "", f"error: expected exactly one fact in {text!r}\n")
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029"])
+def test_query_comment_ends_at_every_line_break(capsys, paths, brk):
+    """A query file's ``#`` comment ends at every line break that
+    `str.splitlines` knows, as a fact file's comment does."""
+    commented = paths["dir"] / "commented.query"
+    commented.write_bytes(f'# c{brk}exists x. I(x,"fish"), !I(x,"meat")'.encode())
+    want = run(capsys, "supports", "--db", paths["db"], "--query", paths["q"])
+    assert want[0] == 0
+    assert run(capsys, "supports", "--db", paths["db"], "--query", str(commented)) == want
 
 
 def _count_compilations(monkeypatch) -> list:

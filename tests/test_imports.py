@@ -1,8 +1,9 @@
 """Import hygiene of the package, checked from its syntax trees: the command
 line reaches scoring and relevance, and scoring and relevance reach the
 support search, through public names only; only the completion and the row
-writer list the ``-`` rows; no module imports a name it never uses; and
-every name moved off the command line's path still resolves where it was."""
+writer list the ``-`` rows; only the search plan grounds a literal; no
+module imports a name it never uses; and every name moved off the command
+line's path still resolves where it was."""
 
 import ast
 from pathlib import Path
@@ -49,6 +50,24 @@ def test_only_core_and_output_list_the_minus_rows():
         and node.func.attr == "absent"
     ]
     assert callers == []
+
+
+def test_only_the_search_plan_grounds_literals():
+    """`supports._grounder` is read in `supports._search_steps` alone: the
+    search hands every reader the negated atoms it grounded, so none
+    grounds them again after it."""
+    def reads(tree: ast.AST) -> set[int]:
+        return {node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "_grounder"
+                or isinstance(node, ast.Attribute) and node.attr == "_grounder"
+                or isinstance(node, ast.alias) and node.name == "_grounder"}
+
+    supports = _tree(PACKAGE / "supports.py")
+    (plan,) = [node for node in ast.walk(supports)
+               if isinstance(node, ast.FunctionDef) and node.name == "_search_steps"]
+    assert reads(plan)
+    assert {(path.stem, line) for path in sorted(PACKAGE.glob("*.py"))
+            for line in reads(_tree(path))} == {("supports", line) for line in reads(plan)}
 
 
 def test_no_module_imports_a_name_it_never_uses():

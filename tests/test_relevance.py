@@ -134,7 +134,7 @@ def test_report_columns_match_the_reference_oracles_on_corpus():
         (in_signed, in_plain, impacts, ms, mps, drastic) = (scores for scores, _ in columns)
         signed = oracles.reference_signed_supports(q, db)
         plain = oracles.minimal_among(
-            image for _, _, image in oracles.reference_assignments(q, db.facts, db.facts))
+            image for _, _, image, _ in oracles.reference_assignments(q, db.facts, db.facts))
         assert in_signed == (dict.fromkeys(set().union(*signed), True), False), str(inst)
         assert in_plain == (dict.fromkeys(set().union(*plain), True), False), str(inst)
         assert {f: impacts.values.get(f, impacts.other) for f in db.facts} == {

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 import negshapley
 from negshapley.core import Fact, database, fact, negative, positive
-from negshapley.errors import ArityError, CapExceededError, SemanticError
-from negshapley.query import Query, parse_query, sign_transform, signed_database_restricted
+from negshapley.errors import ArityError, CapExceededError, QuerySyntaxError, SemanticError
+from negshapley.query import (Conjunct, Query, parse_query, sign_transform,
+                              signed_database_restricted)
 from negshapley.reference import DEFAULT_ENTAILMENT_CAP, entailment_supports_bounded
 from negshapley.supports import (
     MAX_POSITIVE_ATOMS,
@@ -132,11 +133,13 @@ def test_assignment_search_matches_the_reference_scan(setting):
 
 def test_assignment_search_on_constants_repeats_and_self_joins():
     """A constants-only atom, a repeated variable, relations absent from the
-    data (V positively, W negated) and a self-join across two disjuncts."""
+    data (V positively, W negated), a self-join across disjuncts and negated
+    atoms grounded out of their written order (W(x) at S(x), before T(y))."""
     q = parse_query(
         'exists x, y. R("a","b"), R(y,y), S(x), !T(x)'
         " | exists x, y, z. R(x,y), R(y,z), !W(z), x != z"
         " | exists x. V(x), S(x)"
+        " | exists x, y. S(x), R(y,y), !T(y), !W(x)"
     )
     db = database(
         [fact("R", "a", "b"), fact("R", "b", "b"), fact("R", "b", "c"),
@@ -144,13 +147,15 @@ def test_assignment_search_on_constants_repeats_and_self_joins():
     )
     got = list(_iter_assignments(q, db.facts, db.facts))
     assert got == oracles.reference_assignments(q, db.facts, db.facts)
-    assert [(idx, binding) for idx, binding, _ in got] == [
-        (0, {"y": "b", "x": "a"}),
-        (0, {"y": "c", "x": "a"}),
-        (1, {"x": "a", "y": "b", "z": "b"}),
-        (1, {"x": "a", "y": "b", "z": "c"}),
-        (1, {"x": "b", "y": "b", "z": "c"}),
-        (1, {"x": "b", "y": "c", "z": "c"}),
+    assert [(idx, binding, absent) for idx, binding, _, absent in got] == [
+        (0, {"y": "b", "x": "a"}, (fact("T", "a"),)),
+        (0, {"y": "c", "x": "a"}, (fact("T", "a"),)),
+        (1, {"x": "a", "y": "b", "z": "b"}, (fact("W", "b"),)),
+        (1, {"x": "a", "y": "b", "z": "c"}, (fact("W", "c"),)),
+        (1, {"x": "b", "y": "b", "z": "c"}, (fact("W", "c"),)),
+        (1, {"x": "b", "y": "c", "z": "c"}, (fact("W", "c"),)),
+        (3, {"x": "a", "y": "b"}, (fact("W", "a"), fact("T", "b"))),
+        (3, {"x": "c", "y": "b"}, (fact("W", "c"), fact("T", "b"))),
     ]
     assert got[0][2] == {fact("R", "a", "b"), fact("R", "b", "b"), fact("S", "a")}
 
@@ -537,6 +542,34 @@ def test_all_supports_match_the_oracle_listing_on_corpus():
 def test_all_supports_caps_on_large_universes():
     with pytest.raises(CapExceededError):
         all_supports(Q_FISH, RECIPE_DB, "signed")  # 25-fact completion
+
+
+_OUTSIDE = [fact("I", "zz", "fish")]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: satisfies(Q_FISH, [positive(fact("I", "mm", "fish"))]), SemanticError,
+     "satisfies() expects plain facts"),
+    (lambda: all_supports(Q_FISH, RECIPE_DB, "nosuch"), SemanticError,
+     "unknown support kind 'nosuch'"),
+    (lambda: is_positive_support(_OUTSIDE, Q_FISH, RECIPE_DB), SemanticError,
+     "a positive support must be a subset of the database"),
+    (lambda: is_d_monotone_support(_OUTSIDE, Q_FISH, RECIPE_DB), SemanticError,
+     "a D-monotone support must be a subset of the database"),
+    (lambda: is_signed_support([positive(fact("J", "a"))], Q_FISH, RECIPE_DB), SemanticError,
+     "+J(a) is not over the database/query schema"),
+    (lambda: is_signed_support([negative(fact("I", "zz", "meat"))], Q_FISH, RECIPE_DB),
+     SemanticError,
+     "-I(zz,meat) is not in the signed completion: constants outside the active domain"),
+    (lambda: parse_query("exists x, exists. I(x)"), QuerySyntaxError,
+     "'exists' is a reserved word (at offset 10)"),
+    (lambda: Conjunct(("x",), ()), SemanticError, "a disjunct needs at least one literal"),
+], ids=["signed-satisfies", "unknown-kind", "positive-outside", "dmonotone-outside",
+        "signed-schema", "signed-domain", "reserved-word", "empty-disjunct"])
+def test_library_refusals_keep_their_messages(call, error, message):
+    with pytest.raises(error) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 # ---------------------------------------------------------------------------
