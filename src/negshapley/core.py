@@ -14,6 +14,12 @@ fact)``: they hash, compare and sort as those tuples do, and a completion
 streams them straight from the active domain in that order.
 `Database` and `SignedDatabase` are not tuples (they iterate over their
 facts); they are equal when their class and fields are, and immutable.
+
+A loaded database holds each distinct constant as one string object: every
+constant is interned (`sys.intern`) where a line is split into facts.  Its
+facts are held once, streamed from the lines into the database's
+``frozenset``.  Canonical order is built per relation: `Database.sorted_facts`
+sorts each relation's facts of `Database.by_relation` by argument tuple.
 """
 from __future__ import annotations
 
@@ -22,6 +28,8 @@ import re
 from enum import IntEnum
 from functools import cached_property
 from itertools import chain, filterfalse, product, repeat
+from operator import itemgetter
+from sys import intern
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ArityError, CapExceededError, FactSyntaxError
@@ -172,7 +180,10 @@ class Database(_Record):
 
     @cached_property
     def sorted_facts(self) -> tuple[Fact, ...]:
-        return tuple(sorted(self.facts))
+        """The facts in canonical order: by relation in order, each
+        relation's facts sorted by their argument tuples."""
+        return tuple(chain.from_iterable(sorted(group, key=itemgetter(1))
+                                         for group in self.by_relation.values()))
 
     @cached_property
     def active_domain(self) -> frozenset[str]:
@@ -328,7 +339,7 @@ def _facts_in(line: str, lineno: int | None) -> Iterator[tuple[str, tuple[str, .
         match = re.compile(_FACT).match(line, pos)
         if match is None:
             raise FactSyntaxError(f"cannot parse fact near {line[pos:].strip()!r}", lineno)
-        yield match.group(1), tuple(part.strip() for part in match.group(2).split(","))
+        yield match.group(1), tuple(intern(part.strip()) for part in match.group(2).split(","))
         pos = match.end()
 
 
@@ -345,25 +356,20 @@ def _parse_fact_line(line: str, lineno: int, arities: dict[str, int]) -> list[Fa
     return facts
 
 
-def load_database(path: str | os.PathLike) -> Database:
-    """Read a facts file into a :class:`Database` (see module docstring)."""
-    with open(path, encoding="utf-8-sig") as stream:
-        text = stream.read()
-    if any(map(text.__contains__, LINE_BREAKS)):  # one match a line, as `splitlines` counts
-        text = "\n".join(text.splitlines())
-    arities: dict[str, int] = {}
+def _loaded_facts(text: str, arities: dict[str, int]) -> Iterator[Fact]:
+    """Each fact of a facts file's ``text``, in the order of its lines; the
+    relations it declares or uses go into ``arities``."""
     relations: dict[str, Relation] = {}
-    facts: set[Fact] = set()
     new, lines = tuple.__new__, map(re.Match.groups, re.finditer(_LINE, text, re.M))
     for lineno, (name, body, raw) in enumerate(lines, 1):
         # A line of one fact and nothing else skips `Fact.__new__` once its
         # arity checks; any other line, and every error, takes `_parse_fact_line`.
         if name:
-            args = tuple(body.split(","))
+            args = tuple(map(intern, body.split(",")))
             if name not in relations:
                 relations[name] = Relation(name, arities.setdefault(name, len(args)))
             if relations[name].arity == len(args):
-                facts.add(new(Fact, (relations[name], args)))
+                yield new(Fact, (relations[name], args))
                 continue
             raw = f"{name}({body})"
         line = raw.split("#", 1)[0].strip()
@@ -386,9 +392,19 @@ def load_database(path: str | os.PathLike) -> Database:
                     f"but previously used with arity {known}"
                 )
             continue
-        facts.update(_parse_fact_line(line, lineno, arities))
+        yield from _parse_fact_line(line, lineno, arities)
+
+
+def load_database(path: str | os.PathLike) -> Database:
+    """Read a facts file into a :class:`Database` (see module docstring)."""
+    with open(path, encoding="utf-8-sig") as stream:
+        text = stream.read()
+    if any(map(text.__contains__, LINE_BREAKS)):  # one match a line, as `splitlines` counts
+        text = "\n".join(text.splitlines())
+    arities: dict[str, int] = {}
+    facts = frozenset(_loaded_facts(text, arities))  # read before the schema: it fills `arities`
     schema = {Relation(name, arity) for name, arity in arities.items()}
-    return Database(frozenset(schema), frozenset(facts))
+    return Database(frozenset(schema), facts)
 
 
 def parse_fact(text: str) -> Fact:

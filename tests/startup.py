@@ -47,7 +47,7 @@ CALLS = {
 }
 
 
-def _workloads():
+def load_workloads():
     spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up
@@ -55,7 +55,7 @@ def _workloads():
     return module
 
 
-class _Launcher:
+class Launcher:
     """Children forked by ``perfbench/launcher.py``, a small ``python3 -S``
     process, as the benchmark forks its own: Linux counts the forking
     process's memory toward a child's peak RSS."""
@@ -66,11 +66,11 @@ class _Launcher:
             [sys.executable, "-S", str(ROOT / "perfbench" / "launcher.py")],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True)
 
-    def run(self, argv: list[str], cwd: Path) -> tuple[float, float, str]:
+    def run(self, argv: list[str], cwd: Path, timeout: float = 60) -> tuple[float, float, str]:
         """A child's wall time (s), peak RSS (MB) and standard error."""
         out, err = self.work / ".stdout", self.work / ".stderr"
         self.proc.stdin.write(json.dumps({"argv": argv, "cwd": str(cwd), "stdout": str(out),
-                                          "stderr": str(err), "timeout": 60}) + "\n")
+                                          "stderr": str(err), "timeout": timeout}) + "\n")
         self.proc.stdin.flush()
         reply = json.loads(self.proc.stdout.readline())
         if reply["exit_code"] != 0:
@@ -96,7 +96,7 @@ def main() -> None:
     parser.add_argument("--children", type=int, default=41, metavar="N",
                         help="fresh children of each kind (default 41)")
     n = parser.parse_args().children
-    workloads = _workloads()
+    workloads = load_workloads()
     python = sys.executable
     with tempfile.TemporaryDirectory() as tmp:
         here = Path(tmp)
@@ -117,7 +117,7 @@ def main() -> None:
                          [python, "-m", "negshapley.cli", *argv], here / name))
         runs: list[list[tuple[float, float]]] = [[] for _ in rows]
         imports = []
-        launcher = _Launcher(here, env)
+        launcher = Launcher(here, env)
         try:
             for _ in range(n):
                 for (_, argv, cwd), values in zip(rows, runs):
