@@ -109,14 +109,14 @@ def negative(f: Fact) -> SignedFact:
 
 
 def _unique_schema(relations: Iterable[Relation]) -> frozenset[Relation]:
-    by_name: dict[str, int] = {}
+    """The relations, refusing a name with two arities: the first clash in
+    the order given."""
+    by_name: dict[str, Relation] = {}
     for rel in relations:
-        seen = by_name.setdefault(rel.name, rel.arity)
+        seen = by_name.setdefault(rel.name, rel).arity
         if seen != rel.arity:
-            raise ArityError(
-                f"relation {rel.name} used with arities {seen} and {rel.arity}"
-            )
-    return frozenset(Relation(name, arity) for name, arity in by_name.items())
+            raise ArityError(f"relation {rel.name} used with arities {seen} and {rel.arity}")
+    return frozenset(by_name.values())
 
 
 class _Record:
@@ -162,8 +162,8 @@ class Database(_Record):
 
     def __init__(self, schema: Iterable[Relation], facts: Iterable[Fact]) -> None:
         schema, facts = _unique_schema(sorted(schema)), frozenset(facts)
-        if stray := [f for f in facts if f.relation not in schema]:
-            f = min(stray)  # the first in canonical order, whatever the hash seed
+        if stray := set(map(itemgetter(0), facts)) - schema:  # checked per relation
+            f = min(f for f in facts if f[0] in stray)  # the first in canonical order
             raise ArityError(f"fact {f} does not match the schema entry for {f.relation.name}")
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "facts", facts)
@@ -343,23 +343,23 @@ def _facts_in(line: str, lineno: int | None) -> Iterator[tuple[str, tuple[str, .
         pos = match.end()
 
 
-def _parse_fact_line(line: str, lineno: int, arities: dict[str, int]) -> list[Fact]:
+def _parse_fact_line(line: str, lineno: int, relations: dict[str, Relation]) -> list[Fact]:
     facts = []
     for name, args in _facts_in(line, lineno):
-        declared = arities.setdefault(name, len(args))
-        if declared != len(args):
+        rel = relations.get(name) or relations.setdefault(name, Relation(name, len(args)))
+        if rel.arity != len(args):
             raise ArityError(
                 f"line {lineno}: relation {name} used with arity {len(args)} "
-                f"but previously declared with arity {declared}"
+                f"but previously declared with arity {rel.arity}"
             )
-        facts.append(Fact(Relation(name, len(args)), args))
+        facts.append(Fact(rel, args))
     return facts
 
 
-def _loaded_facts(text: str, arities: dict[str, int]) -> Iterator[Fact]:
-    """Each fact of a facts file's ``text``, in the order of its lines; the
-    relations it declares or uses go into ``arities``."""
-    relations: dict[str, Relation] = {}
+def _loaded_facts(text: str, relations: dict[str, Relation]) -> Iterator[Fact]:
+    """Each fact of a facts file's ``text``, in the order of its lines; each
+    relation it declares or uses goes into ``relations`` by name, once, and
+    every fact of that name holds that one `Relation`."""
     new, lines = tuple.__new__, map(re.Match.groups, re.finditer(_LINE, text, re.M))
     for lineno, (name, body, raw) in enumerate(lines, 1):
         # A line of one fact and nothing else skips `Fact.__new__` once its
@@ -367,7 +367,7 @@ def _loaded_facts(text: str, arities: dict[str, int]) -> Iterator[Fact]:
         if name:
             args = tuple(map(intern, body.split(",")))
             if name not in relations:
-                relations[name] = Relation(name, arities.setdefault(name, len(args)))
+                relations[name] = Relation(name, len(args))
             if relations[name].arity == len(args):
                 yield new(Fact, (relations[name], args))
                 continue
@@ -385,14 +385,14 @@ def _loaded_facts(text: str, arities: dict[str, int]) -> Iterator[Fact]:
                 raise FactSyntaxError(f"malformed header {line!r}", lineno) from None
             if arity < 1:
                 raise FactSyntaxError(f"relation {name} declared with arity 0", lineno)
-            known = arities.setdefault(name, arity)
+            known = relations.setdefault(name, Relation(name, arity)).arity
             if known != arity:
                 raise ArityError(
                     f"line {lineno}: relation {name} declared with arity {arity} "
                     f"but previously used with arity {known}"
                 )
             continue
-        yield from _parse_fact_line(line, lineno, arities)
+        yield from _parse_fact_line(line, lineno, relations)
 
 
 def load_database(path: str | os.PathLike) -> Database:
@@ -401,10 +401,9 @@ def load_database(path: str | os.PathLike) -> Database:
         text = stream.read()
     if any(map(text.__contains__, LINE_BREAKS)):  # one match a line, as `splitlines` counts
         text = "\n".join(text.splitlines())
-    arities: dict[str, int] = {}
-    facts = frozenset(_loaded_facts(text, arities))  # read before the schema: it fills `arities`
-    schema = {Relation(name, arity) for name, arity in arities.items()}
-    return Database(frozenset(schema), facts)
+    relations: dict[str, Relation] = {}
+    facts = frozenset(_loaded_facts(text, relations))  # read before the schema: it fills `relations`
+    return Database(relations.values(), facts)
 
 
 def parse_fact(text: str) -> Fact:

@@ -33,7 +33,8 @@ import re
 from functools import cached_property
 from typing import Iterable, NamedTuple, Union
 
-from .core import Database, Relation, SignedDatabase, _Record, moved, signed_database
+from .core import (Database, Relation, SignedDatabase, _Record, _unique_schema, moved,
+                   signed_database)
 from .errors import ArityError, QuerySyntaxError, SafetyError, SemanticError
 
 _RESERVED = {"exists"}
@@ -206,25 +207,15 @@ class Query(_QueryFields):
         if not disjuncts:
             raise SemanticError("a query needs at least one disjunct")
         self = tuple.__new__(cls, (disjuncts,))
-        arities: dict[str, int] = {}
-        for rel in (lit.relation for cq in disjuncts for lit in cq.literals
-                    if isinstance(lit, Atom)):  # in query order
-            known = arities.setdefault(rel.name, rel.arity)
-            if known != rel.arity:
-                raise ArityError(
-                    f"relation {rel.name} used with arities {known} and {rel.arity}"
-                )
+        self.relations  # refuses a name with two arities
         return self
 
     @cached_property
     def relations(self) -> frozenset[Relation]:
-        """Every relation symbol occurring in some atom (negated or not)."""
-        return frozenset(
-            lit.relation
-            for cq in self.disjuncts
-            for lit in cq.literals
-            if isinstance(lit, Atom)
-        )
+        """Every relation symbol occurring in some atom (negated or not); a
+        name with two arities raises `ArityError`, the first clash in query order."""
+        return _unique_schema(lit.relation for cq in self.disjuncts for lit in cq.literals
+                              if isinstance(lit, Atom))
 
     def __str__(self) -> str:
         return " | ".join(str(cq) for cq in self.disjuncts)
@@ -389,14 +380,27 @@ def sign_transform(q: Query) -> Query:
     return Query(tuple(disjuncts))
 
 
+def _check_arity_compatible(q: Query, relations: Iterable[Relation]) -> None:
+    """The one check of a query against data: refuse ``q`` if it gives one
+    of ``relations`` another arity, naming the first clash by name."""
+    arities = {rel.name: rel.arity for rel in q.relations}
+    for rel in sorted(relations):
+        known = arities.get(rel.name)
+        if known is not None and known != rel.arity:
+            raise ArityError(f"relation {rel.name} has arity {rel.arity} in the data "
+                             f"but arity {known} in the query")
+
+
 def signed_database_restricted(db: Database, q: Query, *, cap: int | None = None) -> SignedDatabase:
     """The signed completion of ``db`` with negatives only over ``neg_rels(q)``,
     counted but not built: the players of the signed measures.
 
     Relations that ``q`` mentions but ``db`` lacks are added to the schema
     with an empty extension, so their whole tuple space over the active
-    domain is negative.
+    domain is negative.  A query that gives a schema relation another arity
+    is refused first.
     """
+    _check_arity_compatible(q, db.schema)
     return signed_database(
         db, restrict_to=neg_rels(q), extra_relations=q.relations, cap=cap
     )

@@ -27,8 +27,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .core import Database, Fact, Sign, SignedFact, positive
-from .errors import ArityError, CapExceededError, SemanticError
+from .core import Database, Fact, Sign, SignedFact, _unique_schema, positive
+from .errors import CapExceededError, SemanticError
 from .query import Query, sign_transform
 from .relevance import DEFAULT_IMPACT_CAP, ImpactKind, _impacts, report
 from .shapley import (DEFAULT_SUBSET_CAP, Game, MsShapleyResult, Player, SupportMode, WealthKind,
@@ -308,10 +308,7 @@ def entailment_supports_bounded(
     if pos & neg:
         return True  # no database is compatible with both signs of one fact
     relations = sorted({*q.relations, *(f.relation for f in pos | neg)})
-    for rel, after in zip(relations, relations[1:]):  # one name sorts its arities together
-        if rel.name == after.name:
-            raise ArityError(
-                f"relation {rel.name} appears with two arities in the query and the signed set")
+    _unique_schema(relations)  # one arity per name, or `ArityError`
     domain_set = set(domain)
     for f in pos | neg:
         if not set(f.args) <= domain_set:

@@ -41,8 +41,9 @@ import operator
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Sequence, Union
 
 from .core import Database, Fact, Relation, Sign, SignedFact, moved
-from .errors import ArityError, CapExceededError, SemanticError
-from .query import Atom, Conjunct, Const, Query, Var, signed_database_restricted
+from .errors import CapExceededError, SemanticError
+from .query import (Atom, Conjunct, Const, Query, Var, _check_arity_compatible,
+                    signed_database_restricted)
 
 #: Exhaustively checking D-monotonicity enumerates ``2^|db \ S|`` supersets.
 DEFAULT_DMONOTONE_CAP = 20
@@ -107,17 +108,6 @@ def _as_plain_facts(facts: Iterable[FactLike]) -> tuple[frozenset[Fact], bool]:
         return frozenset(Fact(Relation(sign.symbol + rel.name, rel.arity), args)
                          for sign, (rel, args) in collected), True
     return frozenset(collected), False
-
-
-def _check_arity_compatible(q: Query, relations: Iterable[Relation]) -> None:
-    arities = {rel.name: rel.arity for rel in q.relations}
-    for rel in sorted(relations):  # the first clash by name
-        known = arities.get(rel.name)
-        if known is not None and known != rel.arity:
-            raise ArityError(
-                f"relation {rel.name} has arity {rel.arity} in the "
-                f"data but arity {known} in the query"
-            )
 
 
 # -- Assignment search --
@@ -222,14 +212,14 @@ def _iter_assignments(
         )
     index = facts.by_relation if isinstance(facts, Database) else {
         rel: list(group) for rel, group in itertools.groupby(sorted(plain), operator.itemgetter(0))}
-    context = frozenset() if signed or context is None else context
-    _check_arity_compatible(q, index)
+    # A database is checked by its schema, relations without facts included.
+    relations = facts.schema if isinstance(facts, Database) else index.keys()
     if isinstance(context, Database):
-        _check_arity_compatible(q, context.by_relation)
-        context = context.facts
+        relations, context = relations | context.schema, context.facts
     else:
-        context = frozenset(context)
-        _check_arity_compatible(q, {f.relation for f in context})
+        context = frozenset(() if signed or context is None else context)
+        relations = relations | {f.relation for f in context}
+    _check_arity_compatible(q, relations)
     deepest = max(len(cq.positive_atoms) for cq in q.disjuncts)
     if deepest > MAX_POSITIVE_ATOMS:
         raise CapExceededError(

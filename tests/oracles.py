@@ -9,9 +9,9 @@ whole relations, the order of its minimal signed supports by scanning
 the signed completion, the guarded reduction by matching fact by fact,
 the relevance, compare and score outputs by rendering the materialized
 completion whole, and the row writer and the fact-file reader one row and
-one line at a time.  Only data types, and the helpers that join, quote and
-parse what those two write and read, are imported from the package --
-none of its evaluation code.  Keep it that way.
+one line at a time.  Only data types, and the helpers that join and quote
+what the row writer writes, are imported from the package -- none of its
+evaluation or parsing code.  Keep it that way.
 """
 
 from __future__ import annotations
@@ -710,14 +710,56 @@ def reference_score(
 # ---------------------------------------------------------------------------
 
 
-def reference_load_database(path) -> Database:
-    """`core.load_database` as it read every line before plain lines took a
-    fast path: comments stripped, headers checked, and each line's facts
-    parsed by `core._parse_fact_line`, which gives every error message."""
+#: A fact as `_reference_facts` takes it apart: a name, then all up to the
+#: first ``)`` as its arguments, each checked on its own.
+_REFERENCE_FACT = r"\s*([A-Za-z][A-Za-z0-9_]*)\s*\(([^)]*)\)\s*"
+
+
+def _reference_facts(line: str, lineno: int) -> Iterator[tuple[str, tuple[str, ...]]]:
+    """Each fact of a line as its name and arguments, left to right, or the
+    loader's error at the first part of the line that is no fact."""
     import re
 
-    from negshapley.core import _HEADER, _parse_fact_line
-    from negshapley.errors import ArityError, FactSyntaxError
+    from negshapley.errors import FactSyntaxError
+
+    rest = line
+    while rest.strip():
+        match = re.match(_REFERENCE_FACT, rest)
+        args = [part.strip() for part in match.group(2).split(",")] if match else []
+        if not args or not all(re.fullmatch("[A-Za-z0-9_]+", a) for a in args):
+            raise FactSyntaxError(f"cannot parse fact near {rest.strip()!r}", lineno)
+        yield match.group(1), tuple(args)
+        rest = rest[match.end():]
+
+
+def _reference_header(line: str, lineno: int) -> tuple[str, int]:
+    """A header line's relation name and arity, or the loader's error: the
+    words before the one ``/`` are ``@relation`` and a name, and after it
+    come decimal digits that `int` converts to a positive arity."""
+    import re
+
+    from negshapley.errors import FactSyntaxError
+
+    head, _, digits = line.partition("/")
+    words, digits = head.split(), digits.strip()
+    if not (len(words) == 2 and words[0] == "@relation" and digits.isdecimal()
+            and re.fullmatch("[A-Za-z][A-Za-z0-9_]*", words[1])):
+        raise FactSyntaxError(f"malformed header {line!r}", lineno)
+    try:
+        arity = int(digits)
+    except ValueError:  # more digits than `int` converts
+        raise FactSyntaxError(f"malformed header {line!r}", lineno) from None
+    if arity < 1:
+        raise FactSyntaxError(f"relation {words[1]} declared with arity 0", lineno)
+    return words[1], arity
+
+
+def reference_load_database(path) -> Database:
+    """`core.load_database` one line at a time, with parsing of its own:
+    comments stripped, then a header read by `_reference_header` or the
+    line's facts by `_reference_facts`, each fact over a `Relation` of its
+    own, and a relation's arity checked as the loader checks it."""
+    from negshapley.errors import ArityError
 
     with open(path, encoding="utf-8-sig") as stream:
         text = stream.read()
@@ -725,28 +767,21 @@ def reference_load_database(path) -> Database:
     facts: set[Fact] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
         if line.startswith("@"):
-            header = re.match(_HEADER, line)
-            if header is None:
-                raise FactSyntaxError(f"malformed header {line!r}", lineno)
-            try:
-                name, arity = header.group(1), int(header.group(2))
-            except ValueError:
-                raise FactSyntaxError(f"malformed header {line!r}", lineno) from None
-            if arity < 1:
-                raise FactSyntaxError(f"relation {name} declared with arity 0", lineno)
+            name, arity = _reference_header(line, lineno)
             known = arities.setdefault(name, arity)
             if known != arity:
-                raise ArityError(
-                    f"line {lineno}: relation {name} declared with arity {arity} "
-                    f"but previously used with arity {known}"
-                )
+                raise ArityError(f"line {lineno}: relation {name} declared with arity {arity} "
+                                 f"but previously used with arity {known}")
             continue
-        facts.update(_parse_fact_line(line, lineno, arities))
-    schema = {Relation(name, arity) for name, arity in arities.items()}
-    return Database(frozenset(schema), frozenset(facts))
+        for name, args in _reference_facts(line, lineno):
+            known = arities.setdefault(name, len(args))
+            if known != len(args):
+                raise ArityError(f"line {lineno}: relation {name} used with arity {len(args)} "
+                                 f"but previously declared with arity {known}")
+            facts.add(Fact(Relation(name, len(args)), args))
+    return Database(frozenset(Relation(name, arity) for name, arity in arities.items()),
+                    frozenset(facts))
 
 
 # ---------------------------------------------------------------------------

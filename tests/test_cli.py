@@ -620,9 +620,12 @@ def test_analyze_reads_its_db(capsys, paths, tmp_path):
     assert run(capsys, "analyze", "--query", paths["q"], "--db", paths["db"]) == plain
     (tmp_path / "bad.facts").write_text("I(a,b\n")
     (tmp_path / "clash.facts").write_text("I(a,b)\nI(a)\n")
+    (tmp_path / "redeclared.facts").write_text("I(a,b)\n@relation I/3\n")
     for name, code, message in (("nosuch", 1, "cannot read fact file"),
                                 ("bad", 1, "line 1: cannot parse fact"),
-                                ("clash", 2, "line 2: relation I used with arity 1")):
+                                ("clash", 2, "line 2: relation I used with arity 1"),
+                                ("redeclared", 2, "line 2: relation I declared with arity 3 "
+                                 "but previously used with arity 2")):
         got = run(capsys, "analyze", "--query", paths["q"], "--db", str(tmp_path / f"{name}.facts"))
         assert got[:2] == (code, "") and got[2].startswith(f"error: {message}"), name
 
@@ -834,15 +837,35 @@ def test_signed_cap_names_a_size_too_long_to_print(capsys, tmp_path, command):
     assert err == f"error: signed completion would hold {size} facts, above the cap of 1000000\n"
 
 
-@pytest.mark.parametrize("command", _SIGNED_COMMANDS)
-def test_arity_clash_keeps_its_message(capsys, paths, command):
-    clash = paths["dir"] / "clash.query"
-    clash.write_text("exists x. I(x), !I(x)\n")
-    code, out, err = run(
-        capsys, command[0], "--db", paths["db"], "--query", str(clash), *command[1:]
-    )
-    assert (code, out) == (2, "")
-    assert err == "error: relation I used with arities 2 and 1\n"
+#: Every command form that reads a database and searches it: all but ``analyze``.
+_DATA_COMMANDS = [
+    *_SIGNED_COMMANDS, ("supports", "--kind", "signed", "--all"),
+    *(("supports", "--kind", kind, *listing)
+      for kind in ("positive", "dmonotone") for listing in ((), ("--all",))),
+    *(("score", "--measure", measure) for measure in ("mps", "drastic", "positive-drastic")),
+]
+
+#: A fact file, a query that gives its relation I another arity, and the
+#: message: I with stored facts, and I declared by a header alone.
+_ARITY_CLASHES = {
+    "stored": ("I(a,b)\nJ(a)\n", "exists x. I(x), !J(x)\n", "arity 2 in the data but arity 1"),
+    "header": ("@relation I/1\nJ(a)\n", 'exists x. J(x), I(x,"fish")\n',
+               "arity 1 in the data but arity 2"),
+}
+
+
+@pytest.mark.parametrize("clash", list(_ARITY_CLASHES))
+@pytest.mark.parametrize("command", _DATA_COMMANDS)
+def test_arity_clash_keeps_its_message(capsys, tmp_path, command, clash):
+    """Every command that reads a database checks the query against its
+    whole schema, a relation that a header alone declares included, and
+    refuses a clash with exit 2 and one message."""
+    facts, query, arities = _ARITY_CLASHES[clash]
+    (tmp_path / "c.facts").write_text(facts)
+    (tmp_path / "c.query").write_text(query)
+    code, out, err = run(capsys, command[0], "--db", str(tmp_path / "c.facts"),
+                         "--query", str(tmp_path / "c.query"), *command[1:])
+    assert (code, out, err) == (2, "", f"error: relation I has {arities} in the query\n")
 
 
 def _chain_query(atoms: int) -> str:
@@ -1199,7 +1222,9 @@ def test_plain_reader_reads_as_argparse_on_every_known_call(paths):
     """The argvs of `_parser_cases`, of every benchmark workload and of the
     byte-identity sweep (tests/sweep.py) on a few corpus instances, and a
     few abbreviated and repeated flags; every workload call and sweep call
-    is read without argparse, and no abbreviation or repeat is."""
+    is read without argparse, and no abbreviation or repeat is; nor is a
+    switch given a value, or a cap of more digits than `int` converts,
+    which argparse refuses with exit 1."""
     import negshapley.cli as cli
     from sweep import _argvs
 
@@ -1215,11 +1240,13 @@ def test_plain_reader_reads_as_argparse_on_every_known_call(paths):
     for argv in _parser_cases(paths):
         _check_plain_reader(argv)
     files = ["--db", paths["db"], "--query", paths["q"]]
+    refused = [["supports", *files, "--all=1"], ["score", *files, "--cap-subset", "9" * 5000]]
     for argv in (["score", *files, "--meas", "mps"], ["score", *files, "--f", "json"],
                  ["score", *files, "--cap-s", "3"],
-                 ["supports", *files, "--format", "json", "--format", "table"]):
+                 ["supports", *files, "--format", "json", "--format", "table"], *refused):
         assert cli._read_plain(argv) is None, argv  # abbreviations and repeats are argparse's
         _check_plain_reader(argv)
+    assert [_outcome(argv)[0] for argv in refused] == [1, 1]
 
 
 _DB_TOKEN, _QUERY_TOKEN = "<db>", "<query>"
@@ -1346,7 +1373,7 @@ def test_arity_clash_messages_do_not_depend_on_the_hash_seed(tmp_path):
     used, data = "used with arities 1 and 2\n2\n", "has arity 1 in the data but arity 2 in the query\n2\n"
     assert errors == {"".join(
         "error: relation " + line
-        for line in ("S " + used, "R " + used, "R " + data, "R " + used, "R " + used, "R " + data)
+        for line in ("S " + used, "R " + data, "R " + data, "R " + data, "R " + data, "R " + data)
     )}
 
 

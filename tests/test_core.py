@@ -306,6 +306,8 @@ def _assert_loads_as_the_line_parser(path, text):
         assert all(type(f) is Fact and len(f.args) == f.relation.arity for f in got.facts)
         # One object per distinct constant, whichever path read each line.
         assert len({id(c) for f in got.facts for c in f.args}) == len(got.active_domain), text
+        # And one `Relation` per relation name.
+        assert len({id(f.relation) for f in got.facts}) == len(got.by_relation), text
 
 
 def test_load_database_matches_the_line_parser_on_corpus(tmp_path):
@@ -343,6 +345,7 @@ _LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", 
 @example(["R(a,b)", "R(b,a)", "R(a)"], "\n", "")  # an arity clash on the last line
 @example(["@relation U/1", "S(a)", "U(a,b)"], "\r\n", "\ufeff")
 @example(["S(b0_c)", "R(b0_c,ab)", "S(ab) # comment", " S(b0_c)"], "\n", "")  # both paths
+@example(["S(a)", "@relation S/2"], "\n", "")  # a header after a use, with another arity
 @settings(max_examples=300, deadline=None)
 def test_load_database_matches_the_line_parser(tmp_path_factory, lines, newline, bom):
     path = tmp_path_factory.mktemp("load") / "fuzz.facts"

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import negshapley
-from negshapley.core import Fact, database, fact, negative, positive
+from negshapley.core import Fact, Relation, database, fact, negative, positive
 from negshapley.errors import ArityError, CapExceededError, QuerySyntaxError, SemanticError
 from negshapley.query import (Conjunct, Query, parse_query, sign_transform,
                               signed_database_restricted)
@@ -350,8 +350,20 @@ def test_entailment_rejects_constants_outside_domain():
 
 def test_entailment_arity_clash():
     S = {positive(fact("A", "b", "b"))}  # A used binary here, unary in q
-    with pytest.raises(ArityError):
+    with pytest.raises(ArityError) as refused:
         entailment_supports_bounded(S, Q_CHAIN, {"b"})
+    assert str(refused.value) == "relation A used with arities 1 and 2"
+
+
+def test_entailment_solver_backtracks_past_both_choices():
+    """Four clauses over two variables, no unit among them: each value of
+    the first variable fails, so the search fails; one clause fewer leaves
+    a model."""
+    from negshapley.reference import _satisfiable
+
+    clauses = [frozenset(c) for c in ({1, 2}, {1, -2}, {-1, 2}, {-1, -2})]
+    assert not _satisfiable(clauses)
+    assert _satisfiable(clauses[:3])
 
 
 def test_entailment_cap():
@@ -545,6 +557,9 @@ def test_all_supports_caps_on_large_universes():
 
 
 _OUTSIDE = [fact("I", "zz", "fish")]
+#: I declared unary by the schema alone, and a query that uses it binary.
+_HEADER_ONLY = database([fact("J", "a")], [Relation("I", 1)])
+_BINARY_I = parse_query('exists x. J(x), I(x,"fish")')
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -564,8 +579,15 @@ _OUTSIDE = [fact("I", "zz", "fish")]
     (lambda: parse_query("exists x, exists. I(x)"), QuerySyntaxError,
      "'exists' is a reserved word (at offset 10)"),
     (lambda: Conjunct(("x",), ()), SemanticError, "a disjunct needs at least one literal"),
+    (lambda: support_families(Q_FISH, RECIPE_DB, "dMonotone"), SemanticError,
+     "minimal supports are signed or positive, not ('dMonotone',)"),
+    (lambda: minimal_positive_supports(_BINARY_I, _HEADER_ONLY), ArityError,
+     "relation I has arity 1 in the data but arity 2 in the query"),
+    (lambda: signed_database_restricted(_HEADER_ONLY, _BINARY_I), ArityError,
+     "relation I has arity 1 in the data but arity 2 in the query"),
 ], ids=["signed-satisfies", "unknown-kind", "positive-outside", "dmonotone-outside",
-        "signed-schema", "signed-domain", "reserved-word", "empty-disjunct"])
+        "signed-schema", "signed-domain", "reserved-word", "empty-disjunct", "families-kind",
+        "search-schema-clash", "completion-schema-clash"])
 def test_library_refusals_keep_their_messages(call, error, message):
     with pytest.raises(error) as refused:
         call()

@@ -105,6 +105,8 @@ def test_fields_refuse_assignment(obj, _):
         before = getattr(obj, name)
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
         assert getattr(obj, name) is before
 
 
