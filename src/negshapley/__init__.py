@@ -6,12 +6,13 @@ The pieces: `core` holds facts, databases, and signed completions; `query`
 the query model, parser and sign transform; `supports` the
 satisfying-assignment search and the support semantics; `relevance` the
 qualitative verdicts; `shapley` the exact scores; `cli` the command line,
-and `output` the writers of its tables and JSON documents.  Two modules are
-loaded on first use, not at start-up: `analysis`, the structural analysis
-and the guarded reduction, which only ``analyze`` imports; and `reference`,
-the per-set support tests, per-fact verdicts, per-player Shapley routes and
-bounded entailment check that no command calls.  Their names still resolve
-from the package and from the modules they left.
+and `output` the writers of its tables and JSON documents.  Four are
+loaded on first use, not at start-up: `games`, the coalition tables, where
+one is built; `analysis`, the query analysis and guarded reduction, by
+``analyze``; `usage`, argparse's parser, by help and usage errors; and
+`reference`, the per-set support tests, per-fact verdicts, per-player
+Shapley routes and bounded entailment, by no command.  The names in
+`analysis` and `reference` resolve from the package and the modules they left.
 """
 from .core import (
     Database,

@@ -1,9 +1,9 @@
 """Structural analysis of a query, and the guarded reduction: what the
-``analyze`` command prints and what library callers use to classify a query
-or rewrite a guarded one.  No other command reaches this code, so starting
-the command line does not compile it; ``analyze`` imports it when it runs,
-and the old names (``query.analyze_query``, ``supports.guarded_reduction``
-and the rest) import it on first use.
+``analyze`` command prints (`write_analysis`) and what library callers use
+to classify a query or rewrite a guarded one.  No other command reaches
+this code, so starting the command line does not compile it; ``analyze``
+imports it when it runs, and the old names (``query.analyze_query``,
+``supports.guarded_reduction`` and the rest) import it on first use.
 
 `DisjunctAnalysis`, `QueryAnalysis` and `GuardedReduction` are named tuples,
 equal to the tuples of their fields.
@@ -11,12 +11,16 @@ equal to the tuples of their fields.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .core import Database, Fact, database
 from .errors import SemanticError
+from .output import _bool, _dumps, _emit
 from .query import Atom, Conjunct, Const, Query, Term, neg_rels
 from .supports import _search
+
+if TYPE_CHECKING:
+    import argparse
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +196,42 @@ def analyze_query(q: Query) -> QueryAnalysis:
         has_non_hierarchical_neg_path=any(p.has_non_hierarchical_neg_path for p in parts),
         disjuncts=parts,
     )
+
+
+def write_analysis(args: argparse.Namespace, q: Query) -> None:
+    """The ``analyze`` command's output: its JSON document or its table."""
+    analysis = analyze_query(q)
+    payload = {
+        "command": "analyze",
+        "query": str(q),
+        "negativeArity": analysis.negative_arity,
+        "guarded": analysis.guarded,
+        "negPath": analysis.has_non_hierarchical_neg_path,
+        "selfJoinFreePositive": analysis.self_join_free_positive,
+        "selfJoinFreeAll": analysis.self_join_free_all,
+        "disjuncts": [
+            {
+                "selfJoinWidth": d.self_join_width,
+                "mergeablePairs": [list(pair) for pair in sorted(d.mergeable_pairs)],
+                "guarded": d.guarded,
+                "negPath": d.has_non_hierarchical_neg_path,
+            }
+            for d in analysis.disjuncts
+        ],
+    }
+
+    def cell(value) -> str:  # the table shows the payload's fields
+        if isinstance(value, bool):
+            return _bool(value)
+        if isinstance(value, list):  # the mergeable pairs
+            return "[" + ", ".join(f"({a},{b})" for a, b in value) + "]"
+        return str(value)
+
+    fields = lambda record: [f"{key} = {cell(value)}" for key, value in record.items()
+                             if key not in ("command", "disjuncts")]
+    lines = fields(payload) + [f"disjunct {i}: " + ", ".join(fields(d))
+                               for i, d in enumerate(payload["disjuncts"])]
+    _emit(args, lambda: [_dumps(payload, indent=2) + "\n"], lambda: (line + "\n" for line in lines))
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,10 @@ comments, optional ``@relation R/2`` headers); queries are expression files
 ``--format json``; identical inputs always produce byte-identical output.
 
 A command line is read from `_FLAGS`, the one description of each
-subcommand's flags.  One written in its plain form (the subcommand, then
-each flag in full, once, with a valid value) is read straight into the
-namespace argparse would make, without importing argparse; argparse,
-with its parser built from the same table, reads any other.  So every
-spelling argparse accepts still works (abbreviated flags, repeats), and
-help, usage errors and their messages are argparse's own: the plain form
-is only the fast route.
+subcommand's flags: in its plain form (the subcommand, then each flag in
+full, once, with a valid value) straight into the namespace argparse would
+make, and in any other by argparse (`negshapley.usage`), so that every
+spelling argparse accepts still works, and help and usage errors are its own.
 
 Exit codes: 0 success, 1 usage or parse error, 2 semantic error (unsafe
 query, arity clash, bad player), 3 cap exceeded, 4 standard output closed
@@ -25,7 +22,6 @@ import atexit
 import os
 import re
 import sys
-from functools import cache
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
@@ -72,9 +68,7 @@ def _load_db(path: str) -> Database:
 # -- supports --
 
 
-def _cmd_supports(args: argparse.Namespace) -> None:
-    q = _load_query(args.query)
-    db = _load_db(args.db)
+def _cmd_supports(args: argparse.Namespace, q: Query, db: Database) -> None:
     if args.all:
         kind = "dMonotone" if args.kind == "dmonotone" else args.kind
         sets = all_supports(q, db, kind, signed_cap=args.cap_signed)
@@ -101,9 +95,7 @@ def _cmd_supports(args: argparse.Namespace) -> None:
 # -- score --
 
 
-def _cmd_score(args: argparse.Namespace) -> None:
-    q = _load_query(args.query)
-    db = _load_db(args.db)
+def _cmd_score(args: argparse.Namespace, q: Query, db: Database) -> None:
     kind = WealthKind(args.measure)
     signed, counting = kind.signed_players, kind.support_mode is not None
     target = None if args.fact is None else (parse_signed_fact if signed else parse_fact)(args.fact)
@@ -144,52 +136,16 @@ _COMPARED = (WealthKind.MS_SIGNED.value, WealthKind.MPS_POSITIVE.value,
              WealthKind.DRASTIC_DIRECT.value)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> None:
-    from .analysis import analyze_query  # here: no other command needs it
+def _cmd_analyze(args: argparse.Namespace, q: Query, db: Database | None) -> None:
+    from .analysis import write_analysis  # here: no other command needs it
 
-    q = _load_query(args.query)
-    if args.db is not None:  # read, so that a bad file fails as in every command
-        _load_db(args.db)
-    analysis = analyze_query(q)
-    payload = {
-        "command": "analyze",
-        "query": str(q),
-        "negativeArity": analysis.negative_arity,
-        "guarded": analysis.guarded,
-        "negPath": analysis.has_non_hierarchical_neg_path,
-        "selfJoinFreePositive": analysis.self_join_free_positive,
-        "selfJoinFreeAll": analysis.self_join_free_all,
-        "disjuncts": [
-            {
-                "selfJoinWidth": d.self_join_width,
-                "mergeablePairs": [list(pair) for pair in sorted(d.mergeable_pairs)],
-                "guarded": d.guarded,
-                "negPath": d.has_non_hierarchical_neg_path,
-            }
-            for d in analysis.disjuncts
-        ],
-    }
-
-    def cell(value) -> str:  # the table shows the payload's fields
-        if isinstance(value, bool):
-            return _bool(value)
-        if isinstance(value, list):  # the mergeable pairs
-            return "[" + ", ".join(f"({a},{b})" for a, b in value) + "]"
-        return str(value)
-
-    fields = lambda record: [f"{key} = {cell(value)}" for key, value in record.items()
-                             if key not in ("command", "disjuncts")]
-    lines = fields(payload) + [f"disjunct {i}: " + ", ".join(fields(d))
-                               for i, d in enumerate(payload["disjuncts"])]
-    _emit(args, lambda: [_dumps(payload, indent=2) + "\n"], lambda: (line + "\n" for line in lines))
+    write_analysis(args, q)
 
 
-def _cmd_report(args: argparse.Namespace) -> None:
+def _cmd_report(args: argparse.Namespace, q: Query, db: Database) -> None:
     """``relevance``, and ``compare`` with the ms-signed, mps and drastic scores
     added: a row per fact of the restricted completion, written as it is made
     from the columns of `relevance.report`."""
-    q = _load_query(args.query)
-    db = _load_db(args.db)
     measures = _COMPARED if args.command == "compare" else ()
     completion, columns = report(q, db, signed_cap=args.cap_signed,
                                  subset_cap=args.cap_subset if measures else None)
@@ -312,61 +268,17 @@ def _read_plain(argv: Sequence[str]) -> SimpleNamespace | None:
         for name, (_, default, _, _) in flags.items()})
 
 
-@cache  # built once per process: argparse does not change a parser as it parses
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser with every subcommand; their arguments are `_FLAGS`, in
-    their order."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        """argparse that signals usage errors instead of exiting with code 2."""
-
-        def error(self, message: str) -> None:  # noqa: D401 - argparse hook
-            raise InputParseError(message)
-
-    def count(text: str) -> int:
-        """The type of the caps: a non-negative integer."""
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-        return value
-
-    parser = _Parser(
-        prog="negshapley",
-        description="Minimal supports and exact Shapley scores for database "
-        "facts under queries with negation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (text, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=text)
-        group = None
-        for flag, commands, value, default, required, exclusive, help in _FLAGS:
-            if name not in commands:
-                continue
-            if value is None:  # a switch
-                options = {"action": "store_true"}
-            else:
-                options = {"default": default, "required": required}
-                if value is int:
-                    options.update(type=count, metavar="N")
-                elif value is not str:
-                    options["choices"] = value
-            if exclusive:
-                group = group or p.add_mutually_exclusive_group()
-            (group if exclusive else p).add_argument(flag, help=help, **options)
-    return parser
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     argv = _attach_fact_values(sys.argv[1:] if argv is None else argv)
     try:
         args = _read_plain(argv)
         if args is None:  # help, abbreviations and usage errors are argparse's
-            args = _build_parser().parse_args(argv)
-        _COMMANDS[args.command][1](args)
+            from .usage import build_parser
+
+            args = build_parser(tuple(_COMMANDS.items()), _FLAGS).parse_args(argv)
+        q = _load_query(args.query)  # then the facts: ``analyze`` reads them only to check them
+        db = None if args.db is None else _load_db(args.db)
+        _COMMANDS[args.command][1](args, q, db)
         return 0
     except InputParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -103,11 +103,11 @@ def _columns(rows: list[Sequence[str]]) -> Iterable[str]:
 
 def _fact_width(db: Database, negated: Iterable) -> int:
     """The widest of ``db``'s facts and the ``negated`` relations' facts over
-    its active domain, unsigned, with no row listed and no fact written: a
-    fact ``R(a,b)`` is its name, its constants, a comma after each but the
-    last and two brackets, and each negated relation's tuple of the longest
-    constant is a ``-`` fact or a stored one."""
-    longest = max(map(len, db.active_domain), default=0)
+    its active domain (read only for those), unsigned, with no row listed
+    and no fact written: a fact ``R(a,b)`` is its name, its constants, a
+    comma after each but the last and two brackets, and each negated
+    relation's tuple of the longest constant is a ``-`` fact or a stored one."""
+    longest = max(map(len, db.active_domain), default=0) if negated else 0
     widths = [len(r.name) + 1 + max(1, r.arity + max(sum(map(len, a)) for _, a in facts))
               for r, facts in db.by_relation.items()]
     widths += [len(r.name) + 1 + r.arity * (longest + 1) for r in negated] if longest else []

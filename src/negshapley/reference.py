@@ -12,7 +12,7 @@ import it on first use.
   fact; `relevance_report` reads every fact's `RelevanceVerdict` off
   `relevance.report`'s columns.
 * `shapley_values` and `shapley_subset` read `shapley.support_values` or
-  `shapley.game_values`, `ms_scores` `shapley.scores`; `shapley_permutation`
+  `games.game_values`, `ms_scores` `shapley.scores`; `shapley_permutation`
   and `permutation_marginal_counts` walk the permutation definition, the
   reference the subset formula is checked against.
 * `entailment_supports_bounded` decides entailment over a finite domain.
@@ -29,14 +29,15 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .core import Database, Fact, Sign, SignedFact, _unique_schema, positive
 from .errors import CapExceededError, SemanticError
-from .query import Query, sign_transform
-from .relevance import DEFAULT_IMPACT_CAP, ImpactKind, _impacts, report
+from .games import (_impacts, coalition_table, compile_witnesses, game_values, witness_masks,
+                    worth)
+from .query import Query, _check_arity_compatible, sign_transform
+from .relevance import DEFAULT_IMPACT_CAP, ImpactKind, report
 from .shapley import (DEFAULT_SUBSET_CAP, Game, MsShapleyResult, Player, SupportMode, WealthKind,
-                      _counting, _require_player, game_values, make_game, reciprocal_weight,
-                      scores, support_values)
+                      _counting, _require_player, make_game, reciprocal_weight, scores,
+                      support_values)
 from .supports import (DEFAULT_DMONOTONE_CAP, FactLike, _has_assignment, _iter_assignments,
-                       coalition_table, compile_witnesses, minimal_positive_supports,
-                       minimal_signed_supports, witness_masks)
+                       minimal_positive_supports, minimal_signed_supports)
 
 if TYPE_CHECKING:
     from .shapley import WeightFunction
@@ -73,10 +74,11 @@ def signed_satisfies(q_signed: Query, signed_facts: Iterable[SignedFact]) -> boo
 
 
 def _validate_signed_subset(S: Iterable[SignedFact], q: Query, db: Database) -> None:
-    arities = {rel.name: rel.arity for rel in (*q.relations, *db.schema)}  # data wins
+    _check_arity_compatible(q, db.schema)
+    schema = q.relations | db.schema  # one arity per name, by the check
     for sf in S:
         rel, stored = sf.fact.relation, sf.fact in db.facts
-        if arities.get(rel.name) != rel.arity:
+        if rel not in schema:
             raise SemanticError(f"{sf} is not over the database/query schema")
         if sf.sign is Sign.POSITIVE and not stored:
             raise SemanticError(f"{sf} is not in the signed completion: fact absent")
@@ -253,12 +255,12 @@ def permutation_marginal_counts(
         raise CapExceededError(f"{n} players means {n}! orderings (cap {cap})")
     players = game._compiled[0]
     m = len(players)
-    worth = [game._worth(mask) for mask in range(1 << m)]
+    wealth = [worth(game, mask) for mask in range(1 << m)]
     own = players.index(target) if target in players else m  # bit m: in no witness
     bit, k, counts = 1 << own, max(m, own + 1), Counter()
     for ordering in itertools.permutations([1 << i for i in range(k)]):
         prefix = sum(itertools.takewhile(bit.__ne__, ordering))
-        counts[worth[(prefix | bit) & ~(1 << m)] - worth[prefix]] += 1
+        counts[wealth[(prefix | bit) & ~(1 << m)] - wealth[prefix]] += 1
     scale = math.factorial(n) // math.factorial(k)
     return {Fraction(value): count * scale for value, count in counts.items()}
 

@@ -6,8 +6,9 @@ minimal positive support.  *Impact* is the counterfactual notion: a fact has
 impact when adding it to some subset of the remaining database flips the
 query's truth value, classified by the direction(s) of the flips observed.
 `report` gives the three notions, and ``compare``'s scores, as columns of
-`Scores` over the restricted signed completion.  The per-fact verdicts
-(`signed_relevant`, `positive_relevant`, `impact_relevant`) and
+`Scores` over the restricted signed completion, impact and the drastic
+scores off one coalition table (`games`) within their caps.  The per-fact
+verdicts (`signed_relevant`, `positive_relevant`, `impact_relevant`) and
 `relevance_report`, which reads `report`'s columns into `RelevanceVerdict`s,
 are in `negshapley.reference`; their names still resolve here.
 """
@@ -15,11 +16,10 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .core import Database, Fact, SignedDatabase, moved
+from .core import Database, SignedDatabase, moved
 from .query import Query, signed_database_restricted
-from .shapley import Game, Scores, WealthKind, game_values, make_game, support_values
+from .shapley import Scores, WealthKind, make_game, support_values
 from .supports import (
-    coalition_halves,
     satisfies,  # noqa: F401 - perfbench's tracer finds query evaluation by this name
     support_families,
 )
@@ -35,19 +35,6 @@ class ImpactKind(str, Enum):
     POSITIVE_ONLY = "positiveOnly"
     NEGATIVE_ONLY = "negativeOnly"
     BOTH = "both"
-
-
-def _impacts(drastic: Game) -> dict[Fact, ImpactKind]:
-    """Each witness player's impact (a null player's is none), from the
-    drastic game's table over them: it flips the query up on a subset that
-    wins with it and not without it, and down the other way."""
-    kinds = list(ImpactKind)  # none, positiveOnly, negativeOnly, both
-    players = drastic._compiled[0]
-    halves = coalition_halves(drastic._table, len(players))
-    return {
-        f: kinds[bool(win_with & ~win_without) + 2 * bool(win_without & ~win_with)]
-        for f, (win_with, win_without) in zip(players, halves)
-    }
 
 
 def report(
@@ -70,8 +57,11 @@ def report(
     completion = signed_database_restricted(db, q, cap=signed_cap)
     signed, plain = support_families(q, db)
     drastic = make_game(q, db, WealthKind.DRASTIC_DIRECT)
-    impacts = Scores({}, "skipped") if len(db.facts) > impact_cap else Scores(
-        {f: kind.value for f, kind in _impacts(drastic).items()}, ImpactKind.NONE.value)
+    impacts = Scores({}, "skipped")
+    if len(db.facts) <= impact_cap:  # a coalition table, within the cap
+        from .games import _impacts
+
+        impacts = Scores({f: k.value for f, k in _impacts(drastic).items()}, ImpactKind.NONE.value)
     members = lambda family: dict.fromkeys((p for s in family for p in s.elements), True)
     columns = [(Scores(members(signed), False), True), (Scores(members(plain), False), False),
                (impacts, False)]
@@ -79,6 +69,8 @@ def report(
         for family, keyed in ((signed, True), (plain, False)):
             values, other = support_values(family)
             columns.append((Scores({p: r.score for p, r in values.items()}, other.score), keyed))
+        from .games import game_values
+
         columns.append((game_values(drastic, subset_cap), False))
     return completion, columns
 

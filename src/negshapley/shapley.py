@@ -21,8 +21,8 @@ with the scores.  For the two counting games the Shapley value has a
 closed form, `support_values`: the sum of ``w(|S|)`` over the minimal
 supports S containing the target, where the reciprocal weight
 ``w(k) = 1/k`` recovers the Shapley value exactly and other weights give
-the general weighted-sum-of-minimal-supports scores.  The Boolean
-games take `game_values`, the subset formula over the coalition table of
+the general weighted-sum-of-minimal-supports scores.  The Boolean games
+take `games.game_values`, the subset formula over the coalition table of
 their witness players.  Both return the values of the support members or
 witness players and the one value every other player shares.
 `ms_shapley` scores one player by the closed form.  The other per-player
@@ -36,7 +36,6 @@ their fields.
 """
 from __future__ import annotations
 
-import math
 from collections import Counter
 from enum import Enum
 from functools import cached_property
@@ -45,17 +44,11 @@ from typing import (TYPE_CHECKING, Any, Callable, Collection, Iterable, Literal,
 
 from .core import Database, Fact, SignedDatabase, SignedFact, moved
 from .errors import CapExceededError, PlayerSetError, SemanticError
-from .query import Query, signed_database_restricted
+from .query import Query, _check_arity_compatible, signed_database_restricted
 from .supports import (
     SupportSet,
-    Witness,
-    coalition_halves,
-    coalition_sizes,
-    coalition_table,
-    compile_witnesses,
     satisfies,  # noqa: F401 - perfbench's tracer finds query evaluation by this name
     support_families,
-    witness_masks,
 )
 
 # `fractions`, and `decimal` and `numbers` with it, is imported where a score
@@ -123,11 +116,10 @@ class Game(_GameFields):
     """A wealth function bound to its players, any collection, counted
     (`size`) and tested but never listed: the tuple ``(kind, q, db, players)``.
 
-    It is compiled on first use over its witness players, those some
-    witness requires or forbids, in canonical order: ``drastic`` by
-    `supports.compile_witnesses`, every other kind one witness per minimal
-    support, searched for once.  Every other player is null and has no bit
-    in a table.  No ``__slots__``: what is compiled is cached in ``__dict__``.
+    It is compiled on first use, by `games.compiled`, over its witness
+    players, those some witness requires or forbids, in canonical order;
+    every other player is null and has no bit in a table.  No ``__slots__``:
+    what is compiled is cached in ``__dict__``.
     """
 
     @cached_property
@@ -143,31 +135,23 @@ class Game(_GameFields):
         return support_families(self.q, self.db, family)[0]
 
     @cached_property
-    def _compiled(self) -> tuple[tuple[Player, ...], tuple[Witness, ...]]:
-        """The witness players and the witnesses over them (`supports.witness_masks`)."""
-        if self.kind is WealthKind.DRASTIC_DIRECT:
-            return witness_masks(compile_witnesses(self.q, self.db))
-        return witness_masks((s.elements, frozenset()) for s in self._supports)
+    def _compiled(self) -> tuple[tuple[Player, ...], tuple[tuple[int, int], ...]]:
+        """The witness players and the witnesses over them (`games.compiled`)."""
+        from .games import compiled
+
+        return compiled(self)
 
     @cached_property
     def _table(self) -> int:
-        """The winning coalitions of the witness players (`supports.coalition_table`)."""
-        players, witnesses = self._compiled
-        return coalition_table(len(players), witnesses)
+        """The winning coalitions of the witness players (`games.coalition_table`)."""
+        from .games import coalition_table
 
-    def _worth(self, mask: int) -> int:
-        """The wealth of the coalition of witness players with this bit mask."""
-        fits = sum(mask & r == r and not mask & f for r, f in self._compiled[1])
-        return fits if self.kind.support_mode is not None else min(fits, 1)
+        return coalition_table(len(self._compiled[0]), self._compiled[1])
 
     def wealth(self, coalition: Iterable[Player]) -> Fraction:
-        from fractions import Fraction
+        from .games import wealth
 
-        coalition = frozenset(coalition)
-        if any(p not in self.players for p in coalition):
-            raise PlayerSetError("coalition contains non-players")
-        return Fraction(self._worth(
-            sum(1 << i for i, p in enumerate(self._compiled[0]) if p in coalition)))
+        return wealth(self, coalition)
 
 
 def make_game(
@@ -211,7 +195,7 @@ def scores(q: Query, db: Database, kind: WealthKind, *, target: Player | None = 
            signed_cap: int | None = None) -> tuple[Database | SignedDatabase, Scores]:
     """The ``kind`` game's players, counted as `make_game` counts them, and
     the scores of ``target`` or of every player.  The completion's cap comes
-    first, then a target that is no player is refused.  A counting measure
+    first, then an arity clash, then a target that is no player.  A counting measure
     takes the closed form over its minimal supports (`MsShapleyResult`s,
     under ``weight``), a Boolean game its coalition table (`Fraction`s).  A
     table above ``subset_cap`` players raises for a target; scoring every
@@ -219,9 +203,14 @@ def scores(q: Query, db: Database, kind: WealthKind, *, target: Player | None = 
     """
     game = make_game(q, db, kind, signed_cap=signed_cap)
     if target is not None:
+        _check_arity_compatible(q, db.schema)  # as every search does, before the target
         _require_player(game, target)
-    found = (support_values(game._supports, weight) if game.kind.support_mode is not None
-             else game_values(game, subset_cap))
+    if game.kind.support_mode is not None:
+        found = support_values(game._supports, weight)
+    else:
+        from .games import game_values
+
+        found = game_values(game, subset_cap)
     if target is None:
         return game.players, found
     if isinstance(found.other, str):
@@ -229,11 +218,7 @@ def scores(q: Query, db: Database, kind: WealthKind, *, target: Player | None = 
     return game.players, Scores({target: found.values.get(target, found.other)}, found.other)
 
 
-def _too_many(n: int, cap: int) -> str:
-    return f"{n} players means 2^{n - 1} coalitions (cap {cap})"
-
-
-# -- The two kernels: one pass over the minimal supports, one coalition table --
+# -- The closed form: one pass over the minimal supports, by support mode --
 
 
 def support_values(supports: Iterable[SupportSet],
@@ -254,34 +239,6 @@ def support_values(supports: Iterable[SupportSet],
                            dict(sorted(sizes.items())))
         for p, sizes in by_size.items()
     }, MsShapleyResult(Fraction(0), {}))
-
-
-def game_values(game: Game, cap: int = DEFAULT_SUBSET_CAP) -> Scores:
-    """Each of the m witness players' Shapley value by the subset formula: Σ
-    over the coalitions S of the other witness players of |S|!(m-1-|S|)!/m!
-    times the player's marginal contribution to S, counted per size of S in
-    the coalition table of a Boolean game, in integer numerators over m!;
-    ``other`` is a null player's 0.  ``cap`` (on all players) refuses the
-    table: with no values, and its message as ``other``."""
-    from fractions import Fraction
-
-    try:  # a query too deep to search is refused here too
-        if game.size > cap:
-            raise CapExceededError(_too_many(game.size, cap))
-        players, table = game._compiled[0], game._table
-    except CapExceededError as exc:
-        return Scores({}, str(exc))
-    m = len(players)
-    coefficients = [math.factorial(k) * math.factorial(m - 1 - k) for k in range(m)]
-    sizes, m_fact = coalition_sizes(m), math.factorial(m)
-    return Scores({
-        p: Fraction(sum(c * ((win_with & size).bit_count() - (win_without & size).bit_count())
-                        for c, size in zip(coefficients, sizes)), m_fact)
-        for p, (win_with, win_without) in zip(players, coalition_halves(table, m))
-    }, Fraction(0))
-
-
-# -- The closed form by support mode --
 
 
 def _counting(mode: SupportMode) -> WealthKind:

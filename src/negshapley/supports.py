@@ -16,7 +16,8 @@ context:
 
 The guarded reduction, the per-set support tests and the bounded
 entailment check run the same search from modules no command loads
-(`analysis`, `reference`); their old names here resolve.
+(`analysis`, `reference`), whose old names here resolve; the D-monotone
+and exhaustive listings read coalition tables (`games`) after their caps.
 
 The search matches a disjunct's positive atoms in order, depth first.
 Before it starts, each atom's facts are kept to those with its constants
@@ -29,8 +30,7 @@ order of the index: canonical for a fact set, none for a `Database`.
 `support_families` alone makes the minimal signed and positive supports, as
 the minimal elements of the set of assignment images: every support contains
 the image of one of its own satisfying assignments, and every image is itself
-a support.  `compile_witnesses` compiles the drastic game off the assignments;
-`witness_masks` turns any game's witnesses into masks over the players they name.
+a support.
 
 `SupportSet` is a named tuple, equal to the tuple of its fields.
 """
@@ -40,7 +40,7 @@ import itertools
 import operator
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Sequence, Union
 
-from .core import Database, Fact, Relation, Sign, SignedFact, moved
+from .core import Database, Fact, Relation, Sign, SignedDatabase, SignedFact, moved
 from .errors import CapExceededError, SemanticError
 from .query import (Atom, Conjunct, Const, Query, Var, _check_arity_compatible,
                     signed_database_restricted)
@@ -290,7 +290,7 @@ def support_families(q: Query, db: Database, *kinds: SupportKind) -> tuple[list[
     signed: set[frozenset] = set()
     plain: set[frozenset] = set()
     want_signed, want_plain = "signed" in kinds, "positive" in kinds
-    in_domain, new = db.active_domain.issuperset, tuple.__new__
+    in_domain, new = db.active_domain.issuperset if want_signed else None, tuple.__new__
     for _, _, image, absent in _iter_assignments(q, db, db):
         if want_plain:
             plain.add(image)
@@ -319,123 +319,14 @@ def _minimal_sets(kind: SupportKind, family: set[frozenset]) -> list[SupportSet]
     return [SupportSet(kind, s, True) for s in kept]
 
 
-# -- Compiled games: players as bits, semantics as (required, forbidden) masks --
-
-#: ``(required, forbidden)`` bit masks over a player tuple: a coalition
-#: fits the witness when it holds every required player and no forbidden one.
-Witness = tuple[int, int]
-
-
-def compile_witnesses(q: Query, db: Database) -> set[tuple[frozenset[Fact], frozenset[Fact]]]:
-    """The drastic game's witnesses as (required, forbidden) fact sets, from
-    one assignment search over the database with negation checked inside
-    the coalition: one per assignment, requiring its image and forbidding
-    its grounded negated atoms that are stored.  The other games' witnesses
-    are their minimal supports, with nothing forbidden."""
-    return {(image, db.facts.intersection(map(Fact._make, absent)))
-            for _, _, image, absent in _iter_assignments(q, db, frozenset())}
-
-
-def witness_masks(
-    pairs: Iterable[tuple[frozenset, frozenset]]
-) -> tuple[tuple[FactLike, ...], tuple[Witness, ...]]:
-    """The witness players, those some (required, forbidden) pair names, in
-    canonical order, and the pairs as masks over them.  Every other player
-    is null: a coalition fits a witness by its witness players alone."""
-    pairs = list(pairs)
-    players = tuple(sorted({p for pair in pairs for side in pair for p in side}))
-    bit = {p: 1 << i for i, p in enumerate(players)}
-    mask = lambda facts: sum(map(bit.__getitem__, facts))
-    return players, tuple(sorted({(mask(r), mask(f)) for r, f in pairs}))
-
-
-def player_masks(n: int) -> list[int]:
-    """Player i's mask in a coalition table (see `coalition_table`): the
-    upper 2^i bits of every block of 2^(i+1), the coalitions that hold i."""
-    masks: list[int] = []
-    for i in range(n):
-        masks = [m | m << (1 << i) for m in masks] + [(1 << (1 << i)) - 1 << (1 << i)]
-    return masks
-
-
-def coalition_sizes(n: int) -> list[int]:
-    """The k-th mask: the coalitions of k players."""
-    sizes = [1]
-    for i in range(n):
-        sizes = [low | high << (1 << i) for low, high in zip(sizes + [0], [0] + sizes)]
-    return sizes
-
-
-def coalition_table(n: int, witnesses: Iterable[Witness]) -> int:
-    """The coalitions of ``n`` players that some witness fits, as one int
-    whose bit S stands for the coalition with bit mask S: the OR over the
-    witnesses (R, F) of the AND of R's players' masks and F's complements."""
-    masks, table = player_masks(n), 0
-    for required, forbidden in witnesses:
-        fits = (1 << (1 << n)) - 1
-        for i, mask in enumerate(masks):
-            if required >> i & 1:
-                fits &= mask
-            if forbidden >> i & 1:
-                fits &= ~mask
-        table |= fits
-    return table
-
-
-def coalition_halves(table: int, n: int) -> Iterator[tuple[int, int]]:
-    """Player by player, the coalitions of the others that win with the
-    player and those that win without it, as tables with its bit clear."""
-    for i, mask in enumerate(player_masks(n)):
-        yield (table & mask) >> (1 << i), table & ~mask
-
-
-def _indices(table: int) -> list[int]:
-    """The set bits of ``table``, lowest first."""
-    return [i for i, bit in enumerate(bin(table)[:1:-1]) if bit == "1"]
-
-
-# -- D-monotone supports --
-
-
-def _d_monotone_table(q: Query, db: Database, cap: int) -> tuple[tuple[Fact, ...], int]:
-    """The drastic game's witness players, and which subsets of them have
-    every superset within the database satisfy the query, as a coalition
-    table over them."""
-    if len(db.facts) > cap:
-        raise CapExceededError(
-            f"enumerating D-monotone supports over {len(db.facts)} facts needs "
-            f"2^{len(db.facts)} evaluations (cap {cap})"
-        )
-    players, witnesses = witness_masks(compile_witnesses(q, db))
-    table = coalition_table(len(players), witnesses)
-    for i, mask in enumerate(player_masks(len(players))):
-        table &= mask | table >> (1 << i)  # S without player i needs S with it
-    return players, table
-
-
-def _minimal_masks(table: int, n: int) -> list[int]:
-    """The masks whose bit is set while no mask one player smaller has its
-    bit set; these are the minimal ones when the table is closed upwards."""
-    smaller = 0
-    for i, mask in enumerate(player_masks(n)):
-        smaller |= mask & table << (1 << i)
-    return _indices(table & ~smaller)
-
-
-def _members(players: Sequence, mask: int) -> frozenset:
-    return frozenset(p for i, p in enumerate(players) if mask >> i & 1)
+# -- D-monotone and exhaustive listings, read off coalition tables --
 
 
 def minimal_d_monotone_supports(
     q: Query, db: Database, *, cap: int = DEFAULT_DMONOTONE_CAP
 ) -> Listing:
     """All subset-minimal D-monotone supports, in canonical order."""
-    players, table = _d_monotone_table(q, db, cap)
-    return _in_order(SupportSet("dMonotone", _members(players, S), True)
-                     for S in _minimal_masks(table, len(players)))
-
-
-# -- Exhaustive (non-minimal) listings, used by the command line tool --
+    return _from_table(q, db, "dMonotone", cap)
 
 
 def all_supports(
@@ -444,27 +335,24 @@ def all_supports(
 ) -> Listing:
     """Every support of the given kind, minimal or not (exponential); the
     players are counted against ``signed_cap``, then ``cap``, before any is built."""
-    if kind == "dMonotone":
-        universe = db
-        players, table = _d_monotone_table(q, db, cap)
-    elif kind in ("signed", "positive"):
-        universe = signed_database_restricted(db, q, cap=signed_cap) if kind == "signed" else db
-        n = universe.size if kind == "signed" else len(universe)
-        if n > cap:
-            raise CapExceededError(
-                f"listing all supports over {n} facts needs 2^{n} checks (cap {cap})"
-            )
-        (family,) = support_families(q, db, kind)
-        players, witnesses = witness_masks((s.elements, frozenset()) for s in family)
-        table = coalition_table(len(players), witnesses)
-    else:
+    if kind not in ("signed", "positive", "dMonotone"):
         raise SemanticError(f"unknown support kind {kind!r}")
-    named = set(players)  # every family is closed upwards: a null player doubles the table
-    players += tuple(p for p in universe.sorted_facts if p not in named)
-    for i in range(len(named), len(players)):
-        table |= table << (1 << i)
-    minimal = set(_minimal_masks(table, len(players)))
-    return _in_order(SupportSet(kind, _members(players, S), S in minimal) for S in _indices(table))
+    universe = signed_database_restricted(db, q, cap=signed_cap) if kind == "signed" else db
+    return _from_table(q, db, kind, cap, universe)
+
+
+def _from_table(q: Query, db: Database, kind: SupportKind, cap: int,
+                universe: Database | SignedDatabase | None = None) -> Listing:
+    """`games.listing`, imported once the players are counted within ``cap``."""
+    n = universe.size if kind == "signed" else len(db)
+    if n > cap:
+        raise CapExceededError(
+            f"enumerating D-monotone supports over {n} facts needs 2^{n} evaluations (cap {cap})"
+            if kind == "dMonotone" else
+            f"listing all supports over {n} facts needs 2^{n} checks (cap {cap})")
+    from .games import listing
+
+    return listing(q, db, kind, universe)
 
 
 __getattr__ = moved(__name__, {

@@ -11,7 +11,10 @@ of load on the host falls on every row alike:
   time of ``negshapley.cli`` that ``python3 -X importtime`` reports (from
   children of its own, so that its output costs the timed ones nothing);
 * ``python3 -m negshapley.cli`` on one call of each benchmark workload, on
-  the workload's inputs for seed 0 (`perfbench/workloads.py`).
+  the workload's inputs for seed 0 (`perfbench/workloads.py`);
+* the benchmark's set-up child on coalition-games' inputs for seed 0: the
+  import, load and parse that ``perfbench/run.py`` times as ``setup_s``,
+  its ``SETUP_CODE`` read from that file.
 
 Every child runs on a copy of ``src/negshapley`` with no bytecode cache and
 ``PYTHONDONTWRITEBYTECODE=1``, so it compiles the package from source, as a
@@ -26,6 +29,7 @@ pytest does not collect this file; it is a tool, not a test.
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib.util
 import json
 import os
@@ -53,6 +57,16 @@ def load_workloads():
     sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
+
+
+def setup_code() -> str:
+    """``SETUP_CODE`` of ``perfbench/run.py``, read from its syntax tree
+    rather than imported, so that nothing of the benchmark runs here."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SETUP_CODE"]:
+            return ast.literal_eval(node.value)
+    raise SystemExit("no SETUP_CODE in perfbench/run.py")
 
 
 class Launcher:
@@ -115,6 +129,9 @@ def main() -> None:
             workload.write(here / name)
             rows.append((f"`negshapley {command} ... {' '.join(flags)}` ({name}, seed 0)",
                          [python, "-m", "negshapley.cli", *argv], here / name))
+        games = workloads.build("coalition-games", 0)
+        rows.append(("benchmark set-up child (coalition-games, seed 0)",
+                     [python, "-c", setup_code(), *games.instances], here / "coalition-games"))
         runs: list[list[tuple[float, float]]] = [[] for _ in rows]
         imports = []
         launcher = Launcher(here, env)

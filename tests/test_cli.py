@@ -305,27 +305,25 @@ def test_query_comment_ends_at_every_line_break(capsys, paths, brk):
 
 
 def _count_compilations(monkeypatch) -> list:
-    """Count calls of the witness compiler, wherever a module holds it."""
-    import negshapley.shapley as shapley
-    import negshapley.supports as supports
+    """Count calls of the witness compiler, which `negshapley.games` alone holds."""
+    import negshapley.games as games
 
     calls = []
-    real = supports.compile_witnesses
-    counted = lambda *a, **k: calls.append(a) or real(*a, **k)
-    for module in (shapley, supports):
-        monkeypatch.setattr(module, "compile_witnesses", counted)
+    real = games.compile_witnesses
+    monkeypatch.setattr(games, "compile_witnesses", lambda *a, **k: calls.append(a) or real(*a, **k))
     return calls
 
 
 def _count_searches(monkeypatch) -> list:
-    """Count the assignment searches started, one per `_iter_assignments` call."""
+    """Count the assignment searches started, one per `_iter_assignments`
+    call, wherever a module holds it."""
+    import negshapley.games as games
     import negshapley.supports as supports
 
     searches = []
     real = supports._iter_assignments
-    monkeypatch.setattr(
-        supports, "_iter_assignments", lambda *a: searches.append(a) or real(*a)
-    )
+    for module in (games, supports):
+        monkeypatch.setattr(module, "_iter_assignments", lambda *a: searches.append(a) or real(*a))
     return searches
 
 
@@ -868,6 +866,21 @@ def test_arity_clash_keeps_its_message(capsys, tmp_path, command, clash):
     assert (code, out, err) == (2, "", f"error: relation I has {arities} in the query\n")
 
 
+@pytest.mark.parametrize("clash", list(_ARITY_CLASHES))
+@pytest.mark.parametrize("measure", ["ms-signed", "signed-drastic", "mps", "drastic",
+                                     "positive-drastic"])
+def test_arity_clash_comes_before_the_target(capsys, tmp_path, measure, clash):
+    """``score --fact`` with a target that is no player refuses the clash
+    first, under every measure: the query is checked against the schema
+    before the target is looked for among the players."""
+    facts, query, arities = _ARITY_CLASHES[clash]
+    (tmp_path / "c.facts").write_text(facts)
+    (tmp_path / "c.query").write_text(query)
+    got = run(capsys, "score", "--db", str(tmp_path / "c.facts"), "--query",
+              str(tmp_path / "c.query"), "--measure", measure, "--fact", "Z(q)")
+    assert got == (2, "", f"error: relation I has {arities} in the query\n")
+
+
 def _chain_query(atoms: int) -> str:
     names = ", ".join(f"x{i}" for i in range(atoms + 1))
     body = ", ".join(f"E(x{i},x{i + 1})" for i in range(atoms))
@@ -1188,11 +1201,13 @@ def _check_plain_reader(argv) -> None:
     """`cli._read_plain` gives up on ``argv``, or argparse accepts it and
     makes the same namespace; and `main` answers as with the reader off."""
     import negshapley.cli as cli
+    from negshapley.usage import build_parser
 
     attached = cli._attach_fact_values(argv)
     plain = cli._read_plain(attached)
     if plain is not None:
-        assert vars(plain) == vars(cli._build_parser().parse_args(attached)), argv
+        parser = build_parser(tuple(cli._COMMANDS.items()), cli._FLAGS)
+        assert vars(plain) == vars(parser.parse_args(attached)), argv
     read = _outcome(argv)
     with mock.patch.object(cli, "_read_plain", lambda argv: None):
         assert read == _outcome(argv), argv
@@ -1592,6 +1607,26 @@ def test_score_never_builds_the_completion(capsys, tmp_path, monkeypatch):
             for cap in ("2", "20"):
                 got = run(capsys, *score, f"--fact={sf}", "--cap-subset", cap)
                 assert got == (2, "", refusal), (str(q), str(sf))
+
+
+@pytest.mark.parametrize("argv", [("supports", "--kind", "positive"),
+                                  ("supports", "--kind", "positive", "--format", "json"),
+                                  ("score", "--measure", "mps", "--all"),
+                                  ("score", "--measure", "mps", "--all", "--format", "json")])
+def test_positive_listing_and_mps_never_read_the_active_domain(capsys, paths, monkeypatch, argv):
+    """Only the signed completion needs the database's constants: with
+    `Database.active_domain` made to fail, a positive listing and every mps
+    score still write what they write with it."""
+    from negshapley.core import Database
+
+    def refuse(self):
+        raise AssertionError("the active domain was built")
+
+    call = (argv[0], "--db", paths["db"], "--query", paths["q"], *argv[1:])
+    want = run(capsys, *call)
+    assert want[0] == 0
+    monkeypatch.setattr(Database, "active_domain", property(refuse))
+    assert run(capsys, *call) == want
 
 
 def _menus(tmp_path, menus=230):

@@ -70,6 +70,43 @@ def test_only_the_search_plan_grounds_literals():
             for line in reads(_tree(path))} == {("supports", line) for line in reads(plan)}
 
 
+#: The modules that ``import negshapley.cli`` loads, and those loaded on first use.
+_STARTUP = ("__init__", "cli", "core", "errors", "output", "query", "relevance", "shapley",
+            "supports")
+_DEFERRED = ("analysis", "games", "reference", "usage")
+
+
+def _import_time_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """The package modules, by name within the package, that a module's
+    imports read when it is imported (all but those inside a function),
+    with their lines."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.removeprefix("negshapley."))
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = (node.module or "").removeprefix("negshapley").lstrip(".")
+            found += ([(node.lineno, alias.name) for alias in node.names] if not base
+                      else [(node.lineno, base)])
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            found += _import_time_imports(node)
+    return found
+
+
+def test_no_start_up_module_imports_a_deferred_one():
+    """The coalition tables (`games`), the argparse fallback (`usage`), the
+    query analysis and the library-only API are imported inside the
+    functions that need them, never while a start-up module loads, so that
+    ``import negshapley.cli`` does not compile them."""
+    trees = {module: _tree(PACKAGE / f"{module}.py") for module in _STARTUP}
+    assert [f"{module}.py:{line}: {name}" for module, tree in trees.items()
+            for line, name in _import_time_imports(tree) if name in _DEFERRED] == []
+    inside = {node.module for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert {"analysis", "games", "usage"} <= inside  # each is still imported, on first use
+
+
 def test_no_module_imports_a_name_it_never_uses():
     """Apart from ``__init__``, which re-exports, and lines marked
     ``noqa: F401``, every imported name is read somewhere in its module."""

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from negshapley.core import database, fact, negative, positive, signed_database
 from negshapley.errors import CapExceededError, PlayerSetError, SemanticError
+from negshapley.games import _impacts
 from negshapley.query import parse_query
-from negshapley.relevance import ImpactKind, _impacts, impact_relevant
+from negshapley.relevance import ImpactKind, impact_relevant
 from negshapley.shapley import (
     WEIGHT_FUNCTIONS,
     Game,

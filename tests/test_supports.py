@@ -594,6 +594,29 @@ def test_library_refusals_keep_their_messages(call, error, message):
     assert str(refused.value) == message
 
 
+#: A database and a query that gives its relation I another arity, and the
+#: message: I with stored facts, and I declared by a header alone.
+_ARITY_CLASHES = {
+    "stored": (database([fact("I", "a", "b"), fact("J", "a")]),
+               parse_query("exists x. I(x), !J(x)"),
+               "relation I has arity 2 in the data but arity 1 in the query"),
+    "header": (_HEADER_ONLY, _BINARY_I,
+               "relation I has arity 1 in the data but arity 2 in the query"),
+}
+
+
+@pytest.mark.parametrize("clash", list(_ARITY_CLASHES))
+@pytest.mark.parametrize("test", [is_signed_support, is_positive_support,
+                                  is_d_monotone_support])
+def test_per_set_support_tests_refuse_an_arity_clash(test, clash):
+    """Each per-set test checks the query against the whole schema, as every
+    search does, and so refuses a clash whatever the set, the empty one too."""
+    db, q, message = _ARITY_CLASHES[clash]
+    with pytest.raises(ArityError) as refused:
+        test(set(), q, db)
+    assert str(refused.value) == message
+
+
 # ---------------------------------------------------------------------------
 # corpus agreement with the oracles
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-import negshapley.shapley
+import negshapley.games
 from negshapley.core import Database, Relation, database, fact, positive
 from negshapley.core import signed_database
 from negshapley.errors import ArityError, SafetyError, SemanticError
@@ -167,13 +167,13 @@ def test_cached_properties_compute_once(monkeypatch):
     assert q.relations is q.relations
     assert cq.positive_atoms is cq.positive_atoms and cq.negated_atoms is cq.negated_atoms
     calls = []
-    compile_witnesses = negshapley.shapley.compile_witnesses
+    compile_witnesses = negshapley.games.compile_witnesses
 
     def counted(*args):
         calls.append(args)
         return compile_witnesses(*args)
 
-    monkeypatch.setattr(negshapley.shapley, "compile_witnesses", counted)
+    monkeypatch.setattr(negshapley.games, "compile_witnesses", counted)
     game = Game(WealthKind.DRASTIC_DIRECT, q, DB, (S_A,))
     assert game._table is game._table and game.wealth([S_A]) == 1
     assert len(calls) == 1
@@ -210,39 +210,53 @@ def test_cli_import_loads_exactly_the_command_layers():
 
 
 #: Loaded only where a score is built (`fractions` brings the other two),
-#: by ``analyze`` (`json` only with ``--format json``), by the first caller
-#: of the library-only API, and, with `gettext`, by a command line that
-#: argparse reads: help, an abbreviated flag or a usage error.
+#: where a coalition table is built (`negshapley.games`), by ``analyze``
+#: (`json` only with ``--format json``), by the first caller of the
+#: library-only API, and, with `gettext` and `negshapley.usage`, by a
+#: command line that argparse reads: help, an abbreviated flag or a usage error.
 _DEFERRED = ("argparse", "decimal", "fractions", "gettext", "json", "negshapley.analysis",
-             "negshapley.reference", "numbers")
+             "negshapley.games", "negshapley.reference", "negshapley.usage", "numbers")
 _FRACTIONS = ["decimal", "fractions", "numbers"]
+_GAMES = ["negshapley.games"]
+_TABLE_SCORES = ["decimal", "fractions", "negshapley.games", "numbers"]
+_ARGPARSE = ["argparse", "gettext", "negshapley.usage"]
 
 
 @pytest.mark.parametrize("argv, code, loaded", [
     ((), 0, []),
     (("supports", "--kind", "signed"), 0, []),
     (("supports", "--kind", "positive"), 0, []),
-    (("supports", "--kind", "dmonotone"), 0, []),
-    (("relevance",), 0, []),
-    (("relevance", "--format", "json"), 0, []),
+    (("supports", "--kind", "dmonotone"), 0, _GAMES),
+    (("relevance",), 0, _GAMES),
+    (("relevance", "--db", "above.facts"), 0, []),
+    (("relevance", "--format", "json"), 0, _GAMES),
     (("analyze",), 0, ["negshapley.analysis"]),
     (("score",), 0, _FRACTIONS),
-    (("compare",), 0, _FRACTIONS),
+    (("score", "--measure", "mps"), 0, _FRACTIONS),
+    (("score", "--measure", "drastic"), 0, _TABLE_SCORES),
+    (("score", "--measure", "positive-drastic", "--fact", "R(a,b)"), 0, _TABLE_SCORES),
+    (("score", "--measure", "signed-drastic"), 0, _TABLE_SCORES),
+    (("compare",), 0, _TABLE_SCORES),
     (("analyze", "--format", "json"), 0, ["json", "negshapley.analysis"]),
-    (("supports", "--kind", "signed", "--all", "--format", "json"), 0, []),
-    (("score", "--measure", "drastic", "--format", "json"), 0, _FRACTIONS),
-    (("compare", "--format", "json"), 0, _FRACTIONS),
-    (("score", "--measure", "nosuch"), 1, ["argparse", "gettext"]),
-    (("score", "--meas", "mps"), 0, ["argparse", "decimal", "fractions", "gettext", "numbers"]),
+    (("supports", "--kind", "signed", "--all", "--format", "json"), 0, _GAMES),
+    (("score", "--measure", "drastic", "--format", "json"), 0, _TABLE_SCORES),
+    (("compare", "--format", "json"), 0, _TABLE_SCORES),
+    (("score", "--measure", "nosuch"), 1, _ARGPARSE),
+    (("score", "--meas", "mps"), 0, ["argparse", "decimal", "fractions", "gettext",
+                                     "negshapley.usage", "numbers"]),
 ])
 def test_only_scoring_commands_load_fractions(tmp_path, argv, code, loaded):
     """A fresh ``python -S`` child imports the command line, runs one
     command on a small instance, and lists the deferred modules it loaded:
-    only ``score`` and ``compare`` build scores, only ``analyze`` loads the
-    query analysis, and only its JSON document `json`; no command reaches
-    the library-only API, and only a command line not written in full, or
+    only ``score`` and ``compare`` build scores; only a drastic score,
+    ``compare``, a D-monotone or exhaustive listing and ``relevance``
+    within its impact cap of 20 facts build a coalition table (not on the
+    21 facts of ``above.facts``); only ``analyze`` loads the query
+    analysis, and only its JSON document `json`; no command reaches the
+    library-only API, and only a command line not written in full, or
     wrong, loads `argparse`."""
     (tmp_path / "i.facts").write_text("R(a,b)\nR(b,c)\nS(c)\n")
+    (tmp_path / "above.facts").write_text("".join(f"R(a,c{i})\n" for i in range(21)))
     (tmp_path / "i.query").write_text("exists x, y. R(x,y), !S(y)\n")
     script = (
         "import sys\n"
@@ -250,7 +264,8 @@ def test_only_scoring_commands_load_fractions(tmp_path, argv, code, loaded):
         "code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
         f"print(code, sorted(set({_DEFERRED!r}) & set(sys.modules)))\n"
     )
-    files = ("--db", "i.facts", "--query", "i.query") if argv else ()
+    db = () if "--db" in argv else ("--db", "i.facts")
+    files = (*db, "--query", "i.query") if argv else ()
     env = dict(os.environ, PYTHONPATH=str(SRC))
     result = subprocess.run(
         [sys.executable, "-S", "-c", script, *argv, *files], env=env, cwd=tmp_path,
