@@ -6,13 +6,15 @@ The pieces: `core` holds facts, databases, and signed completions; `query`
 the query model, parser and sign transform; `supports` the
 satisfying-assignment search and the support semantics; `relevance` the
 qualitative verdicts; `shapley` the exact scores; `cli` the command line,
-and `output` the writers of its tables and JSON documents.  Four are
+and `output` the writers of its tables and JSON documents.  Five are
 loaded on first use, not at start-up: `games`, the coalition tables, where
-one is built; `analysis`, the query analysis and guarded reduction, by
-``analyze``; `usage`, argparse's parser, by help and usage errors; and
-`reference`, the per-set support tests, per-fact verdicts, per-player
-Shapley routes and bounded entailment, by no command.  The names in
-`analysis` and `reference` resolve from the package and the modules they left.
+one is built; `rows`, the per-fact commands and their row writer, by
+``score``, ``relevance`` and ``compare``; `analysis`, the query analysis
+and guarded reduction, by ``analyze``; `usage`, argparse's parser, by help
+and usage errors; and `reference`, the per-set support tests, per-fact
+verdicts, per-player Shapley routes and bounded entailment, by no command.
+The names in `analysis` and `reference` resolve from the package and the
+modules they left.
 """
 from .core import (
     Database,

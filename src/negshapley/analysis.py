@@ -198,8 +198,8 @@ def analyze_query(q: Query) -> QueryAnalysis:
     )
 
 
-def write_analysis(args: argparse.Namespace, q: Query) -> None:
-    """The ``analyze`` command's output: its JSON document or its table."""
+def write_analysis(args: argparse.Namespace, q: Query, db: Database | None = None) -> None:
+    """The ``analyze`` command's output on the query alone: its JSON document or its table."""
     analysis = analyze_query(q)
     payload = {
         "command": "analyze",

@@ -11,6 +11,8 @@ subcommand's flags: in its plain form (the subcommand, then each flag in
 full, once, with a valid value) straight into the namespace argparse would
 make, and in any other by argparse (`negshapley.usage`), so that every
 spelling argparse accepts still works, and help and usage errors are its own.
+The handlers of ``score``, ``relevance`` and ``compare`` (`negshapley.rows`)
+and of ``analyze`` (`negshapley.analysis`) load once it is read.
 
 Exit codes: 0 success, 1 usage or parse error, 2 semantic error (unsafe
 query, arity clash, bad player), 3 cap exceeded, 4 standard output closed
@@ -20,23 +22,19 @@ from __future__ import annotations
 
 import atexit
 import os
-import re
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
-from .core import LINE_BREAKS, Database, load_database, parse_fact, parse_signed_fact
+from .core import LINE_BREAKS, Database, load_database
 from .errors import CapExceededError, InputParseError, SemanticError
-from .output import (_block, _bool, _columns, _dumps, _emit, _json, _value_cell, _value_json,
-                     _write_rows)
+from .output import _block, _bool, _columns, _dumps, _emit, _json
 from .query import Query, parse_query
-from .relevance import report
 from .shapley import (
     DEFAULT_SUBSET_CAP,
     WEIGHT_FUNCTIONS,
     WealthKind,
     ms_shapley,  # noqa: F401 - perfbench's self-test checks that the tracer rebinds this name
-    scores,
 )
 from .supports import (
     all_supports,
@@ -55,7 +53,14 @@ def _load_query(path: str) -> Query:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputParseError(f"cannot read query file: {exc}") from exc
-    return parse_query(re.sub(f"#[^\n{LINE_BREAKS}]*", "", text))
+    return parse_query(_strip_comments(text))
+
+
+def _strip_comments(text: str) -> str:
+    """``text`` less each ``#`` and the rest of its line, up to any break of `str.splitlines`."""
+    ends = "\n" + LINE_BREAKS
+    return "".join(head + tail[len(tail.rstrip(ends)):] for head, _, tail in (
+        line.partition("#") for line in text.splitlines(keepends=True)))
 
 
 def _load_db(path: str) -> Database:
@@ -92,93 +97,16 @@ def _cmd_supports(args: argparse.Namespace, q: Query, db: Database) -> None:
     _emit(args, document, lambda: _columns(rows() if sets else []))
 
 
-# -- score --
-
-
-def _cmd_score(args: argparse.Namespace, q: Query, db: Database) -> None:
-    kind = WealthKind(args.measure)
-    signed, counting = kind.signed_players, kind.support_mode is not None
-    target = None if args.fact is None else (parse_signed_fact if signed else parse_fact)(args.fact)
-    # A result is an `MsShapleyResult` (a counting measure), a `Fraction` (a
-    # Boolean game) or a cap's message, held for the target, the support
-    # members or a game's players; every other player shares ``other``.
-    players, found = scores(q, db, kind, target=target, weight=WEIGHT_FUNCTIONS[args.weight],
-                            subset_cap=args.cap_subset, signed_cap=args.cap_signed)
-    method = "closed-form" if counting else "subset"
-
-    def cells(result) -> tuple[str, str]:
-        if isinstance(result, str):
-            return "error: " + result, "-"
-        return str(result.score if counting else result), method
-
-    def record(result) -> str:
-        if isinstance(result, str):
-            return f',\n      "error": {_dumps(result)}\n    }}'
-        value, sizes = result if counting else (result, None)
-        score = _block("{}", [f'"{kind.value}": {_value_json(value)}'], 3)
-        text = f',\n      "values": {score},\n      "method": "{method}"'
-        if sizes is not None:
-            counts = (f'"{size}": {count}' for size, count in sizes.items())
-            text += f',\n      "supportsBySize": {_block("{}", counts, 3)}'
-        return text + "\n    }"
-
-    _write_rows(args, {"command": "score", "query": str(q), "measure": kind.value,
-                       "weight": args.weight}, ("fact", kind.value, "method"),
-                lambda: [max(len(cells(r)[0]) for r in [*found.values.values(), found.other]), 0],
-                record, cells, players if target is None else target, [(found, signed)])
-
-
-# -- relevance / analyze / compare --
-
-
-_VERDICT_COLUMNS = ("fact", "signedRelevant", "positiveRelevant", "impact")
-_COMPARED = (WealthKind.MS_SIGNED.value, WealthKind.MPS_POSITIVE.value,
-             WealthKind.DRASTIC_DIRECT.value)
-
-
-def _cmd_analyze(args: argparse.Namespace, q: Query, db: Database | None) -> None:
-    from .analysis import write_analysis  # here: no other command needs it
-
-    write_analysis(args, q)
-
-
-def _cmd_report(args: argparse.Namespace, q: Query, db: Database) -> None:
-    """``relevance``, and ``compare`` with the ms-signed, mps and drastic scores
-    added: a row per fact of the restricted completion, written as it is made
-    from the columns of `relevance.report`."""
-    measures = _COMPARED if args.command == "compare" else ()
-    completion, columns = report(q, db, signed_cap=args.cap_signed,
-                                 subset_cap=args.cap_subset if measures else None)
-
-    def record(in_signed, in_plain, impact, *values) -> str:
-        impact = "null" if impact is None else f'"{impact}"'  # a name: nothing to escape
-        text = (f',\n      "signedRelevant": {_bool(in_signed)},\n      "positiveRelevant": '
-                f'{"null" if in_plain is None else _bool(in_plain)},\n      "impact": {impact}')
-        if measures:  # a - row has an ms-signed score only
-            shown = (f'"{m}": {_value_json(v)}' for m, v in zip(measures, values) if v is not None)
-            text += f',\n      "values": {_block("{}", shown, 3)}'
-        return text + "\n    }"
-
-    def cells(in_signed, in_plain, impact, *values) -> tuple[str, ...]:
-        return (_bool(in_signed), "-" if in_plain is None else _bool(in_plain), impact or "-",
-                *map(_value_cell, values))
-
-    widths = lambda: [0, 0, *(max(len(cell(v)) for v in [*values.values(), other]) for cell, (
-        (values, other), _) in zip((str, _value_cell, _value_cell, _value_cell), columns[2:]))]
-    _write_rows(args, {"command": args.command, "query": str(q)}, (*_VERDICT_COLUMNS, *measures),
-                widths, record, cells, completion, columns)
-
-
 # -- Entry point --
 
 
-#: Each subcommand's help line and handler, in the order of the help.
+#: Each subcommand's help line, in the order of the help.
 _COMMANDS = {
-    "supports": ("list supports of a query", _cmd_supports),
-    "score": ("score facts by a responsibility measure", _cmd_score),
-    "relevance": ("relevance report for every fact", _cmd_report),
-    "analyze": ("structural analysis of a query", _cmd_analyze),
-    "compare": ("relevance and scores side by side", _cmd_report),
+    "supports": "list supports of a query",
+    "score": "score facts by a responsibility measure",
+    "relevance": "relevance report for every fact",
+    "analyze": "structural analysis of a query",
+    "compare": "relevance and scores side by side",
 }
 
 
@@ -276,9 +204,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             from .usage import build_parser
 
             args = build_parser(tuple(_COMMANDS.items()), _FLAGS).parse_args(argv)
+        handler = _cmd_supports  # the others load with their modules, before the inputs
+        if args.command == "analyze":
+            from .analysis import write_analysis as handler
+        elif args.command != "supports":
+            from .rows import _cmd_report, _cmd_score
+            handler = _cmd_score if args.command == "score" else _cmd_report
         q = _load_query(args.query)  # then the facts: ``analyze`` reads them only to check them
         db = None if args.db is None else _load_db(args.db)
-        _COMMANDS[args.command][1](args, q, db)
+        handler(args, q, db)
         return 0
     except InputParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,6 @@
 """Compiled Boolean games: players as bits, semantics as (required,
 forbidden) masks, and the coalition tables read off them, for a `Game`, the
-drastic scores (`game_values`), impacts and the D-monotone and exhaustive
+drastic scores (`table_values`), impacts and the D-monotone and exhaustive
 listings.  Each caller imports this module after the cap that bounds its
 table, so no other command, nor the command line's start-up, compiles it.
 """
@@ -13,7 +13,7 @@ from .core import Database, Fact
 from .errors import CapExceededError, PlayerSetError
 from .query import Query
 from .relevance import ImpactKind
-from .shapley import DEFAULT_SUBSET_CAP, Game, Player, Scores, WealthKind
+from .shapley import Game, Player, Scores, WealthKind
 from .supports import (FactLike, Listing, SupportKind, SupportSet, _in_order, _iter_assignments,
                        support_families)
 
@@ -124,19 +124,15 @@ def wealth(game: Game, coalition: Iterable[Player]) -> Fraction:
                                     if p in coalition)))
 
 
-def game_values(game: Game, cap: int = DEFAULT_SUBSET_CAP) -> Scores:
-    """Each of the m witness players' Shapley value by the subset formula: Σ
-    over the coalitions S of the other witness players of |S|!(m-1-|S|)!/m!
-    times the player's marginal contribution to S, counted per size of S in
-    the coalition table of a Boolean game, in integer numerators over m!;
-    ``other`` is a null player's 0.  ``cap`` (on all players) refuses the
-    table: with no values, and its message as ``other``."""
+def table_values(game: Game) -> Scores:
+    """`shapley.game_values` within its cap: each of the m witness players'
+    Shapley value by the subset formula, Σ over the coalitions S of the other
+    witness players of |S|!(m-1-|S|)!/m! times the player's marginal
+    contribution to S, counted per size of S in the coalition table, in
+    integer numerators over m!; ``other`` is a null player's 0."""
     from fractions import Fraction
 
-    try:  # a query too deep to search is refused here too
-        if game.size > cap:
-            raise CapExceededError(f"{game.size} players means 2^{game.size - 1} coalitions "
-                                   f"(cap {cap})")
+    try:  # a query too deep to search is refused here
         players, table = game._compiled[0], game._table
     except CapExceededError as exc:
         return Scores({}, str(exc))

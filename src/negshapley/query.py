@@ -238,9 +238,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_VAR_RE = re.compile(r"[a-z][A-Za-z0-9_]*$")
-
-
 class _Tokens:
     def __init__(self, text: str) -> None:
         self.items: list[tuple[str, str, int]] = []
@@ -279,7 +276,7 @@ def _take_variable(tokens: _Tokens) -> str:
     name, pos = tokens.take("ident", "a variable")
     if name in _RESERVED:
         raise QuerySyntaxError(f"{name!r} is a reserved word", pos)
-    if not _VAR_RE.match(name):
+    if not name[0].islower():  # an identifier token is ASCII
         raise QuerySyntaxError(
             f"{name!r} cannot be a variable (variables start lowercase)", pos
         )

@@ -12,7 +12,7 @@ import it on first use.
   fact; `relevance_report` reads every fact's `RelevanceVerdict` off
   `relevance.report`'s columns.
 * `shapley_values` and `shapley_subset` read `shapley.support_values` or
-  `games.game_values`, `ms_scores` `shapley.scores`; `shapley_permutation`
+  `shapley.game_values`, `ms_scores` `shapley.scores`; `shapley_permutation`
   and `permutation_marginal_counts` walk the permutation definition, the
   reference the subset formula is checked against.
 * `entailment_supports_bounded` decides entailment over a finite domain.
@@ -29,13 +29,12 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .core import Database, Fact, Sign, SignedFact, _unique_schema, positive
 from .errors import CapExceededError, SemanticError
-from .games import (_impacts, coalition_table, compile_witnesses, game_values, witness_masks,
-                    worth)
+from .games import _impacts, coalition_table, compile_witnesses, witness_masks, worth
 from .query import Query, _check_arity_compatible, sign_transform
 from .relevance import DEFAULT_IMPACT_CAP, ImpactKind, report
 from .shapley import (DEFAULT_SUBSET_CAP, Game, MsShapleyResult, Player, SupportMode, WealthKind,
-                      _counting, _require_player, make_game, reciprocal_weight, scores,
-                      support_values)
+                      _counting, _require_player, game_values, make_game, reciprocal_weight,
+                      scores, support_values)
 from .supports import (DEFAULT_DMONOTONE_CAP, FactLike, _has_assignment, _iter_assignments,
                        minimal_positive_supports, minimal_signed_supports)
 

@@ -18,7 +18,7 @@ from enum import Enum
 
 from .core import Database, SignedDatabase, moved
 from .query import Query, signed_database_restricted
-from .shapley import Scores, WealthKind, make_game, support_values
+from .shapley import Scores, WealthKind, game_values, make_game, support_values
 from .supports import (
     satisfies,  # noqa: F401 - perfbench's tracer finds query evaluation by this name
     support_families,
@@ -69,8 +69,6 @@ def report(
         for family, keyed in ((signed, True), (plain, False)):
             values, other = support_values(family)
             columns.append((Scores({p: r.score for p, r in values.items()}, other.score), keyed))
-        from .games import game_values
-
         columns.append((game_values(drastic, subset_cap), False))
     return completion, columns
 

@@ -22,9 +22,10 @@ closed form, `support_values`: the sum of ``w(|S|)`` over the minimal
 supports S containing the target, where the reciprocal weight
 ``w(k) = 1/k`` recovers the Shapley value exactly and other weights give
 the general weighted-sum-of-minimal-supports scores.  The Boolean games
-take `games.game_values`, the subset formula over the coalition table of
-their witness players.  Both return the values of the support members or
-witness players and the one value every other player shares.
+take `game_values`, the subset formula over the coalition table of their
+witness players, built in `games`, which loads only within the cap.  Both
+return the values of the support members or witness players and the one
+value every other player shares.
 `ms_shapley` scores one player by the closed form.  The other per-player
 routes (`shapley_values`, `shapley_subset`, `ms_scores`) and the
 permutation definition are in `negshapley.reference`, which no command
@@ -205,17 +206,24 @@ def scores(q: Query, db: Database, kind: WealthKind, *, target: Player | None = 
     if target is not None:
         _check_arity_compatible(q, db.schema)  # as every search does, before the target
         _require_player(game, target)
-    if game.kind.support_mode is not None:
-        found = support_values(game._supports, weight)
-    else:
-        from .games import game_values
-
-        found = game_values(game, subset_cap)
+    found = (support_values(game._supports, weight) if game.kind.support_mode is not None
+             else game_values(game, subset_cap))
     if target is None:
         return game.players, found
     if isinstance(found.other, str):
         raise CapExceededError(found.other)
     return game.players, Scores({target: found.values.get(target, found.other)}, found.other)
+
+
+def game_values(game: Game, cap: int = DEFAULT_SUBSET_CAP) -> Scores:
+    """A Boolean game's scores off its coalition table (`games.table_values`).
+    Above ``cap`` players, counted, the table is refused before `games` (and
+    `fractions`) is imported: no values, and the cap's message as ``other``."""
+    if game.size > cap:
+        return Scores({}, f"{game.size} players means 2^{game.size - 1} coalitions (cap {cap})")
+    from .games import table_values
+
+    return table_values(game)
 
 
 # -- The closed form: one pass over the minimal supports, by support mode --

@@ -30,17 +30,17 @@ def _count(text: str) -> int:
 
 
 @cache  # built once per process: argparse does not change a parser as it parses
-def build_parser(commands: tuple[tuple[str, tuple], ...], flags: tuple[tuple, ...]
+def build_parser(commands: tuple[tuple[str, str], ...], flags: tuple[tuple, ...]
                  ) -> argparse.ArgumentParser:
     """The parser with every subcommand, from `cli._COMMANDS`' items (each
-    name, help line and handler) and `cli._FLAGS`, their arguments in order."""
+    name and help line) and `cli._FLAGS`, their arguments in order."""
     parser = _Parser(
         prog="negshapley",
         description="Minimal supports and exact Shapley scores for database "
         "facts under queries with negation.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (text, _) in commands:
+    for name, text in commands:
         p = sub.add_parser(name, help=text)
         group = None
         for flag, takers, value, default, required, exclusive, help in flags:

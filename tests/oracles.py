@@ -792,13 +792,14 @@ def reference_load_database(path) -> Database:
 def reference_write_rows(args, payload: dict, header: Sequence[str], widths: Callable,
                          json_tail: Callable, cells: Callable, players,
                          columns: Sequence[tuple]) -> None:
-    """`output._write_rows` as it wrote every ``-`` row on its own: the fact's
+    """`rows._write_rows` as it wrote every ``-`` row on its own: the fact's
     cell built, quoted or padded, and its tail looked up, row by row.  Only
     the helpers that join and write the rows are the package's."""
     import sys
 
     from negshapley.core import SignedDatabase
-    from negshapley.output import _chunks, _dumps, _emit, _fact_width, _json
+    from negshapley.output import _chunks, _dumps, _emit, _json
+    from negshapley.rows import _fact_width
 
     if isinstance(players, SignedDatabase):
         negated = players.negated

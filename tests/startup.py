@@ -16,6 +16,11 @@ of load on the host falls on every row alike:
   import, load and parse that ``perfbench/run.py`` times as ``setup_s``,
   its ``SETUP_CODE`` read from that file.
 
+Below the table it prints the line count of the package modules that a
+fresh ``import negshapley.cli`` loads, and the best of 30 times to
+``compile()`` their sources, the part of start-up that a module moved off
+it saves.
+
 Every child runs on a copy of ``src/negshapley`` with no bytecode cache and
 ``PYTHONDONTWRITEBYTECODE=1``, so it compiles the package from source, as a
 benchmark child does on a host that writes no bytecode.  The children are
@@ -39,6 +44,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,6 +111,27 @@ def _import_time(stderr: str) -> float:
     raise SystemExit("no import time for negshapley.cli")
 
 
+def start_up_sources(env: dict) -> list[Path]:
+    """The sources of the package modules that a fresh ``import negshapley.cli`` loads."""
+    code = ("import sys, negshapley.cli; print(*sorted(m.__file__ for name, m in "
+            "sys.modules.items() if name.split('.')[0] == 'negshapley'), sep='\\n')")
+    listed = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout
+    return [Path(line) for line in listed.splitlines()]
+
+
+def compile_time(paths: list[Path], rounds: int = 30) -> float:
+    """The best of ``rounds`` times (s) to ``compile()`` every source in ``paths``."""
+    sources = [(path.read_text(encoding="utf-8"), str(path)) for path in paths]
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        for text, name in sources:
+            compile(text, name, "exec", dont_inherit=True)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--children", type=int, default=41, metavar="N",
@@ -132,6 +159,9 @@ def main() -> None:
         games = workloads.build("coalition-games", 0)
         rows.append(("benchmark set-up child (coalition-games, seed 0)",
                      [python, "-c", setup_code(), *games.instances], here / "coalition-games"))
+        sources = start_up_sources(env)
+        lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in sources)
+        compiled = compile_time(sources)
         runs: list[list[tuple[float, float]]] = [[] for _ in rows]
         imports = []
         launcher = Launcher(here, env)
@@ -151,6 +181,8 @@ def main() -> None:
         print(f"| {row} | {statistics.median(walls) * 1000:.1f} ms | {statistics.median(rss):.1f} MB |")
     print(f"\n`import negshapley.cli`, cumulative in `python3 -X importtime`: "
           f"{statistics.median(imports):.1f} ms")
+    print(f"`import negshapley.cli` compiles {len(sources)} package modules, {lines:,} lines, "
+          f"in {compiled * 1000:.1f} ms (`compile()`, best of 30)")
 
 
 if __name__ == "__main__":

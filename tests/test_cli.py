@@ -304,6 +304,19 @@ def test_query_comment_ends_at_every_line_break(capsys, paths, brk):
     assert run(capsys, "supports", "--db", paths["db"], "--query", str(commented)) == want
 
 
+@given(st.lists(st.sampled_from(["#", "a", "B", " ", "\r\n", "\n", "\r", "\v", "\f", "\x1c",
+                                 "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]), max_size=40))
+@settings(max_examples=500, deadline=None)
+def test_comment_strip_matches_the_pattern_it_replaced(pieces):
+    """`cli._strip_comments` cuts what ``re.sub`` cut with a pattern of
+    every line break, character for character, so no error offset moves."""
+    from negshapley.cli import _strip_comments
+    from negshapley.core import LINE_BREAKS
+
+    text = "".join(pieces)
+    assert _strip_comments(text) == re.sub(f"#[^\n{LINE_BREAKS}]*", "", text)
+
+
 def _count_compilations(monkeypatch) -> list:
     """Count calls of the witness compiler, which `negshapley.games` alone holds."""
     import negshapley.games as games
@@ -1158,7 +1171,7 @@ def test_row_writer_quotes_facts_as_json_dumps(capsys):
     from argparse import Namespace
 
     from negshapley.core import Fact, Relation, database
-    from negshapley.output import _write_rows
+    from negshapley.rows import _write_rows
 
     arg = lambda s: Fact(Relation("R", 1), (s,))
     code_points = [*range(0x10000), *range(0x10000, 0x110000, 257), 0x10FFFF]

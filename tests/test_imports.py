@@ -39,12 +39,12 @@ def test_scoring_and_relevance_import_no_private_support_names():
     assert _private_imports("relevance", ("supports",)) == []
 
 
-def test_only_core_and_output_list_the_minus_rows():
+def test_only_core_and_the_row_writer_list_the_minus_rows():
     """`SignedDatabase.absent` is called in `core` and by the row writer in
-    `output` only, so that no other module knows how the ``-`` rows are laid out."""
+    `rows` only, so that no other module knows how the ``-`` rows are laid out."""
     callers = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(PACKAGE.glob("*.py")) if path.stem not in ("core", "output")
+        for path in sorted(PACKAGE.glob("*.py")) if path.stem not in ("core", "rows")
         for node in ast.walk(_tree(path))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
         and node.func.attr == "absent"
@@ -73,7 +73,7 @@ def test_only_the_search_plan_grounds_literals():
 #: The modules that ``import negshapley.cli`` loads, and those loaded on first use.
 _STARTUP = ("__init__", "cli", "core", "errors", "output", "query", "relevance", "shapley",
             "supports")
-_DEFERRED = ("analysis", "games", "reference", "usage")
+_DEFERRED = ("analysis", "games", "reference", "rows", "usage")
 
 
 def _import_time_imports(tree: ast.AST) -> list[tuple[int, str]]:
@@ -95,16 +95,35 @@ def _import_time_imports(tree: ast.AST) -> list[tuple[int, str]]:
 
 
 def test_no_start_up_module_imports_a_deferred_one():
-    """The coalition tables (`games`), the argparse fallback (`usage`), the
-    query analysis and the library-only API are imported inside the
-    functions that need them, never while a start-up module loads, so that
-    ``import negshapley.cli`` does not compile them."""
+    """The coalition tables (`games`), the per-fact commands (`rows`), the
+    argparse fallback (`usage`), the query analysis and the library-only API
+    are imported inside the functions that need them, never while a
+    start-up module loads, so that ``import negshapley.cli`` does not
+    compile them."""
     trees = {module: _tree(PACKAGE / f"{module}.py") for module in _STARTUP}
     assert [f"{module}.py:{line}: {name}" for module, tree in trees.items()
             for line, name in _import_time_imports(tree) if name in _DEFERRED] == []
     inside = {node.module for tree in trees.values() for node in ast.walk(tree)
               if isinstance(node, ast.ImportFrom) and node.level == 1}
-    assert {"analysis", "games", "usage"} <= inside  # each is still imported, on first use
+    assert {"analysis", "games", "rows", "usage"} <= inside  # each is still imported, on first use
+
+
+def test_no_module_a_command_loads_imports_a_traced_name():
+    """perfbench's `Tracer.install` rebinds the names of its ``GROUPS``
+    before a traced command loads `analysis`, `games`, `rows` or `usage`; a
+    name one of them imported from there would keep the wrapper past
+    `uninstall`, so none does.  (`reference` loads during `install`.)"""
+    tracer = _tree(PACKAGE.parent.parent / "perfbench" / "tracer.py")
+    (groups,) = [node.value for node in tracer.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["GROUPS"]]
+    traced = {name.split(".")[1] for names in ast.literal_eval(groups).values()
+              for name in names}
+    assert "make_game" in traced  # the rule is not vacuous
+    assert [f"{module}.py:{node.lineno}: {alias.name}"
+            for module in _DEFERRED if module != "reference"
+            for node in ast.walk(_tree(PACKAGE / f"{module}.py"))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names if alias.name in traced] == []
 
 
 def test_no_module_imports_a_name_it_never_uses():

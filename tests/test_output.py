@@ -1,4 +1,4 @@
-"""The row writer against its reference in `oracles`: `output._write_rows`
+"""The row writer against its reference in `oracles`: `rows._write_rows`
 writes ``-`` rows a prefix at a time, and must write what the row-at-a-time
 writer writes, byte for byte, in both formats."""
 
@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from corpus import corpus
-from negshapley import cli
+from negshapley import cli, rows
 from negshapley.core import database, fact
 from negshapley.query import parse_query, signed_database_restricted
 from negshapley.supports import support_families
@@ -40,7 +40,7 @@ COMMANDS = (("relevance",), ("compare",), ("score", "--measure", "ms-signed", "-
 
 
 def _outputs(capsys, monkeypatch, writer, argv_tail, db):
-    monkeypatch.setattr(cli, "_write_rows", writer)
+    monkeypatch.setattr(rows, "_write_rows", writer)
     monkeypatch.setattr(cli, "_load_db", lambda path: db)
     outputs = {}
     for command in COMMANDS:
@@ -72,7 +72,7 @@ def test_minus_rows_match_the_row_at_a_time_writer(capsys, monkeypatch, tmp_path
     (tmp_path / "q.query").write_text(query + "\n")
     db = database(FACTS)
     tail = ["--query", str(tmp_path / "q.query")]
-    got = _outputs(capsys, monkeypatch, cli._write_rows, tail, db)
+    got = _outputs(capsys, monkeypatch, rows._write_rows, tail, db)
     want = _outputs(capsys, monkeypatch, oracles.reference_write_rows, tail, db)
     assert got == want
     assert sum(out.count("\n") for out in got.values()) > 1000
@@ -84,7 +84,7 @@ def test_minus_rows_quote_constants_as_the_row_at_a_time_writer(capsys, monkeypa
     (tmp_path / "q.query").write_text("exists x, y. R(x,y), !M(x,y)\n")
     db = database([fact("R", 'q"x', "é"), fact("R", "b\\", 'q"x'), fact("M", "é", "b\\")])
     tail = ["--query", str(tmp_path / "q.query")]
-    got = _outputs(capsys, monkeypatch, cli._write_rows, tail, db)
+    got = _outputs(capsys, monkeypatch, rows._write_rows, tail, db)
     assert got == _outputs(capsys, monkeypatch, oracles.reference_write_rows, tail, db)
     assert '"-M(q\\"x,\\u00e9)"' in got[("relevance",), "json"]
 
@@ -92,7 +92,7 @@ def test_minus_rows_quote_constants_as_the_row_at_a_time_writer(capsys, monkeypa
 def test_fact_width_is_the_widest_fact_written():
     """`_fact_width` measures facts from their names and constants without
     writing them: a nullary fact is ``R()``, and constants may be empty."""
-    from negshapley.output import _fact_width
+    from negshapley.rows import _fact_width
 
     for facts in (FACTS, [fact("Z")], [fact("R", "", "")], [fact("LONGNAME", "a"), fact("B")],
                   *(inst.db.facts for inst in corpus(60))):
@@ -106,7 +106,7 @@ def test_plus_rows_render_each_distinct_tail_once(capsys):
     four times in each format."""
     from argparse import Namespace
 
-    from negshapley.output import _write_rows
+    from negshapley.rows import _write_rows
     from negshapley.shapley import Scores
 
     db = database(fact("R", f"c{i}") for i in range(300))

@@ -210,15 +210,18 @@ def test_cli_import_loads_exactly_the_command_layers():
 
 
 #: Loaded only where a score is built (`fractions` brings the other two),
-#: where a coalition table is built (`negshapley.games`), by ``analyze``
+#: where a coalition table is built (`negshapley.games`), by ``score``,
+#: ``relevance`` and ``compare`` (`negshapley.rows`), by ``analyze``
 #: (`json` only with ``--format json``), by the first caller of the
 #: library-only API, and, with `gettext` and `negshapley.usage`, by a
 #: command line that argparse reads: help, an abbreviated flag or a usage error.
 _DEFERRED = ("argparse", "decimal", "fractions", "gettext", "json", "negshapley.analysis",
-             "negshapley.games", "negshapley.reference", "negshapley.usage", "numbers")
+             "negshapley.games", "negshapley.reference", "negshapley.rows", "negshapley.usage",
+             "numbers")
 _FRACTIONS = ["decimal", "fractions", "numbers"]
 _GAMES = ["negshapley.games"]
-_TABLE_SCORES = ["decimal", "fractions", "negshapley.games", "numbers"]
+_ROWS = ["negshapley.rows"]
+_TABLE_SCORES = [*_FRACTIONS, *_GAMES, *_ROWS]
 _ARGPARSE = ["argparse", "gettext", "negshapley.usage"]
 
 
@@ -227,34 +230,37 @@ _ARGPARSE = ["argparse", "gettext", "negshapley.usage"]
     (("supports", "--kind", "signed"), 0, []),
     (("supports", "--kind", "positive"), 0, []),
     (("supports", "--kind", "dmonotone"), 0, _GAMES),
-    (("relevance",), 0, _GAMES),
-    (("relevance", "--db", "above.facts"), 0, []),
-    (("relevance", "--format", "json"), 0, _GAMES),
+    (("relevance",), 0, _GAMES + _ROWS),
+    (("relevance", "--db", "above.facts"), 0, _ROWS),
+    (("relevance", "--format", "json"), 0, _GAMES + _ROWS),
     (("analyze",), 0, ["negshapley.analysis"]),
-    (("score",), 0, _FRACTIONS),
-    (("score", "--measure", "mps"), 0, _FRACTIONS),
+    (("score",), 0, _FRACTIONS + _ROWS),
+    (("score", "--measure", "mps"), 0, _FRACTIONS + _ROWS),
     (("score", "--measure", "drastic"), 0, _TABLE_SCORES),
     (("score", "--measure", "positive-drastic", "--fact", "R(a,b)"), 0, _TABLE_SCORES),
     (("score", "--measure", "signed-drastic"), 0, _TABLE_SCORES),
+    (("score", "--measure", "drastic", "--db", "above.facts"), 0, _ROWS),
     (("compare",), 0, _TABLE_SCORES),
+    (("compare", "--db", "above.facts"), 0, _FRACTIONS + _ROWS),
     (("analyze", "--format", "json"), 0, ["json", "negshapley.analysis"]),
     (("supports", "--kind", "signed", "--all", "--format", "json"), 0, _GAMES),
     (("score", "--measure", "drastic", "--format", "json"), 0, _TABLE_SCORES),
     (("compare", "--format", "json"), 0, _TABLE_SCORES),
     (("score", "--measure", "nosuch"), 1, _ARGPARSE),
-    (("score", "--meas", "mps"), 0, ["argparse", "decimal", "fractions", "gettext",
-                                     "negshapley.usage", "numbers"]),
+    (("score", "--meas", "mps"), 0, _ARGPARSE + _FRACTIONS + _ROWS),
 ])
 def test_only_scoring_commands_load_fractions(tmp_path, argv, code, loaded):
     """A fresh ``python -S`` child imports the command line, runs one
     command on a small instance, and lists the deferred modules it loaded:
-    only ``score`` and ``compare`` build scores; only a drastic score,
-    ``compare``, a D-monotone or exhaustive listing and ``relevance``
-    within its impact cap of 20 facts build a coalition table (not on the
-    21 facts of ``above.facts``); only ``analyze`` loads the query
-    analysis, and only its JSON document `json`; no command reaches the
-    library-only API, and only a command line not written in full, or
-    wrong, loads `argparse`."""
+    only ``score`` and ``compare`` build scores, and only they and
+    ``relevance`` load the row writer; only a drastic score, ``compare``, a
+    D-monotone or exhaustive listing and ``relevance`` within its impact
+    cap of 20 facts build a coalition table (not on the 21 facts of
+    ``above.facts``, where the cap of ``--cap-subset`` refuses a drastic
+    score before the table's module, or `fractions`, loads); only
+    ``analyze`` loads the query analysis, and only its JSON document
+    `json`; no command reaches the library-only API, and only a command
+    line not written in full, or wrong, loads `argparse`."""
     (tmp_path / "i.facts").write_text("R(a,b)\nR(b,c)\nS(c)\n")
     (tmp_path / "above.facts").write_text("".join(f"R(a,c{i})\n" for i in range(21)))
     (tmp_path / "i.query").write_text("exists x, y. R(x,y), !S(y)\n")
@@ -271,4 +277,42 @@ def test_only_scoring_commands_load_fractions(tmp_path, argv, code, loaded):
         [sys.executable, "-S", "-c", script, *argv, *files], env=env, cwd=tmp_path,
         capture_output=True, text=True, check=True,
     )
-    assert result.stdout.splitlines()[-1] == f"{code} {loaded}"
+    assert result.stdout.splitlines()[-1] == f"{code} {sorted(loaded)}"
+
+
+_AT_LOAD_SCRIPT = (
+    "import sys\n"
+    "import negshapley.cli as cli\n"
+    "load, held = cli._load_query, []\n"
+    "def load_query(path):\n"
+    "    held.append(sorted({'negshapley.analysis', 'negshapley.rows'} & set(sys.modules)))\n"
+    "    return load(path)\n"
+    "cli._load_query = load_query\n"
+    "print(cli.main(sys.argv[1:]), held, 'negshapley.rows' in sys.modules)\n"
+)
+
+
+@pytest.mark.parametrize("argv, held", [
+    (("score",), _ROWS),
+    (("score", "--measure", "drastic", "--format", "json"), _ROWS),
+    (("relevance",), _ROWS),
+    (("compare",), _ROWS),
+    (("supports",), []),
+    (("supports", "--kind", "dmonotone", "--all"), []),
+    (("analyze",), ["negshapley.analysis"]),
+])
+def test_a_command_loads_its_handler_module_before_its_inputs(tmp_path, argv, held):
+    """In a fresh ``python -S`` child, the per-fact commands hold `rows` (and
+    ``analyze`` `analysis`) by the time `cli._load_query` runs: the module is
+    compiled before the query and the facts are loaded, so that its
+    compilation does not add to the peak memory of a loaded database.
+    ``supports`` never loads it."""
+    (tmp_path / "i.facts").write_text("R(a,b)\nR(b,c)\nS(c)\n")
+    (tmp_path / "i.query").write_text("exists x, y. R(x,y), !S(y)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", _AT_LOAD_SCRIPT, *argv, "--db", "i.facts",
+         "--query", "i.query"], env=env, cwd=tmp_path, capture_output=True, text=True,
+        check=True,
+    )
+    assert result.stdout.splitlines()[-1] == f"0 [{held}] {held == _ROWS}"
