@@ -3,7 +3,7 @@ database facts under unions of conjunctive queries with negated atoms and
 inequalities.
 
 The pieces: `core` holds facts, databases, and signed completions; `query`
-the query model, parser and sign transform; `supports` the
+the query model, parser, query-file reader and sign transform; `supports` the
 satisfying-assignment search and the support semantics; `relevance` the
 qualitative verdicts; `shapley` the exact scores; `cli` the command line,
 and `output` the writers of its tables and JSON documents.  Five are
@@ -51,6 +51,7 @@ from .query import (
     Query,
     Var,
     conjunct,
+    load_query,
     neg_rels,
     parse_query,
     sign_transform,
@@ -115,6 +116,7 @@ __all__ = [
     "is_positive_support",
     "is_signed_support",
     "load_database",
+    "load_query",
     "make_game",
     "minimal_d_monotone_supports",
     "minimal_positive_supports",

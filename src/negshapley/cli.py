@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``supports``, ``score``, ``relevance``, ``analyze``,
-``compare``.  Databases are fact files (one ``R(a,b)`` per line, ``#``
-comments, optional ``@relation R/2`` headers); queries are expression files
-(``#`` comments allowed).  Output is a table by default or JSON with
+``compare``.  `core.load_database` reads the fact files and
+`query.load_query` the query files.  Output is a table by default or JSON with
 ``--format json``; identical inputs always produce byte-identical output.
 
 A command line is read from `_FLAGS`, the one description of each
@@ -14,9 +13,10 @@ spelling argparse accepts still works, and help and usage errors are its own.
 The handlers of ``score``, ``relevance`` and ``compare`` (`negshapley.rows`)
 and of ``analyze`` (`negshapley.analysis`) load once it is read.
 
-Exit codes: 0 success, 1 usage or parse error, 2 semantic error (unsafe
-query, arity clash, bad player), 3 cap exceeded, 4 standard output closed
-or its reader gone, or a write to it failed (nothing more is written).
+Exit codes: 0 success; an error of `negshapley.errors` exits with its
+class's ``exit_code`` (1 unreadable input, a parse or usage error; 2 a
+semantic error; 3 a cap exceeded); 4 standard output closed or its reader
+gone, or a write to it failed (nothing more is written).
 """
 from __future__ import annotations
 
@@ -26,10 +26,10 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Sequence
 
-from .core import LINE_BREAKS, Database, load_database
+from .core import Database, load_database
 from .errors import CapExceededError, InputParseError, SemanticError
 from .output import _block, _bool, _columns, _dumps, _emit, _json
-from .query import Query, parse_query
+from .query import Query, load_query
 from .shapley import (
     DEFAULT_SUBSET_CAP,
     WEIGHT_FUNCTIONS,
@@ -45,29 +45,17 @@ from .supports import (
 
 if TYPE_CHECKING:
     import argparse
+    from typing import Callable, TypeVar
+
+    T = TypeVar("T")
 
 
-def _load_query(path: str) -> Query:
+def _read(load: Callable[[str], T], path: str, what: str) -> T:
+    """``load(path)``, a file that cannot be read or decoded refused as an `InputParseError`."""
     try:
-        with open(path, encoding="utf-8-sig") as handle:
-            text = handle.read()
+        return load(path)
     except (OSError, UnicodeDecodeError) as exc:
-        raise InputParseError(f"cannot read query file: {exc}") from exc
-    return parse_query(_strip_comments(text))
-
-
-def _strip_comments(text: str) -> str:
-    """``text`` less each ``#`` and the rest of its line, up to any break of `str.splitlines`."""
-    ends = "\n" + LINE_BREAKS
-    return "".join(head + tail[len(tail.rstrip(ends)):] for head, _, tail in (
-        line.partition("#") for line in text.splitlines(keepends=True)))
-
-
-def _load_db(path: str) -> Database:
-    try:
-        return load_database(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputParseError(f"cannot read fact file: {exc}") from exc
+        raise InputParseError(f"cannot read {what} file: {exc}") from exc
 
 
 # -- supports --
@@ -210,19 +198,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif args.command != "supports":
             from .rows import _cmd_report, _cmd_score
             handler = _cmd_score if args.command == "score" else _cmd_report
-        q = _load_query(args.query)  # then the facts: ``analyze`` reads them only to check them
-        db = None if args.db is None else _load_db(args.db)
+        q = _read(load_query, args.query, "query")  # then the facts: ``analyze`` only checks them
+        db = None if args.db is None else _read(load_database, args.db, "fact")
         handler(args, q, db)
         return 0
-    except InputParseError as exc:
+    except (InputParseError, SemanticError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SemanticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except OSError as exc:  # a failed read is an `InputParseError` by now: this is a write
         # Said by no message if stdout is closed or its reader gone; what it
         # still buffers goes to /dev/null, so that every later flush passes.

@@ -1,15 +1,16 @@
 """Exception hierarchy shared across the package.
 
-The three error families map onto the command line tool's exit codes:
-input that cannot be parsed at all (exit 1), input that parses but is
-semantically ill-formed (exit 2), and computations that would exceed one
-of the configurable resource caps (exit 3).
+Each of the three error families carries the command line's exit code for
+it as the class attribute ``exit_code``: input that cannot be read or
+parsed at all (1), input that parses but is semantically ill-formed (2),
+and computations that would exceed one of the configurable caps (3).
 """
 from __future__ import annotations
 
 
 class InputParseError(Exception):
-    """A query string or facts file could not be parsed."""
+    """A file could not be read, or a query, fact or command line could not be parsed."""
+    exit_code = 1
 
 
 class QuerySyntaxError(InputParseError):
@@ -34,6 +35,7 @@ class FactSyntaxError(InputParseError):
 
 class SemanticError(Exception):
     """Input parsed but violates a well-formedness rule."""
+    exit_code = 2
 
 
 class SafetyError(SemanticError):
@@ -50,3 +52,4 @@ class PlayerSetError(SemanticError):
 
 class CapExceededError(Exception):
     """A computation would exceed one of the configurable size caps."""
+    exit_code = 3

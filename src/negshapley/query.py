@@ -13,6 +13,9 @@ tell them apart).  Example::
 
     exists x. I(x,"fish"), !I(x,"meat")
 
+Between tokens, ``#`` comments out the rest of a line, up to any break of
+`str.splitlines`; `load_query` reads a query file.
+
 Every disjunct must contain at least one positive atom, and every variable
 of a negated atom or inequality must also occur in a positive atom of the
 same disjunct (safe negation).  Queries are Boolean: there are no free
@@ -29,12 +32,13 @@ value, so ``x != "x"`` compares two different terms.
 """
 from __future__ import annotations
 
+import os
 import re
 from functools import cached_property
 from typing import Iterable, NamedTuple, Union
 
-from .core import (Database, Relation, SignedDatabase, _Record, _unique_schema, moved,
-                   signed_database)
+from .core import (LINE_BREAKS, Database, Relation, SignedDatabase, _Record, _unique_schema,
+                   moved, signed_database)
 from .errors import ArityError, QuerySyntaxError, SafetyError, SemanticError
 
 _RESERVED = {"exists"}
@@ -224,7 +228,7 @@ class Query(_QueryFields):
 # -- Parsing --
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
+    rf"""(?P<ws>\s+|\#[^\n{LINE_BREAKS}]*)
       | (?P<neq>!=)
       | (?P<bang>!)
       | (?P<pipe>\|)
@@ -343,6 +347,13 @@ def parse_query(text: str) -> Query:
         kind, value, pos = tokens.items[tokens.index]
         raise QuerySyntaxError(f"unexpected {value!r} after the query", pos)
     return Query(tuple(disjuncts))
+
+
+def load_query(path: str | os.PathLike) -> Query:
+    """Read a query file: UTF-8 with an optional BOM, its line breaks as
+    written, so that an error's offset counts the file's characters."""
+    with open(path, encoding="utf-8-sig", newline="") as stream:
+        return parse_query(stream.read())
 
 
 # -- The sign transform and the negated-relation set --

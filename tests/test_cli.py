@@ -17,7 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from negshapley import errors
 from negshapley.cli import main
+from negshapley.core import LINE_BREAKS
+from negshapley.query import parse_query
 
 import oracles
 from corpus import corpus
@@ -304,17 +307,50 @@ def test_query_comment_ends_at_every_line_break(capsys, paths, brk):
     assert run(capsys, "supports", "--db", paths["db"], "--query", str(commented)) == want
 
 
-@given(st.lists(st.sampled_from(["#", "a", "B", " ", "\r\n", "\n", "\r", "\v", "\f", "\x1c",
-                                 "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]), max_size=40))
-@settings(max_examples=500, deadline=None)
-def test_comment_strip_matches_the_pattern_it_replaced(pieces):
-    """`cli._strip_comments` cuts what ``re.sub`` cut with a pattern of
-    every line break, character for character, so no error offset moves."""
-    from negshapley.cli import _strip_comments
-    from negshapley.core import LINE_BREAKS
+@pytest.mark.parametrize("text, offset", [
+    ('exists x. I(x,"fish"),\r\n  !I(x,"meat") $', 39),
+    ('# menus\nexists x. I(x,"fish") $', 30),
+])
+def test_query_error_offsets_count_the_files_characters(capsys, paths, text, offset):
+    """A syntax error's offset is the position of the character in the query
+    file (after a byte-order mark): a ``\\r\\n`` counts two characters and a
+    comment counts as written."""
+    bad = paths["dir"] / "bad.query"
+    bad.write_bytes(text.encode())
+    assert text[offset] == "$"
+    assert run(capsys, "supports", "--db", paths["db"], "--query", str(bad)) == (
+        1, "", f"error: unexpected character '$' (at offset {offset})\n")
+    bad.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert run(capsys, "supports", "--db", paths["db"], "--query", str(bad))[2].endswith(
+        f"(at offset {offset})\n")
 
-    text = "".join(pieces)
-    assert _strip_comments(text) == re.sub(f"#[^\n{LINE_BREAKS}]*", "", text)
+
+#: Valid queries: constants, an inequality, negation and a union.
+_COMMENTED_QUERIES = [
+    'exists x. I(x,"fish"), !I(x,"meat")',
+    'exists x, y, z. E(x,y), E(y,z), !E(z,x), x != z | exists x. E(x,x), !E("a",x)',
+    'exists x,y.R(x,y),!S(y),x!="b"',
+]
+_BREAKS = ["\n", "\r\n", *LINE_BREAKS]
+
+
+@given(st.sampled_from(_COMMENTED_QUERIES), st.data())
+@settings(max_examples=300, deadline=None)
+def test_comments_between_tokens_leave_the_query_as_it_is(text, data):
+    """A ``#`` comment inserted at any token boundary of a valid query, ended
+    by a line break of `str.splitlines` or by the end of the text, leaves
+    `parse_query`'s `Query` unchanged, whatever the comment holds."""
+    bounds = sorted({0, len(text), *(end for m in re.finditer(
+        r'!=|[A-Za-z0-9_]+|"[A-Za-z0-9_]+"|\S', text) for end in m.span())})
+    chosen = data.draw(st.sets(st.sampled_from(bounds), min_size=1))
+    body = st.text(max_size=8).map(lambda t: "".join(t.splitlines()))  # no break in it
+    commented, last = [], 0
+    for at in sorted(chosen):
+        end = data.draw(st.sampled_from(_BREAKS + [""] if at == len(text) else _BREAKS))
+        commented += [text[last:at], "#", data.draw(body), end]
+        last = at
+    commented.append(text[last:])
+    assert parse_query("".join(commented)) == parse_query(text)
 
 
 def _count_compilations(monkeypatch) -> list:
@@ -686,6 +722,23 @@ def test_exit_1_on_query_syntax_error(capsys, paths, tmp_path):
     bad.write_text("exists x. I(x\n")
     code, _, err = run(capsys, "supports", "--db", paths["db"], "--query", str(bad))
     assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("error, code", [
+    (errors.QuerySyntaxError, 1), (errors.FactSyntaxError, 1), (errors.SafetyError, 2),
+    (errors.ArityError, 2), (errors.PlayerSetError, 2), (errors.CapExceededError, 3),
+])
+def test_each_error_class_exits_with_its_code(capsys, paths, monkeypatch, error, code):
+    """`main` prints any error of `negshapley.errors` as one line and exits
+    with its class's ``exit_code``."""
+    import negshapley.cli as cli
+
+    def refuse(path):
+        raise error("refused")
+
+    monkeypatch.setattr(cli, "load_query", refuse)
+    assert run(capsys, "supports", "--db", paths["db"], "--query", paths["q"]) == (
+        code, "", "error: refused\n")
 
 
 def test_exit_1_on_missing_file(capsys, paths):

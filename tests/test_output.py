@@ -41,7 +41,7 @@ COMMANDS = (("relevance",), ("compare",), ("score", "--measure", "ms-signed", "-
 
 def _outputs(capsys, monkeypatch, writer, argv_tail, db):
     monkeypatch.setattr(rows, "_write_rows", writer)
-    monkeypatch.setattr(cli, "_load_db", lambda path: db)
+    monkeypatch.setattr(cli, "load_database", lambda path: db)
     outputs = {}
     for command in COMMANDS:
         for fmt in ("table", "json"):

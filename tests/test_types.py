@@ -283,11 +283,11 @@ def test_only_scoring_commands_load_fractions(tmp_path, argv, code, loaded):
 _AT_LOAD_SCRIPT = (
     "import sys\n"
     "import negshapley.cli as cli\n"
-    "load, held = cli._load_query, []\n"
+    "load, held = cli.load_query, []\n"
     "def load_query(path):\n"
     "    held.append(sorted({'negshapley.analysis', 'negshapley.rows'} & set(sys.modules)))\n"
     "    return load(path)\n"
-    "cli._load_query = load_query\n"
+    "cli.load_query = load_query\n"
     "print(cli.main(sys.argv[1:]), held, 'negshapley.rows' in sys.modules)\n"
 )
 
@@ -303,7 +303,7 @@ _AT_LOAD_SCRIPT = (
 ])
 def test_a_command_loads_its_handler_module_before_its_inputs(tmp_path, argv, held):
     """In a fresh ``python -S`` child, the per-fact commands hold `rows` (and
-    ``analyze`` `analysis`) by the time `cli._load_query` runs: the module is
+    ``analyze`` `analysis`) by the time `cli.load_query` runs: the module is
     compiled before the query and the facts are loaded, so that its
     compilation does not add to the peak memory of a loaded database.
     ``supports`` never loads it."""
