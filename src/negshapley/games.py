@@ -1,8 +1,10 @@
 """Compiled Boolean games: players as bits, semantics as (required,
-forbidden) masks, and the coalition tables read off them, for a `Game`, the
-drastic scores (`table_values`), impacts and the D-monotone and exhaustive
-listings.  Each caller imports this module after the cap that bounds its
-table, so no other command, nor the command line's start-up, compiles it.
+forbidden) masks, and a `Game`'s coalition table, read by its drastic
+scores (`table_values`), impacts and D-monotone or exhaustive listing.
+The one other table, `reference.is_d_monotone_support`'s, spans only the
+witness players outside the set tested, the |db∖S| facts its cap counts.
+Callers import this module within the cap on their table, so that no
+other command, nor the command line's start-up, compiles it.
 """
 from __future__ import annotations
 
@@ -14,8 +16,7 @@ from .errors import CapExceededError, PlayerSetError
 from .query import Query
 from .relevance import ImpactKind
 from .shapley import Game, Player, Scores, WealthKind
-from .supports import (FactLike, Listing, SupportKind, SupportSet, _in_order, _iter_assignments,
-                       support_families)
+from .supports import FactLike, Listing, SupportKind, SupportSet, _in_order, _iter_assignments
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -175,25 +176,24 @@ def _members(players: Sequence, mask: int) -> frozenset:
     return frozenset(p for i, p in enumerate(players) if mask >> i & 1)
 
 
+_LISTED = {"dMonotone": WealthKind.DRASTIC_DIRECT, "signed": WealthKind.SIGNED_DRASTIC,
+           "positive": WealthKind.POSITIVE_DRASTIC}
+
+
 def listing(q: Query, db: Database, kind: SupportKind,
             universe: Database | SignedDatabase | None = None) -> Listing:
-    """The minimal supports of ``kind`` read off its coalition table, or
-    with ``universe``, every support over those players: `supports`' D-monotone
-    and exhaustive listings, past their caps."""
-    if kind == "dMonotone":  # the witness subsets all of whose supersets win
-        players, witnesses = witness_masks(compile_witnesses(q, db))
-        table = coalition_table(len(players), witnesses)
+    """The minimal supports of ``kind`` off its Boolean game's table, or with
+    ``universe`` as the players, all supports: `supports`' listings past their caps."""
+    game = Game(_LISTED[kind], q, db, db if universe is None else universe)
+    players, table = game._compiled[0], game._table
+    if kind == "dMonotone":  # the winning subsets all of whose supersets win
         for i, mask in enumerate(player_masks(len(players))):
             table &= mask | table >> (1 << i)  # S without player i needs S with it
-    else:
-        (family,) = support_families(q, db, kind)
-        players, witnesses = witness_masks((s.elements, frozenset()) for s in family)
-        table = coalition_table(len(players), witnesses)
     if universe is None:
         return _in_order(SupportSet(kind, _members(players, S), True)
                          for S in _minimal_masks(table, len(players)))
     named = set(players)  # every family is closed upwards: a null player doubles the table
-    players += tuple(p for p in universe.sorted_facts if p not in named)
+    players += tuple(p for p in game.players.sorted_facts if p not in named)
     for i in range(len(named), len(players)):
         table |= table << (1 << i)
     minimal = set(_minimal_masks(table, len(players)))

@@ -170,9 +170,9 @@ def _write_rows(args: argparse.Namespace, payload: dict, header: Sequence[str],
         return lasts[pad]
 
     def minus_rows(rel) -> Iterator[str]:
-        """The rows of `SignedDatabase.absent`, a prefix (all arguments but the
-        last) at a time: a stored tuple splits the shared tail's run of rows,
-        each one join of at most `_CHUNK` characters, and writes nothing."""
+        """The rows of ``rel``'s ``-`` members in `SignedDatabase.absent`'s order,
+        walked here a prefix (all arguments but the last) at a time: a stored tuple
+        splits the shared tail's run of rows, each one join of at most `_CHUNK` characters."""
         marks: dict[tuple, dict[int, str | None]] = {}  # own tail, or None if stored
         for (values, _), signed in columns:
             for sf in values if signed else ():

@@ -16,8 +16,8 @@ context:
 
 The guarded reduction, the per-set support tests and the bounded
 entailment check run the same search from modules no command loads
-(`analysis`, `reference`), whose old names here resolve; the D-monotone
-and exhaustive listings read coalition tables (`games`) after their caps.
+(`analysis`, `reference`), whose old names here resolve; within their caps,
+the D-monotone and exhaustive listings read their Boolean game's table.
 
 The search matches a disjunct's positive atoms in order, depth first.
 Before it starts, each atom's facts are kept to those with its constants
@@ -319,7 +319,7 @@ def _minimal_sets(kind: SupportKind, family: set[frozenset]) -> list[SupportSet]
     return [SupportSet(kind, s, True) for s in kept]
 
 
-# -- D-monotone and exhaustive listings, read off coalition tables --
+# -- D-monotone and exhaustive listings, read off their Boolean games' tables --
 
 
 def minimal_d_monotone_supports(

@@ -45,6 +45,7 @@ def _k(path: str, expression: str) -> tuple[str, ...]:
 _KNOWN_CALLS = _k("tests/test_cli.py", "test_plain_reader_reads_as_argparse_on_every_known_call")
 _SEARCH = _k("tests/test_supports.py", "assignment_search")
 _ARITY = _k("tests/test_cli.py", "arity")
+_D_MONOTONE = _k("tests/test_supports.py", "d_monotone or monotone_chain")
 #: `supports._extend`, from grounding a step's negated atoms to yielding an assignment.
 _GROUNDED = """\
         grounded = absent
@@ -136,6 +137,15 @@ MUTANTS = (
     Mutant("src/negshapley/errors.py", 'size caps."""\n    exit_code = 3',
            'size caps."""\n    exit_code = 2', _k("tests/test_cli.py", "each_error_class"),
            "a refused cap exits 2"),
+    # The D-monotone listing reads the drastic game's table, closed downward.
+    Mutant("src/negshapley/games.py", '_LISTED = {"dMonotone": WealthKind.DRASTIC_DIRECT,',
+           '_LISTED = {"dMonotone": WealthKind.POSITIVE_DRASTIC,', _D_MONOTONE,
+           "the D-monotone listing reads the positive-drastic game"),
+    Mutant("src/negshapley/games.py",
+           '    if kind == "dMonotone":  # the winning subsets all of whose supersets win\n'
+           "        for i, mask in enumerate(player_masks(len(players))):\n"
+           "            table &= mask | table >> (1 << i)  # S without player i needs S with it\n",
+           "", _D_MONOTONE, "the D-monotone listing does not close the table downward"),
 )
 
 

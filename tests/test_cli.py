@@ -516,10 +516,11 @@ def test_score_refuses_a_non_player_before_searching(capsys, paths, monkeypatch)
 def test_each_listing_and_score_runs_one_search(capsys, paths, monkeypatch):
     """Every minimal listing, the listings with `--all` that the recipe's 5
     facts allow, and every measure's score of all players or of one, run
-    one assignment search.  Only the drastic game and the `dmonotone`
-    listing compile witnesses; the other games and listings are read off
-    the minimal supports.  The recipe's 25 signed players are over the
-    subset cap, so `signed-drastic` plays on 2 of its facts (16 players)."""
+    one assignment search.  Only the drastic game compiles witnesses, and
+    the `dmonotone` listing reads that game's; the other games and
+    listings are read off the minimal supports.  The recipe's 25 signed
+    players are over the subset cap, so `signed-drastic` plays on 2 of its
+    facts (16 players)."""
     calls = _count_compilations(monkeypatch)
     searches = _count_searches(monkeypatch)
     small = paths["dir"] / "small.facts"
@@ -540,6 +541,34 @@ def test_each_listing_and_score_runs_one_search(capsys, paths, monkeypatch):
         code, out, err = run(capsys, *argv, "--db", str(db), "--query", paths["q"])
         assert code == 0 and "error" not in out + err, argv
         assert (len(searches), len(calls)) == (1, compiles), argv
+
+
+def test_each_table_backed_command_builds_one_table(capsys, paths, monkeypatch):
+    """Every command that reads a coalition table builds exactly one, its
+    Boolean game's: the `dmonotone` listings, minimal or all, and the other
+    listings with `--all`, each Boolean measure's score of all players or
+    of one, `relevance` within its impact cap and `compare` within both
+    caps.  Signed players are the 16 of 2 recipe facts, as above."""
+    import negshapley.games as games
+
+    tables = []
+    real = games.coalition_table
+    monkeypatch.setattr(games, "coalition_table", lambda *a: tables.append(a) or real(*a))
+    small = paths["dir"] / "small.facts"
+    small.write_text("I(mm,fish)\nI(mp,meat)\n")
+    runs = [("supports", "--kind", "dmonotone", *listing) for listing in ((), ("--all",))]
+    runs += [("supports", "--kind", kind, "--all") for kind in ("signed", "positive")]
+    for measure, player in (("drastic", "I(mm,fish)"), ("positive-drastic", "I(mm,fish)"),
+                            ("signed-drastic", "-I(mm,meat)")):
+        runs += [("score", "--measure", measure, players)
+                 for players in ("--all", f"--fact={player}")]
+    runs += [("relevance",), ("compare",)]
+    for argv in runs:
+        db = small if "signed" in argv or "signed-drastic" in argv else paths["db"]
+        del tables[:]
+        code, out, err = run(capsys, *argv, "--db", str(db), "--query", paths["q"])
+        assert code == 0 and "error" not in out + err, argv
+        assert len(tables) == 1, argv
 
 
 def test_runs_are_deterministic(capsys, paths):

@@ -1,9 +1,10 @@
 """Import hygiene of the package, checked from its syntax trees: the command
 line reaches scoring and relevance, and scoring and relevance reach the
 support search, through public names only; only the completion and the row
-writer list the ``-`` rows; only the search plan grounds a literal; no
-module imports a name it never uses; and every name moved off the command
-line's path still resolves where it was."""
+writer list the ``-`` rows; only the search plan grounds a literal; every
+coalition table a command reads is a `Game`'s; no module imports a name it
+never uses; and every name moved off the command line's path still
+resolves where it was."""
 
 import ast
 from pathlib import Path
@@ -17,6 +18,24 @@ PACKAGE = Path(negshapley.__file__).resolve().parent
 
 def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _callers(name: str) -> set[str]:
+    """The functions, as ``module.qualified_name``, that call ``name``."""
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                          getattr(child.func, "attr", None)):
+                found.add(scope)
+            visit(child, inner)
+
+    found: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(_tree(path), path.stem)
+    return found
 
 
 def _private_imports(module: str, sources: tuple[str, ...]) -> list[str]:
@@ -40,16 +59,11 @@ def test_scoring_and_relevance_import_no_private_support_names():
 
 
 def test_only_core_and_the_row_writer_list_the_minus_rows():
-    """`SignedDatabase.absent` is called in `core` and by the row writer in
-    `rows` only, so that no other module knows how the ``-`` rows are laid out."""
-    callers = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(PACKAGE.glob("*.py")) if path.stem not in ("core", "rows")
-        for node in ast.walk(_tree(path))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "absent"
-    ]
-    assert callers == []
+    """`SignedDatabase.absent` has one caller, `SignedDatabase.__iter__`; the
+    row writer (`rows.minus_rows`) walks the same rows a prefix at a time
+    without it, and `tests/test_output.py` checks its output byte for byte
+    against the reference writer, so no third module lays the ``-`` rows out."""
+    assert _callers("absent") == {"core.SignedDatabase.__iter__"}
 
 
 def test_only_the_search_plan_grounds_literals():
@@ -68,6 +82,17 @@ def test_only_the_search_plan_grounds_literals():
     assert reads(plan)
     assert {(path.stem, line) for path in sorted(PACKAGE.glob("*.py"))
             for line in reads(_tree(path))} == {("supports", line) for line in reads(plan)}
+
+
+def test_every_coalition_table_is_read_off_a_game():
+    """A command reads each coalition table off a `Game`, which builds it
+    in `Game._table` from the witnesses of `games.compiled`; the listings
+    read their Boolean game's.  The one table built elsewhere is
+    `reference.is_d_monotone_support`'s, over the witnesses less the set
+    tested, whose cap bounds the facts outside that set."""
+    one_set = "reference.is_d_monotone_support"
+    assert _callers("coalition_table") == {"shapley.Game._table", one_set}
+    assert _callers("witness_masks") == {"games.compiled", one_set}
 
 
 #: The modules that ``import negshapley.cli`` loads, and those loaded on first use.

@@ -1,12 +1,17 @@
 """The README's examples, run as written: the Quick start's console blocks
 through `negshapley.cli.main` on its fact and query files, and the Library
-use block as a script."""
+use block as a script; and the start-up line count it quotes, against the
+sources that a fresh import loads."""
 
+import os
 import re
 import shlex
 from pathlib import Path
 
+import negshapley
 from negshapley.cli import main
+
+import startup
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -48,3 +53,15 @@ def test_library_use_block(capsys):
     exec(compile(code, "README.md", "exec"), {})
     shown = re.findall(r"print\(.*\)\s+# (.*)", code)
     assert shown and capsys.readouterr().out.splitlines() == shown
+
+
+def test_start_up_line_count():
+    """The Start-up section's "compiles N package modules, L lines" is the
+    count that `tests/startup.py` prints: the modules a fresh ``python3 -S``
+    import of `negshapley.cli` loads, and their lines."""
+    (quoted,) = re.findall(r"compiles\s+(\d+) package modules, ([\d,]+) lines,",
+                           _section("Start-up"))
+    src = Path(negshapley.__file__).resolve().parents[1]
+    sources = startup.start_up_sources(dict(os.environ, PYTHONPATH=str(src)))
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in sources)
+    assert quoted == (str(len(sources)), f"{lines:,}")
